@@ -313,10 +313,20 @@ def _run_solve(config: RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _laplacian_norm_sq(u: SpectralField) -> float:
-    coeff = transform(u, "forward").values
-    t = u.grid.xi_sq
-    return float(np.sum(t * t * (coeff.real**2 + coeff.imag**2)) / u.grid.volume)
+def _laplacian_norm_sq(u_hat: SpectralField) -> float:
+    coeff = u_hat.values
+    t = u_hat.grid.xi_sq
+    return float(np.sum(t * t * (coeff.real**2 + coeff.imag**2)) / u_hat.grid.volume)
+
+
+def _ladder(config: RunConfig, nl: NonlinearitySpec) -> list[float]:
+    """The summary's Sobolev ladder; a config without one is rejected on problem.p."""
+    if nl.kind == "hartree":
+        return sobolev_ladder(3, None, "hartree", 6)
+    try:
+        return sobolev_ladder(config.n, nl.variational_exponent, "power", 6)
+    except ValueError as exc:
+        raise ConfigError([f"problem.p: p = {config.p} in n = {config.n} has no Sobolev ladder (variational {exc})"])
 
 
 def _sweep_artifacts(config: RunConfig, s_list, threads: int):
@@ -324,6 +334,7 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
     grid = config.grid()
     nl = config.nonlinearity_spec()
     cfg = config.solver_config()
+    ladder = _ladder(config, nl)
     u_inf = solve(nonrelativistic(), nl, grid, cfg)
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
@@ -345,12 +356,9 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
 
     gap = nondegeneracy_gap(u_inf.field, nl, grid)
     identity = linearization_identity_residual(u_inf.field, nl)
-    c2a = {f"{r.c:g}": r.c * r.c * optimality_functional(u_inf.field, r.c) for r in records}
+    ref_hat = transform(u_inf.field, "forward")
+    c2a = {f"{r.c:g}": r.c * r.c * optimality_functional(ref_hat, r.c) for r in records}
     c_max = records[-1].c
-    if nl.kind == "power":
-        ladder = sobolev_ladder(config.n, nl.variational_exponent, "power", 6)
-    else:
-        ladder = sobolev_ladder(3, None, "hartree", 6)
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
@@ -363,14 +371,14 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
         "optimality": {
             "c2_times_form": c2a,
             "limit_estimate": c2a[f"{c_max:g}"],
-            "laplacian_norm_sq": _laplacian_norm_sq(u_inf.field),
+            "laplacian_norm_sq": _laplacian_norm_sq(ref_hat),
         },
         "ladder": ladder,
         "reference_state": {
             "action": u_inf.action,
             "residual": u_inf.residual,
             "iterations": u_inf.iterations,
-            "norms": {f"{float(s):g}": sobolev_norm(u_inf.field, s) for s in s_list},
+            "norms": {f"{float(s):g}": sobolev_norm(ref_hat, s) for s in s_list},
         },
         "action_convention": "mass term included",
     }
@@ -486,8 +494,9 @@ def _run_report(config: RunConfig, threads: int) -> int:
     ident = summary["linearization_identity_residual"]
     checks.append(("linearization identity residual", f"{ident:.3e}", "<= 1e-8", ident <= 1.0e-8))
 
+    ref_norms = summary["reference_state"]["norms"]
     for s in UNIFORM_BOUND_ORDERS:
-        ref_norm = sobolev_norm(u_inf.field, s)
+        ref_norm = ref_norms[f"{s:g}"]
         worst = max(r.sup_norms[s] for r in records) / ref_norm
         checks.append((f"uniform bound at s={s:g}", f"{worst:.4f}", "<= 1.5", worst <= 1.5))
 
@@ -499,7 +508,7 @@ def _run_report(config: RunConfig, threads: int) -> int:
     decomp = 0.0
     for r in records:
         w_sq = r.diff_norms[1.0] ** 2
-        lhs = abs(w_sq - r.lam**2 * sobolev_norm(u_inf.field, 1.0) ** 2 - r.v_norm_h1**2)
+        lhs = abs(w_sq - r.lam**2 * ref_norms["1"] ** 2 - r.v_norm_h1**2)
         decomp = max(decomp, lhs / w_sq)
     checks.append(("projection decomposition identity", f"{decomp:.3e}", "<= 1e-8", decomp <= 1.0e-8))
 

@@ -5,6 +5,10 @@ frequency lattice {2*pi*k/L : k in [-N/2, N/2)}^n.  Forward transforms are
 continuum-normalized (multiplied by dx^n) so that coefficients approximate
 the integral transform of the sampled function, and Sobolev norms carry the
 weight (1+|xi|^2)^s with the measure (2*pi/L)^n / (2*pi)^n per mode.
+
+Internally every field is real, so spectral work runs on the half lattice of
+rfftn (last axis k = 0..N/2) through the private kernel `_rfft`/`_irfft`/
+`_half_sum`; the public `transform` keeps the full-lattice representation.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ SOBOLEV_ORDER_MAX = 8.0
 class Grid:
     """Cubic periodic grid: dimension n, box length L, N points per axis.
 
-    Derived arrays (spacing, frequency lattice, centering phase) are
-    precomputed once; instances are immutable and cheap to share.
+    Derived arrays (spacing, frequency lattice, centering phase, the half
+    lattice of the real transform and its Parseval weights) are precomputed
+    once and read-only; instances are immutable and cheap to share.
     """
 
     n: int
@@ -54,12 +59,16 @@ class Grid:
         object.__setattr__(self, "shape", (self.points,) * self.n)
 
         axis = -0.5 * self.length + dx * np.arange(self.points)
-        object.__setattr__(self, "axis", axis)
         freq_axis = 2.0 * np.pi * np.fft.fftfreq(self.points, d=dx)
-        object.__setattr__(self, "freq_axis", freq_axis)
-
         mesh = np.meshgrid(*([freq_axis] * self.n), indexing="ij")
-        object.__setattr__(self, "xi_sq", sum(a * a for a in mesh))
+        xi_sq = sum(a * a for a in mesh)
+        # rfftn keeps k = 0..N/2 on the last axis; (-N/2)^2 = (N/2)^2, so the
+        # half lattice is the leading N/2 + 1 columns of the full one
+        half = self.points // 2 + 1
+        half_xi_sq = np.ascontiguousarray(xi_sq[..., :half])
+        # each interior column stands for itself and its conjugate mirror
+        parseval_weight = np.full(half, 2.0)
+        parseval_weight[[0, -1]] = 1.0
 
         # (-1)^k per axis: shifts the transform origin to the box center so
         # coefficients carry the phase of a function centered at x = 0.
@@ -69,7 +78,19 @@ class Grid:
         phase = np.ones(self.shape)
         for s in smesh:
             phase = phase * s
-        object.__setattr__(self, "center_phase", phase)
+
+        derived = {
+            "axis": axis,
+            "freq_axis": freq_axis,
+            "xi_sq": xi_sq,
+            "center_phase": phase,
+            "half_xi_sq": half_xi_sq,
+            "parseval_weight": parseval_weight,
+        }
+        for name, arr in derived.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "axes", tuple(range(self.n)))
 
     @property
     def cell_volume(self) -> float:
@@ -151,6 +172,25 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
+def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unnormalized real transform of a real array onto the half lattice."""
+    return np.fft.rfftn(values, s=grid.shape, axes=grid.axes)
+
+
+def _irfft(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+    """Inverse of `_rfft`: a half-lattice coefficient array back to real values."""
+    return np.fft.irfftn(coeff, s=grid.shape, axes=grid.axes)
+
+
+def _abs_sq(coeff: np.ndarray) -> np.ndarray:
+    return coeff.real**2 + coeff.imag**2
+
+
+def _half_sum(grid: Grid, q: np.ndarray) -> float:
+    """Full-lattice sum of a conjugate-symmetric quantity given on the half lattice."""
+    return float(np.sum(q * grid.parseval_weight))
+
+
 def _coefficients(f: SpectralField) -> np.ndarray:
     if f.space == "freq":
         return f.values
@@ -161,10 +201,14 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm of f via (1+|xi|^2)^s spectral weights; s = 0 is the L^2 norm."""
     if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
         raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
-    coeff = _coefficients(f)
-    weight = (1.0 + f.grid.xi_sq) ** s
-    total = np.sum(weight * (coeff.real**2 + coeff.imag**2))
-    return float(np.sqrt(total / f.grid.volume))
+    grid = f.grid
+    if f.space == "real":
+        weight = (1.0 + grid.half_xi_sq) ** s
+        total = _half_sum(grid, weight * _abs_sq(_rfft(grid, f.values))) * grid.cell_volume**2
+    else:
+        weight = (1.0 + grid.xi_sq) ** s
+        total = np.sum(weight * _abs_sq(f.values))
+    return float(np.sqrt(total / grid.volume))
 
 
 def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> float:
@@ -175,16 +219,18 @@ def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> flo
     """
     if f.grid != g.grid:
         raise ValueError("inner_product requires fields on the same grid")
-    if weight == "L2":
-        if f.space == "real" and g.space == "real":
-            return float(np.sum(f.values * g.values) * f.grid.cell_volume)
-        fh, gh = _coefficients(f), _coefficients(g)
-        return float(np.sum(np.conj(fh) * gh).real / f.grid.volume)
-    if weight == "H1":
-        fh, gh = _coefficients(f), _coefficients(g)
-        w = 1.0 + f.grid.xi_sq
-        return float(np.sum(w * np.conj(fh) * gh).real / f.grid.volume)
-    raise ValueError(f"weight must be 'L2' or 'H1', got {weight!r}")
+    if weight not in ("L2", "H1"):
+        raise ValueError(f"weight must be 'L2' or 'H1', got {weight!r}")
+    grid = f.grid
+    if f.space == "real" and g.space == "real":
+        if weight == "L2":
+            return float(np.sum(f.values * g.values) * grid.cell_volume)
+        fh, gh = _rfft(grid, f.values), _rfft(grid, g.values)
+        pairing = (1.0 + grid.half_xi_sq) * (fh.real * gh.real + fh.imag * gh.imag)
+        return _half_sum(grid, pairing) * grid.cell_volume**2 / grid.volume
+    fh, gh = _coefficients(f), _coefficients(g)
+    pairing = np.conj(fh) * gh if weight == "L2" else (1.0 + grid.xi_sq) * np.conj(fh) * gh
+    return float(np.sum(pairing).real / grid.volume)
 
 
 def _reflect(values: np.ndarray, ax: int) -> np.ndarray:
@@ -192,25 +238,35 @@ def _reflect(values: np.ndarray, ax: int) -> np.ndarray:
     return np.roll(np.flip(values, axis=ax), 1, axis=ax)
 
 
+def _even_part(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Average of a real array over the per-axis reflections x_i -> -x_i."""
+    for ax in grid.axes:
+        values = 0.5 * (values + _reflect(values, ax))
+    return values
+
+
+def _recentered(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Circular shift of a real array that moves the peak of |values| to x = 0."""
+    peak = np.unravel_index(np.argmax(np.abs(values)), grid.shape)
+    shift = tuple(c - p for c, p in zip(grid.center_index, peak))
+    if all(s == 0 for s in shift):
+        return values
+    return np.roll(values, shift, axis=grid.axes)
+
+
 def symmetrize(f: SpectralField) -> SpectralField:
     """Average of f over the per-axis reflections x_i -> -x_i; idempotent."""
     if f.space != "real":
         raise ValueError("symmetrize requires a real-space field")
-    vals = f.values
-    for ax in range(f.grid.n):
-        vals = 0.5 * (vals + _reflect(vals, ax))
-    return SpectralField(f.grid, vals)
+    return SpectralField(f.grid, _even_part(f.grid, f.values))
 
 
 def recenter(f: SpectralField) -> SpectralField:
     """Circularly shift the peak of |f| to the x = 0 sample."""
     if f.space != "real":
         raise ValueError("recenter requires a real-space field")
-    peak = np.unravel_index(np.argmax(np.abs(f.values)), f.grid.shape)
-    shift = tuple(c - p for c, p in zip(f.grid.center_index, peak))
-    if all(s == 0 for s in shift):
-        return f
-    return SpectralField(f.grid, np.roll(f.values, shift, axis=tuple(range(f.grid.n))))
+    vals = _recentered(f.grid, f.values)
+    return f if vals is f.values else SpectralField(f.grid, vals)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .grid import Grid, SpectralField, inner_product, sobolev_norm, symmetrize
-from .nonlinearity import NonlinearitySpec, _coulomb_values
+from .grid import Grid, SpectralField, _abs_sq, _even_part, _half_sum, _irfft, _recentered, _rfft, sobolev_norm
+from .nonlinearity import NonlinearitySpec, _term_values
 from .operators import OperatorSpec, symbol
 
 __all__ = [
@@ -79,20 +79,31 @@ def gaussian_guess(grid: Grid, width: float = 1.0) -> SpectralField:
     return SpectralField(grid, np.exp(-grid.radius_sq() / (2.0 * width**2)))
 
 
-def _nonlinearity_values(spec: NonlinearitySpec, grid: Grid, u: np.ndarray) -> np.ndarray:
-    if spec.kind == "power":
-        return u**spec.p
-    return _coulomb_values(grid, u * u) * u
+def _l2_norm(u: np.ndarray) -> float:
+    # np.sum, not the BLAS dot behind np.linalg.norm: on a 64^3 grid that dot
+    # is threaded, and its spinning worker doubles the CPU time of a solve
+    return float(np.sqrt(np.sum(u * u)))
 
 
-def _symmetrize_recenter(grid: Grid, u: np.ndarray) -> np.ndarray:
-    peak = np.unravel_index(np.argmax(np.abs(u)), grid.shape)
-    shift = tuple(c - p for c, p in zip(grid.center_index, peak))
-    if any(s != 0 for s in shift):
-        u = np.roll(u, shift, axis=tuple(range(grid.n)))
-    for ax in range(grid.n):
-        u = 0.5 * (u + np.roll(np.flip(u, axis=ax), 1, axis=ax))
-    return u
+def _residual_state(grid: Grid, sym: np.ndarray, nl: NonlinearitySpec, u: np.ndarray, norm_u: float):
+    """Half-lattice coefficients of u and N(u), N(u) itself, and the relative residual.
+
+    The residual ||P(D)u - N(u)|| / ||u|| is taken from the coefficients by
+    Parseval (unnormalized transform: sum |r|^2 = sum |r_hat|^2 / N^n).
+    """
+    uh = _rfft(grid, u)
+    nu = _term_values(nl, grid, u)
+    nh = _rfft(grid, nu)
+    res = np.sqrt(_half_sum(grid, _abs_sq(sym * uh - nh)) / u.size) / norm_u
+    return uh, nu, nh, float(res)
+
+
+def _action_value(
+    grid: Grid, sym: np.ndarray, nl: NonlinearitySpec, u: np.ndarray, uh: np.ndarray, nu: np.ndarray
+) -> float:
+    quad = _half_sum(grid, sym * _abs_sq(uh)) * grid.cell_volume**2 / grid.volume
+    pairing = float(np.sum(nu * u) * grid.cell_volume)
+    return 0.5 * quad - pairing / nl.variational_exponent
 
 
 def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
@@ -100,10 +111,13 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
 
     Returns a result with converged=False (carrying the best iterate) if the
     tolerance is not reached within max_iterations; raises GroundStateError on
-    collapse to the zero field.
+    collapse to the zero field.  An iteration takes three real transforms
+    (u and N(u) forward, the update back), five with the Hartree term's
+    Coulomb pair; the residual and the Rayleigh factor come from the
+    coefficients by Parseval.
     """
     nl.validate_dimension(grid.n)
-    sym = symbol(op, grid.xi_sq)
+    sym = symbol(op, grid.half_xi_sq)
     degree = nl.degree
     gamma = cfg.gamma if cfg.gamma is not None else degree / (degree - 1.0)
 
@@ -113,7 +127,7 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
         u = cfg.initial_guess.values.copy()
     else:
         u = gaussian_guess(grid, cfg.initial_guess).values.copy()
-    u = _symmetrize_recenter(grid, u)
+    u = _even_part(grid, _recentered(grid, u))
 
     descent = cfg.method == "gradient_flow"
     history: list[float] = []
@@ -122,16 +136,13 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     iterations = 0
 
     for _ in range(cfg.max_iterations + 1):
-        norm_u = np.linalg.norm(u)
+        norm_u = _l2_norm(u)
         if norm_u * np.sqrt(grid.cell_volume) < COLLAPSE_NORM:
             raise GroundStateError("iterate collapsed to the zero field; bad initial guess")
-        uh = np.fft.fftn(u)
-        nu = _nonlinearity_values(nl, grid, u)
-        nh = np.fft.fftn(nu)
-        res = np.linalg.norm(np.fft.ifftn(sym * uh).real - nu) / norm_u
-        history.append(float(res))
+        uh, nu, nh, res = _residual_state(grid, sym, nl, u, norm_u)
+        history.append(res)
         if res < best_res:
-            best_res = float(res)
+            best_res = res
             best_u = u
         if res <= cfg.tolerance or iterations >= cfg.max_iterations:
             break
@@ -140,34 +151,38 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
             if history[-1] > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]:
                 descent = True
 
-        num = float(np.sum(sym * (uh.real**2 + uh.imag**2)))
-        den = float(np.sum(np.conj(nh) * uh).real)
+        num = _half_sum(grid, sym * _abs_sq(uh))
+        den = _half_sum(grid, nh.real * uh.real + nh.imag * uh.imag)
         if den <= 0.0:
             raise GroundStateError("nonlinear pairing lost positivity during iteration")
         factor = num / den
 
         if descent:
-            u_next = u - cfg.time_step * (u - np.fft.ifftn(nh / sym).real)
-            uh2 = np.fft.fftn(u_next)
-            nu2 = _nonlinearity_values(nl, grid, u_next)
-            num2 = float(np.sum(sym * (uh2.real**2 + uh2.imag**2)))
-            den2 = float(np.sum(np.conj(np.fft.fftn(nu2)) * uh2).real)
+            u_next = u - cfg.time_step * (u - _irfft(grid, nh / sym))
+            num2 = _half_sum(grid, sym * _abs_sq(_rfft(grid, u_next)))
+            # <N(v), v> by Parseval in reverse: N^n times the real-space pairing
+            den2 = u.size * float(np.sum(_term_values(nl, grid, u_next) * u_next))
             if den2 <= 0.0:
                 raise GroundStateError("nonlinear pairing lost positivity during descent")
             u_next = (num2 / den2) ** (1.0 / (degree - 1.0)) * u_next
         else:
-            u_next = np.fft.ifftn(factor**gamma * nh / sym).real
-        u = _symmetrize_recenter(grid, u_next)
+            u_next = _irfft(grid, factor**gamma * nh / sym)
+        u = _even_part(grid, _recentered(grid, u_next))
         iterations += 1
 
     converged = history[-1] <= cfg.tolerance
-    final = u if converged else best_u
-    final_res = history[-1] if converged else best_res
-    field = SpectralField(grid, final)
+    if converged:
+        field = SpectralField(grid, u)
+        final_res = history[-1]
+        final_action = _action_value(grid, sym, nl, u, uh, nu)
+    else:
+        field = SpectralField(grid, best_u)
+        final_res = best_res
+        final_action = action(field, op, nl)
     return GroundStateResult(
         field=field,
         residual=float(final_res),
-        action=action(field, op, nl),
+        action=final_action,
         iterations=iterations,
         converged=bool(converged),
         residual_history=tuple(history),
@@ -179,13 +194,11 @@ def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     if u.space != "real":
         raise ValueError("residual requires a real-space field")
     nl.validate_dimension(u.grid.n)
-    norm_u = np.linalg.norm(u.values)
+    norm_u = _l2_norm(u.values)
     if norm_u == 0.0:
         raise ValueError("residual of the zero field is undefined")
-    sym = symbol(op, u.grid.xi_sq)
-    pu = np.fft.ifftn(sym * np.fft.fftn(u.values)).real
-    nu = _nonlinearity_values(nl, u.grid, u.values)
-    return float(np.linalg.norm(pu - nu) / norm_u)
+    sym = symbol(op, u.grid.half_xi_sq)
+    return _residual_state(u.grid, sym, nl, u.values, norm_u)[3]
 
 
 def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
@@ -198,12 +211,9 @@ def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
         raise ValueError("action requires a real-space field")
     nl.validate_dimension(u.grid.n)
     grid = u.grid
-    sym = symbol(op, grid.xi_sq)
-    uh = np.fft.fftn(u.values) * grid.cell_volume
-    quad = float(np.sum(sym * (uh.real**2 + uh.imag**2)) / grid.volume)
-    nu = _nonlinearity_values(nl, grid, u.values)
-    pairing = float(np.sum(nu * u.values) * grid.cell_volume)
-    return 0.5 * quad - pairing / nl.variational_exponent
+    sym = symbol(op, grid.half_xi_sq)
+    uh = _rfft(grid, u.values)
+    return _action_value(grid, sym, nl, u.values, uh, _term_values(nl, grid, u.values))
 
 
 def initialization_stability(

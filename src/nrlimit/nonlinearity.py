@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SpectralField, sobolev_norm
+from .grid import Grid, SpectralField, _irfft, _rfft, sobolev_norm
 
 __all__ = [
     "NonlinearitySpec",
@@ -87,18 +87,27 @@ def hartree() -> NonlinearitySpec:
 
 @lru_cache(maxsize=8)
 def _coulomb_symbol(grid: Grid) -> np.ndarray:
+    """Truncated-kernel symbol on the half lattice of the real transform (read-only)."""
     radius = 0.5 * grid.length
-    t = grid.xi_sq
+    t = grid.half_xi_sq
     out = np.empty_like(t)
     nz = t > 0
     out[nz] = 4.0 * np.pi * (1.0 - np.cos(radius * np.sqrt(t[nz]))) / t[nz]
     out[~nz] = 2.0 * np.pi * radius**2
+    out.setflags(write=False)
     return out
 
 
 def _coulomb_values(grid: Grid, density: np.ndarray) -> np.ndarray:
     # unnormalized fft pair: the dx^n forward and 1/(L^n) inverse weights cancel
-    return np.fft.ifftn(_coulomb_symbol(grid) * np.fft.fftn(density)).real
+    return _irfft(grid, _coulomb_symbol(grid) * _rfft(grid, density))
+
+
+def _term_values(spec: NonlinearitySpec, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """N(u) on raw real arrays: u^p, or (|x|^-1 * u^2) u."""
+    if spec.kind == "power":
+        return u**spec.p
+    return _coulomb_values(grid, u * u) * u
 
 
 def hartree_potential(u: SpectralField) -> SpectralField:
@@ -115,10 +124,7 @@ def evaluate(spec: NonlinearitySpec, u: SpectralField) -> SpectralField:
     if u.space != "real":
         raise ValueError("nonlinearity evaluation requires a real-space field")
     spec.validate_dimension(u.grid.n)
-    if spec.kind == "power":
-        return SpectralField(u.grid, u.values**spec.p)
-    phi = _coulomb_values(u.grid, u.values * u.values)
-    return SpectralField(u.grid, phi * u.values)
+    return SpectralField(u.grid, _term_values(spec, u.grid, u.values))
 
 
 def linearize(spec: NonlinearitySpec, u0: SpectralField, v: SpectralField) -> SpectralField:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField, transform
+from .grid import Grid, SpectralField, _irfft, _rfft
 
 __all__ = [
     "OperatorSpec",
@@ -94,13 +94,13 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
     """
     if mode not in ("forward", "inverse_of_symbol"):
         raise ValueError(f"mode must be 'forward' or 'inverse_of_symbol', got {mode!r}")
-    values = symbol(spec, f.grid.xi_sq)
+    grid = f.grid
+    values = symbol(spec, grid.xi_sq if f.space == "freq" else grid.half_xi_sq)
     if mode == "inverse_of_symbol":
         values = 1.0 / values
     if f.space == "freq":
-        return SpectralField(f.grid, f.values * values, space="freq")
-    fh = transform(f, "forward")
-    return transform(SpectralField(f.grid, fh.values * values, space="freq"), "inverse")
+        return SpectralField(grid, f.values * values, space="freq")
+    return SpectralField(grid, _irfft(grid, values * _rfft(grid, f.values)))
 
 
 def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:

@@ -123,6 +123,15 @@ class TestSweepCommand:
         assert summary["nondegeneracy_gap"] > 0.0
         assert summary["ladder"][0] == 0.5
 
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_config_without_ladder_rejected_before_solving(self, tmp_path, capsys, command):
+        # 2D cubic is subcritical for the solver, but its variational exponent
+        # has no increasing Sobolev ladder for the summary
+        out = tmp_path / command
+        assert main([command, "--out", str(out), "--override", "problem.n=2"]) == 2
+        assert "problem.p" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_partial_output_on_nonconvergence(self, tmp_path):
         out = tmp_path / "p"
         code = main(["sweep", "--out", str(out), *SWEEP_OVERRIDES, "--override", "solver.max_iterations=4"])

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import nrlimit as nr
-from conftest import random_field
+from conftest import random_field, smooth_random_field
+from nrlimit.nonlinearity import _coulomb_symbol
 
 SMALL = nr.make_grid(1, 16.0, 64)
 
@@ -35,6 +36,25 @@ class TestMakeGrid:
         for f in freqs:
             if not np.isclose(f, nyquist):
                 assert -f in freqs
+
+
+class TestReadOnlyArrays:
+    # every solve on a grid shares these arrays; one in-place write would
+    # corrupt all later solves on that grid
+    @pytest.mark.parametrize("name", ["xi_sq", "center_phase", "axis", "freq_axis", "half_xi_sq", "parseval_weight"])
+    def test_grid_arrays(self, name):
+        arr = getattr(nr.make_grid(2, 8.0, 16), name)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+
+    def test_cached_coulomb_symbol(self):
+        sym = _coulomb_symbol(nr.make_grid(3, 8.0, 16))
+        with pytest.raises(ValueError):
+            sym[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sym *= 2.0
 
 
 class TestTransform:
@@ -168,6 +188,46 @@ class TestInnerProduct:
         g = nr.SpectralField(other, np.ones(other.shape))
         with pytest.raises(ValueError):
             nr.inner_product(f, g)
+
+
+KERNEL_GRIDS = [nr.make_grid(1, 16.0, 64), nr.make_grid(2, 8.0, 32), nr.make_grid(3, 8.0, 16)]
+
+
+def _nyquist_field(grid, rng):
+    """Smooth random field plus a (-1)^j component on the last axis, which
+    lives only on the Nyquist column of the real transform's half lattice."""
+    smooth = smooth_random_field(grid, rng).values
+    j = np.arange(grid.points)
+    return nr.SpectralField(grid, smooth + 0.3 * (-1.0) ** j)
+
+
+class TestRealKernelAgainstFullLattice:
+    """Real-space fields take the half-lattice real transform; frequency
+    fields from `transform` take the full lattice.  Both must agree."""
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_sobolev_norm(self, grid):
+        rng = np.random.default_rng(40 + grid.n)
+        for f in (random_field(grid, rng), _nyquist_field(grid, rng)):
+            fh = nr.transform(f, "forward")
+            for s in (-1.0, 0.0, 1.0, 4.0):
+                assert np.isclose(nr.sobolev_norm(f, s), nr.sobolev_norm(fh, s), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_inner_product(self, grid):
+        rng = np.random.default_rng(50 + grid.n)
+        f, g = _nyquist_field(grid, rng), _nyquist_field(grid, rng)
+        fh, gh = nr.transform(f, "forward"), nr.transform(g, "forward")
+        for weight in ("L2", "H1"):
+            full = nr.inner_product(fh, gh, weight)
+            assert np.isclose(nr.inner_product(f, g, weight), full, rtol=1e-13, atol=0.0)
+
+    def test_nyquist_mode_norm(self):
+        # (-1)^j alone: H^s norm is sqrt(L^n) (1 + (pi N / L)^2)^(s/2)
+        grid = KERNEL_GRIDS[1]
+        f = nr.SpectralField(grid, np.broadcast_to((-1.0) ** np.arange(grid.points), grid.shape))
+        expected = np.sqrt(grid.volume) * (1.0 + (np.pi * grid.points / grid.length) ** 2) ** 2
+        assert np.isclose(nr.sobolev_norm(f, 4.0), expected, rtol=1e-13)
 
 
 class TestSymmetrize:

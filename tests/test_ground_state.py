@@ -137,6 +137,49 @@ class TestHartree3D:
         assert np.max(np.abs(nr.symmetrize(u_inf.field).values - vals)) <= 1e-10 * np.max(vals)
 
 
+COMPLEX_FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+REAL_FFTS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """Count calls of every numpy.fft transform, split into complex and real."""
+    counts = {"complex": 0, "real": 0}
+
+    def counted(kind, orig):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for kind, names in (("complex", COMPLEX_FFTS), ("real", REAL_FFTS)):
+        for name in names:
+            monkeypatch.setattr(np.fft, name, counted(kind, getattr(np.fft, name)))
+    return counts
+
+
+class TestTransformCount:
+    """Each stabilized iteration costs one inverse real transform for the
+    update and, for the next iterate's residual, forward transforms of u and
+    N(u) plus the Coulomb pair in the Hartree case.  The residual of the
+    final iterate (4 Hartree, 2 power) is the only cost outside an iteration;
+    the final action reuses its coefficients."""
+
+    def test_hartree_3d(self, fft_counts):
+        grid = nr.make_grid(3, 16.0, 32)
+        res = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
+        assert res.converged
+        assert fft_counts["complex"] == 0
+        assert fft_counts["real"] <= 5 * res.iterations + 4
+
+    def test_cubic_1d(self, fft_counts, grid1d):
+        res = nr.solve(nr.pseudo_relativistic(4.0), nr.power(3), grid1d)
+        assert res.converged
+        assert fft_counts["complex"] == 0
+        assert fft_counts["real"] <= 3 * res.iterations + 2
+
+
 class TestFailureModes:
     def test_zero_initial_guess_collapses(self):
         zero = nr.SpectralField(SMALL, np.zeros(SMALL.shape))
