@@ -136,7 +136,7 @@ def linearize(spec: NonlinearitySpec, u0: SpectralField, v: SpectralField) -> Sp
         return SpectralField(u0.grid, spec.p * u0.values ** (spec.p - 1) * v.values)
     grid = u0.grid
     phi0 = _coulomb_values(grid, u0.values * u0.values)
-    cross = _coulomb_values(grid, u0.values * v.values)
+    cross = phi0 if v is u0 else _coulomb_values(grid, u0.values * v.values)
     return SpectralField(grid, phi0 * v.values + 2.0 * u0.values * cross)
 
 

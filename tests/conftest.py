@@ -63,3 +63,25 @@ def sweep_3d(grid3d):
     records = nr.sweep([4.0, 8.0, 16.0, 32.0], [0.5, 1.0, 2.0, 3.0, 4.0], nr.hartree(), grid3d, u_inf=u_inf)
     elapsed = time.perf_counter() - start
     return {"records": records, "u_inf": u_inf, "elapsed": elapsed}
+
+
+COMPLEX_FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+REAL_FFTS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_counts(monkeypatch):
+    """Count calls of every numpy.fft transform, split into complex and real."""
+    counts = {"complex": 0, "real": 0}
+
+    def counted(kind, orig):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for kind, names in (("complex", COMPLEX_FFTS), ("real", REAL_FFTS)):
+        for name in names:
+            monkeypatch.setattr(np.fft, name, counted(kind, getattr(np.fft, name)))
+    return counts

@@ -8,6 +8,7 @@ from nrlimit.limit_lab import ConvergenceRecord
 from oracles import dense_gap_fd
 
 SMALL = nr.make_grid(1, 16.0, 64)
+SMALL3 = nr.make_grid(3, 8.0, 16)
 
 
 def synthetic_records(c_values, norm_fn):
@@ -153,6 +154,14 @@ class TestHMinus1Residual:
 class TestNondegeneracyGap:
     def test_algebraic_identity_at_reference_state(self, u_inf_1d):
         assert nr.linearization_identity_residual(u_inf_1d.field, nr.power(3)) <= 1e-8
+
+    def test_identity_convolves_the_hartree_density_once(self, fft_counts):
+        # (1 + |xi|^2) u forward and back, one Coulomb convolution of u^2,
+        # one forward transform for the H^2 norm
+        u = nr.SpectralField(SMALL3, np.exp(-0.5 * SMALL3.radius_sq()))
+        nr.linearization_identity_residual(u, nr.hartree())
+        assert fft_counts["complex"] == 0
+        assert fft_counts["real"] <= 5
 
     def test_translation_zero_mode(self):
         # sech tanh is annihilated by the linearized operator (odd class).

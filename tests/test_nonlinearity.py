@@ -139,6 +139,13 @@ class TestLinearize:
         lin_p = nr.linearize(nr.power(3), f, f)
         assert np.allclose(lin_p.values, 3.0 * nr.evaluate(nr.power(3), f).values, rtol=1e-14)
 
+    def test_shared_base_and_direction_match_separate_convolutions(self):
+        # linearize(u, u) reuses the base potential as the cross potential;
+        # a distinct direction with equal values takes both convolutions
+        u = gaussian3(SMALL3, 0.5)
+        twin = nr.SpectralField(SMALL3, u.values.copy())
+        assert np.array_equal(nr.linearize(nr.hartree(), u, u).values, nr.linearize(nr.hartree(), u, twin).values)
+
     def test_linearity_in_direction(self):
         rng = np.random.default_rng(22)
         u0 = gaussian3(SMALL3, 0.6)
