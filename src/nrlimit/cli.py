@@ -76,11 +76,8 @@ class RunConfig:
     operator_kind: str
     c: float | None
     c_list: tuple[float, ...]
-    method: str
     tolerance: float
     max_iterations: int
-    time_step: float
-    gamma: float | None
     s_list: tuple[float, ...]
     out_dir: Path
     formats: tuple[str, ...]
@@ -97,13 +94,7 @@ class RunConfig:
         return pseudo_relativistic(self.c)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            method=self.method,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            time_step=self.time_step,
-            gamma=self.gamma,
-        )
+        return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
 
 def _check_keys(section: dict, allowed: tuple[str, ...], path: str, errors: list[str]) -> None:
@@ -164,8 +155,8 @@ def parse_config(text: str) -> RunConfig:
     default_L, default_N = GRID_DEFAULTS[n]
     L = grid_sec.get("L", default_L)
     N = grid_sec.get("N", default_N)
-    if not isinstance(L, (int, float)) or L <= 0:
-        errors.append(f"grid.L: box length must be positive, got {L!r}")
+    if not isinstance(L, (int, float)) or not np.isfinite(L) or L <= 0:
+        errors.append(f"grid.L: box length must be positive and finite, got {L!r}")
     if not isinstance(N, int) or isinstance(N, bool) or N % 2 != 0 or N < 16:
         errors.append(f"grid.N: points per axis must be an even integer >= 16, got {N!r}")
 
@@ -179,8 +170,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"operator.kind: must be 'pseudo_relativistic' or 'nonrelativistic', got {op_kind!r}")
         op_kind = "pseudo_relativistic"
     c = op_sec.get("c")
-    if c is not None and (not isinstance(c, (int, float)) or c < 1):
-        errors.append(f"operator.c: light-speed parameter must be >= 1, got {c!r}")
+    if c is not None and (not isinstance(c, (int, float)) or not np.isfinite(c) or c < 1):
+        errors.append(f"operator.c: light-speed parameter must be finite and >= 1, got {c!r}")
     if op_kind == "pseudo_relativistic" and command == "solve" and c is None:
         errors.append("operator.c: required for a pseudo_relativistic solve")
     c_list = op_sec.get("c_list", list(C_LIST_DEFAULTS[n]))
@@ -188,8 +179,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"operator.c_list: must be a nonempty list, got {c_list!r}")
         c_list = list(C_LIST_DEFAULTS[n])
     else:
-        if any(not isinstance(v, (int, float)) or v < 1 for v in c_list):
-            errors.append(f"operator.c_list: every entry must be a number >= 1, got {c_list!r}")
+        if any(not isinstance(v, (int, float)) or not np.isfinite(v) or v < 1 for v in c_list):
+            errors.append(f"operator.c_list: every entry must be a finite number >= 1, got {c_list!r}")
         elif sorted(c_list) != list(c_list):
             errors.append(f"operator.c_list: entries must be ascending, got {c_list!r}")
 
@@ -197,22 +188,13 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(solver_sec, dict):
         errors.append("config.solver: must be an object")
         solver_sec = {}
-    _check_keys(solver_sec, ("method", "tolerance", "max_iterations", "time_step", "gamma"), "solver", errors)
-    method = solver_sec.get("method", "petviashvili")
-    if method not in ("petviashvili", "gradient_flow"):
-        errors.append(f"solver.method: must be 'petviashvili' or 'gradient_flow', got {method!r}")
+    _check_keys(solver_sec, ("tolerance", "max_iterations"), "solver", errors)
     tolerance = solver_sec.get("tolerance", 1.0e-12)
     if not isinstance(tolerance, (int, float)) or not 1.0e-14 <= tolerance <= 1.0e-4:
         errors.append(f"solver.tolerance: must lie in [1e-14, 1e-4], got {tolerance!r}")
     max_iterations = solver_sec.get("max_iterations", 2000)
     if not isinstance(max_iterations, int) or isinstance(max_iterations, bool) or max_iterations < 1:
         errors.append(f"solver.max_iterations: must be a positive integer, got {max_iterations!r}")
-    time_step = solver_sec.get("time_step", 0.5)
-    if not isinstance(time_step, (int, float)) or time_step <= 0:
-        errors.append(f"solver.time_step: must be positive, got {time_step!r}")
-    gamma = solver_sec.get("gamma")
-    if gamma is not None and (not isinstance(gamma, (int, float)) or not 1.0 < gamma <= 3.0):
-        errors.append(f"solver.gamma: stabilization exponent must lie in (1, 3], got {gamma!r}")
 
     analysis = doc.get("analysis", {})
     if not isinstance(analysis, dict):
@@ -250,11 +232,8 @@ def parse_config(text: str) -> RunConfig:
         operator_kind=op_kind,
         c=float(c) if c is not None else None,
         c_list=tuple(float(v) for v in c_list),
-        method=method,
         tolerance=float(tolerance),
         max_iterations=int(max_iterations),
-        time_step=float(time_step),
-        gamma=float(gamma) if gamma is not None else None,
         s_list=tuple(float(s) for s in s_list),
         out_dir=Path(directory),
         formats=tuple(formats),

@@ -49,8 +49,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"box length must be positive, got {self.length}")
+        if not np.isfinite(self.length) or self.length <= 0:
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
         if self.points % 2 != 0 or self.points < 16:
             raise ValueError(f"points per axis must be even and >= 16, got {self.points}")
 

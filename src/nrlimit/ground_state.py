@@ -1,16 +1,13 @@
-"""Ground-state solver: Anderson-mixed stabilized iteration with a descent fallback.
+"""Ground-state solver: Anderson-mixed stabilized iteration.
 
 The map G(u) = M^gamma P(D)^{-1} N(u) with M = <P(D)u, u> / <N(u), u> is the
-classical stabilized (Petviashvili) iteration for homogeneous nonlinearities;
-the default stabilization exponent is degree/(degree - 1).  Every image is
+classical stabilized (Petviashvili) iteration for homogeneous nonlinearities,
+with the stabilization exponent gamma = degree/(degree - 1).  Every image is
 symmetrized over the axis reflections and recentered, which pins the
 translation mode and keeps the iteration inside the even class.  The iterates
 are not G(u) itself but its type-II Anderson mixing of depth ANDERSON_DEPTH
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which takes a 3D Hartree solve
-from about 85 iterations to about 20 with no extra transform.  If the
-residual stalls, the solver drops the mixing history and switches to
-preconditioned descent on the action, unaccelerated, with a homogeneity
-rescaling after each step.
+from about 85 iterations to about 20 with no extra transform.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ __all__ = [
 ]
 
 COLLAPSE_NORM = 1.0e-8
-STAGNATION_WINDOW = 50
-STAGNATION_FACTOR = 0.99
 ANDERSON_DEPTH = 3
 
 
@@ -47,26 +42,24 @@ class GroundStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls; tolerance is the relative L^2 residual target."""
+    """Iteration controls; tolerance is the relative L^2 residual target.
 
-    method: str = "petviashvili"
+    The stabilization exponent is not a control: it is fixed at
+    gamma = degree/(degree - 1), the one value at which G(a u) = G(u) for every
+    a > 0, so the amplitude direction is contracted in one step.  It lies inside
+    the convergence window 1 < gamma < (degree + 1)/(degree - 1) (Pelinovsky &
+    Stepanyants, SIAM J. Numer. Anal. 42, 2004) for every degree.
+    """
+
     tolerance: float = 1.0e-12
     max_iterations: int = 2000
-    time_step: float = 0.5
     initial_guess: float | SpectralField = 1.0
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("petviashvili", "gradient_flow"):
-            raise ValueError(f"method must be 'petviashvili' or 'gradient_flow', got {self.method!r}")
         if not 1.0e-14 <= self.tolerance <= 1.0e-4:
             raise ValueError(f"tolerance must lie in [1e-14, 1e-4], got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.time_step <= 0:
-            raise ValueError("time_step must be positive")
-        if self.gamma is not None and not 1.0 < self.gamma <= 3.0:
-            raise ValueError(f"stabilization exponent must lie in (1, 3], got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -178,16 +171,14 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     Returns a result with converged=False (carrying the best iterate) if the
     tolerance is not reached within max_iterations; raises GroundStateError on
     collapse to the zero field or on a non-finite iterate or residual.  The
-    stabilized map is Anderson-mixed with depth ANDERSON_DEPTH; the descent
-    fallback is not accelerated.  An iteration takes three real transforms
-    (u and N(u) forward, the update back), five with the Hartree term's
-    Coulomb pair; the residual and the Rayleigh factor come from the
-    coefficients by Parseval, and the mixing adds no transform.
+    stabilized map is Anderson-mixed with depth ANDERSON_DEPTH.  An iteration
+    takes three real transforms (u and N(u) forward, the update back), five
+    with the Hartree term's Coulomb pair; the residual and the Rayleigh factor
+    come from the coefficients by Parseval, and the mixing adds no transform.
     """
     nl.validate_dimension(grid.n)
     sym = symbol(op, grid.half_xi_sq)
-    degree = nl.degree
-    gamma = cfg.gamma if cfg.gamma is not None else degree / (degree - 1.0)
+    gamma = nl.degree / (nl.degree - 1.0)
 
     if isinstance(cfg.initial_guess, SpectralField):
         if cfg.initial_guess.grid != grid:
@@ -197,8 +188,7 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
         u = gaussian_guess(grid, cfg.initial_guess).values.copy()
     u = _even_part(grid, _recentered(grid, u))
 
-    descent = cfg.method == "gradient_flow"
-    mixer = None if descent else _AndersonMixer(grid.shape)
+    mixer = _AndersonMixer(grid.shape)
     history: list[float] = []
     best_res = np.inf
     best_u = u
@@ -220,29 +210,12 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
         if res <= cfg.tolerance or iterations >= cfg.max_iterations:
             break
 
-        if not descent and len(history) > STAGNATION_WINDOW:
-            if history[-1] > STAGNATION_FACTOR * history[-1 - STAGNATION_WINDOW]:
-                descent = True
-                mixer = None
-
         num = _half_sum(grid, sym * _abs_sq(uh))
         den = _half_sum(grid, nh.real * uh.real + nh.imag * uh.imag)
         if den <= 0.0:
             raise GroundStateError("nonlinear pairing lost positivity during iteration")
-        factor = num / den
-
-        if descent:
-            u_next = u - cfg.time_step * (u - _irfft(grid, nh / sym))
-            num2 = _half_sum(grid, sym * _abs_sq(_rfft(grid, u_next)))
-            # <N(v), v> by Parseval in reverse: N^n times the real-space pairing
-            den2 = u.size * float(np.sum(_term_values(nl, grid, u_next) * u_next))
-            if den2 <= 0.0:
-                raise GroundStateError("nonlinear pairing lost positivity during descent")
-            u_next = (num2 / den2) ** (1.0 / (degree - 1.0)) * u_next
-        else:
-            u_next = _irfft(grid, factor**gamma * nh / sym)
-        u_next = _even_part(grid, _recentered(grid, u_next))
-        u = u_next if descent else mixer.mix(u, u_next)
+        image = _even_part(grid, _recentered(grid, _irfft(grid, (num / den) ** gamma * nh / sym)))
+        u = mixer.mix(u, image)
         iterations += 1
 
     converged = history[-1] <= cfg.tolerance

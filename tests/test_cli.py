@@ -36,6 +36,10 @@ class TestParseConfig:
             parse_config(json.dumps({"problem": {"n": 1, "px": 3}}))
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(json.dumps({"extra": {}}))
+        # the solver has one iteration and no method, step or exponent to choose
+        for key, value in (("method", "petviashvili"), ("time_step", 0.5), ("gamma", 1.5)):
+            with pytest.raises(ConfigError, match=f"solver.{key}: unknown key"):
+                parse_config(json.dumps({"solver": {key: value}}))
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="malformed"):
@@ -131,6 +135,25 @@ class TestSweepCommand:
         assert main([command, "--out", str(out), "--override", "problem.n=2"]) == 2
         assert "problem.p" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, override, field",
+        [
+            ("solve", "operator.c=Infinity", "operator.c"),
+            ("solve", "operator.c=NaN", "operator.c"),
+            ("sweep", "operator.c_list=[4,8,16,Infinity]", "operator.c_list"),
+            ("sweep", "operator.c_list=[4,8,NaN,32]", "operator.c_list"),
+            ("sweep", "grid.L=Infinity", "grid.L"),
+            ("sweep", "grid.L=NaN", "grid.L"),
+        ],
+    )
+    def test_non_finite_input_rejected_before_solving(self, tmp_path, capsys, command, override, field):
+        out = tmp_path / "nf"
+        base = ["--override", "operator.kind=pseudo_relativistic"] if command == "solve" else SWEEP_OVERRIDES
+        assert main([command, "--out", str(out), *base, "--override", override]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "ground_state.json").exists()
 
     def test_partial_output_on_nonconvergence(self, tmp_path):
         out = tmp_path / "p"

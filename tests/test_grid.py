@@ -23,7 +23,16 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize(
         "args",
-        [(1, 32.0, 1023), (1, 32.0, 14), (1, -1.0, 64), (1, 0.0, 64), (4, 32.0, 64), (0, 32.0, 64)],
+        [
+            (1, 32.0, 1023),
+            (1, 32.0, 14),
+            (1, -1.0, 64),
+            (1, 0.0, 64),
+            (4, 32.0, 64),
+            (0, 32.0, 64),
+            (1, float("nan"), 64),
+            (1, float("inf"), 64),
+        ],
     )
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):

@@ -18,17 +18,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             nr.SolverConfig(tolerance=1e-3)
 
-    def test_gamma_range(self):
-        with pytest.raises(ValueError):
-            nr.SolverConfig(gamma=1.0)
-        with pytest.raises(ValueError):
-            nr.SolverConfig(gamma=3.5)
-        nr.SolverConfig(gamma=1.5)
-
-    def test_method_names(self):
-        with pytest.raises(ValueError):
-            nr.SolverConfig(method="newton")
-
 
 class TestSoliton1D:
     def test_profile_and_residual(self, u_inf_1d, sech_exact):
@@ -56,6 +45,29 @@ class TestSoliton1D:
         nu = nr.evaluate(nr.power(3), u)
         m = nr.inner_product(pu, u) / nr.inner_product(nu, u)
         assert abs(m - 1.0) <= 2e-12
+
+
+class TestPowerSolitons1D:
+    """-u'' + u = u^p on the line has the ground state
+    ((p+1)/2)^(1/(p-1)) sech^(2/(p-1))((p-1)x/2).  The stabilized iteration is
+    the only solver, with gamma = p/(p-1), so it must converge quickly for every
+    degree without a fallback."""
+
+    @pytest.mark.parametrize("p", [4, 5, 7, 9])
+    def test_exact_profile(self, grid1d, p):
+        res = nr.solve(nr.nonrelativistic(), nr.power(p), grid1d)
+        assert res.converged
+        assert res.iterations <= 25
+        x = grid1d.coordinates()[0]
+        exact = ((p + 1) / 2) ** (1 / (p - 1)) / np.cosh((p - 1) * x / 2) ** (2 / (p - 1))
+        assert np.max(np.abs(res.field.values - exact)) <= 1e-6
+
+    @pytest.mark.parametrize("p", [5, 9])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_small_c_converges(self, grid1d, p, c):
+        res = nr.solve(nr.pseudo_relativistic(c), nr.power(p), grid1d)
+        assert res.converged
+        assert res.iterations <= 30
 
 
 class TestResidualFunction:
@@ -239,11 +251,3 @@ class TestInitializationStability:
         cfg = nr.SolverConfig(tolerance=1e-12)
         worst = nr.initialization_stability(nr.nonrelativistic(), nr.power(3), grid1d, cfg)
         assert worst <= 10.0 * cfg.tolerance
-
-
-class TestGradientFlowFallback:
-    def test_descent_method_converges(self):
-        cfg = nr.SolverConfig(method="gradient_flow", tolerance=1e-10, max_iterations=4000)
-        res = nr.solve(nr.nonrelativistic(), nr.power(3), SMALL, cfg)
-        assert res.converged
-        assert res.residual <= 1e-10
