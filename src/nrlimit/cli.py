@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -17,12 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, SpectralField, make_grid, sobolev_norm, transform
+from .grid import Grid, _abs_sq, _forward, _kernel_values, _spectral_integral, make_grid
 from .snapshots import save_field
 from .operators import (
     OperatorSpec,
     nonrelativistic,
     pseudo_relativistic,
+    symbol_defect,
     symbol_gap_ratio,
     symbol_gap_scan,
     taylor_residual,
@@ -35,7 +37,6 @@ from .limit_lab import (
     fit_rate,
     linearization_identity_residual,
     nondegeneracy_gap,
-    optimality_functional,
     sobolev_ladder,
     sweep,
 )
@@ -97,6 +98,20 @@ class RunConfig:
         return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
 
+def _finite_number(value) -> bool:
+    """True for a JSON number that converts to a finite float.
+
+    JSON integers are unbounded; one too large for a float is rejected here
+    instead of overflowing in the conversion.
+    """
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _check_keys(section: dict, allowed: tuple[str, ...], path: str, errors: list[str]) -> None:
     for key in section:
         if key not in allowed:
@@ -155,7 +170,7 @@ def parse_config(text: str) -> RunConfig:
     default_L, default_N = GRID_DEFAULTS[n]
     L = grid_sec.get("L", default_L)
     N = grid_sec.get("N", default_N)
-    if not isinstance(L, (int, float)) or not np.isfinite(L) or L <= 0:
+    if not _finite_number(L) or L <= 0:
         errors.append(f"grid.L: box length must be positive and finite, got {L!r}")
     if not isinstance(N, int) or isinstance(N, bool) or N % 2 != 0 or N < 16:
         errors.append(f"grid.N: points per axis must be an even integer >= 16, got {N!r}")
@@ -170,7 +185,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"operator.kind: must be 'pseudo_relativistic' or 'nonrelativistic', got {op_kind!r}")
         op_kind = "pseudo_relativistic"
     c = op_sec.get("c")
-    if c is not None and (not isinstance(c, (int, float)) or not np.isfinite(c) or c < 1):
+    if c is not None and (not _finite_number(c) or c < 1):
         errors.append(f"operator.c: light-speed parameter must be finite and >= 1, got {c!r}")
     if op_kind == "pseudo_relativistic" and command == "solve" and c is None:
         errors.append("operator.c: required for a pseudo_relativistic solve")
@@ -179,7 +194,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"operator.c_list: must be a nonempty list, got {c_list!r}")
         c_list = list(C_LIST_DEFAULTS[n])
     else:
-        if any(not isinstance(v, (int, float)) or not np.isfinite(v) or v < 1 for v in c_list):
+        if any(not _finite_number(v) or v < 1 for v in c_list):
             errors.append(f"operator.c_list: every entry must be a finite number >= 1, got {c_list!r}")
         elif sorted(c_list) != list(c_list):
             errors.append(f"operator.c_list: entries must be ascending, got {c_list!r}")
@@ -292,12 +307,6 @@ def _run_solve(config: RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _laplacian_norm_sq(u_hat: SpectralField) -> float:
-    coeff = u_hat.values
-    t = u_hat.grid.xi_sq
-    return float(np.sum(t * t * (coeff.real**2 + coeff.imag**2)) / u_hat.grid.volume)
-
-
 def _ladder(config: RunConfig, nl: NonlinearitySpec) -> list[float]:
     """The summary's Sobolev ladder; a config without one is rejected on problem.p."""
     if nl.kind == "hartree":
@@ -335,8 +344,15 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
 
     gap = nondegeneracy_gap(u_inf.field, nl, grid)
     identity = linearization_identity_residual(u_inf.field, nl)
-    ref_hat = transform(u_inf.field, "forward")
-    c2a = {f"{r.c:g}": r.c * r.c * optimality_functional(ref_hat, r.c) for r in records}
+    # the reference norms, the optimality form (as optimality_functional) and
+    # the Laplacian norm all read one transform of u_inf, on its octant
+    (ref,), xi_sq = _kernel_values(grid, u_inf.field.values)
+    ref_sq = _abs_sq(_forward(grid, ref))
+
+    def integral(mult: np.ndarray) -> float:
+        return _spectral_integral(grid, mult, ref_sq)
+
+    c2a = {f"{r.c:g}": r.c * r.c * integral(symbol_defect(pseudo_relativistic(r.c), xi_sq)) for r in records}
     c_max = records[-1].c
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
@@ -350,14 +366,14 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
         "optimality": {
             "c2_times_form": c2a,
             "limit_estimate": c2a[f"{c_max:g}"],
-            "laplacian_norm_sq": _laplacian_norm_sq(ref_hat),
+            "laplacian_norm_sq": integral(xi_sq * xi_sq),
         },
         "ladder": ladder,
         "reference_state": {
             "action": u_inf.action,
             "residual": u_inf.residual,
             "iterations": u_inf.iterations,
-            "norms": {f"{float(s):g}": sobolev_norm(ref_hat, s) for s in s_list},
+            "norms": {f"{float(s):g}": float(np.sqrt(integral((1.0 + xi_sq) ** s))) for s in s_list},
         },
         "action_convention": "mass term included",
     }

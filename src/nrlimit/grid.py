@@ -6,9 +6,27 @@ continuum-normalized (multiplied by dx^n) so that coefficients approximate
 the integral transform of the sampled function, and Sobolev norms carry the
 weight (1+|xi|^2)^s with the measure (2*pi/L)^n / (2*pi)^n per mode.
 
-Internally every field is real, so spectral work runs on the half lattice of
-rfftn (last axis k = 0..N/2) through the private kernel `_rfft`/`_irfft`/
-`_half_sum`; the public `transform` keeps the full-lattice representation.
+Fields live in one of three representations:
+
+- the full lattice: `transform` and frequency-space `SpectralField`s hold the
+  complex coefficients of every mode (public, continuum-normalized);
+- the half lattice of rfftn (last axis k = 0..N/2), on which the private
+  kernel transforms a general real field;
+- the octant, indices 0..N/2 on every axis, which stores a field that is even
+  in every axis (f(x_i) = f(-x_i), index j <-> -j mod N): (N/2 + 1)^n values
+  instead of N^n.  Its transform is the DCT-I, computed as the real part of
+  rfft of the even extension [a, a[-2:0:-1]] one axis at a time; it is its own
+  inverse up to 1/N per axis, and the octant frequencies are the leading
+  N/2 + 1 entries of the half lattice on every axis.
+
+The kernel (`_forward`, `_inverse`, `_lattice_sum`) takes a full-grid or an
+octant array and works on the half lattice or the octant accordingly.  A
+stored entry stands for all its mirror images, so sums over the octant or the
+half lattice carry multiplicity weights (`octant_weight`, `parseval_weight`);
+the same octant weights serve real-space and Parseval sums.  The solver, the
+Coulomb convolution inside it and the gap eigensolve run on the octant;
+`_kernel_values` sends an exactly even field there and any other real field to
+the half lattice.
 """
 
 from __future__ import annotations
@@ -38,8 +56,9 @@ class Grid:
     """Cubic periodic grid: dimension n, box length L, N points per axis.
 
     Derived arrays (spacing, frequency lattice, centering phase, the half
-    lattice of the real transform and its Parseval weights) are precomputed
-    once and read-only; instances are immutable and cheap to share.
+    lattice of the real transform and its Parseval weights, the octant
+    frequencies and multiplicities) are precomputed once and read-only;
+    instances are immutable and cheap to share.
     """
 
     n: int
@@ -69,6 +88,13 @@ class Grid:
         # each interior column stands for itself and its conjugate mirror
         parseval_weight = np.full(half, 2.0)
         parseval_weight[[0, -1]] = 1.0
+        # the octant keeps indices 0..N/2 on every axis; 0 and N/2 are their own
+        # mirror images, every other index stands for itself and its mirror
+        octant_index = (slice(0, half),) * self.n
+        octant_xi_sq = np.ascontiguousarray(half_xi_sq[octant_index])
+        octant_weight = np.ones((half,) * self.n)
+        for w in np.meshgrid(*([parseval_weight] * self.n), indexing="ij"):
+            octant_weight = octant_weight * w
 
         # (-1)^k per axis: shifts the transform origin to the box center so
         # coefficients carry the phase of a function centered at x = 0.
@@ -86,11 +112,15 @@ class Grid:
             "center_phase": phase,
             "half_xi_sq": half_xi_sq,
             "parseval_weight": parseval_weight,
+            "octant_xi_sq": octant_xi_sq,
+            "octant_weight": octant_weight,
         }
         for name, arr in derived.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "axes", tuple(range(self.n)))
+        object.__setattr__(self, "octant_index", octant_index)
+        object.__setattr__(self, "octant_shape", (half,) * self.n)
 
     @property
     def cell_volume(self) -> float:
@@ -99,6 +129,11 @@ class Grid:
     @property
     def volume(self) -> float:
         return self.length**self.n
+
+    @property
+    def size(self) -> int:
+        """Number of samples, N^n."""
+        return self.points**self.n
 
     @property
     def center_index(self) -> tuple[int, ...]:
@@ -172,23 +207,95 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _rfft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Unnormalized real transform of a real array onto the half lattice."""
+def _even_extension(values: np.ndarray, ax: int) -> np.ndarray:
+    """[a, a[-2:0:-1]] along one axis: indices 0..N/2 extended to the full period."""
+    mirror = (slice(None),) * ax + (slice(-2, 0, -1),)
+    return np.concatenate((values, values[mirror]), axis=ax)
+
+
+def _dct(values: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I of an octant array along every axis.
+
+    One `numpy.fft.rfft` per axis, of the even extension; the imaginary part
+    vanishes for an even sequence and is dropped.
+    """
+    for ax in range(values.ndim):
+        values = np.fft.rfft(_even_extension(values, ax), axis=ax).real
+    return values
+
+
+def _octant(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Restriction of a full-grid or half-lattice array to the octant (a view)."""
+    return values[grid.octant_index]
+
+
+def _unfold(grid: Grid, octant: np.ndarray) -> np.ndarray:
+    """The even full-grid array whose octant is `octant`."""
+    for ax in grid.axes:
+        octant = _even_extension(octant, ax)
+    return octant
+
+
+def _kernel_values(grid: Grid, *arrays: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The arrays the kernel works on, and the frequencies of their coefficients.
+
+    If every array is exactly even (equal, bit for bit, to the unfolding of its
+    octant) the octants are returned with `octant_xi_sq`; otherwise the arrays
+    themselves, whose transforms live on the half lattice.
+    """
+    octants = [_octant(grid, a) for a in arrays]
+    if all(np.array_equal(_unfold(grid, o), a) for o, a in zip(octants, arrays)):
+        return octants, grid.octant_xi_sq
+    return list(arrays), grid.half_xi_sq
+
+
+def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unnormalized transform of a real array: DCT-I of an octant, rfftn of a full-grid array."""
+    if values.shape == grid.octant_shape:
+        return _dct(values)
     return np.fft.rfftn(values, s=grid.shape, axes=grid.axes)
 
 
-def _irfft(grid: Grid, coeff: np.ndarray) -> np.ndarray:
-    """Inverse of `_rfft`: a half-lattice coefficient array back to real values."""
-    return np.fft.irfftn(coeff, s=grid.shape, axes=grid.axes)
+def _inverse(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+    """Inverse of `_forward`: real (octant) coefficients go back to the octant, complex ones to the full grid."""
+    if np.iscomplexobj(coeff):
+        return np.fft.irfftn(coeff, s=grid.shape, axes=grid.axes)
+    return _dct(coeff) / grid.size
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(conj(a) b) of two real or two complex coefficient arrays."""
+    if np.iscomplexobj(a):
+        return a.real * b.real + a.imag * b.imag
+    return a * b
 
 
 def _abs_sq(coeff: np.ndarray) -> np.ndarray:
-    return coeff.real**2 + coeff.imag**2
+    return _pair(coeff, coeff)
 
 
-def _half_sum(grid: Grid, q: np.ndarray) -> float:
-    """Full-lattice sum of a conjugate-symmetric quantity given on the half lattice."""
+def _lattice_sum(grid: Grid, q: np.ndarray) -> float:
+    """Full-grid sum of a quantity stored on the full grid, the half lattice or the octant.
+
+    A stored entry stands for all its mirror images: octant entries carry
+    `octant_weight`, half-lattice entries `parseval_weight`.  In one dimension
+    the octant and the half lattice coincide, and so do their weights.
+    """
+    if q.shape == grid.octant_shape:
+        return float(np.sum(q * grid.octant_weight))
+    if q.shape == grid.shape:
+        return float(np.sum(q))
     return float(np.sum(q * grid.parseval_weight))
+
+
+def _spectral_integral(grid: Grid, mult: np.ndarray, q: np.ndarray) -> float:
+    """Continuum value of the mode sum of mult * q, q a product of two `_forward` coefficient arrays."""
+    return _lattice_sum(grid, mult * q) * grid.cell_volume**2 / grid.volume
+
+
+def _spectral_norm(grid: Grid, mult: np.ndarray, coeff: np.ndarray) -> float:
+    """sqrt of `_spectral_integral` of mult |coeff|^2: with mult = (1+|xi|^2)^s the H^s norm."""
+    return float(np.sqrt(_spectral_integral(grid, mult, _abs_sq(coeff))))
 
 
 def _coefficients(f: SpectralField) -> np.ndarray:
@@ -203,12 +310,9 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
         raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
     grid = f.grid
     if f.space == "real":
-        weight = (1.0 + grid.half_xi_sq) ** s
-        total = _half_sum(grid, weight * _abs_sq(_rfft(grid, f.values))) * grid.cell_volume**2
-    else:
-        weight = (1.0 + grid.xi_sq) ** s
-        total = np.sum(weight * _abs_sq(f.values))
-    return float(np.sqrt(total / grid.volume))
+        return _spectral_norm(grid, (1.0 + grid.half_xi_sq) ** s, _forward(grid, f.values))
+    weight = (1.0 + grid.xi_sq) ** s
+    return float(np.sqrt(np.sum(weight * _abs_sq(f.values)) / grid.volume))
 
 
 def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> float:
@@ -225,9 +329,7 @@ def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> flo
     if f.space == "real" and g.space == "real":
         if weight == "L2":
             return float(np.sum(f.values * g.values) * grid.cell_volume)
-        fh, gh = _rfft(grid, f.values), _rfft(grid, g.values)
-        pairing = (1.0 + grid.half_xi_sq) * (fh.real * gh.real + fh.imag * gh.imag)
-        return _half_sum(grid, pairing) * grid.cell_volume**2 / grid.volume
+        return _spectral_integral(grid, 1.0 + grid.half_xi_sq, _pair(_forward(grid, f.values), _forward(grid, g.values)))
     fh, gh = _coefficients(f), _coefficients(g)
     pairing = np.conj(fh) * gh if weight == "L2" else (1.0 + grid.xi_sq) * np.conj(fh) * gh
     return float(np.sum(pairing).real / grid.volume)
@@ -252,6 +354,17 @@ def _recentered(grid: Grid, values: np.ndarray) -> np.ndarray:
     if all(s == 0 for s in shift):
         return values
     return np.roll(values, shift, axis=grid.axes)
+
+
+def _recentered_octant(grid: Grid, octant: np.ndarray) -> np.ndarray:
+    """`_recentered` followed by `_even_part`, for an even field stored on its octant.
+
+    The first octant argmax of an even field is its first full-grid argmax, so
+    a peak at the center (the octant's last entry) leaves the field as it is.
+    """
+    if np.argmax(np.abs(octant)) == octant.size - 1:
+        return octant
+    return _octant(grid, _even_part(grid, _recentered(grid, _unfold(grid, octant))))
 
 
 def symmetrize(f: SpectralField) -> SpectralField:

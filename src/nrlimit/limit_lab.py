@@ -16,7 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .grid import Grid, SpectralField, _even_part, _irfft, _rfft, inner_product, sobolev_norm, transform
+from .grid import (
+    Grid,
+    SpectralField,
+    _abs_sq,
+    _even_part,
+    _forward,
+    _inverse,
+    _kernel_values,
+    _octant,
+    _pair,
+    _spectral_integral,
+    _spectral_norm,
+    sobolev_norm,
+    transform,
+)
 from .nonlinearity import LADDER_EPS, NonlinearitySpec, _coulomb_values, linearize
 from .operators import OperatorSpec, nonrelativistic, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, solve
@@ -80,26 +94,29 @@ def convergence_record(
 ) -> ConvergenceRecord:
     """Build a sweep row from solved fields on a shared grid.
 
-    Each field is transformed once; every norm and pairing is then read off
-    its coefficients.
+    The difference and each field are transformed once, on the octant when
+    both fields are exactly even (solved fields are) and on the half lattice
+    otherwise; every norm and pairing is then read off the coefficients.
     """
     if u_c.grid != u_inf.grid:
         raise ValueError("difference norms require both fields on the identical grid")
     grid = u_c.grid
-    w_hat = transform(SpectralField(grid, u_c.values - u_inf.values), "forward")
-    uc_hat = transform(u_c, "forward")
-    ref_hat = transform(u_inf, "forward")
-    diff = {float(s): sobolev_norm(w_hat, s) for s in s_values}
-    sup = {float(s): sobolev_norm(uc_hat, s) for s in s_values}
-    ref_sq = inner_product(ref_hat, ref_hat, "H1")
-    lam = inner_product(w_hat, ref_hat, "H1") / ref_sq
-    v_hat = SpectralField(grid, w_hat.values - lam * ref_hat.values, space="freq")
+    (uc, ref), xi_sq = _kernel_values(grid, u_c.values, u_inf.values)
+    w_hat, uc_hat, ref_hat = (_forward(grid, v) for v in (uc - ref, uc, ref))
+    h1 = 1.0 + xi_sq
+    diff, sup = {}, {}
+    for s in s_values:
+        weight = h1 ** float(s)
+        diff[float(s)] = _spectral_norm(grid, weight, w_hat)
+        sup[float(s)] = _spectral_norm(grid, weight, uc_hat)
+    lam = _spectral_integral(grid, h1, _pair(w_hat, ref_hat)) / _spectral_integral(grid, h1, _abs_sq(ref_hat))
+    defect = symbol_defect(pseudo_relativistic(c), xi_sq)
     return ConvergenceRecord(
         c=float(c),
         diff_norms=diff,
-        h_minus1_residual=h_minus1_residual(uc_hat, c),
+        h_minus1_residual=_spectral_norm(grid, 1.0 / h1, defect * uc_hat),
         lam=float(lam),
-        v_norm_h1=sobolev_norm(v_hat, 1.0),
+        v_norm_h1=_spectral_norm(grid, h1, w_hat - lam * ref_hat),
         action_c=float(action_c),
         sup_norms=sup,
     )
@@ -202,10 +219,13 @@ def nondegeneracy_gap(
 ) -> float:
     """Smallest constrained Rayleigh quotient <Lv, v>_{L^2} / ||v||_{H^1}^2.
 
-    L is the linearization (-Delta + 1) - N'(u_inf), the minimum runs over
-    even fields H^1-orthogonal to u_inf, and the quotient is computed through
-    the symmetric similarity B^{-1/2} L B^{-1/2} (B = -Delta + 1) with the
-    constraint and the odd modes deflated by explicit projection inside every
+    L is the linearization (-Delta + 1) - N'(u_inf), and the minimum runs over
+    even fields H^1-orthogonal to u_inf.  Even fields live on the octant (the
+    reference enters through its even part; a ground state is even), so odd
+    modes cannot occur.  The quotient is computed through the symmetric
+    similarity B^{-1/2} L B^{-1/2} (B = -Delta + 1) in the weighted octant
+    coordinates sqrt(W) v, in which the full-grid dot product is the plain
+    one, with the constraint deflated by explicit projection inside every
     matrix-vector product.  A nonpositive return signals a defective reference
     state or projection; it is reported as computed, never clipped.
     """
@@ -215,9 +235,10 @@ def nondegeneracy_gap(
         raise ValueError("reference state lives on a different grid")
     nl.validate_dimension(grid.n)
 
-    b_half = np.sqrt(1.0 + grid.half_xi_sq)
+    b_half = np.sqrt(1.0 + grid.octant_xi_sq)
     b_inv_half = 1.0 / b_half
-    u0 = u_inf.values
+    sqrt_w = np.sqrt(grid.octant_weight)
+    u0 = _octant(grid, _even_part(grid, u_inf.values))
 
     if nl.kind == "power":
         w_mult = nl.p * u0 ** (nl.p - 1)
@@ -232,26 +253,25 @@ def nondegeneracy_gap(
             return phi0 * v + 2.0 * u0 * _coulomb_values(grid, u0 * v)
 
     def smooth(v: np.ndarray) -> np.ndarray:
-        return _irfft(grid, b_inv_half * _rfft(grid, v))
+        return _inverse(grid, b_inv_half * _forward(grid, v))
 
-    y = _irfft(grid, b_half * _rfft(grid, u0)).ravel()
+    y = (sqrt_w * _inverse(grid, b_half * _forward(grid, u0))).ravel()
     y /= np.linalg.norm(y)
-    size = u0.size
 
-    def project(flat: np.ndarray) -> np.ndarray:
-        even = _even_part(grid, flat.reshape(grid.shape)).ravel()
+    def project(z: np.ndarray) -> np.ndarray:
         # np.sum, not np.dot: the threaded BLAS dot costs more than it saves here
-        return even - np.sum(y * even) * y
+        return z - np.sum(y * z) * y
 
-    def matvec(flat: np.ndarray) -> np.ndarray:
+    def matvec(z: np.ndarray) -> np.ndarray:
         # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) v with v = B^{-1/2} z
-        pz = project(flat)
-        s = pz - smooth(apply_derivative(smooth(pz.reshape(grid.shape)))).ravel()
-        return project(s) + DEFLATION_SHIFT * (flat - pz)
+        pz = project(z)
+        v = pz.reshape(grid.octant_shape) / sqrt_w
+        s = pz - (sqrt_w * smooth(apply_derivative(smooth(v)))).ravel()
+        return project(s) + DEFLATION_SHIFT * (z - pz)
 
-    rng = np.random.default_rng(seed)
-    v0 = project(rng.standard_normal(size))
-    operator = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    draw = np.random.default_rng(seed).standard_normal(grid.shape)
+    v0 = project((sqrt_w * _octant(grid, _even_part(grid, draw))).ravel())
+    operator = LinearOperator((y.size, y.size), matvec=matvec, dtype=np.float64)
     vals = eigsh(operator, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False)
     return float(vals[0])
 
@@ -264,7 +284,7 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     norm of the reference state.
     """
     grid = u_inf.grid
-    bu = _irfft(grid, (1.0 + grid.half_xi_sq) * _rfft(grid, u_inf.values))
+    bu = _inverse(grid, (1.0 + grid.half_xi_sq) * _forward(grid, u_inf.values))
     lu = bu - linearize(nl, u_inf, u_inf).values
     target = -(nl.variational_exponent - 2) * bu
     err = np.linalg.norm(lu - target) * np.sqrt(grid.cell_volume)
@@ -276,13 +296,15 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
 
     Spectral evaluation of the integral of |u_inf_hat|^2 ((1+|xi|^2) - P_c(xi));
     nonnegative for every field, and c^2 times it converges to the squared
-    L^2 norm of the Laplacian of the reference state.
+    L^2 norm of the Laplacian of the reference state.  A real-space field is
+    transformed on the octant when it is exactly even, else on the half lattice.
     """
     spec = pseudo_relativistic(c)
-    coeff = u_inf.values if u_inf.space == "freq" else transform(u_inf, "forward").values
-    defect = symbol_defect(spec, u_inf.grid.xi_sq)
-    total = np.sum(defect * (coeff.real**2 + coeff.imag**2))
-    return float(total / u_inf.grid.volume)
+    grid = u_inf.grid
+    if u_inf.space == "freq":
+        return float(np.sum(symbol_defect(spec, grid.xi_sq) * _abs_sq(u_inf.values)) / grid.volume)
+    (values,), xi_sq = _kernel_values(grid, u_inf.values)
+    return _spectral_integral(grid, symbol_defect(spec, xi_sq), _abs_sq(_forward(grid, values)))
 
 
 def bootstrap_ratio(u_c: SpectralField, u_inf: SpectralField, s_from: float, s_to: float, c: float) -> float:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _irfft, _rfft, sobolev_norm
+from .grid import Grid, SpectralField, _forward, _inverse, sobolev_norm
 
 __all__ = [
     "NonlinearitySpec",
@@ -85,11 +85,11 @@ def hartree() -> NonlinearitySpec:
     return NonlinearitySpec("hartree")
 
 
-@lru_cache(maxsize=8)
-def _coulomb_symbol(grid: Grid) -> np.ndarray:
-    """Truncated-kernel symbol on the half lattice of the real transform (read-only)."""
+@lru_cache(maxsize=16)
+def _coulomb_symbol(grid: Grid, octant: bool = False) -> np.ndarray:
+    """Truncated-kernel symbol on the half lattice of the real transform, or on its octant (read-only)."""
     radius = 0.5 * grid.length
-    t = grid.half_xi_sq
+    t = grid.octant_xi_sq if octant else grid.half_xi_sq
     out = np.empty_like(t)
     nz = t > 0
     out[nz] = 4.0 * np.pi * (1.0 - np.cos(radius * np.sqrt(t[nz]))) / t[nz]
@@ -99,12 +99,14 @@ def _coulomb_symbol(grid: Grid) -> np.ndarray:
 
 
 def _coulomb_values(grid: Grid, density: np.ndarray) -> np.ndarray:
-    # unnormalized fft pair: the dx^n forward and 1/(L^n) inverse weights cancel
-    return _irfft(grid, _coulomb_symbol(grid) * _rfft(grid, density))
+    """Coulomb potential of a full-grid or an octant density, in the same representation."""
+    # unnormalized transform pair: the dx^n forward and 1/(L^n) inverse weights cancel
+    octant = density.shape == grid.octant_shape
+    return _inverse(grid, _coulomb_symbol(grid, octant) * _forward(grid, density))
 
 
 def _term_values(spec: NonlinearitySpec, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """N(u) on raw real arrays: u^p, or (|x|^-1 * u^2) u."""
+    """N(u) on raw real arrays (full grid or octant): u^p, or (|x|^-1 * u^2) u."""
     if spec.kind == "power":
         return u**spec.p
     return _coulomb_values(grid, u * u) * u

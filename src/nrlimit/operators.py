@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _irfft, _rfft
+from .grid import Grid, SpectralField, _forward, _inverse
 
 __all__ = [
     "OperatorSpec",
@@ -100,7 +100,7 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
         values = 1.0 / values
     if f.space == "freq":
         return SpectralField(grid, f.values * values, space="freq")
-    return SpectralField(grid, _irfft(grid, values * _rfft(grid, f.values)))
+    return SpectralField(grid, _inverse(grid, values * _forward(grid, f.values)))
 
 
 def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:

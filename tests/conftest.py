@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,17 +72,18 @@ REAL_FFTS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 
 @pytest.fixture
 def fft_counts(monkeypatch):
-    """Count calls of every numpy.fft transform, split into complex and real."""
-    counts = {"complex": 0, "real": 0}
+    """Count calls of every numpy.fft transform, per name and split into complex and real."""
+    counts = Counter(complex=0, real=0)
 
-    def counted(kind, orig):
+    def counted(kind, name, orig):
         def wrapper(*args, **kwargs):
             counts[kind] += 1
+            counts[name] += 1
             return orig(*args, **kwargs)
 
         return wrapper
 
     for kind, names in (("complex", COMPLEX_FFTS), ("real", REAL_FFTS)):
         for name in names:
-            monkeypatch.setattr(np.fft, name, counted(kind, getattr(np.fft, name)))
+            monkeypatch.setattr(np.fft, name, counted(kind, name, getattr(np.fft, name)))
     return counts

@@ -145,6 +145,12 @@ class TestSweepCommand:
             ("sweep", "operator.c_list=[4,8,NaN,32]", "operator.c_list"),
             ("sweep", "grid.L=Infinity", "grid.L"),
             ("sweep", "grid.L=NaN", "grid.L"),
+            # JSON integers too large for a float (10^400)
+            pytest.param("solve", "grid.L=1" + "0" * 400, "grid.L", id="solve-grid.L=10^400"),
+            pytest.param("solve", "operator.c=1" + "0" * 400, "operator.c", id="solve-operator.c=10^400"),
+            pytest.param(
+                "sweep", "operator.c_list=[4,8,16,1" + "0" * 400 + "]", "operator.c_list", id="sweep-operator.c_list=10^400"
+            ),
         ],
     )
     def test_non_finite_input_rejected_before_solving(self, tmp_path, capsys, command, override, field):

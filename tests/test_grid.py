@@ -1,11 +1,29 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import nrlimit as nr
 from conftest import random_field, smooth_random_field
+from nrlimit.grid import (
+    _dct,
+    _even_part,
+    _forward,
+    _inverse,
+    _kernel_values,
+    _lattice_sum,
+    _octant,
+    _recentered,
+    _recentered_octant,
+    _spectral_norm,
+    _unfold,
+)
 from nrlimit.nonlinearity import _coulomb_symbol
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -50,7 +68,10 @@ class TestMakeGrid:
 class TestReadOnlyArrays:
     # every solve on a grid shares these arrays; one in-place write would
     # corrupt all later solves on that grid
-    @pytest.mark.parametrize("name", ["xi_sq", "center_phase", "axis", "freq_axis", "half_xi_sq", "parseval_weight"])
+    @pytest.mark.parametrize(
+        "name",
+        ["xi_sq", "center_phase", "axis", "freq_axis", "half_xi_sq", "parseval_weight", "octant_xi_sq", "octant_weight"],
+    )
     def test_grid_arrays(self, name):
         arr = getattr(nr.make_grid(2, 8.0, 16), name)
         with pytest.raises(ValueError):
@@ -59,11 +80,13 @@ class TestReadOnlyArrays:
             arr += 1.0
 
     def test_cached_coulomb_symbol(self):
-        sym = _coulomb_symbol(nr.make_grid(3, 8.0, 16))
-        with pytest.raises(ValueError):
-            sym[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            sym *= 2.0
+        grid = nr.make_grid(3, 8.0, 16)
+        for octant in (False, True):
+            sym = _coulomb_symbol(grid, octant)
+            with pytest.raises(ValueError):
+                sym[0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                sym *= 2.0
 
 
 class TestTransform:
@@ -237,6 +260,78 @@ class TestRealKernelAgainstFullLattice:
         f = nr.SpectralField(grid, np.broadcast_to((-1.0) ** np.arange(grid.points), grid.shape))
         expected = np.sqrt(grid.volume) * (1.0 + (np.pi * grid.points / grid.length) ** 2) ** 2
         assert np.isclose(nr.sobolev_norm(f, 4.0), expected, rtol=1e-13)
+
+
+def _even_nyquist_field(grid, rng):
+    """Even field with a (-1)^j component on the last axis and a (-1)^(j_1+...+j_n) one."""
+    checker = np.ones(grid.shape)
+    for sign in np.meshgrid(*([(-1.0) ** np.arange(grid.points)] * grid.n), indexing="ij"):
+        checker = checker * sign
+    return _even_part(grid, _nyquist_field(grid, rng).values + 0.2 * checker)
+
+
+class TestOctantKernel:
+    """An even field is stored on its octant and transformed by DCT-I; every
+    octant quantity must match the same quantity on the full grid."""
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_dct_matches_rfftn_of_the_unfolded_field(self, grid):
+        full = _even_nyquist_field(grid, np.random.default_rng(60 + grid.n))
+        reference = np.fft.rfftn(full)[grid.octant_index]
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(_dct(_octant(grid, full)) - reference.real)) <= 1e-13 * scale
+        assert np.max(np.abs(reference.imag)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_dct_is_its_own_inverse_up_to_the_grid_size(self, grid):
+        octant = _octant(grid, _even_nyquist_field(grid, np.random.default_rng(70 + grid.n)))
+        back = _inverse(grid, _forward(grid, octant))
+        assert np.max(np.abs(back - octant)) <= 1e-13 * np.max(np.abs(octant))
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_weighted_sums_match_full_grid_sums(self, grid):
+        full = _even_nyquist_field(grid, np.random.default_rng(80 + grid.n))
+        octant = _octant(grid, full)
+        assert abs(_lattice_sum(grid, octant) - np.sum(full)) <= 1e-13 * np.sum(np.abs(full))
+        assert np.isclose(_lattice_sum(grid, octant * octant), np.sum(full * full), rtol=1e-13, atol=0.0)
+        # Parseval on the octant against the complex full lattice
+        coeff = _dct(octant)
+        power = np.abs(np.fft.fftn(full)) ** 2
+        assert np.isclose(_lattice_sum(grid, coeff * coeff), np.sum(power), rtol=1e-13, atol=0.0)
+        full_hat = nr.transform(nr.SpectralField(grid, full), "forward")
+        for s in (-1.0, 1.0, 4.0):
+            octant_norm = _spectral_norm(grid, (1.0 + grid.octant_xi_sq) ** s, coeff)
+            assert np.isclose(octant_norm, nr.sobolev_norm(full_hat, s), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_restrict_and_unfold_round_trip_bit_for_bit(self, grid):
+        full = _even_nyquist_field(grid, np.random.default_rng(90 + grid.n))
+        assert np.array_equal(_unfold(grid, _octant(grid, full)), full)
+        (values,), xi_sq = _kernel_values(grid, full)
+        assert values.shape == grid.octant_shape and xi_sq is grid.octant_xi_sq
+        # one sample off its mirror image sends the field to the half lattice
+        uneven = full.copy()
+        uneven[(1,) * grid.n] += 1e-12
+        (values,), xi_sq = _kernel_values(grid, uneven)
+        assert values is uneven and xi_sq is grid.half_xi_sq
+
+    def test_recentering_a_corner_peak_on_the_octant(self):
+        grid = KERNEL_GRIDS[1]
+        j = np.arange(grid.points)
+        corner = np.minimum(j, grid.points - j) * grid.dx  # distance to index 0
+        d = np.meshgrid(*([corner] * grid.n), indexing="ij")
+        full = np.exp(-sum(a * a for a in d))
+        moved = _recentered_octant(grid, _octant(grid, full))
+        assert np.array_equal(moved, _octant(grid, _even_part(grid, _recentered(grid, full))))
+        assert np.argmax(moved) == moved.size - 1
+        assert _recentered_octant(grid, moved) is moved
+
+    def test_import_does_not_load_scipy_fft(self):
+        # scipy.fft costs about 83 ms of start-up; the kernel is numpy.fft only
+        src = str(Path(nr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import nrlimit, sys; assert 'scipy.fft' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSymmetrize:

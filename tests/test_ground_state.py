@@ -149,26 +149,105 @@ class TestHartree3D:
         assert np.all(vals > 0.0)
         assert np.max(np.abs(nr.symmetrize(u_inf.field).values - vals)) <= 1e-10 * np.max(vals)
 
+    def test_reported_residual_matches_recomputation(self, sweep_3d):
+        u_inf = sweep_3d["u_inf"]
+        assert nr.residual(u_inf.field, nr.nonrelativistic(), nr.hartree()) == u_inf.residual
+
+
+SMALL3 = nr.make_grid(3, 16.0, 32)
+
+
+def _gaussian(grid, center, width=1.0):
+    """exp(-|x - center|^2 / (2 width^2)), the distance taken around the periodic box."""
+    d = []
+    for x, c in zip(grid.coordinates(), center):
+        r = x - c
+        d.append(r - grid.length * np.round(r / grid.length))
+    return nr.SpectralField(grid, np.exp(-sum(a * a for a in d) / (2.0 * width**2)))
+
+
+class TestEvenOctant:
+    """The solve runs on the octant of even fields; guesses that are off
+    center or not even are recentered and symmetrized first."""
+
+    @staticmethod
+    def reference(n):
+        grid = nr.make_grid(1, 32.0, 1024) if n == 1 else SMALL3
+        nl = nr.power(3) if n == 1 else nr.hartree()
+        return grid, nl, nr.solve(nr.nonrelativistic(), nl, grid)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_corner_peaked_even_guess_converges_to_the_centred_state(self, n):
+        grid, nl, centred = self.reference(n)
+        corner = (-0.5 * grid.length,) * n  # index 0 on every axis
+        guess = _gaussian(grid, corner)
+        assert np.array_equal(nr.symmetrize(guess).values, guess.values)
+        res = nr.solve(nr.nonrelativistic(), nl, grid, nr.SolverConfig(initial_guess=guess))
+        assert res.converged
+        assert np.max(np.abs(res.field.values - centred.field.values)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_shifted_non_even_guess_converges_to_the_centred_state(self, n):
+        grid, nl, centred = self.reference(n)
+        guess = _gaussian(grid, (1.3, -0.6, 0.45)[:n], width=1.2)
+        res = nr.solve(nr.nonrelativistic(), nl, grid, nr.SolverConfig(initial_guess=guess))
+        assert res.converged
+        assert np.max(np.abs(res.field.values - centred.field.values)) <= 1e-10
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.3, -0.6, 0.45)], ids=["even", "shifted"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_residual_and_action_match_a_full_lattice_reference(self, n, center):
+        # the even field is evaluated on its octant, the shifted one on the half lattice
+        grid = nr.make_grid(1, 16.0, 64) if n == 1 else nr.make_grid(3, 8.0, 16)
+        nl = nr.power(3) if n == 1 else nr.hartree()
+        op = nr.pseudo_relativistic(2.0)
+        u = _gaussian(grid, center[:n])
+        u_hat = nr.transform(u, "forward")
+        pu_hat = nr.SpectralField(grid, nr.symbol(op, grid.xi_sq) * u_hat.values, space="freq")
+        pu = nr.transform(pu_hat, "inverse").values
+        nu = nr.evaluate(nl, u).values
+        r = pu - nu
+        expected_residual = np.sqrt(np.sum(r * r) / np.sum(u.values * u.values))
+        pairing = grid.cell_volume * np.sum(nu * u.values)
+        expected_action = 0.5 * grid.cell_volume * np.sum(pu * u.values) - pairing / nl.variational_exponent
+        assert np.isclose(nr.residual(u, op, nl), expected_residual, rtol=1e-12, atol=0.0)
+        assert np.isclose(nr.action(u, op, nl), expected_action, rtol=1e-12, atol=0.0)
+
 
 class TestTransformCount:
-    """Each stabilized iteration costs one inverse real transform for the
-    update and, for the next iterate's residual, forward transforms of u and
-    N(u) plus the Coulomb pair in the Hartree case.  The residual of the
-    final iterate (4 Hartree, 2 power) is the only cost outside an iteration;
-    the final action reuses its coefficients."""
+    """A solve runs on the octant, where every whole-field transform is a
+    DCT-I made of one numpy.fft.rfft call per axis; no full-grid
+    rfftn/irfftn and no complex transform runs.  Each stabilized iteration
+    costs one inverse transform for the update and, for the next iterate's
+    residual, forward transforms of u and N(u) plus the Coulomb pair in the
+    Hartree case.  The residual of the final iterate (4 Hartree, 2 power) is
+    the only cost outside an iteration; the final action reuses its
+    coefficients."""
+
+    @staticmethod
+    def octant_transforms(counts, grid) -> int:
+        """Whole-field kernel transforms, after checking that nothing else ran."""
+        assert counts["complex"] == 0
+        assert counts["rfftn"] == counts["irfftn"] == counts["irfft"] == 0
+        assert counts["rfft"] % grid.n == 0
+        return counts["rfft"] // grid.n
 
     def test_hartree_3d(self, fft_counts):
         grid = nr.make_grid(3, 16.0, 32)
         res = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
         assert res.converged
-        assert fft_counts["complex"] == 0
-        assert fft_counts["real"] <= 5 * res.iterations + 4
+        assert self.octant_transforms(fft_counts, grid) <= 5 * res.iterations + 4
 
     def test_cubic_1d(self, fft_counts, grid1d):
         res = nr.solve(nr.pseudo_relativistic(4.0), nr.power(3), grid1d)
         assert res.converged
-        assert fft_counts["complex"] == 0
-        assert fft_counts["real"] <= 3 * res.iterations + 2
+        assert self.octant_transforms(fft_counts, grid1d) <= 3 * res.iterations + 2
+
+    def test_gap_eigensolve_3d(self, fft_counts):
+        grid = nr.make_grid(3, 8.0, 16)
+        u = nr.SpectralField(grid, np.exp(-0.5 * grid.radius_sq()))
+        nr.nondegeneracy_gap(u, nr.hartree())
+        assert self.octant_transforms(fft_counts, grid) > 0
 
 
 class TestAndersonAcceleration:

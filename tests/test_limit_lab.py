@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space, orth
 
 import nrlimit as nr
 from nrlimit.limit_lab import ConvergenceRecord
@@ -185,6 +186,26 @@ class TestNondegeneracyGap:
         dense = dense_gap_fd(32.0, 4096, lambda t: np.sqrt(2.0) / np.cosh(t), 3)
         assert spectral > 0.0
         assert abs(spectral - dense) / dense <= 1e-6
+
+    def test_gap_matches_dense_constrained_oracle(self):
+        # The smallest eigenvalue of L = B - N'(u) over even v with <v, u>_{H^1} = 0,
+        # relative to ||v||_{H^1}^2 = <Bv, v>: dense matrices built column by
+        # column from the public apply_multiplier and linearize.
+        grid = SMALL
+        x = grid.coordinates()[0]
+        u = nr.SpectralField(grid, np.sqrt(2.0) / np.cosh(x))
+        eye = np.eye(grid.points)
+        unit = [nr.SpectralField(grid, e) for e in eye]
+        b = np.column_stack([nr.apply_multiplier(e, nr.nonrelativistic()).values for e in unit])
+        lin = b - np.column_stack([nr.linearize(nr.power(3), u, e).values for e in unit])
+        even = orth(eye + eye[(-np.arange(grid.points)) % grid.points])
+        basis = even @ null_space((even.T @ (b @ u.values))[None, :])
+        lhs, rhs = basis.T @ lin @ basis, basis.T @ b @ basis
+        dense = eigh(0.5 * (lhs + lhs.T), 0.5 * (rhs + rhs.T), eigvals_only=True)[0]
+        gap = nr.nondegeneracy_gap(u, nr.power(3))
+        assert basis.shape[1] == grid.points // 2
+        assert dense > 0.0
+        assert abs(gap - dense) <= 1e-8 * dense
 
     def test_gap_stable_under_refinement_and_reference_perturbation(self, grid1d, u_inf_1d):
         from_solver = nr.nondegeneracy_gap(u_inf_1d.field, nr.power(3))
