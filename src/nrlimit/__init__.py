@@ -49,8 +49,6 @@ from .limit_lab import (
     ConvergenceRecord,
     RateFit,
     SweepError,
-    UniformBoundTable,
-    bootstrap_ratio,
     convergence_record,
     fit_rate,
     h_minus1_residual,
@@ -59,7 +57,6 @@ from .limit_lab import (
     optimality_functional,
     sobolev_ladder,
     sweep,
-    uniform_bound_table,
 )
 
 __version__ = "0.1.0"

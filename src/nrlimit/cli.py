@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .grid import Grid, _abs_sq, _forward, _kernel_values, _spectral_integral, make_grid
+from .grid import SOBOLEV_ORDER_MAX, SOBOLEV_ORDER_MIN
 from .snapshots import save_field
 from .operators import (
+    NONREL,
+    PSEUDO,
     OperatorSpec,
     nonrelativistic,
     pseudo_relativistic,
@@ -29,11 +32,12 @@ from .operators import (
     symbol_gap_scan,
     taylor_residual,
 )
-from .nonlinearity import NonlinearitySpec, hartree, power
+from .nonlinearity import NonlinearitySpec
 from .ground_state import GroundStateError, GroundStateResult, SolverConfig, solve
 from .limit_lab import (
     ConvergenceRecord,
     SweepError,
+    _sweep_c_values,
     fit_rate,
     linearization_identity_residual,
     nondegeneracy_gap,
@@ -56,6 +60,7 @@ C_LIST_DEFAULTS = {1: (4.0, 8.0, 16.0, 32.0, 64.0), 2: (4.0, 8.0, 16.0, 32.0, 64
 S_LIST_DEFAULT = (0.5, 1.0, 2.0, 3.0)
 SYMBOL_C_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 UNIFORM_BOUND_ORDERS = (0.5, 1.0, 2.0, 3.0, 4.0)
+LADDER_STEPS = 6
 
 
 class ConfigError(ValueError):
@@ -68,6 +73,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run; the fields follow the order of SCHEMA."""
+
     command: str
     n: int
     nonlinearity: str
@@ -83,14 +90,16 @@ class RunConfig:
     out_dir: Path
     formats: tuple[str, ...]
 
+    @cached_property
     def grid(self) -> Grid:
+        """The run's grid, built on first use and shared by every phase."""
         return make_grid(self.n, self.L, self.N)
 
     def nonlinearity_spec(self) -> NonlinearitySpec:
-        return power(self.p) if self.nonlinearity == "power" else hartree()
+        return NonlinearitySpec(self.nonlinearity, self.p)
 
     def operator_spec(self) -> OperatorSpec:
-        if self.operator_kind == "nonrelativistic":
+        if self.operator_kind == NONREL:
             return nonrelativistic()
         return pseudo_relativistic(self.c)
 
@@ -98,161 +107,170 @@ class RunConfig:
         return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
 
-def _finite_number(value) -> bool:
-    """True for a JSON number that converts to a finite float.
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("an integer")
+    return value
 
-    JSON integers are unbounded; one too large for a float is rejected here
-    instead of overflowing in the conversion.
-    """
-    if not isinstance(value, (int, float)):
-        return False
+
+def _number(value) -> float:
+    """A JSON number as a float; neither a boolean nor an integer beyond float range is one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("a number")
     try:
-        return math.isfinite(float(value))
+        return float(value)
     except OverflowError:
+        raise TypeError("a number in floating-point range") from None
+
+
+def _path(value) -> Path:
+    if not isinstance(value, str):
+        raise TypeError("a string")
+    return Path(value)
+
+
+def _one_of(*choices):
+    def convert(value):
+        # compared with their types, so that neither true nor 1.0 is the dimension 1
+        if not any(type(value) is type(choice) and value == choice for choice in choices):
+            raise TypeError("one of " + ", ".join(map(json.dumps, choices)))
+        return value
+
+    return convert
+
+
+def _or_null(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _list_of(convert, name: str, nonempty: bool = True):
+    def convert_list(value) -> tuple:
+        try:
+            if isinstance(value, list) and (value or not nonempty):
+                return tuple(map(convert, value))
+        except TypeError:
+            pass
+        raise TypeError(name)
+
+    return convert_list
+
+
+NUMBERS = _list_of(_number, "a nonempty list of numbers")
+
+# section -> key -> (JSON type, default).  A JSON type converts a value to its
+# RunConfig field, whose order is this table's.  A callable default is computed
+# from the values, by path, of the keys above it.  Value constraints are not
+# here: parse_config takes them from the library objects the values build.
+SCHEMA = {
+    "command": (_one_of(*COMMANDS), "solve"),
+    "problem": {
+        # the one value checked here: it selects the grid and c_list defaults
+        "n": (_one_of(*GRID_DEFAULTS), 1),
+        "nonlinearity": (_one_of("power", "hartree"), "power"),
+        "p": (_or_null(_integer), lambda v: 3 if v["problem.nonlinearity"] == "power" else None),
+    },
+    "grid": {
+        "L": (_number, lambda v: GRID_DEFAULTS[v["problem.n"]][0]),
+        "N": (_integer, lambda v: GRID_DEFAULTS[v["problem.n"]][1]),
+    },
+    "operator": {
+        "kind": (_one_of(PSEUDO, NONREL), lambda v: NONREL if v["command"] == "solve" else PSEUDO),
+        "c": (_or_null(_number), None),
+        "c_list": (NUMBERS, lambda v: C_LIST_DEFAULTS[v["problem.n"]]),
+    },
+    "solver": {
+        "tolerance": (_number, SolverConfig.tolerance),
+        "max_iterations": (_integer, SolverConfig.max_iterations),
+    },
+    "analysis": {"s_list": (NUMBERS, S_LIST_DEFAULT)},
+    "output": {
+        "directory": (_path, lambda v: Path(os.environ.get(OUTPUT_ROOT_ENV, "nrlimit-out")) / v["command"]),
+        "formats": (_list_of(_one_of("binary", "csv"), 'a list of "binary" and "csv"', nonempty=False), ("binary",)),
+    },
+}
+
+
+def _read(schema: dict, doc: dict, prefix: str, values: dict, errors: list[str]) -> None:
+    """Fill `values` by path in SCHEMA order: each given value converted to its
+    JSON type, each other one defaulted.  Unknown keys, sections that are not
+    objects and values of another type are violations."""
+    errors.extend(f"{prefix}{key}: unknown key (allowed: {', '.join(schema)})" for key in doc if key not in schema)
+    for key, entry in schema.items():
+        path = prefix + key
+        if isinstance(entry, dict):
+            section = doc.get(key, {})
+            if not isinstance(section, dict):
+                errors.append(f"{path}: must be an object, got {section!r}")
+                section = {}
+            _read(entry, section, path + ".", values, errors)
+            continue
+        convert, default = entry
+        if key in doc:
+            try:
+                values[path] = convert(doc[key])
+                continue
+            except TypeError as exc:
+                errors.append(f"{path}: must be {exc}, got {doc[key]!r}")
+        values[path] = default(values) if callable(default) else default
+
+
+def _valid(errors: list[str], path: str, build, *args, **kwargs) -> bool:
+    """Run a library constructor or check; its ValueError is a violation at `path`."""
+    try:
+        build(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
         return False
+    return True
 
 
-def _check_keys(section: dict, allowed: tuple[str, ...], path: str, errors: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key (allowed: {', '.join(allowed)})")
-
-
-def parse_config(text: str) -> RunConfig:
-    """Validate a JSON config document, filling defaults; raises ConfigError
-    with one line per violation (field-precise)."""
+def _document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"malformed JSON: {exc}"])
     if not isinstance(doc, dict):
         raise ConfigError(["config document must be a JSON object"])
+    return doc
 
+
+def parse_config(text: str) -> RunConfig:
+    """Validate a JSON config document, filling defaults; raises ConfigError
+    with one line per violation (field-precise).
+
+    SCHEMA checks keys and JSON types; every value constraint is the library's,
+    met by building the objects the run uses, whose grid the config keeps.
+    """
     errors: list[str] = []
-    _check_keys(doc, ("command", "problem", "grid", "operator", "solver", "analysis", "output"), "config", errors)
+    values: dict = {}
+    _read(SCHEMA, _document(text), "", values, errors)
+    config = RunConfig(*values.values())
 
-    command = doc.get("command", "solve")
-    if command not in COMMANDS:
-        errors.append(f"config.command: must be one of {COMMANDS}, got {command!r}")
-
-    problem = doc.get("problem", {})
-    if not isinstance(problem, dict):
-        errors.append("config.problem: must be an object")
-        problem = {}
-    _check_keys(problem, ("n", "nonlinearity", "p"), "problem", errors)
-    n = problem.get("n", 1)
-    if n not in (1, 2, 3):
-        errors.append(f"problem.n: dimension must be 1, 2 or 3, got {n!r}")
-        n = 1
-    kind = problem.get("nonlinearity", "power")
-    if kind not in ("power", "hartree"):
-        errors.append(f"problem.nonlinearity: must be 'power' or 'hartree', got {kind!r}")
-        kind = "power"
-    p = problem.get("p", 3 if kind == "power" else None)
-    if kind == "power":
-        if not isinstance(p, int) or isinstance(p, bool) or p < 3:
-            errors.append(f"problem.p: power exponent must be an integer >= 3, got {p!r}")
-        elif n >= 2 and p >= 2 * n / (n - 1):
-            errors.append(
-                f"problem.p: p = {p} violates subcriticality: requires p < 2n/(n-1) = {2 * n / (n - 1):g} for n = {n}"
-            )
-    else:
-        if p is not None:
-            errors.append("problem.p: hartree nonlinearity does not take an exponent")
-        if n != 3:
-            errors.append(f"problem.nonlinearity: hartree requires the three-dimensional setting n = 3, got n = {n}")
-
-    grid_sec = doc.get("grid", {})
-    if not isinstance(grid_sec, dict):
-        errors.append("config.grid: must be an object")
-        grid_sec = {}
-    _check_keys(grid_sec, ("L", "N"), "grid", errors)
-    default_L, default_N = GRID_DEFAULTS[n]
-    L = grid_sec.get("L", default_L)
-    N = grid_sec.get("N", default_N)
-    if not _finite_number(L) or L <= 0:
-        errors.append(f"grid.L: box length must be positive and finite, got {L!r}")
-    if not isinstance(N, int) or isinstance(N, bool) or N % 2 != 0 or N < 16:
-        errors.append(f"grid.N: points per axis must be an even integer >= 16, got {N!r}")
-
-    op_sec = doc.get("operator", {})
-    if not isinstance(op_sec, dict):
-        errors.append("config.operator: must be an object")
-        op_sec = {}
-    _check_keys(op_sec, ("kind", "c", "c_list"), "operator", errors)
-    op_kind = op_sec.get("kind", "nonrelativistic" if command == "solve" else "pseudo_relativistic")
-    if op_kind not in ("pseudo_relativistic", "nonrelativistic"):
-        errors.append(f"operator.kind: must be 'pseudo_relativistic' or 'nonrelativistic', got {op_kind!r}")
-        op_kind = "pseudo_relativistic"
-    c = op_sec.get("c")
-    if c is not None and (not _finite_number(c) or c < 1):
-        errors.append(f"operator.c: light-speed parameter must be finite and >= 1, got {c!r}")
-    if op_kind == "pseudo_relativistic" and command == "solve" and c is None:
+    if _valid(errors, "problem.p", config.nonlinearity_spec):
+        nl = config.nonlinearity_spec()
+        # n constrains the Hartree term itself, and a power through its exponent
+        at = "problem.nonlinearity" if nl.kind == "hartree" else "problem.p"
+        if _valid(errors, at, nl.validate_dimension, config.n) and config.command in ("sweep", "report"):
+            _valid(errors, "problem.p", sobolev_ladder, config.n, nl.variational_exponent, nl.kind, LADDER_STEPS)
+    if not _valid([], "grid", lambda: config.grid):
+        # Grid checks L before N, so the fault is N's if the smallest grid of length L is valid
+        if _valid(errors, "grid.L", make_grid, 1, config.L, 16):
+            _valid(errors, "grid.N", lambda: config.grid)
+    if config.c is not None:
+        _valid(errors, "operator.c", pseudo_relativistic, config.c)
+    elif config.command == "solve" and config.operator_kind == PSEUDO:
         errors.append("operator.c: required for a pseudo_relativistic solve")
-    c_list = op_sec.get("c_list", list(C_LIST_DEFAULTS[n]))
-    if not isinstance(c_list, list) or not c_list:
-        errors.append(f"operator.c_list: must be a nonempty list, got {c_list!r}")
-        c_list = list(C_LIST_DEFAULTS[n])
-    else:
-        if any(not _finite_number(v) or v < 1 for v in c_list):
-            errors.append(f"operator.c_list: every entry must be a finite number >= 1, got {c_list!r}")
-        elif sorted(c_list) != list(c_list):
-            errors.append(f"operator.c_list: entries must be ascending, got {c_list!r}")
-
-    solver_sec = doc.get("solver", {})
-    if not isinstance(solver_sec, dict):
-        errors.append("config.solver: must be an object")
-        solver_sec = {}
-    _check_keys(solver_sec, ("tolerance", "max_iterations"), "solver", errors)
-    tolerance = solver_sec.get("tolerance", 1.0e-12)
-    if not isinstance(tolerance, (int, float)) or not 1.0e-14 <= tolerance <= 1.0e-4:
-        errors.append(f"solver.tolerance: must lie in [1e-14, 1e-4], got {tolerance!r}")
-    max_iterations = solver_sec.get("max_iterations", 2000)
-    if not isinstance(max_iterations, int) or isinstance(max_iterations, bool) or max_iterations < 1:
-        errors.append(f"solver.max_iterations: must be a positive integer, got {max_iterations!r}")
-
-    analysis = doc.get("analysis", {})
-    if not isinstance(analysis, dict):
-        errors.append("config.analysis: must be an object")
-        analysis = {}
-    _check_keys(analysis, ("s_list",), "analysis", errors)
-    s_list = analysis.get("s_list", list(S_LIST_DEFAULT))
-    if not isinstance(s_list, list) or not s_list:
-        errors.append(f"analysis.s_list: must be a nonempty list, got {s_list!r}")
-        s_list = list(S_LIST_DEFAULT)
-    elif any(not isinstance(s, (int, float)) or not -4 <= s <= 8 for s in s_list):
-        errors.append(f"analysis.s_list: every order must lie in [-4, 8], got {s_list!r}")
-
-    output = doc.get("output", {})
-    if not isinstance(output, dict):
-        errors.append("config.output: must be an object")
-        output = {}
-    _check_keys(output, ("directory", "formats"), "output", errors)
-    root = os.environ.get(OUTPUT_ROOT_ENV, "nrlimit-out")
-    directory = output.get("directory", str(Path(root) / command))
-    formats = output.get("formats", ["binary"])
-    if not isinstance(formats, list) or any(f not in ("binary", "csv") for f in formats):
-        errors.append(f"output.formats: entries must be 'binary' or 'csv', got {formats!r}")
-        formats = ["binary"]
-
+    _valid(errors, "operator.c_list", _sweep_c_values, config.c_list)
+    for key in ("tolerance", "max_iterations"):
+        _valid(errors, f"solver.{key}", SolverConfig, **{key: getattr(config, key)})
+    if not all(SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX for s in config.s_list):
+        errors.append(
+            f"analysis.s_list: every order must lie in [{SOBOLEV_ORDER_MIN:g}, {SOBOLEV_ORDER_MAX:g}],"
+            f" got {list(config.s_list)!r}"
+        )
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        command=command,
-        n=n,
-        nonlinearity=kind,
-        p=p if kind == "power" else None,
-        L=float(L),
-        N=int(N),
-        operator_kind=op_kind,
-        c=float(c) if c is not None else None,
-        c_list=tuple(float(v) for v in c_list),
-        tolerance=float(tolerance),
-        max_iterations=int(max_iterations),
-        s_list=tuple(float(s) for s in s_list),
-        out_dir=Path(directory),
-        formats=tuple(formats),
-    )
+    return config
 
 
 def _json_dump(path: Path, payload) -> None:
@@ -298,8 +316,7 @@ def _solve_record(config: RunConfig, result: GroundStateResult) -> dict:
 
 
 def _run_solve(config: RunConfig) -> int:
-    grid = config.grid()
-    result = solve(config.operator_spec(), config.nonlinearity_spec(), grid, config.solver_config())
+    result = solve(config.operator_spec(), config.nonlinearity_spec(), config.grid, config.solver_config())
     _json_dump(config.out_dir / "ground_state.json", _solve_record(config, result))
     save_field(result.field, config.out_dir / "ground_state_field", fmt="binary")
     if "csv" in config.formats:
@@ -307,25 +324,13 @@ def _run_solve(config: RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _ladder(config: RunConfig, nl: NonlinearitySpec) -> list[float]:
-    """The summary's Sobolev ladder; a config without one is rejected on problem.p."""
-    if nl.kind == "hartree":
-        return sobolev_ladder(3, None, "hartree", 6)
-    try:
-        return sobolev_ladder(config.n, nl.variational_exponent, "power", 6)
-    except ValueError as exc:
-        raise ConfigError([f"problem.p: p = {config.p} in n = {config.n} has no Sobolev ladder (variational {exc})"])
-
-
 def _sweep_artifacts(config: RunConfig, s_list, threads: int):
     """Solve the sweep and assemble (records, summary dict, u_inf result)."""
-    grid = config.grid()
+    grid = config.grid
     nl = config.nonlinearity_spec()
     cfg = config.solver_config()
-    ladder = _ladder(config, nl)
+    ladder = sobolev_ladder(config.n, nl.variational_exponent, nl.kind, LADDER_STEPS)
     u_inf = solve(nonrelativistic(), nl, grid, cfg)
-    if not u_inf.converged:
-        raise SweepError("nonrelativistic reference solve did not converge", [])
     records = sweep(config.c_list, s_list, nl, grid, cfg, u_inf=u_inf, threads=threads)
 
     floor = 100.0 * config.tolerance
@@ -353,7 +358,6 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
         return _spectral_integral(grid, mult, ref_sq)
 
     c2a = {f"{r.c:g}": r.c * r.c * integral(symbol_defect(pseudo_relativistic(r.c), xi_sq)) for r in records}
-    c_max = records[-1].c
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
@@ -365,7 +369,7 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
         "linearization_identity_residual": identity,
         "optimality": {
             "c2_times_form": c2a,
-            "limit_estimate": c2a[f"{c_max:g}"],
+            "limit_estimate": c2a[f"{records[-1].c:g}"],
             "laplacian_norm_sq": integral(xi_sq * xi_sq),
         },
         "ladder": ladder,
@@ -394,13 +398,12 @@ def _run_sweep(config: RunConfig, threads: int) -> int:
 
 
 def _run_nondeg(config: RunConfig) -> int:
-    grid = config.grid()
     nl = config.nonlinearity_spec()
-    u_inf = solve(nonrelativistic(), nl, grid, config.solver_config())
+    u_inf = solve(nonrelativistic(), nl, config.grid, config.solver_config())
     if not u_inf.converged:
         print("reference solve did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    gap = nondegeneracy_gap(u_inf.field, nl, grid)
+    gap = nondegeneracy_gap(u_inf.field, nl, config.grid)
     payload = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
@@ -414,18 +417,24 @@ def _run_nondeg(config: RunConfig) -> int:
 
 
 def _symbol_table(config: RunConfig) -> dict:
-    grid = config.grid()
+    """Symbol bounds over SYMBOL_C_GRID; a box too short to hold a lattice mode
+    in the Taylor window is a violation at grid.L."""
+    grid = config.grid
     rows = []
     for c in SYMBOL_C_GRID:
         spec = pseudo_relativistic(c)
         smallest = 2.0 * np.pi / config.L
         cutoff = 0.1 if 0.1 * c >= smallest else 0.5
+        try:
+            taylor = taylor_residual(spec, grid, cutoff)
+        except ValueError as exc:
+            raise ConfigError([f"grid.L: L = {config.L:g} is too short for the symbol table at c = {c:g}: {exc}"])
         rows.append(
             {
                 "c": c,
                 "lattice_min_ratio": symbol_gap_ratio(spec, grid),
                 "dense_min_ratio": symbol_gap_scan(spec),
-                "taylor_residual": taylor_residual(spec, grid, cutoff),
+                "taylor_residual": taylor,
                 "cutoff_fraction": cutoff,
             }
         )
@@ -433,26 +442,21 @@ def _symbol_table(config: RunConfig) -> dict:
     return {"c_grid": list(SYMBOL_C_GRID), "rows": rows, "overall_min_ratio": overall}
 
 
-def _run_symbols(config: RunConfig) -> int:
-    _json_dump(config.out_dir / "symbols.json", _symbol_table(config))
-    return EXIT_OK
-
-
 def _run_report(config: RunConfig, threads: int) -> int:
+    # first, so that a grid the table rejects costs no solve
+    symbols = _symbol_table(config)
     s_all = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS)))
     try:
         records, summary, u_inf = _sweep_artifacts(config, s_all, threads)
     except SweepError as exc:
         print(f"report aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    symbols = _symbol_table(config)
 
     is_cubic_1d = config.nonlinearity == "power" and config.n == 1 and config.p == 3
     checks: list[tuple[str, str, str, bool]] = []
 
     if is_cubic_1d:
-        grid = config.grid()
-        exact = np.sqrt(2.0) / np.cosh(grid.coordinates()[0])
+        exact = np.sqrt(2.0) / np.cosh(config.grid.coordinates()[0])
         linf = float(np.max(np.abs(u_inf.field.values - exact)))
         checks.append(("soliton profile (sup error vs exact)", f"{linf:.3e}", "<= 1e-6", linf <= 1.0e-6))
         checks.append(("soliton residual", f"{u_inf.residual:.3e}", "<= 1e-10", u_inf.residual <= 1.0e-10))
@@ -491,14 +495,12 @@ def _run_report(config: RunConfig, threads: int) -> int:
 
     ref_norms = summary["reference_state"]["norms"]
     for s in UNIFORM_BOUND_ORDERS:
-        ref_norm = ref_norms[f"{s:g}"]
-        worst = max(r.sup_norms[s] for r in records) / ref_norm
+        worst = max(r.sup_norms[s] for r in records) / ref_norms[f"{s:g}"]
         checks.append((f"uniform bound at s={s:g}", f"{worst:.4f}", "<= 1.5", worst <= 1.5))
 
-    if 0.5 in s_all and 3.0 in s_all:
-        ratios = [r.diff_norms[3.0] / (r.diff_norms[0.5] + 1.0 / (r.c * r.c)) for r in records]
-        spread = max(ratios) / min(ratios)
-        checks.append(("bootstrap ratio spread (1/2 -> 3)", f"{spread:.3f}", "<= 3", spread <= 3.0))
+    ratios = [r.diff_norms[3.0] / (r.diff_norms[0.5] + 1.0 / (r.c * r.c)) for r in records]
+    spread = max(ratios) / min(ratios)
+    checks.append(("bootstrap ratio spread (1/2 -> 3)", f"{spread:.3f}", "<= 3", spread <= 3.0))
 
     decomp = 0.0
     for r in records:
@@ -545,7 +547,8 @@ def run(config: RunConfig, threads: int = 1) -> int:
     if config.command == "nondeg":
         return _run_nondeg(config)
     if config.command == "verify-symbols":
-        return _run_symbols(config)
+        _json_dump(config.out_dir / "symbols.json", _symbol_table(config))
+        return EXIT_OK
     if config.command == "report":
         return _run_report(config, threads)
     raise ConfigError([f"unknown command {config.command!r}"])
@@ -580,26 +583,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        doc = {}
         if args.config is not None:
             try:
                 text = Path(args.config).read_text()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError([f"cannot read config file: {exc}"])
-            doc = json.loads(text) if text.strip() else {}
-            if not isinstance(doc, dict):
-                raise ConfigError(["config document must be a JSON object"])
-        else:
-            doc = {}
+            if text.strip():
+                doc = _document(text)
         doc["command"] = args.command
         for spec in args.override:
             _apply_override(doc, spec)
         if args.out is not None:
-            doc.setdefault("output", {})["directory"] = str(args.out)
+            _apply_override(doc, "output.directory=" + json.dumps(str(args.out)))
         config = parse_config(json.dumps(doc))
         return run(config, threads=max(1, args.threads))
-    except json.JSONDecodeError as exc:
-        print(f"malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConfigError as exc:
         for line in exc.violations:
             print(line, file=sys.stderr)

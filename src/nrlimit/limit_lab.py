@@ -32,14 +32,13 @@ from .grid import (
     transform,
 )
 from .nonlinearity import LADDER_EPS, NonlinearitySpec, _coulomb_values, linearize
-from .operators import OperatorSpec, nonrelativistic, pseudo_relativistic, symbol_defect
+from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, solve
 
 __all__ = [
     "ConvergenceRecord",
     "RateFit",
     "SweepError",
-    "UniformBoundTable",
     "convergence_record",
     "sweep",
     "fit_rate",
@@ -47,9 +46,7 @@ __all__ = [
     "nondegeneracy_gap",
     "linearization_identity_residual",
     "optimality_functional",
-    "bootstrap_ratio",
     "sobolev_ladder",
-    "uniform_bound_table",
 ]
 
 DEFLATION_SHIFT = 10.0  # pushes the removed directions above the sought eigenvalue
@@ -122,6 +119,16 @@ def convergence_record(
     )
 
 
+def _sweep_c_values(c_values) -> list[float]:
+    """A sweep's c values as floats: at least one, each a valid light speed, ascending."""
+    c_values = [pseudo_relativistic(c).c for c in c_values]
+    if not c_values:
+        raise ValueError("sweep requires at least one c value")
+    if sorted(c_values) != c_values:
+        raise ValueError("c values must be ascending")
+    return c_values
+
+
 def sweep(
     c_values,
     s_values,
@@ -137,14 +144,7 @@ def sweep(
     the same grid).  A non-converged point aborts with SweepError carrying the
     records of the points that did converge.
     """
-    c_values = [float(c) for c in c_values]
-    if not c_values:
-        raise ValueError("sweep requires at least one c value")
-    if any(c < 1.0 for c in c_values):
-        raise ValueError("sweep requires c >= 1")
-    if sorted(c_values) != c_values:
-        raise ValueError("c values must be ascending")
-
+    c_values = _sweep_c_values(c_values)
     if u_inf is None:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
     if not u_inf.converged:
@@ -307,16 +307,6 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
     return _spectral_integral(grid, symbol_defect(spec, xi_sq), _abs_sq(_forward(grid, values)))
 
 
-def bootstrap_ratio(u_c: SpectralField, u_inf: SpectralField, s_from: float, s_to: float, c: float) -> float:
-    """||w||_{H^{s_to}} / (||w||_{H^{s_from}} + 1/c^2) for w = u_c - u_inf."""
-    if not s_to > s_from >= 0.5:
-        raise ValueError("bootstrap requires s_to > s_from >= 1/2")
-    if u_c.grid != u_inf.grid:
-        raise ValueError("bootstrap requires fields on the identical grid")
-    w = SpectralField(u_c.grid, u_c.values - u_inf.values)
-    return sobolev_norm(w, s_to) / (sobolev_norm(w, s_from) + 1.0 / (c * c))
-
-
 def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float]:
     """Increasing Sobolev orders along which product estimates iterate.
 
@@ -336,7 +326,9 @@ def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float
     if p is None or p <= 2:
         raise ValueError("power ladder requires a variational exponent p > 2")
     if 1.0 / (p - 2.0) - (n - 1.0) / 2.0 <= 0.0:
-        raise ValueError(f"exponent p={p} is outside the subcritical range for n={n}: ladder does not increase")
+        raise ValueError(
+            f"variational exponent p={p} is outside the subcritical range for n={n}: ladder does not increase"
+        )
 
     half_n = 0.5 * n
     ladder = [0.5]
@@ -351,37 +343,3 @@ def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float
         crossed = crossed or nxt > half_n
         ladder.append(nxt)
     return ladder
-
-
-@dataclass(frozen=True)
-class UniformBoundTable:
-    c_values: tuple[float, ...]
-    s_values: tuple[float, ...]
-    norms: np.ndarray  # shape (len(c_values), len(s_values))
-    max_per_s: dict[float, float]
-
-
-def uniform_bound_table(
-    c_values,
-    s_values,
-    nl: NonlinearitySpec,
-    grid: Grid,
-    cfg: SolverConfig = SolverConfig(),
-    records: list[ConvergenceRecord] | None = None,
-) -> UniformBoundTable:
-    """Matrix of ||u_c||_{H^s} over the sweep with the per-s max summary row.
-
-    Reuses precomputed sweep records when provided (they must cover every
-    requested c and s); otherwise runs the solves.
-    """
-    c_values = [float(c) for c in c_values]
-    s_values = [float(s) for s in s_values]
-    if records is None:
-        records = sweep(c_values, s_values, nl, grid, cfg)
-    by_c = {r.c: r for r in records}
-    matrix = np.empty((len(c_values), len(s_values)))
-    for i, c in enumerate(c_values):
-        for j, s in enumerate(s_values):
-            matrix[i, j] = by_c[c].sup_norms[s]
-    max_per_s = {s: float(matrix[:, j].max()) for j, s in enumerate(s_values)}
-    return UniformBoundTable(tuple(c_values), tuple(s_values), matrix, max_per_s)

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nrlimit as nr
+import nrlimit.cli as cli
 from nrlimit.cli import ConfigError, main, parse_config
 
 
@@ -93,6 +102,21 @@ class TestSolveCommand:
     def test_bad_override_syntax(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path), "--override", "justakey"]) == 2
 
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_bytes(b"\xff\xfe\x7b")
+        assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5", "null"])
+    def test_non_string_output_directory_rejected(self, tmp_path, monkeypatch, capsys, value):
+        # no --out: it would overwrite output.directory
+        monkeypatch.setenv("NRLIMIT_OUTPUT_ROOT", str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--override", f"output.directory={value}"]) == 2
+        assert "output.directory:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_environment_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NRLIMIT_OUTPUT_ROOT", str(tmp_path / "root"))
         assert main(["solve"]) == 0
@@ -151,6 +175,12 @@ class TestSweepCommand:
             pytest.param(
                 "sweep", "operator.c_list=[4,8,16,1" + "0" * 400 + "]", "operator.c_list", id="sweep-operator.c_list=10^400"
             ),
+            # JSON booleans are not numbers, and 1.0 is not an integer
+            ("solve", "problem.n=true", "problem.n"),
+            ("solve", "problem.n=1.0", "problem.n"),
+            ("sweep", "grid.L=true", "grid.L"),
+            ("solve", "operator.c=true", "operator.c"),
+            ("sweep", "analysis.s_list=[true]", "analysis.s_list"),
         ],
     )
     def test_non_finite_input_rejected_before_solving(self, tmp_path, capsys, command, override, field):
@@ -213,6 +243,30 @@ class TestReportCommand:
         assert (out / "summary.json").exists()
         assert (out / "symbols.json").exists()
 
+    @pytest.mark.parametrize("command", ["verify-symbols", "report"])
+    def test_box_too_short_for_symbol_table_rejected_before_solving(self, tmp_path, monkeypatch, capsys, command):
+        # the Taylor window at c = 1 needs 2 pi / L <= 1/2, that is L >= 4 pi
+        solves = []
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: solves.append(args))
+        out = tmp_path / command
+        assert main([command, "--out", str(out), "--override", "grid.L=8", "--override", "grid.N=256"]) == 2
+        assert "grid.L:" in capsys.readouterr().err
+        assert solves == []
+        assert not (out / "sweep.csv").exists()
+        assert not (out / "symbols.json").exists()
+
+    def test_grid_built_once(self, tmp_path, monkeypatch):
+        built = []
+        post_init = nr.Grid.__post_init__
+
+        def counting(grid):
+            built.append((grid.n, grid.length, grid.points))
+            post_init(grid)
+
+        monkeypatch.setattr(nr.Grid, "__post_init__", counting)
+        main(["report", "--out", str(tmp_path / "r"), *SWEEP_OVERRIDES])
+        assert built == [(1, 32.0, 256)]
+
     def test_report_numbers_traceable(self, tmp_path):
         out = tmp_path / "r2"
         main(["report", "--out", str(out)])
@@ -221,3 +275,147 @@ class TestReportCommand:
         gap_row = next(line for line in text.splitlines() if "nondegeneracy gap" in line)
         reported = float(gap_row.split("|")[2])
         assert np.isclose(reported, summary["nondegeneracy_gap"], atol=1e-6)
+
+
+def _override_args(doc: dict) -> list[str]:
+    args = []
+    for section, fields in doc.items():
+        if section != "command":
+            for key, value in fields.items():
+                args += ["--override", f"{section}.{key}={json.dumps(value)}"]
+    return args
+
+
+ABSENT = object()
+KINDS = ("pseudo_relativistic", "nonrelativistic")
+
+
+def _fields(draw, **strategies) -> dict:
+    """Each field drawn from its strategy, or left out to take its default."""
+    drawn = {key: draw(st.one_of(st.just(ABSENT), strategy)) for key, strategy in strategies.items()}
+    return {key: value for key, value in drawn.items() if value is not ABSENT}
+
+
+@st.composite
+def valid_configs(draw):
+    """Config documents parse_config accepts."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    # 2D powers are subcritical but have no Sobolev ladder for sweep and report
+    command = draw(st.sampled_from(["solve", "nondeg", "verify-symbols"] if n == 2 else cli.COMMANDS))
+    if n == 3:
+        problem = {"n": 3, "nonlinearity": "hartree", **_fields(draw, p=st.none())}
+    else:
+        p = st.integers(3, 9) if n == 1 else st.just(3)
+        problem = {"n": n, **_fields(draw, nonlinearity=st.just("power"), p=p)}
+    c = st.floats(1.0, 1.0e3)
+    operator = _fields(
+        draw,
+        kind=st.sampled_from(KINDS),
+        c_list=st.lists(c, min_size=1, max_size=5).map(sorted),
+    )
+    if command == "solve" and operator.get("kind") == "pseudo_relativistic":
+        operator["c"] = draw(c)
+    else:
+        operator.update(_fields(draw, c=st.one_of(st.none(), c)))
+    max_points = {1: 2048, 2: 128, 3: 32}[n]
+    return {
+        "command": command,
+        "problem": problem,
+        "grid": _fields(
+            draw,
+            L=st.one_of(st.integers(1, 1000), st.floats(0.5, 1000.0)),
+            N=st.integers(8, max_points // 2).map(lambda k: 2 * k),
+        ),
+        "operator": operator,
+        "solver": _fields(draw, tolerance=st.floats(1.0e-14, 1.0e-4), max_iterations=st.integers(1, 10**6)),
+        "analysis": _fields(draw, s_list=st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=5)),
+        "output": _fields(
+            draw,
+            directory=st.text(string.ascii_letters + "/_-", min_size=1, max_size=12),
+            formats=st.lists(st.sampled_from(["binary", "csv"]), max_size=2),
+        ),
+    }
+
+
+NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2), st.just({"a": 1}))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+NOT_LISTS = st.one_of(st.booleans(), st.integers(), st.text(max_size=4), st.none())
+
+# one invalid value per field, against the defaults (1D cubic) for the rest
+INVALID = {
+    "command": st.one_of(st.text(max_size=6).filter(lambda v: v not in cli.COMMANDS), NOT_NUMBERS, st.integers()),
+    "problem.n": st.one_of(st.integers().filter(lambda v: v not in (1, 2, 3)), st.floats(), NOT_NUMBERS, st.none()),
+    "problem.nonlinearity": st.one_of(st.text(max_size=8).filter(lambda v: v != "power"), st.integers(), st.none()),
+    "problem.p": st.one_of(st.integers(max_value=2), st.floats(), NOT_NUMBERS, st.none()),
+    "grid.L": st.one_of(st.floats(max_value=0.0), st.integers(max_value=0), NON_FINITE, NOT_NUMBERS, st.none()),
+    "grid.N": st.one_of(st.integers().filter(lambda v: v % 2 == 1 or v < 16), st.floats(), NOT_NUMBERS, st.none()),
+    "operator.kind": st.one_of(st.text(max_size=8).filter(lambda v: v not in KINDS), st.integers()),
+    "operator.c": st.one_of(
+        st.floats(max_value=1.0, exclude_max=True), st.integers(max_value=0), NON_FINITE, NOT_NUMBERS
+    ),
+    "operator.c_list": st.one_of(
+        st.just([]),
+        st.lists(st.floats(max_value=1.0, exclude_max=True), min_size=1, max_size=3).map(lambda v: [4.0, *v]),
+        st.lists(st.floats(1.0, 1.0e3), min_size=2, max_size=4, unique=True).map(lambda v: sorted(v, reverse=True)),
+        st.lists(st.one_of(NON_FINITE, st.booleans()), min_size=1, max_size=2),
+        NOT_LISTS,
+    ),
+    "solver.tolerance": st.one_of(
+        st.floats(1.0e-4, exclude_min=True),
+        st.floats(max_value=1.0e-14, exclude_max=True),
+        NON_FINITE,
+        NOT_NUMBERS,
+        st.none(),
+    ),
+    "solver.max_iterations": st.one_of(st.integers(max_value=0), st.floats(), NOT_NUMBERS, st.none()),
+    "analysis.s_list": st.one_of(
+        st.just([]),
+        st.lists(
+            st.one_of(st.floats(8.0, exclude_min=True), st.floats(max_value=-4.0, exclude_max=True)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.one_of(NON_FINITE, st.booleans()), min_size=1, max_size=2),
+        NOT_LISTS,
+    ),
+    "output.directory": st.one_of(
+        st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(), st.lists(st.text(max_size=2), max_size=2)
+    ),
+    "output.formats": st.one_of(
+        st.lists(st.text(max_size=6), min_size=1, max_size=3).filter(lambda v: set(v) - {"binary", "csv"}), NOT_LISTS
+    ),
+}
+UNKNOWN_KEYS = st.sampled_from([name for name, entry in cli.SCHEMA.items() if isinstance(entry, dict)]).flatmap(
+    lambda section: st.text(string.ascii_lowercase, min_size=1, max_size=6)
+    .filter(lambda key: key not in cli.SCHEMA[section])
+    .map(lambda key: f"{section}.{key}")
+)
+
+
+class TestConfigProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(doc=valid_configs())
+    def test_valid_config_round_trips_through_overrides(self, doc):
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "run", lambda config, threads=1: seen.append(config) or 0)
+            assert main([doc["command"], *_override_args(doc)]) == 0
+        assert seen == [parse_config(json.dumps(doc))]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_invalid_field_exits_2_naming_it(self, data):
+        path = data.draw(st.one_of(st.sampled_from(sorted(INVALID)), UNKNOWN_KEYS), label="path")
+        value = data.draw(INVALID.get(path, st.integers()), label="value")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            # no --out, so that output.directory stays the value under test
+            mp.setenv("NRLIMIT_OUTPUT_ROOT", tmp)
+            mp.chdir(tmp)
+            with contextlib.redirect_stderr(err):
+                code = main(["verify-symbols", "--override", f"{path}={json.dumps(value)}"])
+            written = list(Path(tmp).iterdir())
+        assert code == 2, err.getvalue()
+        assert f"{path}:" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert written == []
