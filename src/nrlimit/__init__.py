@@ -47,6 +47,7 @@ from .ground_state import (
 )
 from .limit_lab import (
     ConvergenceRecord,
+    GapEigensolveError,
     RateFit,
     SweepError,
     convergence_record,

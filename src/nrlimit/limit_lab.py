@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import (
     Grid,
@@ -37,6 +36,7 @@ from .ground_state import GroundStateResult, SolverConfig, solve
 
 __all__ = [
     "ConvergenceRecord",
+    "GapEigensolveError",
     "RateFit",
     "SweepError",
     "convergence_record",
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 DEFLATION_SHIFT = 10.0  # pushes the removed directions above the sought eigenvalue
+LANCZOS_MAX_STEPS = 200  # the gap converges in about 20; each step re-solves a tridiagonal eigenproblem
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,10 @@ class RateFit:
     A_hat: float
     B_hat: float
     c_range: tuple[float, ...]
+
+
+class GapEigensolveError(RuntimeError):
+    """Raised when the gap's Lanczos iteration reaches LANCZOS_MAX_STEPS unconverged."""
 
 
 class SweepError(RuntimeError):
@@ -256,7 +261,7 @@ def nondegeneracy_gap(
         return _inverse(grid, b_inv_half * _forward(grid, v))
 
     y = (sqrt_w * _inverse(grid, b_half * _forward(grid, u0))).ravel()
-    y /= np.linalg.norm(y)
+    y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
         # np.sum, not np.dot: the threaded BLAS dot costs more than it saves here
@@ -271,9 +276,43 @@ def nondegeneracy_gap(
 
     draw = np.random.default_rng(seed).standard_normal(grid.shape)
     v0 = project((sqrt_w * _octant(grid, _even_part(grid, draw))).ravel())
-    operator = LinearOperator((y.size, y.size), matvec=matvec, dtype=np.float64)
-    vals = eigsh(operator, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False)
-    return float(vals[0])
+    return _lanczos_smallest(matvec, v0, tol)
+
+
+def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
+    """Smallest eigenvalue of a symmetric operator by plain three-term Lanczos.
+
+    Only the current and previous Lanczos vectors and the tridiagonal
+    coefficients are kept; without reorthogonalization, lost orthogonality only
+    duplicates Ritz values that have already converged (Paige, Linear Algebra
+    Appl. 34, 1980).  After step m the smallest eigenpair (theta, s) of the m x m
+    tridiagonal is accepted once beta_m |s_m| <= tol max(|theta|, eps^(2/3)),
+    ARPACK's test for its `tol`; a zero beta_m means an invariant subspace, so
+    theta is exact.  Every dot and norm is an np.sum, not a threaded BLAS call.
+    """
+    q = v0 / np.sqrt(np.sum(v0 * v0))
+    q_prev = np.zeros_like(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = estimate = 0.0
+    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    for _ in range(LANCZOS_MAX_STEPS):
+        w = matvec(q)
+        alphas.append(float(np.sum(q * w)))
+        w -= alphas[-1] * q + beta * q_prev
+        beta = float(np.sqrt(np.sum(w * w)))
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        thetas, vectors = np.linalg.eigh(t)
+        theta = float(thetas[0])
+        estimate = beta * abs(vectors[-1, 0])
+        if beta == 0.0 or estimate <= tol * max(abs(theta), floor):
+            return theta
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    raise GapEigensolveError(
+        f"gap eigensolve: Lanczos did not converge in {LANCZOS_MAX_STEPS} steps"
+        f" (residual estimate {estimate:.3e}, tolerance {tol:g})"
+    )
 
 
 def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) -> float:

@@ -102,6 +102,22 @@ class TestSolveCommand:
     def test_bad_override_syntax(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path), "--override", "justakey"]) == 2
 
+    def test_command_override_rejected(self, tmp_path, capsys):
+        # the subcommand names the run; an override of it would run another one
+        out = tmp_path / "o"
+        assert main(["solve", "--out", str(out), "--override", "command=verify-symbols"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("command:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_command_in_config_file_yields_to_subcommand(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"command": "solve"}))
+        out = tmp_path / "o"
+        assert main(["verify-symbols", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["symbols.json"]
+
     def test_undecodable_config_file(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_bytes(b"\xff\xfe\x7b")
@@ -215,6 +231,16 @@ class TestNondegCommand:
         assert abs(payload["gap"] - 0.5) < 1e-6
         assert payload["linearization_identity_residual"] <= 1e-8
 
+    def test_gap_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(nr.limit_lab, "LANCZOS_MAX_STEPS", 3)
+        out = tmp_path / "n"
+        assert main(["nondeg", "--out", str(out), "--override", "grid.N=256"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert "Lanczos did not converge in 3 steps" in err
+        assert "Traceback" not in err
+        assert not (out / "nondeg.json").exists()
+
 
 class TestVerifySymbolsCommand:
     def test_symbol_table(self, tmp_path):
@@ -266,6 +292,21 @@ class TestReportCommand:
         monkeypatch.setattr(nr.Grid, "__post_init__", counting)
         main(["report", "--out", str(tmp_path / "r"), *SWEEP_OVERRIDES])
         assert built == [(1, 32.0, 256)]
+
+    @pytest.mark.parametrize(
+        "c_list, row",
+        [
+            ("[4,8,16,32,64]", "| H^-1 defect stability (c in 16..64) | 1.0097 | <= 1.05 | PASS |"),
+            ("[4,8,12,20,40]", "| H^-1 defect stability (c in 20..40) | 1.0050 | <= 1.05 | PASS |"),
+            ("[4,6,8,12,16]", "| H^-1 defect stability (needs two c >= 16) | n/a | <= 1.05 | FAIL |"),
+        ],
+    )
+    def test_defect_stability_row_on_every_ladder(self, tmp_path, c_list, row):
+        out = tmp_path / "r"
+        main(["report", "--out", str(out), "--override", "grid.N=256", "--override", f"operator.c_list={c_list}"])
+        rows = [line for line in (out / "report.md").read_text().splitlines() if line.startswith("| ")]
+        assert len(rows) == 1 + 22  # the header and every check
+        assert [r for r in rows if "H^-1 defect stability" in r] == [row]
 
     def test_report_numbers_traceable(self, tmp_path):
         out = tmp_path / "r2"

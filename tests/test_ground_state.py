@@ -243,11 +243,20 @@ class TestTransformCount:
         assert res.converged
         assert self.octant_transforms(fft_counts, grid1d) <= 3 * res.iterations + 2
 
+    # The gap takes one matvec per Lanczos step: two B^{-1/2} smoothings
+    # (4 transforms) and, for Hartree, one Coulomb convolution (2 more), after
+    # 2 (Hartree 4) set-up transforms: 4 + 6*14 = 88 below in 3D, 2 + 4*11 = 46
+    # in 1D.  The bounds leave room for a few more steps.
     def test_gap_eigensolve_3d(self, fft_counts):
         grid = nr.make_grid(3, 8.0, 16)
         u = nr.SpectralField(grid, np.exp(-0.5 * grid.radius_sq()))
         nr.nondegeneracy_gap(u, nr.hartree())
-        assert self.octant_transforms(fft_counts, grid) > 0
+        assert 0 < self.octant_transforms(fft_counts, grid) <= 100
+
+    def test_gap_eigensolve_1d(self, fft_counts, grid1d):
+        u = nr.SpectralField(grid1d, np.exp(-0.5 * grid1d.radius_sq()))
+        nr.nondegeneracy_gap(u, nr.power(3))
+        assert 0 < self.octant_transforms(fft_counts, grid1d) <= 60
 
 
 class TestAndersonAcceleration:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, null_space, orth
 
 import nrlimit as nr
-from nrlimit.limit_lab import ConvergenceRecord
+from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest
 from oracles import dense_gap_fd
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -220,6 +225,39 @@ class TestNondegeneracyGap:
     def test_hartree_gap_positive(self, sweep_3d):
         gap = nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
         assert gap > 0.0
+
+    def test_step_cap_raises_naming_steps_and_residual(self, monkeypatch, sech_exact):
+        monkeypatch.setattr(nr.limit_lab, "LANCZOS_MAX_STEPS", 3)
+        with pytest.raises(nr.GapEigensolveError, match=r"in 3 steps \(residual estimate \d\.\d{3}e[-+]\d+"):
+            nr.nondegeneracy_gap(sech_exact, nr.power(3))
+
+    def test_gap_does_not_load_scipy(self):
+        # scipy.sparse.linalg alone costs about 0.45 s and 32 MB of start-up
+        src = str(Path(nr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, numpy as np, nrlimit as nr\n"
+            "g = nr.make_grid(1, 16.0, 64)\n"
+            "x = g.coordinates()[0]\n"
+            "assert nr.nondegeneracy_gap(nr.SpectralField(g, np.sqrt(2.0) / np.cosh(x)), nr.power(3)) > 0.0\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestLanczosSmallest:
+    def test_diagonal_spectrum_with_negative_minimum(self):
+        spectrum = np.concatenate([[-0.37], np.linspace(0.1, 4.0, 500)])
+        v0 = np.random.default_rng(3).standard_normal(spectrum.size)
+        theta = _lanczos_smallest(lambda z: spectrum * z, v0, 1e-10)
+        assert abs(theta - spectrum[0]) <= 1e-12 * abs(spectrum[0])
+
+    def test_invariant_subspace_is_exact(self):
+        # v0 spans two eigenvectors, so the second step ends on beta = 0
+        spectrum = np.array([2.0, -1.5, 3.0, 0.5])
+        theta = _lanczos_smallest(lambda z: spectrum * z, np.array([1.0, 1.0, 0.0, 0.0]), 1e-300)
+        assert theta == pytest.approx(-1.5, rel=1e-15)
 
 
 class TestOptimalityFunctional:
