@@ -14,10 +14,12 @@ Fields live in one of three representations:
   kernel transforms a general real field;
 - the octant, indices 0..N/2 on every axis, which stores a field that is even
   in every axis (f(x_i) = f(-x_i), index j <-> -j mod N): (N/2 + 1)^n values
-  instead of N^n.  Its transform is the DCT-I, computed as the real part of
-  rfft of the even extension [a, a[-2:0:-1]] one axis at a time; it is its own
-  inverse up to 1/N per axis, and the octant frequencies are the leading
-  N/2 + 1 entries of the half lattice on every axis.
+  instead of N^n.  Its transform is the DCT-I, taken one axis at a time; it
+  is its own inverse up to 1/N per axis, and the octant frequencies are the
+  leading N/2 + 1 entries of the half lattice on every axis.  An axis of at
+  most _MATRIX_DCT_MAX_POINTS octant points is multiplied by the cached
+  DCT-I matrix, a longer one goes through rfft of its even extension
+  [a, a[-2:0:-1]] (see `_dct`).
 
 The kernel (`_forward`, `_inverse`, `_lattice_sum`) takes a full-grid or an
 octant array and works on the half lattice or the octant accordingly.  A
@@ -32,6 +34,7 @@ the half lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +52,8 @@ __all__ = [
 
 SOBOLEV_ORDER_MIN = -4.0
 SOBOLEV_ORDER_MAX = 8.0
+# Longest octant axis (N/2 + 1 points) that `_dct` transforms by matrix product.
+_MATRIX_DCT_MAX_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -213,14 +218,53 @@ def _even_extension(values: np.ndarray, ax: int) -> np.ndarray:
     return np.concatenate((values, values[mirror]), axis=ax)
 
 
+@lru_cache(maxsize=8)
+def _dct_matrix(h: int) -> np.ndarray:
+    """The h x h DCT-I matrix C[k, j] = w_j cos(pi jk / (h - 1)), w = 1 at both ends and 2 elsewhere (read-only).
+
+    The angle is reduced as (jk) mod 2(h - 1) before the cosine, so equal
+    angles give equal entries and C[k, j] / w_j is exactly symmetric.  The
+    matrix is stored in Fortran order: numpy's matmul hands both C and the
+    C-ordered C.T to BLAS without a copy.
+    """
+    j = np.arange(h)
+    weight = np.full(h, 2.0)
+    weight[[0, -1]] = 1.0
+    matrix = np.asfortranarray(np.cos(np.pi * (np.outer(j, j) % (2 * (h - 1))) / (h - 1)) * weight)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _dct(values: np.ndarray) -> np.ndarray:
     """Unnormalized DCT-I of an octant array along every axis.
 
-    One `numpy.fft.rfft` per axis, of the even extension; the imaginary part
-    vanishes for an even sequence and is dropped.
+    An axis of h <= _MATRIX_DCT_MAX_POINTS points is multiplied by
+    `_dct_matrix(h)`, batched over the other axes so that every BLAS call is
+    one h x h by h x h product (a vector product in 1D); a longer axis takes
+    one `numpy.fft.rfft` of its even extension, whose imaginary part vanishes
+    and is dropped.  Both routes agree to a few units of round-off.
+
+    Where the cut-off sits (numpy 2.4 with OpenBLAS 0.3.31, 2-core x86-64):
+    on 3D octants the matrix route is 2x (h = 9) to 5x (h = 33, 0.14 ms
+    against 0.72 ms) faster than rfft at every h measured up to 129, so the
+    crossover does not bound it there; in 1D rfft overtakes it near h = 260
+    and is 3-4x faster at h = 513 (the 1D default).  The cut-off h = 64 is
+    set by threads instead: h^3 <= 2^18 keeps every product within
+    OpenBLAS's default single-thread limit (m n k <= 65536 * 4), so no call
+    wakes a BLAS worker thread, whose spin would add CPU time to the work
+    that follows.
     """
     for ax in range(values.ndim):
-        values = np.fft.rfft(_even_extension(values, ax), axis=ax).real
+        h = values.shape[ax]
+        if h > _MATRIX_DCT_MAX_POINTS:
+            values = np.fft.rfft(_even_extension(values, ax), axis=ax).real
+        elif ax == values.ndim - 1:
+            values = values @ _dct_matrix(h).T
+        else:
+            # C times each h x h slice whose rows run along ax, stored in the input's axis order
+            out = np.empty(values.shape)
+            np.matmul(_dct_matrix(h), np.moveaxis(values, ax, -2), out=np.moveaxis(out, ax, -2))
+            values = out
     return values
 
 

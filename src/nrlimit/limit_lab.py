@@ -23,6 +23,7 @@ from .grid import (
     _forward,
     _inverse,
     _kernel_values,
+    _lattice_sum,
     _octant,
     _pair,
     _spectral_integral,
@@ -30,7 +31,7 @@ from .grid import (
     sobolev_norm,
     transform,
 )
-from .nonlinearity import LADDER_EPS, NonlinearitySpec, _coulomb_values, linearize
+from .nonlinearity import LADDER_EPS, NonlinearitySpec, _coulomb_values, _derivative_values
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, solve
 
@@ -320,14 +321,20 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
 
     p is the variational exponent; the identity is exact at any solution of
     the nonrelativistic equation.  Returned value is normalized by the H^2
-    norm of the reference state.
+    norm of the reference state.  An exactly even field (a solved one) is
+    evaluated on its octant, any other on the half lattice; four whole-field
+    transforms for Hartree, two for powers.
     """
     grid = u_inf.grid
-    bu = _inverse(grid, (1.0 + grid.half_xi_sq) * _forward(grid, u_inf.values))
-    lu = bu - linearize(nl, u_inf, u_inf).values
+    nl.validate_dimension(grid.n)
+    (u,), xi_sq = _kernel_values(grid, u_inf.values)
+    h1 = 1.0 + xi_sq
+    uh = _forward(grid, u)
+    bu = _inverse(grid, h1 * uh)
+    lu = bu - _derivative_values(nl, grid, u, u)
     target = -(nl.variational_exponent - 2) * bu
-    err = np.linalg.norm(lu - target) * np.sqrt(grid.cell_volume)
-    return float(err / sobolev_norm(u_inf, 2.0))
+    err = np.sqrt(_lattice_sum(grid, (lu - target) ** 2) * grid.cell_volume)
+    return float(err / _spectral_norm(grid, h1**2, uh))
 
 
 def optimality_functional(u_inf: SpectralField, c: float) -> float:

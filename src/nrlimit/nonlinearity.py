@@ -112,6 +112,15 @@ def _term_values(spec: NonlinearitySpec, grid: Grid, u: np.ndarray) -> np.ndarra
     return _coulomb_values(grid, u * u) * u
 
 
+def _derivative_values(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """N'(u0) v on raw real arrays (full grid or octant); v is u0 takes one Coulomb convolution."""
+    if spec.kind == "power":
+        return spec.p * u0 ** (spec.p - 1) * v
+    phi0 = _coulomb_values(grid, u0 * u0)
+    cross = phi0 if v is u0 else _coulomb_values(grid, u0 * v)
+    return phi0 * v + 2.0 * u0 * cross
+
+
 def hartree_potential(u: SpectralField) -> SpectralField:
     """Free-space Coulomb potential of u^2 via the truncated kernel."""
     if u.grid.n != 3:
@@ -134,12 +143,7 @@ def linearize(spec: NonlinearitySpec, u0: SpectralField, v: SpectralField) -> Sp
     if u0.grid != v.grid:
         raise ValueError("linearize requires fields on the same grid")
     spec.validate_dimension(u0.grid.n)
-    if spec.kind == "power":
-        return SpectralField(u0.grid, spec.p * u0.values ** (spec.p - 1) * v.values)
-    grid = u0.grid
-    phi0 = _coulomb_values(grid, u0.values * u0.values)
-    cross = phi0 if v is u0 else _coulomb_values(grid, u0.values * v.values)
-    return SpectralField(grid, phi0 * v.values + 2.0 * u0.values * cross)
+    return SpectralField(u0.grid, _derivative_values(spec, u0.grid, u0.values, v.values))
 
 
 def taylor_remainder(spec: NonlinearitySpec, u0: SpectralField, w: SpectralField) -> SpectralField:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nrlimit as nr
+import nrlimit.grid as grid_module
 
 
 def random_field(grid, rng, scale=1.0):
@@ -71,19 +72,21 @@ REAL_FFTS = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 
 
 @pytest.fixture
-def fft_counts(monkeypatch):
-    """Count calls of every numpy.fft transform, per name and split into complex and real."""
-    counts = Counter(complex=0, real=0)
+def transform_counts(monkeypatch):
+    """Count whole-field octant transforms (`grid._dct` calls, key "dct") and
+    calls of every numpy.fft transform, per name and split into complex and real."""
+    counts = Counter(complex=0, real=0, dct=0)
 
-    def counted(kind, name, orig):
+    def counted(kinds, orig):
         def wrapper(*args, **kwargs):
-            counts[kind] += 1
-            counts[name] += 1
+            for kind in kinds:
+                counts[kind] += 1
             return orig(*args, **kwargs)
 
         return wrapper
 
     for kind, names in (("complex", COMPLEX_FFTS), ("real", REAL_FFTS)):
         for name in names:
-            monkeypatch.setattr(np.fft, name, counted(kind, name, getattr(np.fft, name)))
+            monkeypatch.setattr(np.fft, name, counted((kind, name), getattr(np.fft, name)))
+    monkeypatch.setattr(grid_module, "_dct", counted(("dct",), grid_module._dct))
     return counts

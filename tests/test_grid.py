@@ -12,7 +12,9 @@ from scipy.integrate import quad
 import nrlimit as nr
 from conftest import random_field, smooth_random_field
 from nrlimit.grid import (
+    _MATRIX_DCT_MAX_POINTS,
     _dct,
+    _dct_matrix,
     _even_part,
     _forward,
     _inverse,
@@ -270,9 +272,48 @@ def _even_nyquist_field(grid, rng):
     return _even_part(grid, _nyquist_field(grid, rng).values + 0.2 * checker)
 
 
+# (n, N) with the octant axis h = N/2 + 1 at the matrix route's cut-off and one step past it (rfft route)
+ROUTE_GRIDS = [
+    pytest.param(n, 2 * (h - 1), id=f"{n}d-N{2 * (h - 1)}")
+    for n in (1, 3)
+    for h in (_MATRIX_DCT_MAX_POINTS, _MATRIX_DCT_MAX_POINTS + 1)
+]
+
+
 class TestOctantKernel:
     """An even field is stored on its octant and transformed by DCT-I; every
     octant quantity must match the same quantity on the full grid."""
+
+    @pytest.mark.parametrize("n, points", ROUTE_GRIDS)
+    def test_both_dct_routes_match_rfftn_of_the_unfolded_field(self, n, points, transform_counts):
+        grid = nr.make_grid(n, 8.0, points)
+        octant = np.random.default_rng(points + n).standard_normal(grid.octant_shape)
+        reference = np.fft.rfftn(_unfold(grid, octant))[grid.octant_index]
+        scale = np.max(np.abs(reference))
+        coeff = _dct(octant)
+        # one rfft per axis past the cut-off, none at it
+        assert transform_counts["rfft"] == (n if grid.octant_shape[0] > _MATRIX_DCT_MAX_POINTS else 0)
+        assert np.max(np.abs(coeff - reference.real)) <= 1e-13 * scale
+        assert np.max(np.abs(reference.imag)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n, points", ROUTE_GRIDS)
+    def test_both_dct_routes_are_their_own_inverse_up_to_the_grid_size(self, n, points):
+        grid = nr.make_grid(n, 8.0, points)
+        octant = np.random.default_rng(points + n + 1).standard_normal(grid.octant_shape)
+        back = _inverse(grid, _forward(grid, octant))
+        assert np.max(np.abs(back - octant)) <= 1e-13 * np.max(np.abs(octant))
+
+    def test_dct_matrix_is_cached_and_read_only(self):
+        h = _MATRIX_DCT_MAX_POINTS
+        matrix = _dct_matrix(h)
+        assert _dct_matrix(h) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+        # C[k, j] / w_j is symmetric bit for bit
+        weight = np.full(h, 2.0)
+        weight[[0, -1]] = 1.0
+        assert np.array_equal(matrix / weight, (matrix / weight).T)
 
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_dct_matches_rfftn_of_the_unfolded_field(self, grid):

@@ -5,7 +5,8 @@ import pytest
 
 import nrlimit as nr
 from conftest import random_field
-from nrlimit.ground_state import _AndersonMixer
+from nrlimit.grid import _octant
+from nrlimit.ground_state import _AndersonMixer, _octant_gaussian
 from oracles import shoot_ground_state
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -215,48 +216,47 @@ class TestEvenOctant:
 
 
 class TestTransformCount:
-    """A solve runs on the octant, where every whole-field transform is a
-    DCT-I made of one numpy.fft.rfft call per axis; no full-grid
-    rfftn/irfftn and no complex transform runs.  Each stabilized iteration
-    costs one inverse transform for the update and, for the next iterate's
-    residual, forward transforms of u and N(u) plus the Coulomb pair in the
-    Hartree case.  The residual of the final iterate (4 Hartree, 2 power) is
-    the only cost outside an iteration; the final action reuses its
-    coefficients."""
+    """A solve runs on the octant, where every whole-field transform is one
+    `grid._dct` call (matrix products on short axes, per-axis rfft on long
+    ones); no full-grid rfftn/irfftn and no complex transform runs.  Each
+    stabilized iteration costs one inverse transform for the update and,
+    for the next iterate's residual, forward transforms of u and N(u) plus
+    the Coulomb pair in the Hartree case.  The residual of the final iterate
+    (4 Hartree, 2 power) is the only cost outside an iteration; the final
+    action reuses its coefficients."""
 
     @staticmethod
-    def octant_transforms(counts, grid) -> int:
+    def octant_transforms(counts) -> int:
         """Whole-field kernel transforms, after checking that nothing else ran."""
         assert counts["complex"] == 0
         assert counts["rfftn"] == counts["irfftn"] == counts["irfft"] == 0
-        assert counts["rfft"] % grid.n == 0
-        return counts["rfft"] // grid.n
+        return counts["dct"]
 
-    def test_hartree_3d(self, fft_counts):
+    def test_hartree_3d(self, transform_counts):
         grid = nr.make_grid(3, 16.0, 32)
         res = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
         assert res.converged
-        assert self.octant_transforms(fft_counts, grid) <= 5 * res.iterations + 4
+        assert self.octant_transforms(transform_counts) <= 5 * res.iterations + 4
 
-    def test_cubic_1d(self, fft_counts, grid1d):
+    def test_cubic_1d(self, transform_counts, grid1d):
         res = nr.solve(nr.pseudo_relativistic(4.0), nr.power(3), grid1d)
         assert res.converged
-        assert self.octant_transforms(fft_counts, grid1d) <= 3 * res.iterations + 2
+        assert self.octant_transforms(transform_counts) <= 3 * res.iterations + 2
 
     # The gap takes one matvec per Lanczos step: two B^{-1/2} smoothings
     # (4 transforms) and, for Hartree, one Coulomb convolution (2 more), after
     # 2 (Hartree 4) set-up transforms: 4 + 6*14 = 88 below in 3D, 2 + 4*11 = 46
     # in 1D.  The bounds leave room for a few more steps.
-    def test_gap_eigensolve_3d(self, fft_counts):
+    def test_gap_eigensolve_3d(self, transform_counts):
         grid = nr.make_grid(3, 8.0, 16)
         u = nr.SpectralField(grid, np.exp(-0.5 * grid.radius_sq()))
         nr.nondegeneracy_gap(u, nr.hartree())
-        assert 0 < self.octant_transforms(fft_counts, grid) <= 100
+        assert 0 < self.octant_transforms(transform_counts) <= 100
 
-    def test_gap_eigensolve_1d(self, fft_counts, grid1d):
+    def test_gap_eigensolve_1d(self, transform_counts, grid1d):
         u = nr.SpectralField(grid1d, np.exp(-0.5 * grid1d.radius_sq()))
         nr.nondegeneracy_gap(u, nr.power(3))
-        assert 0 < self.octant_transforms(fft_counts, grid1d) <= 60
+        assert 0 < self.octant_transforms(transform_counts) <= 60
 
 
 class TestAndersonAcceleration:
@@ -332,6 +332,27 @@ class TestGridRobustness:
         assert fine.converged and wide.converged
         assert abs(nr.sobolev_norm(fine.field, 1.0) - base) <= 1e-8
         assert abs(nr.sobolev_norm(wide.field, 1.0) - base) <= 1e-8
+
+
+class TestDefaultGuess:
+    """A Gaussian width is sampled on the octant directly; where the full-grid
+    Gaussian is exactly even (dx a power of two) the solve is the one started
+    from `gaussian_guess`, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [nr.make_grid(1, 16.0, 64), nr.make_grid(3, 16.0, 32)], ids=["1d", "3d"])
+    def test_octant_gaussian_is_the_octant_of_gaussian_guess(self, grid):
+        for width in (0.7, 1.0):
+            octant = _octant_gaussian(grid, width)
+            assert np.array_equal(octant, _octant(grid, nr.gaussian_guess(grid, width).values))
+            assert np.argmax(octant) == octant.size - 1
+
+    def test_width_and_field_guess_solve_identically(self):
+        grid = nr.make_grid(3, 16.0, 32)
+        by_width = nr.solve(nr.nonrelativistic(), nr.hartree(), grid, nr.SolverConfig(initial_guess=0.8))
+        guess = nr.SolverConfig(initial_guess=nr.gaussian_guess(grid, 0.8))
+        by_field = nr.solve(nr.nonrelativistic(), nr.hartree(), grid, guess)
+        assert by_width.residual_history == by_field.residual_history
+        assert np.array_equal(by_width.field.values, by_field.field.values)
 
 
 class TestInitializationStability:

@@ -102,6 +102,15 @@ class TestSweep:
             assert a.c == b.c
             assert a.diff_norms == b.diff_norms
 
+    def test_threaded_sweep_matches_serial_on_the_matrix_route(self):
+        # a 32^3 octant axis has 17 points: concurrent solves share the cached
+        # DCT-I matrix and call BLAS from two threads at once
+        grid = nr.make_grid(3, 16.0, 32)
+        u_inf = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
+        serial = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf)
+        threaded = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf, threads=2)
+        assert threaded == serial
+
 
 class TestFitRate:
     def test_exact_inverse_square(self):
@@ -161,13 +170,13 @@ class TestNondegeneracyGap:
     def test_algebraic_identity_at_reference_state(self, u_inf_1d):
         assert nr.linearization_identity_residual(u_inf_1d.field, nr.power(3)) <= 1e-8
 
-    def test_identity_convolves_the_hartree_density_once(self, fft_counts):
-        # (1 + |xi|^2) u forward and back, one Coulomb convolution of u^2,
-        # one forward transform for the H^2 norm
+    def test_identity_convolves_the_hartree_density_once(self, transform_counts):
+        # on the octant: (1 + |xi|^2) u forward and back, one Coulomb
+        # convolution of u^2; the H^2 norm reuses the forward coefficients
         u = nr.SpectralField(SMALL3, np.exp(-0.5 * SMALL3.radius_sq()))
         nr.linearization_identity_residual(u, nr.hartree())
-        assert fft_counts["complex"] == 0
-        assert fft_counts["real"] <= 5
+        assert transform_counts["complex"] == transform_counts["rfftn"] == transform_counts["irfftn"] == 0
+        assert transform_counts["dct"] <= 5
 
     def test_translation_zero_mode(self):
         # sech tanh is annihilated by the linearized operator (odd class).
