@@ -6,35 +6,35 @@ continuum-normalized (multiplied by dx^n) so that coefficients approximate
 the integral transform of the sampled function, and Sobolev norms carry the
 weight (1+|xi|^2)^s with the measure (2*pi/L)^n / (2*pi)^n per mode.
 
-Fields live in one of three representations:
+Fields live in one of two representations:
 
-- the full lattice: `transform` and frequency-space `SpectralField`s hold the
-  complex coefficients of every mode (public, continuum-normalized);
-- the half lattice of rfftn (last axis k = 0..N/2), on which the private
-  kernel transforms a general real field;
 - the octant, indices 0..N/2 on every axis, which stores a field that is even
   in every axis (f(x_i) = f(-x_i), index j <-> -j mod N): (N/2 + 1)^n values
   instead of N^n.  Its transform is the DCT-I, taken one axis at a time; it
-  is its own inverse up to 1/N per axis, and the octant frequencies are the
-  leading N/2 + 1 entries of the half lattice on every axis.  An axis of at
-  most _MATRIX_DCT_MAX_POINTS octant points is multiplied by the cached
-  DCT-I matrix, a longer one goes through rfft of its even extension
-  [a, a[-2:0:-1]] (see `_dct`).
+  is its own inverse up to 1/N per axis, and its frequencies are those of
+  indices 0..N/2 of the lattice on every axis.  An axis of at most
+  _MATRIX_DCT_MAX_POINTS octant points is multiplied by the cached DCT-I
+  matrix, a longer one goes through rfft of its even extension
+  [a, a[-2:0:-1]] (see `_dct`);
+- the full lattice, which holds everything else: `transform` and
+  frequency-space `SpectralField`s (complex coefficients of every mode,
+  continuum-normalized and centered at x = 0), and the kernel's complex
+  transform of a real field that is not even.
 
-The kernel (`_forward`, `_inverse`, `_lattice_sum`) takes a full-grid or an
-octant array and works on the half lattice or the octant accordingly.  A
-stored entry stands for all its mirror images, so sums over the octant or the
-half lattice carry multiplicity weights (`octant_weight`, `parseval_weight`);
-the same octant weights serve real-space and Parseval sums.  The solver, the
-Coulomb convolution inside it and the gap eigensolve run on the octant;
-`_kernel_values` sends an exactly even field there and any other real field to
-the half lattice.
+The kernel (`_forward`, `_inverse`, `_lattice_sum`) takes an octant or a
+full-grid array and works on the octant or the full lattice accordingly.  An
+octant entry stands for all its mirror images, so octant sums carry the
+multiplicity weights `octant_weight`; the same weights serve real-space and
+Parseval sums.  The solver, the Coulomb convolution inside it, the sweep
+records and the gap eigensolve run on the octant; `_kernel_values` sends an
+exactly even field there and any other real field to the full lattice.  The
+full-lattice |xi|^2 array `Grid.xi_sq` is built on first use only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,10 +60,10 @@ _MATRIX_DCT_MAX_POINTS = 64
 class Grid:
     """Cubic periodic grid: dimension n, box length L, N points per axis.
 
-    Derived arrays (spacing, frequency lattice, centering phase, the half
-    lattice of the real transform and its Parseval weights, the octant
-    frequencies and multiplicities) are precomputed once and read-only;
-    instances are immutable and cheap to share.
+    The sample coordinates, the frequency axis and the octant arrays
+    (frequencies and multiplicities) are built once and read-only; the
+    full-lattice |xi|^2 is built on first use.  Instances are immutable and
+    cheap to share.
     """
 
     n: int
@@ -84,39 +84,22 @@ class Grid:
 
         axis = -0.5 * self.length + dx * np.arange(self.points)
         freq_axis = 2.0 * np.pi * np.fft.fftfreq(self.points, d=dx)
-        mesh = np.meshgrid(*([freq_axis] * self.n), indexing="ij")
-        xi_sq = sum(a * a for a in mesh)
-        # rfftn keeps k = 0..N/2 on the last axis; (-N/2)^2 = (N/2)^2, so the
-        # half lattice is the leading N/2 + 1 columns of the full one
+        # the octant keeps indices 0..N/2 on every axis; (-N/2)^2 = (N/2)^2 and
+        # (-k)^2 = k^2, so it holds every full-lattice |xi|^2 value bit for bit.
+        # Indices 0 and N/2 are their own mirror images, every other index
+        # stands for itself and its mirror.
         half = self.points // 2 + 1
-        half_xi_sq = np.ascontiguousarray(xi_sq[..., :half])
-        # each interior column stands for itself and its conjugate mirror
-        parseval_weight = np.full(half, 2.0)
-        parseval_weight[[0, -1]] = 1.0
-        # the octant keeps indices 0..N/2 on every axis; 0 and N/2 are their own
-        # mirror images, every other index stands for itself and its mirror
-        octant_index = (slice(0, half),) * self.n
-        octant_xi_sq = np.ascontiguousarray(half_xi_sq[octant_index])
+        octant_freqs = freq_axis[:half]
+        octant_xi_sq = sum(a * a for a in np.meshgrid(*([octant_freqs] * self.n), indexing="ij"))
+        multiplicity = np.full(half, 2.0)
+        multiplicity[[0, -1]] = 1.0
         octant_weight = np.ones((half,) * self.n)
-        for w in np.meshgrid(*([parseval_weight] * self.n), indexing="ij"):
+        for w in np.meshgrid(*([multiplicity] * self.n), indexing="ij"):
             octant_weight = octant_weight * w
-
-        # (-1)^k per axis: shifts the transform origin to the box center so
-        # coefficients carry the phase of a function centered at x = 0.
-        k = np.rint(np.fft.fftfreq(self.points) * self.points).astype(int)
-        sign = np.where(k % 2 == 0, 1.0, -1.0)
-        smesh = np.meshgrid(*([sign] * self.n), indexing="ij")
-        phase = np.ones(self.shape)
-        for s in smesh:
-            phase = phase * s
 
         derived = {
             "axis": axis,
             "freq_axis": freq_axis,
-            "xi_sq": xi_sq,
-            "center_phase": phase,
-            "half_xi_sq": half_xi_sq,
-            "parseval_weight": parseval_weight,
             "octant_xi_sq": octant_xi_sq,
             "octant_weight": octant_weight,
         }
@@ -124,8 +107,15 @@ class Grid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "axes", tuple(range(self.n)))
-        object.__setattr__(self, "octant_index", octant_index)
+        object.__setattr__(self, "octant_index", (slice(0, half),) * self.n)
         object.__setattr__(self, "octant_shape", (half,) * self.n)
+
+    @cached_property
+    def xi_sq(self) -> np.ndarray:
+        """|xi|^2 on the full frequency lattice (read-only), built on first use."""
+        xi_sq = sum(a * a for a in np.meshgrid(*([self.freq_axis] * self.n), indexing="ij"))
+        xi_sq.setflags(write=False)
+        return xi_sq
 
     @property
     def cell_volume(self) -> float:
@@ -197,17 +187,19 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
 
     Forward multiplies the discrete transform by dx^n so coefficients
     approximate the integral of f * exp(-i xi . x) over the box; inverse
-    undoes this exactly.
+    undoes this exactly.  The samples are shifted by N/2 per axis so that the
+    transform origin is the box center x = 0; for even N this is the phase
+    (-1)^k per axis.
     """
     if direction == "forward":
         if f.space != "real":
             raise ValueError("forward transform requires a real-space field")
-        coeff = np.fft.fftn(f.values) * (f.grid.cell_volume * f.grid.center_phase)
+        coeff = np.fft.fftn(np.fft.fftshift(f.values)) * f.grid.cell_volume
         return SpectralField(f.grid, coeff, space="freq")
     if direction == "inverse":
         if f.space != "freq":
             raise ValueError("inverse transform requires a frequency-space field")
-        vals = np.fft.ifftn(f.values * f.grid.center_phase).real / f.grid.cell_volume
+        vals = np.fft.ifftshift(np.fft.ifftn(f.values).real) / f.grid.cell_volume
         return SpectralField(f.grid, vals, space="real")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
@@ -269,7 +261,7 @@ def _dct(values: np.ndarray) -> np.ndarray:
 
 
 def _octant(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Restriction of a full-grid or half-lattice array to the octant (a view)."""
+    """Restriction of a full-grid array to the octant (a view)."""
     return values[grid.octant_index]
 
 
@@ -285,25 +277,25 @@ def _kernel_values(grid: Grid, *arrays: np.ndarray) -> tuple[list[np.ndarray], n
 
     If every array is exactly even (equal, bit for bit, to the unfolding of its
     octant) the octants are returned with `octant_xi_sq`; otherwise the arrays
-    themselves, whose transforms live on the half lattice.
+    themselves, whose transforms live on the full lattice, with `xi_sq`.
     """
     octants = [_octant(grid, a) for a in arrays]
     if all(np.array_equal(_unfold(grid, o), a) for o, a in zip(octants, arrays)):
         return octants, grid.octant_xi_sq
-    return list(arrays), grid.half_xi_sq
+    return list(arrays), grid.xi_sq
 
 
 def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Unnormalized transform of a real array: DCT-I of an octant, rfftn of a full-grid array."""
+    """Unnormalized transform of a real array: DCT-I of an octant, fftn of a full-grid array."""
     if values.shape == grid.octant_shape:
         return _dct(values)
-    return np.fft.rfftn(values, s=grid.shape, axes=grid.axes)
+    return np.fft.fftn(values)
 
 
 def _inverse(grid: Grid, coeff: np.ndarray) -> np.ndarray:
     """Inverse of `_forward`: real (octant) coefficients go back to the octant, complex ones to the full grid."""
     if np.iscomplexobj(coeff):
-        return np.fft.irfftn(coeff, s=grid.shape, axes=grid.axes)
+        return np.fft.ifftn(coeff).real
     return _dct(coeff) / grid.size
 
 
@@ -319,17 +311,13 @@ def _abs_sq(coeff: np.ndarray) -> np.ndarray:
 
 
 def _lattice_sum(grid: Grid, q: np.ndarray) -> float:
-    """Full-grid sum of a quantity stored on the full grid, the half lattice or the octant.
+    """Full-grid sum of a quantity stored on the full grid or the octant.
 
-    A stored entry stands for all its mirror images: octant entries carry
-    `octant_weight`, half-lattice entries `parseval_weight`.  In one dimension
-    the octant and the half lattice coincide, and so do their weights.
+    An octant entry stands for all its mirror images and carries `octant_weight`.
     """
     if q.shape == grid.octant_shape:
         return float(np.sum(q * grid.octant_weight))
-    if q.shape == grid.shape:
-        return float(np.sum(q))
-    return float(np.sum(q * grid.parseval_weight))
+    return float(np.sum(q))
 
 
 def _spectral_integral(grid: Grid, mult: np.ndarray, q: np.ndarray) -> float:
@@ -353,9 +341,9 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
         raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
     grid = f.grid
-    if f.space == "real":
-        return _spectral_norm(grid, (1.0 + grid.half_xi_sq) ** s, _forward(grid, f.values))
     weight = (1.0 + grid.xi_sq) ** s
+    if f.space == "real":
+        return _spectral_norm(grid, weight, _forward(grid, f.values))
     return float(np.sqrt(np.sum(weight * _abs_sq(f.values)) / grid.volume))
 
 
@@ -373,7 +361,7 @@ def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> flo
     if f.space == "real" and g.space == "real":
         if weight == "L2":
             return float(np.sum(f.values * g.values) * grid.cell_volume)
-        return _spectral_integral(grid, 1.0 + grid.half_xi_sq, _pair(_forward(grid, f.values), _forward(grid, g.values)))
+        return _spectral_integral(grid, 1.0 + grid.xi_sq, _pair(_forward(grid, f.values), _forward(grid, g.values)))
     fh, gh = _coefficients(f), _coefficients(g)
     pairing = np.conj(fh) * gh if weight == "L2" else (1.0 + grid.xi_sq) * np.conj(fh) * gh
     return float(np.sum(pairing).real / grid.volume)
@@ -427,7 +415,9 @@ def recenter(f: SpectralField) -> SpectralField:
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
-    """Lebesgue L^p norm of a real-space field (cell-volume weighted)."""
+    """Lebesgue L^p norm of a real-space field (cell-volume weighted), for finite p >= 1."""
     if f.space != "real":
         raise ValueError("lp_norm requires a real-space field")
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValueError(f"lp_norm requires a finite exponent p >= 1, got {p}")
     return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))

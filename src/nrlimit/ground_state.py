@@ -280,7 +280,7 @@ def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
 
     An exactly even field is evaluated on its octant, as in `solve`, so the
     residual of a solved field equals the one `solve` reports bit for bit;
-    any other field on the half lattice.
+    any other field on the full lattice.
     """
     if u.space != "real":
         raise ValueError("residual requires a real-space field")

@@ -31,7 +31,7 @@ from .grid import (
     sobolev_norm,
     transform,
 )
-from .nonlinearity import LADDER_EPS, NonlinearitySpec, _coulomb_values, _derivative_values
+from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, solve
 
@@ -98,7 +98,7 @@ def convergence_record(
     """Build a sweep row from solved fields on a shared grid.
 
     The difference and each field are transformed once, on the octant when
-    both fields are exactly even (solved fields are) and on the half lattice
+    both fields are exactly even (solved fields are) and on the full lattice
     otherwise; every norm and pairing is then read off the coefficients.
     """
     if u_c.grid != u_inf.grid:
@@ -245,18 +245,7 @@ def nondegeneracy_gap(
     b_inv_half = 1.0 / b_half
     sqrt_w = np.sqrt(grid.octant_weight)
     u0 = _octant(grid, _even_part(grid, u_inf.values))
-
-    if nl.kind == "power":
-        w_mult = nl.p * u0 ** (nl.p - 1)
-
-        def apply_derivative(v: np.ndarray) -> np.ndarray:
-            return w_mult * v
-
-    else:
-        phi0 = _coulomb_values(grid, u0 * u0)
-
-        def apply_derivative(v: np.ndarray) -> np.ndarray:
-            return phi0 * v + 2.0 * u0 * _coulomb_values(grid, u0 * v)
+    apply_derivative = _derivative(nl, grid, u0)
 
     def smooth(v: np.ndarray) -> np.ndarray:
         return _inverse(grid, b_inv_half * _forward(grid, v))
@@ -322,7 +311,7 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     p is the variational exponent; the identity is exact at any solution of
     the nonrelativistic equation.  Returned value is normalized by the H^2
     norm of the reference state.  An exactly even field (a solved one) is
-    evaluated on its octant, any other on the half lattice; four whole-field
+    evaluated on its octant, any other on the full lattice; four whole-field
     transforms for Hartree, two for powers.
     """
     grid = u_inf.grid
@@ -331,7 +320,7 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     h1 = 1.0 + xi_sq
     uh = _forward(grid, u)
     bu = _inverse(grid, h1 * uh)
-    lu = bu - _derivative_values(nl, grid, u, u)
+    lu = bu - _derivative(nl, grid, u)(u)
     target = -(nl.variational_exponent - 2) * bu
     err = np.sqrt(_lattice_sum(grid, (lu - target) ** 2) * grid.cell_volume)
     return float(err / _spectral_norm(grid, h1**2, uh))
@@ -343,7 +332,7 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
     Spectral evaluation of the integral of |u_inf_hat|^2 ((1+|xi|^2) - P_c(xi));
     nonnegative for every field, and c^2 times it converges to the squared
     L^2 norm of the Laplacian of the reference state.  A real-space field is
-    transformed on the octant when it is exactly even, else on the half lattice.
+    transformed on the octant when it is exactly even, else on the full lattice.
     """
     spec = pseudo_relativistic(c)
     grid = u_inf.grid

@@ -14,6 +14,7 @@ the squared field is supported in the ball of radius R/2.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,9 +88,9 @@ def hartree() -> NonlinearitySpec:
 
 @lru_cache(maxsize=16)
 def _coulomb_symbol(grid: Grid, octant: bool = False) -> np.ndarray:
-    """Truncated-kernel symbol on the half lattice of the real transform, or on its octant (read-only)."""
+    """Truncated-kernel symbol on the full lattice, or on the octant (read-only)."""
     radius = 0.5 * grid.length
-    t = grid.octant_xi_sq if octant else grid.half_xi_sq
+    t = grid.octant_xi_sq if octant else grid.xi_sq
     out = np.empty_like(t)
     nz = t > 0
     out[nz] = 4.0 * np.pi * (1.0 - np.cos(radius * np.sqrt(t[nz]))) / t[nz]
@@ -112,13 +113,22 @@ def _term_values(spec: NonlinearitySpec, grid: Grid, u: np.ndarray) -> np.ndarra
     return _coulomb_values(grid, u * u) * u
 
 
-def _derivative_values(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """N'(u0) v on raw real arrays (full grid or octant); v is u0 takes one Coulomb convolution."""
+def _derivative(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map v -> N'(u0) v on raw real arrays in u0's representation (full grid or octant).
+
+    The power weight p u0^(p-1), or the Coulomb potential phi0 of u0^2, is
+    computed once; v is u0 reuses phi0 as the cross potential.
+    """
     if spec.kind == "power":
-        return spec.p * u0 ** (spec.p - 1) * v
+        weight = spec.p * u0 ** (spec.p - 1)
+        return lambda v: weight * v
     phi0 = _coulomb_values(grid, u0 * u0)
-    cross = phi0 if v is u0 else _coulomb_values(grid, u0 * v)
-    return phi0 * v + 2.0 * u0 * cross
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        cross = phi0 if v is u0 else _coulomb_values(grid, u0 * v)
+        return phi0 * v + 2.0 * u0 * cross
+
+    return apply
 
 
 def hartree_potential(u: SpectralField) -> SpectralField:
@@ -143,7 +153,7 @@ def linearize(spec: NonlinearitySpec, u0: SpectralField, v: SpectralField) -> Sp
     if u0.grid != v.grid:
         raise ValueError("linearize requires fields on the same grid")
     spec.validate_dimension(u0.grid.n)
-    return SpectralField(u0.grid, _derivative_values(spec, u0.grid, u0.values, v.values))
+    return SpectralField(u0.grid, _derivative(spec, u0.grid, u0.values)(v.values))
 
 
 def taylor_remainder(spec: NonlinearitySpec, u0: SpectralField, w: SpectralField) -> SpectralField:
@@ -158,7 +168,7 @@ def taylor_remainder(spec: NonlinearitySpec, u0: SpectralField, w: SpectralField
     spec.validate_dimension(u0.grid.n)
     if spec.kind == "power":
         total = evaluate(spec, SpectralField(u0.grid, u0.values + w.values)).values
-        linear = spec.p * u0.values ** (spec.p - 1) * w.values
+        linear = _derivative(spec, u0.grid, u0.values)(w.values)
         return SpectralField(u0.grid, total - u0.values**spec.p - linear)
     grid = u0.grid
     ww = _coulomb_values(grid, w.values * w.values)

@@ -95,7 +95,7 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
     if mode not in ("forward", "inverse_of_symbol"):
         raise ValueError(f"mode must be 'forward' or 'inverse_of_symbol', got {mode!r}")
     grid = f.grid
-    values = symbol(spec, grid.xi_sq if f.space == "freq" else grid.half_xi_sq)
+    values = symbol(spec, grid.xi_sq)
     if mode == "inverse_of_symbol":
         values = 1.0 / values
     if f.space == "freq":
@@ -104,8 +104,11 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
 
 
 def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:
-    """min over the lattice of P(xi) / sqrt(1 + |xi|^2)."""
-    ratio = symbol(spec, grid.xi_sq) / np.sqrt(1.0 + grid.xi_sq)
+    """min over the lattice of P(xi) / sqrt(1 + |xi|^2).
+
+    Taken over the octant, which holds every lattice value of |xi|^2.
+    """
+    ratio = symbol(spec, grid.octant_xi_sq) / np.sqrt(1.0 + grid.octant_xi_sq)
     return float(np.min(ratio))
 
 
@@ -122,12 +125,13 @@ def taylor_residual(spec: OperatorSpec, grid: Grid, cutoff_fraction: float) -> f
 
     Certifies that the multiplier gap scales like |xi|^4 / c^2 in the window
     below the relativistic frequency scale; the max tends to 1 as c grows.
+    Taken over the octant, which holds every lattice value of |xi|^2.
     """
     if spec.kind != PSEUDO:
         raise ValueError("taylor_residual is defined for the pseudo_relativistic kind")
     if not 0.0 < cutoff_fraction <= 0.5:
         raise ValueError(f"cutoff_fraction must lie in (0, 1/2], got {cutoff_fraction}")
-    t = grid.xi_sq
+    t = grid.octant_xi_sq
     window = (t > 0.0) & (np.sqrt(t) <= cutoff_fraction * spec.c)
     if not np.any(window):
         raise ValueError("frequency window below the cutoff contains no nonzero lattice mode")

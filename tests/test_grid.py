@@ -70,10 +70,7 @@ class TestMakeGrid:
 class TestReadOnlyArrays:
     # every solve on a grid shares these arrays; one in-place write would
     # corrupt all later solves on that grid
-    @pytest.mark.parametrize(
-        "name",
-        ["xi_sq", "center_phase", "axis", "freq_axis", "half_xi_sq", "parseval_weight", "octant_xi_sq", "octant_weight"],
-    )
+    @pytest.mark.parametrize("name", ["xi_sq", "axis", "freq_axis", "octant_xi_sq", "octant_weight"])
     def test_grid_arrays(self, name):
         arr = getattr(nr.make_grid(2, 8.0, 16), name)
         with pytest.raises(ValueError):
@@ -122,6 +119,19 @@ class TestTransform:
         err = np.abs(fh.values[window] - exact)
         assert np.max(err) / np.sqrt(np.pi) < 1e-10
         strong = exact >= 1e-3 * np.sqrt(np.pi)
+        assert np.max(err[strong] / exact[strong]) < 1e-10
+
+    @pytest.mark.parametrize("grid", [nr.make_grid(2, 16.0, 64), nr.make_grid(3, 16.0, 64)], ids=["2d", "3d"])
+    def test_gaussian_against_closed_form_in_several_dimensions(self, grid):
+        # exp(-|x|^2) transforms to pi^(n/2) exp(-|xi|^2/4); the centering
+        # phase is a product over the axes, so it is pinned only in n >= 2
+        fh = nr.transform(nr.SpectralField(grid, np.exp(-grid.radius_sq())), "forward")
+        window = grid.xi_sq <= 100.0
+        peak = np.pi ** (grid.n / 2)
+        exact = peak * np.exp(-grid.xi_sq[window] / 4.0)
+        err = np.abs(fh.values[window] - exact)
+        assert np.max(err) / peak < 1e-10
+        strong = exact >= 1e-3 * peak
         assert np.max(err[strong] / exact[strong]) < 1e-10
 
     def test_round_trip_and_linearity(self):
@@ -229,15 +239,15 @@ KERNEL_GRIDS = [nr.make_grid(1, 16.0, 64), nr.make_grid(2, 8.0, 32), nr.make_gri
 
 def _nyquist_field(grid, rng):
     """Smooth random field plus a (-1)^j component on the last axis, which
-    lives only on the Nyquist column of the real transform's half lattice."""
+    lives only on the Nyquist mode k = -N/2 of that axis."""
     smooth = smooth_random_field(grid, rng).values
     j = np.arange(grid.points)
     return nr.SpectralField(grid, smooth + 0.3 * (-1.0) ** j)
 
 
 class TestRealKernelAgainstFullLattice:
-    """Real-space fields take the half-lattice real transform; frequency
-    fields from `transform` take the full lattice.  Both must agree."""
+    """Real-space fields take the kernel's uncentered transform; frequency
+    fields from `transform` carry the centering phase.  Both must agree."""
 
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_sobolev_norm(self, grid):
@@ -350,11 +360,11 @@ class TestOctantKernel:
         assert np.array_equal(_unfold(grid, _octant(grid, full)), full)
         (values,), xi_sq = _kernel_values(grid, full)
         assert values.shape == grid.octant_shape and xi_sq is grid.octant_xi_sq
-        # one sample off its mirror image sends the field to the half lattice
+        # one sample off its mirror image sends the field to the full lattice
         uneven = full.copy()
         uneven[(1,) * grid.n] += 1e-12
         (values,), xi_sq = _kernel_values(grid, uneven)
-        assert values is uneven and xi_sq is grid.half_xi_sq
+        assert values is uneven and xi_sq is grid.xi_sq
 
     def test_recentering_a_corner_peak_on_the_octant(self):
         grid = KERNEL_GRIDS[1]
@@ -421,6 +431,51 @@ class TestRecenter:
         x = SMALL.coordinates()[0]
         f = nr.SpectralField(SMALL, np.exp(-(x**2)))
         assert nr.recenter(f) is f
+
+
+class TestLpNorm:
+    def test_two_norm_is_the_l2_norm(self):
+        f = random_field(SMALL, np.random.default_rng(9))
+        assert np.isclose(nr.lp_norm(f, 2.0), nr.sobolev_norm(f, 0.0), rtol=1e-12)
+        assert np.isclose(nr.lp_norm(f, 1), np.sum(np.abs(f.values)) * SMALL.cell_volume, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan"), 0.0, 0, 0.5, -1.0])
+    def test_rejects_exponents_that_give_no_norm(self, p):
+        # p = inf returned 1.0 for every field, p = 0 divided by zero, p < 1 is no norm
+        f = random_field(SMALL, np.random.default_rng(10))
+        with pytest.raises(ValueError, match="p >= 1"):
+            nr.lp_norm(f, p)
+
+
+class TestFullLatticeOnDemand:
+    """The pipeline runs on the octant; `Grid.xi_sq`, the one full-lattice
+    array, is built only when a full-lattice call reads it."""
+
+    def test_pipeline_never_builds_the_full_lattice(self):
+        grid = nr.make_grid(3, 16.0, 32)
+        nl = nr.hartree()
+        u_inf = nr.solve(nr.nonrelativistic(), nl, grid)
+        u_c = nr.solve(nr.pseudo_relativistic(4.0), nl, grid)
+        assert u_inf.converged and u_c.converged
+        assert nr.nondegeneracy_gap(u_inf.field, nl) > 0.0
+        assert nr.linearization_identity_residual(u_inf.field, nl) < 1e-8
+        nr.convergence_record(u_c.field, u_inf.field, 4.0, [0.5, 1.0, 4.0])
+        nr.symbol_gap_ratio(nr.pseudo_relativistic(4.0), grid)
+        nr.taylor_residual(nr.pseudo_relativistic(4.0), grid, 0.5)
+        assert "xi_sq" not in vars(grid)
+        assert grid.xi_sq is grid.xi_sq and "xi_sq" in vars(grid)
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
+    def test_symbol_table_on_the_octant_equals_the_full_lattice(self, grid):
+        # every full-lattice |xi|^2 value occurs bit for bit on the octant
+        t = grid.xi_sq
+        for c in (2.5, 4.0, 64.0):
+            spec = nr.pseudo_relativistic(c)
+            assert nr.symbol_gap_ratio(spec, grid) == float(np.min(nr.symbol(spec, t) / np.sqrt(1.0 + t)))
+            window = (t > 0.0) & (np.sqrt(t) <= 0.5 * c)
+            tw = t[window]
+            expected = float(np.max(c**2 * nr.symbol_defect(spec, tw) / (tw * tw)))
+            assert nr.taylor_residual(spec, grid, 0.5) == expected
 
 
 class TestSnapshots:

@@ -198,7 +198,7 @@ class TestEvenOctant:
     @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.3, -0.6, 0.45)], ids=["even", "shifted"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_residual_and_action_match_a_full_lattice_reference(self, n, center):
-        # the even field is evaluated on its octant, the shifted one on the half lattice
+        # the even field is evaluated on its octant, the shifted one on the full lattice
         grid = nr.make_grid(1, 16.0, 64) if n == 1 else nr.make_grid(3, 8.0, 16)
         nl = nr.power(3) if n == 1 else nr.hartree()
         op = nr.pseudo_relativistic(2.0)
@@ -218,7 +218,7 @@ class TestEvenOctant:
 class TestTransformCount:
     """A solve runs on the octant, where every whole-field transform is one
     `grid._dct` call (matrix products on short axes, per-axis rfft on long
-    ones); no full-grid rfftn/irfftn and no complex transform runs.  Each
+    ones); no full-lattice (complex) or rfftn/irfftn transform runs.  Each
     stabilized iteration costs one inverse transform for the update and,
     for the next iterate's residual, forward transforms of u and N(u) plus
     the Coulomb pair in the Hartree case.  The residual of the final iterate
