@@ -55,6 +55,7 @@ from .limit_lab import (
     h_minus1_residual,
     linearization_identity_residual,
     nondegeneracy_gap,
+    optimality_forms,
     optimality_functional,
     sobolev_ladder,
     sweep,

@@ -27,7 +27,6 @@ from .operators import (
     OperatorSpec,
     nonrelativistic,
     pseudo_relativistic,
-    symbol_defect,
     symbol_gap_ratio,
     symbol_gap_scan,
     taylor_residual,
@@ -42,6 +41,7 @@ from .limit_lab import (
     fit_rate,
     linearization_identity_residual,
     nondegeneracy_gap,
+    optimality_forms,
     sobolev_ladder,
     sweep,
 )
@@ -350,15 +350,14 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
 
     gap = nondegeneracy_gap(u_inf.field, nl, grid)
     identity = linearization_identity_residual(u_inf.field, nl)
-    # the reference norms, the optimality form (as optimality_functional) and
-    # the Laplacian norm all read one transform of u_inf, on its octant
+    c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, optimality_forms(u_inf.field, config.c_list))}
+    # the reference norms and the Laplacian norm read one transform of u_inf, on its octant
     (ref,), xi_sq = _kernel_values(grid, u_inf.field.values)
     ref_sq = _abs_sq(_forward(grid, ref))
 
     def integral(mult: np.ndarray) -> float:
         return _spectral_integral(grid, mult, ref_sq)
 
-    c2a = {f"{r.c:g}": r.c * r.c * integral(symbol_defect(pseudo_relativistic(r.c), xi_sq)) for r in records}
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},

@@ -10,7 +10,6 @@ values and sup-norm table entries.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ __all__ = [
     "nondegeneracy_gap",
     "linearization_identity_residual",
     "optimality_functional",
+    "optimality_forms",
     "sobolev_ladder",
 ]
 
@@ -160,6 +160,9 @@ def sweep(
         return solve(pseudo_relativistic(c), nl, grid, cfg)
 
     if threads > 1:
+        # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(solve_point, c_values))
     else:
@@ -221,7 +224,6 @@ def nondegeneracy_gap(
     nl: NonlinearitySpec,
     grid: Grid | None = None,
     tol: float = 1.0e-10,
-    seed: int = 20,
 ) -> float:
     """Smallest constrained Rayleigh quotient <Lv, v>_{L^2} / ||v||_{H^1}^2.
 
@@ -264,8 +266,10 @@ def nondegeneracy_gap(
         s = pz - (sqrt_w * smooth(apply_derivative(smooth(v)))).ravel()
         return project(s) + DEFLATION_SHIFT * (z - pz)
 
-    draw = np.random.default_rng(seed).standard_normal(grid.shape)
-    v0 = project((sqrt_w * _octant(grid, _even_part(grid, draw))).ravel())
+    # deterministic start without structure: the Weyl sequence (k phi) mod 1 - 1/2
+    # over the octant's entries, phi = (sqrt(5) - 1) / 2
+    weyl = (np.arange(sqrt_w.size) * 0.6180339887498949) % 1.0 - 0.5
+    v0 = project(sqrt_w.ravel() * weyl)
     return _lanczos_smallest(matvec, v0, tol)
 
 
@@ -334,12 +338,19 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
     L^2 norm of the Laplacian of the reference state.  A real-space field is
     transformed on the octant when it is exactly even, else on the full lattice.
     """
-    spec = pseudo_relativistic(c)
+    return optimality_forms(u_inf, [c])[0]
+
+
+def optimality_forms(u_inf: SpectralField, c_values) -> list[float]:
+    """`optimality_functional` at each c of `c_values`, from one transform of u_inf."""
     grid = u_inf.grid
+    specs = [pseudo_relativistic(c) for c in c_values]
     if u_inf.space == "freq":
-        return float(np.sum(symbol_defect(spec, grid.xi_sq) * _abs_sq(u_inf.values)) / grid.volume)
+        ref_sq = _abs_sq(u_inf.values)
+        return [float(np.sum(symbol_defect(spec, grid.xi_sq) * ref_sq) / grid.volume) for spec in specs]
     (values,), xi_sq = _kernel_values(grid, u_inf.values)
-    return _spectral_integral(grid, symbol_defect(spec, xi_sq), _abs_sq(_forward(grid, values)))
+    ref_sq = _abs_sq(_forward(grid, values))
+    return [_spectral_integral(grid, symbol_defect(spec, xi_sq), ref_sq) for spec in specs]
 
 
 def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float]:

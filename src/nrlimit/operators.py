@@ -29,6 +29,8 @@ __all__ = [
 
 PSEUDO = "pseudo_relativistic"
 NONREL = "nonrelativistic"
+# samples per block of symbol_gap_scan: 128 KiB per temporary
+_SCAN_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,26 @@ def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:
 
 
 def symbol_gap_scan(spec: OperatorSpec, xi_max: float = 1.0e3, samples: int = 200_001) -> float:
-    """Dense off-lattice scan of P(xi) / sqrt(1 + |xi|^2) over |xi| in [0, xi_max]."""
-    xi = np.linspace(0.0, xi_max, samples)
-    t = xi * xi
-    ratio = symbol(spec, t) / np.sqrt(1.0 + t)
-    return float(np.min(ratio))
+    """Dense off-lattice scan of P(xi) / sqrt(1 + |xi|^2) over |xi| in [0, xi_max].
+
+    The samples are those of np.linspace(0, xi_max, samples), bit for bit,
+    taken _SCAN_BLOCK at a time so that no temporary outgrows one block; the
+    minimum is the one the whole array would give (a NaN propagates).
+    """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not (np.isfinite(xi_max) and xi_max > 0.0):
+        raise ValueError(f"xi_max must be finite and > 0, got {xi_max!r}")
+    # np.linspace's sample k is k * step, and its last sample is xi_max itself
+    step = xi_max / (samples - 1) if samples > 1 else 0.0
+    smallest = np.inf
+    for start in range(0, samples, _SCAN_BLOCK):
+        xi = np.arange(start, min(start + _SCAN_BLOCK, samples), dtype=np.float64) * step
+        if samples > 1 and start + xi.size == samples:
+            xi[-1] = xi_max
+        t = xi * xi
+        smallest = np.min(symbol(spec, t) / np.sqrt(1.0 + t), initial=smallest)
+    return float(smallest)
 
 
 def taylor_residual(spec: OperatorSpec, grid: Grid, cutoff_fraction: float) -> float:

@@ -3,7 +3,9 @@ radial shooting for ground-state profiles, and quadrature references.
 
 These deliberately avoid the package's spectral code paths so that agreement
 is meaningful: derivatives are finite differences, profiles come from an ODE
-integrator, and eigenvalues from dense symmetric solvers.
+integrator, and eigenvalues from dense symmetric solvers.  The one exception
+is `dense_symbol_gap_scan`, a reference for how the package evaluates a
+quantity rather than for the quantity itself.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
+
+from nrlimit import operators
 
 
 def dense_gap_fd(length: float, num: int, profile, degree: int, shift: float = 10.0) -> float:
@@ -132,3 +136,16 @@ def multiplier_quadrature_reference(x, c: float, xi_max: float = 60.0, num: int 
         xs = x[start : start + block, None]
         out[start : start + block] = (np.cos(xi[None, :] * xs) * weight[None, :]).sum(axis=1)
     return out * dxi / np.pi
+
+
+def dense_symbol_gap_scan(spec, xi_max: float = 1.0e3, samples: int = 200_001) -> float:
+    """min of P(xi) / sqrt(1 + |xi|^2) over np.linspace(0, xi_max, samples), as one array.
+
+    The reference for the blocked `symbol_gap_scan`, which must agree bit for
+    bit; it evaluates `operators.symbol`, looked up at call time as the scan
+    does, on all samples at once.
+    """
+    xi = np.linspace(0.0, xi_max, samples)
+    t = xi * xi
+    ratio = operators.symbol(spec, t) / np.sqrt(1.0 + t)
+    return float(np.min(ratio))

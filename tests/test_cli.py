@@ -219,7 +219,8 @@ class TestSweepCommand:
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         assert main(["sweep", "--out", str(out1), "--threads", "2", *SWEEP_OVERRIDES]) == 0
         assert main(["sweep", "--out", str(out2), "--threads", "1", *SWEEP_OVERRIDES]) == 0
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        for name in ("sweep.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestNondegCommand:

@@ -160,6 +160,13 @@ class TestHMinus1Residual:
     def test_vanishes_as_c_grows(self, sech_exact):
         assert nr.h_minus1_residual(sech_exact, 1.0e6) < 1e-9
 
+    def test_record_matches_public_function(self, grid1d, u_inf_1d):
+        # the record reads the residual on the octant, the public function on the full lattice
+        for c in (4.0, 8.0, 16.0, 32.0, 64.0):
+            u_c = nr.solve(nr.pseudo_relativistic(c), nr.power(3), grid1d).field
+            record = nr.convergence_record(u_c, u_inf_1d.field, c, [1.0])
+            assert record.h_minus1_residual == pytest.approx(nr.h_minus1_residual(u_c, c), rel=1e-12)
+
     def test_scaled_stability_on_sweep(self, sweep_1d):
         vals = [r.c**2 * r.h_minus1_residual for r in sweep_1d["records"] if r.c in (16.0, 32.0, 64.0)]
         assert len(vals) == 3
@@ -241,15 +248,18 @@ class TestNondegeneracyGap:
             nr.nondegeneracy_gap(sech_exact, nr.power(3))
 
     def test_gap_does_not_load_scipy(self):
-        # scipy.sparse.linalg alone costs about 0.45 s and 32 MB of start-up
+        # the import budget of a CLI process: scipy.sparse.linalg alone costs
+        # about 0.45 s and 32 MB of start-up, numpy.random about 15 ms, and
+        # concurrent.futures (with logging) about 8 ms; only --threads > 1 needs it
         src = str(Path(nr.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
-            "import sys, numpy as np, nrlimit as nr\n"
+            "import sys, numpy as np, nrlimit as nr, nrlimit.cli\n"
             "g = nr.make_grid(1, 16.0, 64)\n"
             "x = g.coordinates()[0]\n"
             "assert nr.nondegeneracy_gap(nr.SpectralField(g, np.sqrt(2.0) / np.cosh(x)), nr.power(3)) > 0.0\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "heavy = ('scipy', 'numpy.random', 'concurrent.futures')\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
             "assert not loaded, loaded\n"
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -289,6 +299,16 @@ class TestOptimalityFunctional:
                 defect = float(nr.symbol_defect(nr.pseudo_relativistic(c), np.array([xi0**2]))[0])
                 assert np.isclose(got, defect * mode_mass, rtol=1e-12)
                 assert got >= xi0**4 / (1.03 * c * c) * mode_mass
+
+    def test_forms_over_a_c_list_read_one_transform(self, sweep_1d, transform_counts):
+        u_inf = sweep_1d["u_inf"].field
+        c_values = [4.0, 8.0, 16.0, 32.0, 64.0]
+        before = transform_counts["dct"]
+        forms = nr.optimality_forms(u_inf, c_values)
+        assert transform_counts["dct"] - before == 1
+        assert forms == [nr.optimality_functional(u_inf, c) for c in c_values]
+        u_hat = nr.transform(u_inf, "forward")
+        np.testing.assert_allclose(nr.optimality_forms(u_hat, c_values), forms, rtol=1e-12)
 
     def test_scaled_form_approaches_laplacian_energy(self, sweep_1d):
         u_inf = sweep_1d["u_inf"].field

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import nrlimit as nr
+from nrlimit import operators
+from nrlimit.cli import SYMBOL_C_GRID
+from nrlimit.operators import _SCAN_BLOCK
 from conftest import random_field
-from oracles import multiplier_quadrature_reference
+from oracles import dense_symbol_gap_scan, multiplier_quadrature_reference
 
 SMALL = nr.make_grid(1, 16.0, 64)
 
@@ -136,6 +139,48 @@ class TestSymbolGapRatio:
     def test_dense_scan_agrees(self):
         for c in (1.0, 4.0, 64.0):
             assert nr.symbol_gap_scan(nr.pseudo_relativistic(c)) >= 0.5
+
+
+class TestSymbolGapScan:
+    @pytest.mark.parametrize("samples", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 200_001])
+    def test_blocked_scan_is_bit_identical_to_one_array(self, samples, monkeypatch):
+        specs = [nr.pseudo_relativistic(c) for c in SYMBOL_C_GRID]
+        for spec in specs:
+            assert nr.symbol_gap_scan(spec, samples=samples) == dense_symbol_gap_scan(spec, samples=samples)
+        # The true ratio is smallest at xi = 0, the first sample.  A stand-in
+        # whose smallest ratio sits at an interior sample and moves with every
+        # sample value checks the samples and the running minimum too.
+        monkeypatch.setattr(operators, "symbol", lambda spec, t: np.sqrt(1.0 + t) * np.cos(t / spec.c))
+        for spec in specs:
+            scanned = nr.symbol_gap_scan(spec, samples=samples)
+            assert scanned == dense_symbol_gap_scan(spec, samples=samples) < 0.0
+
+    def test_last_sample_is_xi_max(self, monkeypatch):
+        # 15 * (1000 / 15) rounds away from 1000, and np.linspace ends on 1000 itself
+        monkeypatch.setattr(operators, "symbol", lambda spec, t: -t)
+        spec = nr.pseudo_relativistic(4.0)
+        scanned = nr.symbol_gap_scan(spec, samples=16)
+        assert scanned == dense_symbol_gap_scan(spec, samples=16) == -1.0e6 / np.sqrt(1.0 + 1.0e6)
+
+    def test_nan_ratio_propagates_as_in_one_array(self):
+        # |xi| above 1.35e154 squares to infinity and the ratio to NaN: the last tenth of the samples
+        spec = nr.pseudo_relativistic(4.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(dense_symbol_gap_scan(spec, xi_max=1.5e154, samples=3 * _SCAN_BLOCK))
+            assert np.isnan(nr.symbol_gap_scan(spec, xi_max=1.5e154, samples=3 * _SCAN_BLOCK))
+
+    def test_single_sample_is_the_zero_frequency(self):
+        assert nr.symbol_gap_scan(nr.pseudo_relativistic(4.0), samples=1) == 1.0
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.0, True])
+    def test_rejects_samples_that_are_not_a_positive_integer(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            nr.symbol_gap_scan(nr.pseudo_relativistic(4.0), samples=samples)
+
+    @pytest.mark.parametrize("xi_max", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_xi_max_that_is_not_finite_and_positive(self, xi_max):
+        with pytest.raises(ValueError, match="xi_max must be finite and > 0"):
+            nr.symbol_gap_scan(nr.pseudo_relativistic(4.0), xi_max=xi_max)
 
 
 class TestTaylorResidual:
