@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, _abs_sq, _forward, _kernel_values, _spectral_integral, make_grid
-from .grid import SOBOLEV_ORDER_MAX, SOBOLEV_ORDER_MIN
+from .grid import Grid, make_grid
 from .snapshots import save_field
 from .operators import (
     NONREL,
@@ -37,7 +36,9 @@ from .limit_lab import (
     ConvergenceRecord,
     GapEigensolveError,
     SweepError,
+    _reference_norms,
     _sweep_c_values,
+    _sweep_orders,
     fit_rate,
     linearization_identity_residual,
     nondegeneracy_gap,
@@ -264,11 +265,7 @@ def parse_config(text: str) -> RunConfig:
     _valid(errors, "operator.c_list", _sweep_c_values, config.c_list)
     for key in ("tolerance", "max_iterations"):
         _valid(errors, f"solver.{key}", SolverConfig, **{key: getattr(config, key)})
-    if not all(SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX for s in config.s_list):
-        errors.append(
-            f"analysis.s_list: every order must lie in [{SOBOLEV_ORDER_MIN:g}, {SOBOLEV_ORDER_MAX:g}],"
-            f" got {list(config.s_list)!r}"
-        )
+    _valid(errors, "analysis.s_list", _sweep_orders, config.s_list)
     if errors:
         raise ConfigError(errors)
     return config
@@ -348,16 +345,10 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
             "c_range": list(fit.c_range),
         }
 
-    gap = nondegeneracy_gap(u_inf.field, nl, grid)
+    gap = nondegeneracy_gap(u_inf.field, nl)
     identity = linearization_identity_residual(u_inf.field, nl)
     c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, optimality_forms(u_inf.field, config.c_list))}
-    # the reference norms and the Laplacian norm read one transform of u_inf, on its octant
-    (ref,), xi_sq = _kernel_values(grid, u_inf.field.values)
-    ref_sq = _abs_sq(_forward(grid, ref))
-
-    def integral(mult: np.ndarray) -> float:
-        return _spectral_integral(grid, mult, ref_sq)
-
+    norms, laplacian_norm_sq = _reference_norms(u_inf.field, s_list)
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
@@ -370,14 +361,14 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
         "optimality": {
             "c2_times_form": c2a,
             "limit_estimate": c2a[f"{records[-1].c:g}"],
-            "laplacian_norm_sq": integral(xi_sq * xi_sq),
+            "laplacian_norm_sq": laplacian_norm_sq,
         },
         "ladder": ladder,
         "reference_state": {
             "action": u_inf.action,
             "residual": u_inf.residual,
             "iterations": u_inf.iterations,
-            "norms": {f"{float(s):g}": float(np.sqrt(integral((1.0 + xi_sq) ** s))) for s in s_list},
+            "norms": {f"{s:g}": norm for s, norm in norms.items()},
         },
         "action_convention": "mass term included",
     }
@@ -403,7 +394,7 @@ def _run_nondeg(config: RunConfig) -> int:
     if not u_inf.converged:
         print("reference solve did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    gap = nondegeneracy_gap(u_inf.field, nl, config.grid)
+    gap = nondegeneracy_gap(u_inf.field, nl)
     payload = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},

@@ -29,6 +29,11 @@ Parseval sums.  The solver, the Coulomb convolution inside it, the sweep
 records and the gap eigensolve run on the octant; `_kernel_values` sends an
 exactly even field there and any other real field to the full lattice.  The
 full-lattice |xi|^2 array `Grid.xi_sq` is built on first use only.
+
+Fields enter the kernel through one gate, which checks each input constraint
+once for every module: `_real_values` (real-space fields on one grid),
+`_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]) and
+`_recentered_octant` (recentre at the peak, take the even part, keep the octant).
 """
 
 from __future__ import annotations
@@ -173,9 +178,6 @@ class SpectralField:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def is_real_space(self) -> bool:
-        return self.space == "real"
-
 
 def make_grid(n: int, length: float, points: int) -> Grid:
     """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3."""
@@ -272,17 +274,30 @@ def _unfold(grid: Grid, octant: np.ndarray) -> np.ndarray:
     return octant
 
 
-def _kernel_values(grid: Grid, *arrays: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The arrays the kernel works on, and the frequencies of their coefficients.
+def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
+    """The grid and samples of real-space fields on one grid (`grid`, if given); else a ValueError."""
+    if grid is None:
+        grid = fields[0].grid
+    for f in fields:
+        if f.space != "real":
+            raise ValueError("requires real-space fields, got a frequency-space field")
+        if f.grid != grid:
+            raise ValueError(f"fields must share one grid, got {f.grid} and {grid}")
+    return grid, [f.values for f in fields]
 
-    If every array is exactly even (equal, bit for bit, to the unfolding of its
-    octant) the octants are returned with `octant_xi_sq`; otherwise the arrays
+
+def _kernel_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
+    """The grid of real-space fields, the arrays the kernel works on, and the frequencies of their coefficients.
+
+    If every field is exactly even (equal, bit for bit, to the unfolding of its
+    octant) the octants are returned with `octant_xi_sq`; otherwise the samples
     themselves, whose transforms live on the full lattice, with `xi_sq`.
     """
+    grid, arrays = _real_values(*fields)
     octants = [_octant(grid, a) for a in arrays]
     if all(np.array_equal(_unfold(grid, o), a) for o, a in zip(octants, arrays)):
-        return octants, grid.octant_xi_sq
-    return list(arrays), grid.xi_sq
+        return grid, octants, grid.octant_xi_sq
+    return grid, arrays, grid.xi_sq
 
 
 def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -336,12 +351,17 @@ def _coefficients(f: SpectralField) -> np.ndarray:
     return transform(f, "forward").values
 
 
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm of f via (1+|xi|^2)^s spectral weights; s = 0 is the L^2 norm."""
+def _sobolev_weight(xi_sq: np.ndarray | float, s: float) -> np.ndarray | float:
+    """The H^s weight (1+|xi|^2)^s; an order outside [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX] (or nan) is a ValueError."""
     if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
         raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
+    return (1.0 + xi_sq) ** s
+
+
+def sobolev_norm(f: SpectralField, s: float) -> float:
+    """H^s norm of f via (1+|xi|^2)^s spectral weights; s = 0 is the L^2 norm."""
     grid = f.grid
-    weight = (1.0 + grid.xi_sq) ** s
+    weight = _sobolev_weight(grid.xi_sq, s)
     if f.space == "real":
         return _spectral_norm(grid, weight, _forward(grid, f.values))
     return float(np.sqrt(np.sum(weight * _abs_sq(f.values)) / grid.volume))
@@ -388,36 +408,36 @@ def _recentered(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.roll(values, shift, axis=grid.axes)
 
 
-def _recentered_octant(grid: Grid, octant: np.ndarray) -> np.ndarray:
-    """`_recentered` followed by `_even_part`, for an even field stored on its octant.
+def _recentered_octant(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The octant of the even part of a real array recentred at its peak (`_recentered`, then `_even_part`).
 
-    The first octant argmax of an even field is its first full-grid argmax, so
-    a peak at the center (the octant's last entry) leaves the field as it is.
+    `values` is a full-grid array or an even field stored on its octant.  The
+    first octant argmax of an even field is its first full-grid argmax, so an
+    octant whose peak is at the center (its last entry) is returned as it is.
     """
-    if np.argmax(np.abs(octant)) == octant.size - 1:
-        return octant
-    return _octant(grid, _even_part(grid, _recentered(grid, _unfold(grid, octant))))
+    if values.shape == grid.octant_shape:
+        if np.argmax(np.abs(values)) == values.size - 1:
+            return values
+        values = _unfold(grid, values)
+    return _octant(grid, _even_part(grid, _recentered(grid, values)))
 
 
 def symmetrize(f: SpectralField) -> SpectralField:
     """Average of f over the per-axis reflections x_i -> -x_i; idempotent."""
-    if f.space != "real":
-        raise ValueError("symmetrize requires a real-space field")
-    return SpectralField(f.grid, _even_part(f.grid, f.values))
+    grid, (values,) = _real_values(f)
+    return SpectralField(grid, _even_part(grid, values))
 
 
 def recenter(f: SpectralField) -> SpectralField:
     """Circularly shift the peak of |f| to the x = 0 sample."""
-    if f.space != "real":
-        raise ValueError("recenter requires a real-space field")
-    vals = _recentered(f.grid, f.values)
-    return f if vals is f.values else SpectralField(f.grid, vals)
+    grid, (values,) = _real_values(f)
+    vals = _recentered(grid, values)
+    return f if vals is values else SpectralField(grid, vals)
 
 
 def lp_norm(f: SpectralField, p: float) -> float:
     """Lebesgue L^p norm of a real-space field (cell-volume weighted), for finite p >= 1."""
-    if f.space != "real":
-        raise ValueError("lp_norm requires a real-space field")
+    grid, (values,) = _real_values(f)
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError(f"lp_norm requires a finite exponent p >= 1, got {p}")
-    return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(np.abs(values) ** p) * grid.cell_volume) ** (1.0 / p))

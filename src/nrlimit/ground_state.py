@@ -30,13 +30,11 @@ from .grid import (
     Grid,
     SpectralField,
     _abs_sq,
-    _even_part,
     _forward,
     _inverse,
     _kernel_values,
     _lattice_sum,
-    _octant,
-    _recentered,
+    _real_values,
     _recentered_octant,
     _unfold,
     sobolev_norm,
@@ -220,9 +218,8 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     gamma = nl.degree / (nl.degree - 1.0)
 
     if isinstance(cfg.initial_guess, SpectralField):
-        if cfg.initial_guess.grid != grid:
-            raise ValueError("initial guess lives on a different grid")
-        u = _octant(grid, _even_part(grid, _recentered(grid, cfg.initial_guess.values)))
+        _, (guess,) = _real_values(cfg.initial_guess, grid=grid)
+        u = _recentered_octant(grid, guess)
     else:
         u = _octant_gaussian(grid, cfg.initial_guess)
 
@@ -282,11 +279,8 @@ def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     residual of a solved field equals the one `solve` reports bit for bit;
     any other field on the full lattice.
     """
-    if u.space != "real":
-        raise ValueError("residual requires a real-space field")
-    nl.validate_dimension(u.grid.n)
-    grid = u.grid
-    (values,), xi_sq = _kernel_values(grid, u.values)
+    grid, (values,), xi_sq = _kernel_values(u)
+    nl.validate_dimension(grid.n)
     norm_u = _l2_norm(grid, values)
     if norm_u == 0.0:
         raise ValueError("residual of the zero field is undefined")
@@ -300,11 +294,8 @@ def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     p is the variational exponent: degree + 1 for powers, 4 for Hartree.  Like
     `residual`, it evaluates an exactly even field on its octant.
     """
-    if u.space != "real":
-        raise ValueError("action requires a real-space field")
-    nl.validate_dimension(u.grid.n)
-    grid = u.grid
-    (values,), xi_sq = _kernel_values(grid, u.values)
+    grid, (values,), xi_sq = _kernel_values(u)
+    nl.validate_dimension(grid.n)
     uh = _forward(grid, values)
     return _action_value(grid, symbol(op, xi_sq), nl, values, uh, _term_values(nl, grid, values))
 

@@ -18,17 +18,18 @@ from .grid import (
     Grid,
     SpectralField,
     _abs_sq,
-    _even_part,
+    _coefficients,
     _forward,
     _inverse,
     _kernel_values,
     _lattice_sum,
-    _octant,
     _pair,
+    _real_values,
+    _recentered_octant,
+    _sobolev_weight,
     _spectral_integral,
     _spectral_norm,
     sobolev_norm,
-    transform,
 )
 from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
@@ -101,17 +102,14 @@ def convergence_record(
     both fields are exactly even (solved fields are) and on the full lattice
     otherwise; every norm and pairing is then read off the coefficients.
     """
-    if u_c.grid != u_inf.grid:
-        raise ValueError("difference norms require both fields on the identical grid")
-    grid = u_c.grid
-    (uc, ref), xi_sq = _kernel_values(grid, u_c.values, u_inf.values)
+    grid, (uc, ref), xi_sq = _kernel_values(u_c, u_inf)
     w_hat, uc_hat, ref_hat = (_forward(grid, v) for v in (uc - ref, uc, ref))
     h1 = 1.0 + xi_sq
     diff, sup = {}, {}
-    for s in s_values:
-        weight = h1 ** float(s)
-        diff[float(s)] = _spectral_norm(grid, weight, w_hat)
-        sup[float(s)] = _spectral_norm(grid, weight, uc_hat)
+    for s in map(float, s_values):
+        weight = _sobolev_weight(xi_sq, s)
+        diff[s] = _spectral_norm(grid, weight, w_hat)
+        sup[s] = _spectral_norm(grid, weight, uc_hat)
     lam = _spectral_integral(grid, h1, _pair(w_hat, ref_hat)) / _spectral_integral(grid, h1, _abs_sq(ref_hat))
     defect = symbol_defect(pseudo_relativistic(c), xi_sq)
     return ConvergenceRecord(
@@ -123,6 +121,14 @@ def convergence_record(
         action_c=float(action_c),
         sup_norms=sup,
     )
+
+
+def _sweep_orders(s_values) -> list[float]:
+    """A sweep's Sobolev orders as floats, each in the range `_sobolev_weight` accepts."""
+    s_values = [float(s) for s in s_values]
+    for s in s_values:
+        _sobolev_weight(0.0, s)  # the weight at xi = 0: the range check alone
+    return s_values
 
 
 def _sweep_c_values(c_values) -> list[float]:
@@ -148,9 +154,11 @@ def sweep(
 
     The nonrelativistic reference is solved once (or supplied precomputed on
     the same grid).  A non-converged point aborts with SweepError carrying the
-    records of the points that did converge.
+    records of the points that did converge.  c values and orders are checked
+    before any solve.
     """
     c_values = _sweep_c_values(c_values)
+    s_values = _sweep_orders(s_values)
     if u_inf is None:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
     if not u_inf.converged:
@@ -214,39 +222,32 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
 def h_minus1_residual(u_c: SpectralField, c: float) -> float:
     """H^{-1} norm of the symbol-defect operator applied to u_c at parameter c."""
     spec = pseudo_relativistic(c)
-    coeff = u_c.values if u_c.space == "freq" else transform(u_c, "forward").values
+    coeff = _coefficients(u_c)
     g = SpectralField(u_c.grid, symbol_defect(spec, u_c.grid.xi_sq) * coeff, space="freq")
     return sobolev_norm(g, -1.0)
 
 
-def nondegeneracy_gap(
-    u_inf: SpectralField,
-    nl: NonlinearitySpec,
-    grid: Grid | None = None,
-    tol: float = 1.0e-10,
-) -> float:
+def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec, tol: float = 1.0e-10) -> float:
     """Smallest constrained Rayleigh quotient <Lv, v>_{L^2} / ||v||_{H^1}^2.
 
     L is the linearization (-Delta + 1) - N'(u_inf), and the minimum runs over
     even fields H^1-orthogonal to u_inf.  Even fields live on the octant (the
-    reference enters through its even part; a ground state is even), so odd
-    modes cannot occur.  The quotient is computed through the symmetric
-    similarity B^{-1/2} L B^{-1/2} (B = -Delta + 1) in the weighted octant
-    coordinates sqrt(W) v, in which the full-grid dot product is the plain
-    one, with the constraint deflated by explicit projection inside every
-    matrix-vector product.  A nonpositive return signals a defective reference
-    state or projection; it is reported as computed, never clipped.
+    reference enters recentred at its peak and through its even part; a ground
+    state is centred and even), so odd modes cannot occur.  The quotient is
+    computed through the symmetric similarity B^{-1/2} L B^{-1/2}
+    (B = -Delta + 1) in the weighted octant coordinates sqrt(W) v, in which
+    the full-grid dot product is the plain one, with the constraint deflated
+    by explicit projection inside every matrix-vector product.  A nonpositive
+    return signals a defective reference state or projection; it is reported
+    as computed, never clipped.
     """
-    if grid is None:
-        grid = u_inf.grid
-    elif grid != u_inf.grid:
-        raise ValueError("reference state lives on a different grid")
+    grid, (values,) = _real_values(u_inf)
     nl.validate_dimension(grid.n)
 
     b_half = np.sqrt(1.0 + grid.octant_xi_sq)
     b_inv_half = 1.0 / b_half
     sqrt_w = np.sqrt(grid.octant_weight)
-    u0 = _octant(grid, _even_part(grid, u_inf.values))
+    u0 = _recentered_octant(grid, values)
     apply_derivative = _derivative(nl, grid, u0)
 
     def smooth(v: np.ndarray) -> np.ndarray:
@@ -318,9 +319,8 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     evaluated on its octant, any other on the full lattice; four whole-field
     transforms for Hartree, two for powers.
     """
-    grid = u_inf.grid
+    grid, (u,), xi_sq = _kernel_values(u_inf)
     nl.validate_dimension(grid.n)
-    (u,), xi_sq = _kernel_values(grid, u_inf.values)
     h1 = 1.0 + xi_sq
     uh = _forward(grid, u)
     bu = _inverse(grid, h1 * uh)
@@ -343,14 +343,21 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
 
 def optimality_forms(u_inf: SpectralField, c_values) -> list[float]:
     """`optimality_functional` at each c of `c_values`, from one transform of u_inf."""
-    grid = u_inf.grid
     specs = [pseudo_relativistic(c) for c in c_values]
     if u_inf.space == "freq":
-        ref_sq = _abs_sq(u_inf.values)
+        grid, ref_sq = u_inf.grid, _abs_sq(u_inf.values)
         return [float(np.sum(symbol_defect(spec, grid.xi_sq) * ref_sq) / grid.volume) for spec in specs]
-    (values,), xi_sq = _kernel_values(grid, u_inf.values)
+    grid, (values,), xi_sq = _kernel_values(u_inf)
     ref_sq = _abs_sq(_forward(grid, values))
     return [_spectral_integral(grid, symbol_defect(spec, xi_sq), ref_sq) for spec in specs]
+
+
+def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float], float]:
+    """H^s norms of u_inf at each order, and ||Delta u_inf||_{L^2}^2, from one transform of u_inf."""
+    grid, (values,), xi_sq = _kernel_values(u_inf)
+    ref_sq = _abs_sq(_forward(grid, values))
+    norms = {float(s): float(np.sqrt(_spectral_integral(grid, _sobolev_weight(xi_sq, s), ref_sq))) for s in s_values}
+    return norms, _spectral_integral(grid, xi_sq * xi_sq, ref_sq)
 
 
 def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float]:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _forward, _inverse, sobolev_norm
+from .grid import Grid, SpectralField, _forward, _inverse, _real_values, sobolev_norm
 
 __all__ = [
     "NonlinearitySpec",
@@ -133,27 +133,24 @@ def _derivative(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray) -> Callable[
 
 def hartree_potential(u: SpectralField) -> SpectralField:
     """Free-space Coulomb potential of u^2 via the truncated kernel."""
-    if u.grid.n != 3:
+    grid, (values,) = _real_values(u)
+    if grid.n != 3:
         raise ValueError("hartree potential requires a three-dimensional grid")
-    if u.space != "real":
-        raise ValueError("hartree potential requires a real-space field")
-    return SpectralField(u.grid, _coulomb_values(u.grid, u.values * u.values))
+    return SpectralField(grid, _coulomb_values(grid, values * values))
 
 
 def evaluate(spec: NonlinearitySpec, u: SpectralField) -> SpectralField:
     """Pointwise u^p, or the Hartree term (|x|^-1 * u^2) u."""
-    if u.space != "real":
-        raise ValueError("nonlinearity evaluation requires a real-space field")
-    spec.validate_dimension(u.grid.n)
-    return SpectralField(u.grid, _term_values(spec, u.grid, u.values))
+    grid, (values,) = _real_values(u)
+    spec.validate_dimension(grid.n)
+    return SpectralField(grid, _term_values(spec, grid, values))
 
 
 def linearize(spec: NonlinearitySpec, u0: SpectralField, v: SpectralField) -> SpectralField:
     """Derivative of the nonlinearity at u0 applied to v (linear in v)."""
-    if u0.grid != v.grid:
-        raise ValueError("linearize requires fields on the same grid")
-    spec.validate_dimension(u0.grid.n)
-    return SpectralField(u0.grid, _derivative(spec, u0.grid, u0.values)(v.values))
+    grid, (base, direction) = _real_values(u0, v)
+    spec.validate_dimension(grid.n)
+    return SpectralField(grid, _derivative(spec, grid, base)(direction))
 
 
 def taylor_remainder(spec: NonlinearitySpec, u0: SpectralField, w: SpectralField) -> SpectralField:
@@ -163,18 +160,14 @@ def taylor_remainder(spec: NonlinearitySpec, u0: SpectralField, w: SpectralField
     (|x|^-1 * w^2) u0 + 2 (|x|^-1 * (u0 w)) w + (|x|^-1 * w^2) w,
     which agrees with the subtractive form identically.
     """
-    if u0.grid != w.grid:
-        raise ValueError("taylor_remainder requires fields on the same grid")
-    spec.validate_dimension(u0.grid.n)
+    grid, (base, step) = _real_values(u0, w)
+    spec.validate_dimension(grid.n)
     if spec.kind == "power":
-        total = evaluate(spec, SpectralField(u0.grid, u0.values + w.values)).values
-        linear = _derivative(spec, u0.grid, u0.values)(w.values)
-        return SpectralField(u0.grid, total - u0.values**spec.p - linear)
-    grid = u0.grid
-    ww = _coulomb_values(grid, w.values * w.values)
-    uw = _coulomb_values(grid, u0.values * w.values)
-    vals = ww * u0.values + 2.0 * uw * w.values + ww * w.values
-    return SpectralField(grid, vals)
+        linear = _derivative(spec, grid, base)(step)
+        return SpectralField(grid, (base + step) ** spec.p - base**spec.p - linear)
+    ww = _coulomb_values(grid, step * step)
+    uw = _coulomb_values(grid, base * step)
+    return SpectralField(grid, ww * base + 2.0 * uw * step + ww * step)
 
 
 @dataclass(frozen=True)
@@ -211,7 +204,7 @@ def multilinear_ratio(spec: NonlinearitySpec, s: float, samples) -> RatioStats:
         fields = tuple(fields)
         if len(fields) != expected:
             raise ValueError(f"expected factor tuples of length {expected}, got {len(fields)}")
-        grid = fields[0].grid
+        grid, values = _real_values(*fields)
         denom = 1.0
         for v in fields:
             nv = sobolev_norm(v, s)
@@ -220,14 +213,11 @@ def multilinear_ratio(spec: NonlinearitySpec, s: float, samples) -> RatioStats:
             denom *= nv
         if spec.kind == "hartree":
             spec.validate_dimension(grid.n)
-            conv = _coulomb_values(grid, fields[0].values * fields[1].values)
-            lhs_field = SpectralField(grid, conv * fields[2].values)
+            conv = _coulomb_values(grid, values[0] * values[1])
+            lhs_field = SpectralField(grid, conv * values[2])
             target = s
         else:
-            prod = np.ones(grid.shape)
-            for v in fields:
-                prod = prod * v.values
-            lhs_field = SpectralField(grid, prod)
+            lhs_field = SpectralField(grid, np.prod(values, axis=0))
             target = _power_target_order(spec.degree, s, grid.n)
         ratios.append(sobolev_norm(lhs_field, target) / denom)
     if not ratios:

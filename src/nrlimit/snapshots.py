@@ -12,26 +12,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, SpectralField, make_grid
+from .grid import SpectralField, _real_values, make_grid
 
 __all__ = ["save_field", "load_field"]
 
 
 def save_field(f: SpectralField, stem: str | Path, fmt: str = "binary") -> tuple[Path, Path]:
     """Write <stem>.json header and <stem>.bin or <stem>.csv samples."""
-    if f.space != "real":
-        raise ValueError("snapshots store real-space samples")
+    grid, (values,) = _real_values(f)
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    header = {"n": f.grid.n, "L": f.grid.length, "N": f.grid.points}
+    header = {"n": grid.n, "L": grid.length, "N": grid.points}
     header_path = stem.with_suffix(".json")
     header_path.write_text(json.dumps(header, sort_keys=True) + "\n")
     if fmt == "binary":
         data_path = stem.with_suffix(".bin")
-        f.values.astype("<f8").tofile(data_path)
+        values.astype("<f8").tofile(data_path)
     elif fmt == "csv":
         data_path = stem.with_suffix(".csv")
-        np.savetxt(data_path, f.values.ravel(), fmt="%.17g")
+        np.savetxt(data_path, values.ravel(), fmt="%.17g")
     else:
         raise ValueError(f"fmt must be 'binary' or 'csv', got {fmt!r}")
     return header_path, data_path

@@ -358,13 +358,14 @@ class TestOctantKernel:
     def test_restrict_and_unfold_round_trip_bit_for_bit(self, grid):
         full = _even_nyquist_field(grid, np.random.default_rng(90 + grid.n))
         assert np.array_equal(_unfold(grid, _octant(grid, full)), full)
-        (values,), xi_sq = _kernel_values(grid, full)
+        _, (values,), xi_sq = _kernel_values(nr.SpectralField(grid, full))
         assert values.shape == grid.octant_shape and xi_sq is grid.octant_xi_sq
         # one sample off its mirror image sends the field to the full lattice
         uneven = full.copy()
         uneven[(1,) * grid.n] += 1e-12
-        (values,), xi_sq = _kernel_values(grid, uneven)
-        assert values is uneven and xi_sq is grid.xi_sq
+        uneven_field = nr.SpectralField(grid, uneven)
+        _, (values,), xi_sq = _kernel_values(uneven_field)
+        assert values is uneven_field.values and xi_sq is grid.xi_sq
 
     def test_recentering_a_corner_peak_on_the_octant(self):
         grid = KERNEL_GRIDS[1]
@@ -376,6 +377,8 @@ class TestOctantKernel:
         assert np.array_equal(moved, _octant(grid, _even_part(grid, _recentered(grid, full))))
         assert np.argmax(moved) == moved.size - 1
         assert _recentered_octant(grid, moved) is moved
+        # a full-grid array takes the same route
+        assert np.array_equal(_recentered_octant(grid, full), moved)
 
     def test_import_does_not_load_scipy_fft(self):
         # scipy.fft costs about 83 ms of start-up; the kernel is numpy.fft only
@@ -502,3 +505,57 @@ class TestSnapshots:
         header_path, _ = nr.save_field(f, tmp_path / "snap")
         header = json.loads(header_path.read_text())
         assert header == {"n": 3, "L": 16.0, "N": 16}
+
+
+def _gaussian(grid):
+    return nr.SpectralField(grid, np.exp(-0.5 * grid.radius_sq()))
+
+
+# every public function that works on real-space samples, with the
+# frequency-space field `uh` in one of its field slots; `u` is real
+REAL_SPACE_CALLS = {
+    "symmetrize": lambda u, uh, path: nr.symmetrize(uh),
+    "recenter": lambda u, uh, path: nr.recenter(uh),
+    "lp_norm": lambda u, uh, path: nr.lp_norm(uh, 2.0),
+    "residual": lambda u, uh, path: nr.residual(uh, nr.nonrelativistic(), nr.power(3)),
+    "action": lambda u, uh, path: nr.action(uh, nr.nonrelativistic(), nr.power(3)),
+    "solve-guess": lambda u, uh, path: nr.solve(
+        nr.nonrelativistic(), nr.power(3), u.grid, nr.SolverConfig(initial_guess=uh)
+    ),
+    "evaluate": lambda u, uh, path: nr.evaluate(nr.power(3), uh),
+    "hartree_potential": lambda u, uh, path: nr.hartree_potential(uh),
+    "linearize-base": lambda u, uh, path: nr.linearize(nr.power(3), uh, u),
+    "linearize-direction": lambda u, uh, path: nr.linearize(nr.power(3), u, uh),
+    "taylor_remainder": lambda u, uh, path: nr.taylor_remainder(nr.power(3), u, uh),
+    "multilinear_ratio": lambda u, uh, path: nr.multilinear_ratio(nr.power(3), 1.0, [(u, u, uh)]),
+    "convergence_record-u_c": lambda u, uh, path: nr.convergence_record(uh, u, 4.0, [1.0]),
+    "convergence_record-u_inf": lambda u, uh, path: nr.convergence_record(u, uh, 4.0, [1.0]),
+    "nondegeneracy_gap": lambda u, uh, path: nr.nondegeneracy_gap(uh, nr.power(3)),
+    "linearization_identity_residual": lambda u, uh, path: nr.linearization_identity_residual(uh, nr.power(3)),
+    "save_field": lambda u, uh, path: nr.save_field(uh, path / "snap"),
+}
+
+
+class TestRealSpaceGate:
+    """A frequency-space field or a second grid is a ValueError in every
+    function that reads real-space samples, never a wrong number."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_SPACE_CALLS))
+    def test_frequency_space_field_rejected(self, name, tmp_path):
+        u = _gaussian(KERNEL_GRIDS[2] if name == "hartree_potential" else SMALL)
+        uh = nr.transform(u, "forward")
+        with pytest.raises(ValueError, match="real-space"):
+            REAL_SPACE_CALLS[name](u, uh, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_multilinear_factors_on_two_grids_of_one_shape_rejected(self):
+        other = nr.make_grid(1, 2.0 * SMALL.length, SMALL.points)
+        u, v = _gaussian(SMALL), _gaussian(other)
+        assert u.values.shape == v.values.shape
+        with pytest.raises(ValueError, match="one grid"):
+            nr.multilinear_ratio(nr.power(3), 1.0, [(u, u, v)])
+
+    def test_guess_on_another_grid_rejected(self):
+        guess = _gaussian(nr.make_grid(1, 2.0 * SMALL.length, SMALL.points))
+        with pytest.raises(ValueError, match="one grid"):
+            nr.solve(nr.nonrelativistic(), nr.power(3), SMALL, nr.SolverConfig(initial_guess=guess))

@@ -112,6 +112,33 @@ class TestSweep:
         assert threaded == serial
 
 
+class TestSobolevOrderRange:
+    """The orders a sweep records lie in [-4, 8], both ends included, as in
+    `sobolev_norm` and the CLI's analysis.s_list."""
+
+    @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5])
+    def test_sweep_rejects_order_before_any_solve(self, monkeypatch, s):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep solved before checking its orders")
+
+        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
+        with pytest.raises(ValueError, match="Sobolev order"):
+            nr.sweep([4.0, 8.0], [1.0, s], nr.power(3), SMALL)
+
+    @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5])
+    def test_convergence_record_rejects_order(self, s):
+        u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
+        with pytest.raises(ValueError, match="Sobolev order"):
+            nr.convergence_record(u, u, 4.0, [1.0, s])
+
+    def test_range_ends_are_included(self):
+        u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
+        rec = nr.convergence_record(u, u, 4.0, [-4, 8])
+        assert list(rec.sup_norms) == [-4.0, 8.0]
+        for s, norm in rec.sup_norms.items():
+            assert np.isclose(norm, nr.sobolev_norm(u, s), rtol=1e-12, atol=0.0)
+
+
 class TestFitRate:
     def test_exact_inverse_square(self):
         records = synthetic_records([2.0, 4.0, 8.0, 16.0], lambda c: 7.0 / c**2)
@@ -237,6 +264,12 @@ class TestNondegeneracyGap:
         xf = fine_grid.coordinates()[0]
         fine = nr.nondegeneracy_gap(nr.SpectralField(fine_grid, np.sqrt(2.0) / np.cosh(xf)), nr.power(3))
         assert abs(fine - analytic) <= 1e-4 * analytic
+
+    def test_reference_is_recentred_at_its_peak(self):
+        x = SMALL.coordinates()[0]
+        centred = nr.SpectralField(SMALL, np.sqrt(2.0) / np.cosh(x))
+        shifted = nr.SpectralField(SMALL, np.roll(centred.values, 5))
+        assert nr.nondegeneracy_gap(shifted, nr.power(3)) == nr.nondegeneracy_gap(centred, nr.power(3))
 
     def test_hartree_gap_positive(self, sweep_3d):
         gap = nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
