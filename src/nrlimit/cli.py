@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +258,8 @@ def parse_config(text: str) -> RunConfig:
         # Grid checks L before N, so the fault is N's if the smallest grid of length L is valid
         if _valid(errors, "grid.L", make_grid, 1, config.L, 16):
             _valid(errors, "grid.N", lambda: config.grid)
+    elif config.command in ("verify-symbols", "report"):
+        _valid(errors, "grid.L", _taylor_column, config.grid)
     if config.c is not None:
         _valid(errors, "operator.c", pseudo_relativistic, config.c)
     elif config.command == "solve" and config.operator_kind == PSEUDO:
@@ -407,23 +409,29 @@ def _run_nondeg(config: RunConfig) -> int:
     return EXIT_OK if gap > 0.0 else EXIT_NONCONVERGENCE
 
 
-def _symbol_table(config: RunConfig) -> dict:
-    """Symbol bounds over SYMBOL_C_GRID; a box too short to hold a lattice mode
-    in the Taylor window is a violation at grid.L."""
-    grid = config.grid
-    rows = []
+@lru_cache(maxsize=1)
+def _taylor_column(grid: Grid) -> tuple[tuple[float, float], ...]:
+    """(cutoff fraction, Taylor residual) at each c of SYMBOL_C_GRID; a box too short to hold
+    a lattice mode in a Taylor window is a ValueError, which parse_config reports at grid.L."""
+    column = []
     for c in SYMBOL_C_GRID:
-        spec = pseudo_relativistic(c)
-        smallest = 2.0 * np.pi / config.L
-        cutoff = 0.1 if 0.1 * c >= smallest else 0.5
+        cutoff = 0.1 if 0.1 * c >= 2.0 * np.pi / grid.length else 0.5
         try:
-            taylor = taylor_residual(spec, grid, cutoff)
+            column.append((cutoff, taylor_residual(pseudo_relativistic(c), grid, cutoff)))
         except ValueError as exc:
-            raise ConfigError([f"grid.L: L = {config.L:g} is too short for the symbol table at c = {c:g}: {exc}"])
+            raise ValueError(f"L = {grid.length:g} is too short for the symbol table at c = {c:g}: {exc}") from None
+    return tuple(column)
+
+
+def _symbol_table(config: RunConfig) -> dict:
+    """Symbol bounds over SYMBOL_C_GRID."""
+    rows = []
+    for c, (cutoff, taylor) in zip(SYMBOL_C_GRID, _taylor_column(config.grid)):
+        spec = pseudo_relativistic(c)
         rows.append(
             {
                 "c": c,
-                "lattice_min_ratio": symbol_gap_ratio(spec, grid),
+                "lattice_min_ratio": symbol_gap_ratio(spec, config.grid),
                 "dense_min_ratio": symbol_gap_scan(spec),
                 "taylor_residual": taylor,
                 "cutoff_fraction": cutoff,
@@ -434,7 +442,6 @@ def _symbol_table(config: RunConfig) -> dict:
 
 
 def _run_report(config: RunConfig, threads: int) -> int:
-    # first, so that a grid the table rejects costs no solve
     symbols = _symbol_table(config)
     s_all = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS)))
     try:

@@ -76,6 +76,11 @@ class Grid:
     points: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "points"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
         if not np.isfinite(self.length) or self.length <= 0:
@@ -84,6 +89,8 @@ class Grid:
             raise ValueError(f"points per axis must be even and >= 16, got {self.points}")
 
         dx = self.length / self.points
+        if not (dx > 0.0 and self.n * (np.pi / dx) * (np.pi / dx) < np.inf):
+            raise ValueError(f"box length {self.length} is too small for {self.points} points: |xi|^2 overflows")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "shape", (self.points,) * self.n)
 
@@ -180,8 +187,8 @@ class SpectralField:
 
 
 def make_grid(n: int, length: float, points: int) -> Grid:
-    """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3."""
-    return Grid(n=n, length=float(length), points=int(points))
+    """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3, non-integer n or N."""
+    return Grid(n=n, length=float(length), points=points)
 
 
 def transform(f: SpectralField, direction: str) -> SpectralField:

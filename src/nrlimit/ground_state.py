@@ -63,7 +63,8 @@ class GroundStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls; tolerance is the relative L^2 residual target.
+    """Iteration controls; tolerance is the relative L^2 residual target, and a
+    solve starts from initial_guess, or from `gaussian_guess(grid)` if it is None.
 
     The stabilization exponent is not a control: it is fixed at
     gamma = degree/(degree - 1), the one value at which G(a u) = G(u) for every
@@ -74,13 +75,15 @@ class SolverConfig:
 
     tolerance: float = 1.0e-12
     max_iterations: int = 2000
-    initial_guess: float | SpectralField = 1.0
+    initial_guess: SpectralField | None = None
 
     def __post_init__(self) -> None:
         if not 1.0e-14 <= self.tolerance <= 1.0e-4:
             raise ValueError(f"tolerance must lie in [1e-14, 1e-4], got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if not (self.initial_guess is None or isinstance(self.initial_guess, SpectralField)):
+            raise TypeError(f"initial_guess must be a SpectralField or None, got {self.initial_guess!r}")
 
 
 @dataclass(frozen=True)
@@ -98,11 +101,11 @@ def gaussian_guess(grid: Grid, width: float = 1.0) -> SpectralField:
     return SpectralField(grid, np.exp(-grid.radius_sq() / (2.0 * width**2)))
 
 
-def _octant_gaussian(grid: Grid, width: float) -> np.ndarray:
-    """`gaussian_guess` on the octant coordinates x <= 0, whose last entry is the peak at x = 0."""
+def _octant_gaussian(grid: Grid) -> np.ndarray:
+    """`gaussian_guess(grid)` on the octant coordinates x <= 0, whose last entry is the peak at x = 0."""
     x = grid.axis[: grid.octant_shape[0]]
     radius_sq = sum(a * a for a in np.meshgrid(*([x] * grid.n), indexing="ij"))
-    return np.exp(-radius_sq / (2.0 * width**2))
+    return np.exp(-radius_sq / 2.0)
 
 
 def _l2_norm(grid: Grid, u: np.ndarray) -> float:
@@ -202,34 +205,32 @@ def _action_value(
 def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
     """Compute the positive even ground state of P(D)u = N(u) on the grid.
 
-    Returns a result with converged=False (carrying the best iterate) if the
-    tolerance is not reached within max_iterations; raises GroundStateError on
-    collapse to the zero field or on a non-finite iterate or residual.  The
-    stabilized map is Anderson-mixed with depth ANDERSON_DEPTH.  A field guess
-    is recentered and symmetrized once, a Gaussian width is sampled on the
+    The result carries the last iterate, its residual (the last entry of
+    residual_history) and its action, with converged=False if the tolerance
+    was not reached within max_iterations; raises GroundStateError on collapse
+    to the zero field or on a non-finite iterate or residual.  The stabilized
+    map is Anderson-mixed with depth ANDERSON_DEPTH.  A field guess is
+    recentered and symmetrized once, the default Gaussian is sampled on the
     octant directly; from then on the whole iteration runs on the octant.  An
     iteration takes three whole-field DCT-I transforms (u and N(u) forward,
-    the update back), five with the Hartree term's Coulomb pair;
-    the residual and the Rayleigh factor come from the coefficients by
-    Parseval, and the mixing adds no transform.
+    the update back), five with the Hartree term's Coulomb pair; the residual
+    and the Rayleigh factor come from the coefficients by Parseval, and the
+    mixing adds no transform.
     """
     nl.validate_dimension(grid.n)
     sym = symbol(op, grid.octant_xi_sq)
     gamma = nl.degree / (nl.degree - 1.0)
 
-    if isinstance(cfg.initial_guess, SpectralField):
+    if cfg.initial_guess is None:
+        u = _octant_gaussian(grid)
+    else:
         _, (guess,) = _real_values(cfg.initial_guess, grid=grid)
         u = _recentered_octant(grid, guess)
-    else:
-        u = _octant_gaussian(grid, cfg.initial_guess)
 
     mixer = _AndersonMixer(u.shape, grid.octant_weight)
     history: list[float] = []
-    best_res = np.inf
-    best_u = u
-    iterations = 0
 
-    for _ in range(cfg.max_iterations + 1):
+    for iterations in range(cfg.max_iterations + 1):
         norm_u = _l2_norm(grid, u)
         if not np.isfinite(norm_u):
             raise GroundStateError(f"non-finite iterate at iteration {iterations}")
@@ -239,9 +240,6 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
         if not np.isfinite(res):
             raise GroundStateError(f"non-finite residual at iteration {iterations}")
         history.append(res)
-        if res < best_res:
-            best_res = res
-            best_u = u
         if res <= cfg.tolerance or iterations >= cfg.max_iterations:
             break
 
@@ -251,23 +249,13 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
             raise GroundStateError("nonlinear pairing lost positivity during iteration")
         image = _recentered_octant(grid, _inverse(grid, (num / den) ** gamma * nh / sym))
         u = mixer.mix(u, image)
-        iterations += 1
 
-    converged = history[-1] <= cfg.tolerance
-    if converged:
-        field = SpectralField(grid, _unfold(grid, u))
-        final_res = history[-1]
-        final_action = _action_value(grid, sym, nl, u, uh, nu)
-    else:
-        field = SpectralField(grid, _unfold(grid, best_u))
-        final_res = best_res
-        final_action = action(field, op, nl)
     return GroundStateResult(
-        field=field,
-        residual=float(final_res),
-        action=final_action,
+        field=SpectralField(grid, _unfold(grid, u)),
+        residual=history[-1],
+        action=_action_value(grid, sym, nl, u, uh, nu),
         iterations=iterations,
-        converged=bool(converged),
+        converged=bool(history[-1] <= cfg.tolerance),
         residual_history=tuple(history),
     )
 
@@ -304,13 +292,9 @@ def initialization_stability(
     op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()
 ) -> float:
     """Max pairwise H^1 distance of solves started from perturbed initial data."""
-    guesses = [
-        gaussian_guess(grid, 1.0),
-        gaussian_guess(grid, 0.7),
-        gaussian_guess(grid, 1.4),
-    ]
+    guesses = [gaussian_guess(grid, width) for width in (1.0, 0.7, 1.4)]
     bump = 1.0 + 0.1 * np.cos(2.0 * np.pi * grid.coordinates()[0] / grid.length)
-    guesses.append(SpectralField(grid, gaussian_guess(grid, 1.0).values * bump))
+    guesses.append(SpectralField(grid, guesses[0].values * bump))
 
     results = []
     for g in guesses:

@@ -10,7 +10,9 @@ values and sup-norm table entries.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .grid import (
     _spectral_norm,
     sobolev_norm,
 )
-from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative
+from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative, hartree
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, solve
 
@@ -53,19 +55,20 @@ __all__ = [
 
 DEFLATION_SHIFT = 10.0  # pushes the removed directions above the sought eigenvalue
 LANCZOS_MAX_STEPS = 200  # the gap converges in about 20; each step re-solves a tridiagonal eigenproblem
+LANCZOS_TOL = 1.0e-10  # relative Ritz residual at which the gap is accepted
 
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One row of a c-sweep: difference norms and diagnostics at a single c."""
+    """One row of a c-sweep: difference norms and diagnostics at a single c; the norm tables are read-only."""
 
     c: float
-    diff_norms: dict[float, float]
+    diff_norms: Mapping[float, float]
     h_minus1_residual: float
     lam: float
     v_norm_h1: float
     action_c: float
-    sup_norms: dict[float, float]
+    sup_norms: Mapping[float, float]
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,12 @@ def convergence_record(
     defect = symbol_defect(pseudo_relativistic(c), xi_sq)
     return ConvergenceRecord(
         c=float(c),
-        diff_norms=diff,
+        diff_norms=MappingProxyType(diff),
         h_minus1_residual=_spectral_norm(grid, 1.0 / h1, defect * uc_hat),
         lam=float(lam),
         v_norm_h1=_spectral_norm(grid, h1, w_hat - lam * ref_hat),
         action_c=float(action_c),
-        sup_norms=sup,
+        sup_norms=MappingProxyType(sup),
     )
 
 
@@ -227,7 +230,7 @@ def h_minus1_residual(u_c: SpectralField, c: float) -> float:
     return sobolev_norm(g, -1.0)
 
 
-def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec, tol: float = 1.0e-10) -> float:
+def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     """Smallest constrained Rayleigh quotient <Lv, v>_{L^2} / ||v||_{H^1}^2.
 
     L is the linearization (-Delta + 1) - N'(u_inf), and the minimum runs over
@@ -271,7 +274,7 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec, tol: float = 1
     # over the octant's entries, phi = (sqrt(5) - 1) / 2
     weyl = (np.arange(sqrt_w.size) * 0.6180339887498949) % 1.0 - 0.5
     v0 = project(sqrt_w.ravel() * weyl)
-    return _lanczos_smallest(matvec, v0, tol)
+    return _lanczos_smallest(matvec, v0, LANCZOS_TOL)
 
 
 def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
@@ -371,8 +374,7 @@ def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float
     if count < 1:
         raise ValueError("count must be at least 1")
     if kind == "hartree":
-        if n != 3:
-            raise ValueError("hartree ladder is defined in dimension 3")
+        hartree().validate_dimension(n)
         return [k + 0.5 for k in range(count + 1)]
     if kind != "power":
         raise ValueError(f"kind must be 'power' or 'hartree', got {kind!r}")

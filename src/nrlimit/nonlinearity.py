@@ -134,8 +134,7 @@ def _derivative(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray) -> Callable[
 def hartree_potential(u: SpectralField) -> SpectralField:
     """Free-space Coulomb potential of u^2 via the truncated kernel."""
     grid, (values,) = _real_values(u)
-    if grid.n != 3:
-        raise ValueError("hartree potential requires a three-dimensional grid")
+    hartree().validate_dimension(grid.n)
     return SpectralField(grid, _coulomb_values(grid, values * values))
 
 

@@ -279,8 +279,15 @@ class TestReportCommand:
         assert main([command, "--out", str(out), "--override", "grid.L=8", "--override", "grid.N=256"]) == 2
         assert "grid.L:" in capsys.readouterr().err
         assert solves == []
-        assert not (out / "sweep.csv").exists()
-        assert not (out / "symbols.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length", [5e-324, 1e-300, 1.0, math.nextafter(4.0 * math.pi, 0.0)])
+    def test_short_box_exits_2_at_grid_length_and_writes_nothing(self, tmp_path, capsys, length):
+        out = tmp_path / "symbols"
+        assert main(["verify-symbols", "--out", str(out), "--override", f"grid.L={length!r}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grid.L: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_grid_built_once(self, tmp_path, monkeypatch):
         built = []
@@ -360,12 +367,16 @@ def valid_configs(draw):
     else:
         operator.update(_fields(draw, c=st.one_of(st.none(), c)))
     max_points = {1: 2048, 2: 128, 3: 32}[n]
+    lengths = st.one_of(st.integers(1, 1000), st.floats(0.5, 1000.0))
+    if command in ("verify-symbols", "report"):
+        # the symbol table's Taylor window at c = 1 needs L >= 4 pi
+        lengths = st.one_of(st.integers(13, 1000), st.floats(13.0, 1000.0))
     return {
         "command": command,
         "problem": problem,
         "grid": _fields(
             draw,
-            L=st.one_of(st.integers(1, 1000), st.floats(0.5, 1000.0)),
+            L=lengths,
             N=st.integers(8, max_points // 2).map(lambda k: 2 * k),
         ),
         "operator": operator,
@@ -389,7 +400,15 @@ INVALID = {
     "problem.n": st.one_of(st.integers().filter(lambda v: v not in (1, 2, 3)), st.floats(), NOT_NUMBERS, st.none()),
     "problem.nonlinearity": st.one_of(st.text(max_size=8).filter(lambda v: v != "power"), st.integers(), st.none()),
     "problem.p": st.one_of(st.integers(max_value=2), st.floats(), NOT_NUMBERS, st.none()),
-    "grid.L": st.one_of(st.floats(max_value=0.0), st.integers(max_value=0), NON_FINITE, NOT_NUMBERS, st.none()),
+    "grid.L": st.one_of(
+        st.floats(max_value=0.0),
+        st.integers(max_value=0),
+        # too short for the symbol table's Taylor window at c = 1
+        st.floats(0.0, 4.0 * math.pi, exclude_min=True, exclude_max=True),
+        NON_FINITE,
+        NOT_NUMBERS,
+        st.none(),
+    ),
     "grid.N": st.one_of(st.integers().filter(lambda v: v % 2 == 1 or v < 16), st.floats(), NOT_NUMBERS, st.none()),
     "operator.kind": st.one_of(st.text(max_size=8).filter(lambda v: v not in KINDS), st.integers()),
     "operator.c": st.one_of(

@@ -52,11 +52,21 @@ class TestMakeGrid:
             (0, 32.0, 64),
             (1, float("nan"), 64),
             (1, float("inf"), 64),
+            (1, 32.0, 1024.5),
+            (True, 32.0, 64),
+            (1, 32.0, 64.0),
+            (1, 5e-324, 64),
+            (1, 1e-300, 64),
         ],
     )
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
             nr.make_grid(*args)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        g = nr.make_grid(np.int64(1), 32.0, np.int32(64))
+        assert g == nr.make_grid(1, 32.0, 64)
+        assert type(g.n) is int and type(g.points) is int
 
     def test_frequency_lattice_symmetric_except_nyquist(self):
         g = nr.make_grid(1, 8.0, 16)
@@ -505,6 +515,16 @@ class TestSnapshots:
         header_path, _ = nr.save_field(f, tmp_path / "snap")
         header = json.loads(header_path.read_text())
         assert header == {"n": 3, "L": 16.0, "N": 16}
+
+    @pytest.mark.parametrize("key, value", [("N", 64.7), ("n", True)])
+    def test_non_integer_header_rejected(self, tmp_path, key, value):
+        import json
+
+        header_path, _ = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps({**header, key: value}))
+        with pytest.raises(ValueError, match="must be an integer"):
+            nr.load_field(tmp_path / "snap")
 
 
 def _gaussian(grid):

@@ -19,6 +19,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             nr.SolverConfig(tolerance=1e-3)
 
+    @pytest.mark.parametrize("guess", [1.0, np.inf, np.nan, 0.0, np.ones(64)], ids=["1", "inf", "nan", "0", "array"])
+    def test_initial_guess_is_a_field_or_none(self, guess):
+        with pytest.raises(TypeError, match="initial_guess must be a SpectralField or None"):
+            nr.SolverConfig(initial_guess=guess)
+
 
 class TestSoliton1D:
     def test_profile_and_residual(self, u_inf_1d, sech_exact):
@@ -311,12 +316,19 @@ class TestFailureModes:
         with pytest.raises(nr.GroundStateError, match="non-finite iterate at iteration 0"):
             nr.solve(nr.nonrelativistic(), nr.power(3), grid1d, cfg)
 
-    def test_nonconvergence_reports_best_residual(self, grid1d):
-        cfg = nr.SolverConfig(max_iterations=3)
-        res = nr.solve(nr.nonrelativistic(), nr.power(3), grid1d, cfg)
+    @pytest.mark.parametrize("max_iterations", [3, 13])
+    def test_nonconvergence_returns_last_iterate(self, grid1d, max_iterations):
+        # at 13 iterations the residual sits on its round-off floor, where the
+        # last iterate is not the one of smallest residual
+        cfg = nr.SolverConfig(max_iterations=max_iterations)
+        op, nl = nr.nonrelativistic(), nr.power(3)
+        res = nr.solve(op, nl, grid1d, cfg)
         assert not res.converged
-        assert res.iterations == 3
-        assert res.residual == min(res.residual_history)
+        assert res.iterations == max_iterations
+        assert len(res.residual_history) == max_iterations + 1
+        assert res.residual == res.residual_history[-1]
+        assert nr.residual(res.field, op, nl) == res.residual
+        assert res.action == nr.action(res.field, op, nl)
 
     def test_incompatible_problem_rejected(self, grid1d):
         with pytest.raises(ValueError):
@@ -335,24 +347,24 @@ class TestGridRobustness:
 
 
 class TestDefaultGuess:
-    """A Gaussian width is sampled on the octant directly; where the full-grid
-    Gaussian is exactly even (dx a power of two) the solve is the one started
-    from `gaussian_guess`, bit for bit."""
+    """The default start, the width-1 Gaussian, is sampled on the octant
+    directly; where the full-grid Gaussian is exactly even (dx a power of two)
+    the solve is the one started from `gaussian_guess(grid)`, bit for bit."""
 
     @pytest.mark.parametrize("grid", [nr.make_grid(1, 16.0, 64), nr.make_grid(3, 16.0, 32)], ids=["1d", "3d"])
     def test_octant_gaussian_is_the_octant_of_gaussian_guess(self, grid):
-        for width in (0.7, 1.0):
-            octant = _octant_gaussian(grid, width)
-            assert np.array_equal(octant, _octant(grid, nr.gaussian_guess(grid, width).values))
-            assert np.argmax(octant) == octant.size - 1
+        octant = _octant_gaussian(grid)
+        assert np.array_equal(octant, _octant(grid, nr.gaussian_guess(grid).values))
+        assert np.argmax(octant) == octant.size - 1
 
-    def test_width_and_field_guess_solve_identically(self):
+    def test_default_and_field_guess_solve_identically(self):
         grid = nr.make_grid(3, 16.0, 32)
-        by_width = nr.solve(nr.nonrelativistic(), nr.hartree(), grid, nr.SolverConfig(initial_guess=0.8))
-        guess = nr.SolverConfig(initial_guess=nr.gaussian_guess(grid, 0.8))
+        by_default = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
+        guess = nr.SolverConfig(initial_guess=nr.gaussian_guess(grid))
         by_field = nr.solve(nr.nonrelativistic(), nr.hartree(), grid, guess)
-        assert by_width.residual_history == by_field.residual_history
-        assert np.array_equal(by_width.field.values, by_field.field.values)
+        assert by_default.residual_history == by_field.residual_history
+        assert np.array_equal(by_default.field.values, by_field.field.values)
+        assert by_default.action == by_field.action
 
 
 class TestInitializationStability:

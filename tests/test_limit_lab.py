@@ -42,6 +42,14 @@ class TestSweep:
         assert rec.lam == 0.0
         assert rec.v_norm_h1 == 0.0
 
+    def test_norm_tables_are_read_only(self, sweep_1d):
+        rec = sweep_1d["records"][0]
+        for table in (rec.diff_norms, rec.sup_norms):
+            with pytest.raises(TypeError):
+                table[1.0] = 99.0
+            with pytest.raises(TypeError):
+                del table[1.0]
+
     def test_projection_pythagoras(self, sweep_1d):
         u_inf = sweep_1d["u_inf"]
         ref_sq = nr.sobolev_norm(u_inf.field, 1.0) ** 2
@@ -359,6 +367,14 @@ class TestBootstrapRatio:
 class TestSobolevLadder:
     def test_hartree_sequence(self):
         assert nr.sobolev_ladder(3, None, "hartree", 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hartree_dimension_rule_is_the_nonlinearity_s(self, n):
+        with pytest.raises(ValueError) as ladder:
+            nr.sobolev_ladder(n, None, "hartree", 4)
+        with pytest.raises(ValueError) as spec:
+            nr.hartree().validate_dimension(n)
+        assert str(ladder.value) == str(spec.value)
 
     def test_cubic_one_dimensional(self):
         # variational exponent 4: recursion jumps to 3/2, then unit steps

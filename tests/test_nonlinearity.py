@@ -88,7 +88,7 @@ class TestHartreePotential:
 
     def test_dimension_enforced(self):
         u = nr.SpectralField(SMALL, np.ones(SMALL.shape))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only defined in dimension n = 3"):
             nr.hartree_potential(u)
 
     def test_gaussian_origin_value_vs_quadrature(self, grid3d):
