@@ -1,5 +1,25 @@
 """Spectral laboratory for pseudo-relativistic NLS/NLH ground states and
-their large-c limit toward the nonrelativistic equation."""
+their large-c limit toward the nonrelativistic equation.
+
+BLAS threads.  Every BLAS call nrlimit makes stays under OpenBLAS's
+single-thread limit, yet OpenBLAS starts a worker thread when numpy loads,
+and that thread spins for about 60 ms of CPU time.  So if numpy is not yet
+imported and none of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+OMP_NUM_THREADS is set, importing nrlimit sets OPENBLAS_NUM_THREADS=1 in
+os.environ; the `nrlimit` command always imports it before numpy.  For a
+library user this means that numpy, and every other library in the process
+that uses OpenBLAS, runs on one BLAS thread, and that child processes inherit
+the variable.  To keep more threads, set one of the three variables or
+import numpy first.  nrlimit's results do not depend on the thread count.
+"""
+
+import os as _os
+import sys as _sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# decided before the first submodule import, which loads numpy and with it OpenBLAS
+if "numpy" not in _sys.modules and not any(name in _os.environ for name in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .grid import (
     Grid,

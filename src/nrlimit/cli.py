@@ -318,9 +318,8 @@ def _solve_record(config: RunConfig, result: GroundStateResult) -> dict:
 def _run_solve(config: RunConfig) -> int:
     result = solve(config.operator_spec(), config.nonlinearity_spec(), config.grid, config.solver_config())
     _json_dump(config.out_dir / "ground_state.json", _solve_record(config, result))
-    save_field(result.field, config.out_dir / "ground_state_field", fmt="binary")
-    if "csv" in config.formats:
-        save_field(result.field, config.out_dir / "ground_state_field", fmt="csv")
+    for fmt in config.formats:
+        save_field(result.field, config.out_dir / "ground_state_field", fmt=fmt)
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 

@@ -83,6 +83,13 @@ class Grid:
             object.__setattr__(self, name, int(value))
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
+        if isinstance(self.length, bool) or not isinstance(self.length, (int, float, np.integer, np.floating)):
+            raise ValueError(f"length must be a real number, got {self.length!r}")
+        # stored as a float, so that dx and a snapshot header do not depend on the type given
+        try:
+            object.__setattr__(self, "length", float(self.length))
+        except OverflowError:
+            raise ValueError("box length must be positive and finite, got an integer beyond float range") from None
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"box length must be positive and finite, got {self.length}")
         if self.points % 2 != 0 or self.points < 16:
@@ -187,8 +194,8 @@ class SpectralField:
 
 
 def make_grid(n: int, length: float, points: int) -> Grid:
-    """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3, non-integer n or N."""
-    return Grid(n=n, length=float(length), points=points)
+    """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3, non-integer n or N, non-real L."""
+    return Grid(n=n, length=length, points=points)
 
 
 def transform(f: SpectralField, direction: str) -> SpectralField:
@@ -251,9 +258,10 @@ def _dct(values: np.ndarray) -> np.ndarray:
     crossover does not bound it there; in 1D rfft overtakes it near h = 260
     and is 3-4x faster at h = 513 (the 1D default).  The cut-off h = 64 is
     set by threads instead: h^3 <= 2^18 keeps every product within
-    OpenBLAS's default single-thread limit (m n k <= 65536 * 4), so no call
-    wakes a BLAS worker thread, whose spin would add CPU time to the work
-    that follows.
+    OpenBLAS's single-thread limit (m n k <= 65536 * 4).  Importing nrlimit
+    first leaves OpenBLAS one thread (package docstring); where numpy was
+    imported first, the limit still keeps every call off the worker thread,
+    whose spin would add CPU time to the work that follows.
     """
     for ax in range(values.ndim):
         h = values.shape[ax]

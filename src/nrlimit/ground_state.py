@@ -109,9 +109,10 @@ def _octant_gaussian(grid: Grid) -> np.ndarray:
 
 
 def _l2_norm(grid: Grid, u: np.ndarray) -> float:
-    # np.sum (inside _lattice_sum), not the BLAS dot behind np.linalg.norm: on
-    # a 64^3 grid that dot is threaded, and its spinning worker doubles the CPU
-    # time of a solve
+    # np.sum (inside _lattice_sum), not the BLAS dot behind np.linalg.norm.
+    # Importing nrlimit first leaves OpenBLAS one thread (package docstring);
+    # where numpy was imported first, a 64^3 dot is threaded, and its spinning
+    # worker doubles the CPU time of a solve
     return float(np.sqrt(_lattice_sum(grid, u * u)))
 
 
@@ -130,7 +131,7 @@ def _residual_state(grid: Grid, sym: np.ndarray, nl: NonlinearitySpec, u: np.nda
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # np.sum for the same reason as _l2_norm
+    # np.sum, as in _l2_norm: the BLAS dot is threaded where numpy was imported before nrlimit
     return float(np.sum(a * b))
 
 

@@ -157,12 +157,14 @@ def sweep(
 
     The nonrelativistic reference is solved once (or supplied precomputed on
     the same grid).  A non-converged point aborts with SweepError carrying the
-    records of the points that did converge.  c values and orders are checked
-    before any solve.
+    records of the points that did converge.  c values, orders and a supplied
+    reference are checked before any solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
-    if u_inf is None:
+    if u_inf is not None:
+        _real_values(u_inf.field, grid=grid)
+    else:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
@@ -260,7 +262,8 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
-        # np.sum, not np.dot: the threaded BLAS dot costs more than it saves here
+        # np.sum, not np.dot: where numpy was imported before nrlimit (package
+        # docstring) the BLAS dot is threaded, and costs more than it saves here
         return z - np.sum(y * z) * y
 
     def matvec(z: np.ndarray) -> np.ndarray:
@@ -286,7 +289,8 @@ def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
     Appl. 34, 1980).  After step m the smallest eigenpair (theta, s) of the m x m
     tridiagonal is accepted once beta_m |s_m| <= tol max(|theta|, eps^(2/3)),
     ARPACK's test for its `tol`; a zero beta_m means an invariant subspace, so
-    theta is exact.  Every dot and norm is an np.sum, not a threaded BLAS call.
+    theta is exact.  Every dot and norm is an np.sum, not a BLAS call, which is
+    threaded where numpy was imported before nrlimit (package docstring).
     """
     q = v0 / np.sqrt(np.sum(v0 * v0))
     q_prev = np.zeros_like(q)

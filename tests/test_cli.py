@@ -76,6 +76,22 @@ class TestSolveCommand:
         x = field.grid.coordinates()[0]
         assert np.max(np.abs(field.values - np.sqrt(2.0) / np.cosh(x))) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "formats, data_files",
+        [(["csv"], [".csv"]), ([], []), (["binary", "csv"], [".bin", ".csv"])],
+    )
+    def test_writes_exactly_the_listed_formats(self, tmp_path, formats, data_files):
+        out = tmp_path / "run"
+        formats_arg = f"output.formats={json.dumps(formats)}"
+        assert main(["solve", "--out", str(out), "--override", "grid.N=256", "--override", formats_arg]) == 0
+        field_files = [f"ground_state_field{suffix}" for suffix in [*data_files, ".json"]] if formats else []
+        assert sorted(p.name for p in out.iterdir()) == sorted(["ground_state.json", *field_files])
+        if formats:
+            # the default run writes the binary samples; every format holds the same field
+            assert main(["solve", "--out", str(tmp_path / "default"), "--override", "grid.N=256"]) == 0
+            default = nr.load_field(tmp_path / "default" / "ground_state_field")
+            assert np.array_equal(nr.load_field(out / "ground_state_field").values, default.values)
+
     def test_nonconvergence_exit_code(self, tmp_path):
         out = tmp_path / "run"
         code = main(["solve", "--out", str(out), "--override", "solver.max_iterations=3"])
@@ -479,4 +495,24 @@ class TestConfigProperties:
         assert code == 2, err.getvalue()
         assert f"{path}:" in err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert written == []
+
+    # the property above draws grid.L in few examples; this one draws only boxes
+    # shorter than the symbol table's Taylor window at c = 1 needs (L >= 4 pi)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(["verify-symbols", "report"]),
+        length=st.one_of(st.floats(0.0, 4.0 * math.pi, exclude_min=True, exclude_max=True), st.integers(1, 12)),
+    )
+    def test_short_box_exits_2_naming_grid_length(self, command, length):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("NRLIMIT_OUTPUT_ROOT", tmp)
+            mp.chdir(tmp)
+            mp.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved a box too short for the symbol table"))
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--override", f"grid.L={json.dumps(length)}"])
+            written = list(Path(tmp).iterdir())
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("grid.L: ") and err.getvalue().count("\n") == 1
         assert written == []

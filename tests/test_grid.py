@@ -57,11 +57,25 @@ class TestMakeGrid:
             (1, 32.0, 64.0),
             (1, 5e-324, 64),
             (1, 1e-300, 64),
+            (1, True, 64),
+            (1, "32", 64),
+            (1, 10**400, 64),
         ],
     )
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
             nr.make_grid(*args)
+
+    @pytest.mark.parametrize("length", [True, "32", None, 32.0j])
+    def test_non_real_length_rejected_naming_it(self, length):
+        with pytest.raises(ValueError, match="length must be a real number"):
+            nr.Grid(n=1, length=length, points=64)
+
+    @pytest.mark.parametrize("length", [32, np.int64(32), np.float32(32.0), np.float64(32.0)])
+    def test_numpy_and_integer_lengths_are_stored_as_float(self, length):
+        g = nr.make_grid(1, length, 64)
+        assert g == nr.make_grid(1, 32.0, 64)
+        assert type(g.length) is float and type(g.dx) is float
 
     def test_numpy_integers_are_stored_as_int(self):
         g = nr.make_grid(np.int64(1), 32.0, np.int32(64))
@@ -516,14 +530,15 @@ class TestSnapshots:
         header = json.loads(header_path.read_text())
         assert header == {"n": 3, "L": 16.0, "N": 16}
 
-    @pytest.mark.parametrize("key, value", [("N", 64.7), ("n", True)])
+    @pytest.mark.parametrize("key, value", [("N", 64.7), ("n", True), ("L", True), ("L", "32")])
     def test_non_integer_header_rejected(self, tmp_path, key, value):
         import json
 
         header_path, _ = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")
         header = json.loads(header_path.read_text())
         header_path.write_text(json.dumps({**header, key: value}))
-        with pytest.raises(ValueError, match="must be an integer"):
+        message = "length must be a real number" if key == "L" else "must be an integer"
+        with pytest.raises(ValueError, match=message):
             nr.load_field(tmp_path / "snap")
 
 

@@ -147,6 +147,30 @@ class TestSobolevOrderRange:
             assert np.isclose(norm, nr.sobolev_norm(u, s), rtol=1e-12, atol=0.0)
 
 
+class TestSweepReference:
+    """A supplied reference is checked against the sweep's grid before any solve."""
+
+    @staticmethod
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sweep solved before checking its reference")
+
+    @pytest.mark.parametrize(
+        "other", [nr.make_grid(1, 16.0, 128), nr.make_grid(1, 20.0, 64)], ids=["other-points", "other-length"]
+    )
+    def test_reference_on_another_grid_rejected(self, monkeypatch, other):
+        u_inf = nr.GroundStateResult(nr.SpectralField(other, np.exp(-0.5 * other.radius_sq())), 0.0, 0.0, 1, True)
+        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
+        with pytest.raises(ValueError, match="fields must share one grid"):
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), SMALL, u_inf=u_inf)
+
+    def test_frequency_space_reference_rejected(self, monkeypatch):
+        u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
+        u_inf = nr.GroundStateResult(nr.transform(u, "forward"), 0.0, 0.0, 1, True)
+        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
+        with pytest.raises(ValueError, match="real-space"):
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), SMALL, u_inf=u_inf)
+
+
 class TestFitRate:
     def test_exact_inverse_square(self):
         records = synthetic_records([2.0, 4.0, 8.0, 16.0], lambda c: 7.0 / c**2)
