@@ -289,6 +289,20 @@ def _unfold(grid: Grid, octant: np.ndarray) -> np.ndarray:
     return octant
 
 
+def _is_even(grid: Grid, values: np.ndarray) -> bool:
+    """Whether a full-grid array is exactly even: equal, value for value, to the unfolding of its octant.
+
+    Each axis is compared with its mirror image j <-> N - j through views, so
+    no full-grid array is built.
+    """
+    half = grid.points // 2
+    for ax in grid.axes:
+        lead = (slice(None),) * ax
+        if not np.array_equal(values[lead + (slice(half + 1, None),)], values[lead + (slice(half - 1, 0, -1),)]):
+            return False
+    return True
+
+
 def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
     """The grid and samples of real-space fields on one grid (`grid`, if given); else a ValueError."""
     if grid is None:
@@ -309,9 +323,8 @@ def _kernel_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.n
     themselves, whose transforms live on the full lattice, with `xi_sq`.
     """
     grid, arrays = _real_values(*fields)
-    octants = [_octant(grid, a) for a in arrays]
-    if all(np.array_equal(_unfold(grid, o), a) for o, a in zip(octants, arrays)):
-        return grid, octants, grid.octant_xi_sq
+    if all(_is_even(grid, a) for a in arrays):
+        return grid, [_octant(grid, a) for a in arrays], grid.octant_xi_sq
     return grid, arrays, grid.xi_sq
 
 
@@ -428,8 +441,13 @@ def _recentered_octant(grid: Grid, values: np.ndarray) -> np.ndarray:
 
     `values` is a full-grid array or an even field stored on its octant.  The
     first octant argmax of an even field is its first full-grid argmax, so an
-    octant whose peak is at the center (its last entry) is returned as it is.
+    even field whose peak is at the center (the octant's last entry) needs
+    neither shift nor symmetrization: an octant is returned as it is, an
+    exactly even full-grid array as its octant (a view), bit for bit what the
+    shift and the even part would give.
     """
+    if values.shape != grid.octant_shape and _is_even(grid, values):
+        values = _octant(grid, values)
     if values.shape == grid.octant_shape:
         if np.argmax(np.abs(values)) == values.size - 1:
             return values

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,31 +204,25 @@ def _action_value(
     return 0.5 * quad - pairing / nl.variational_exponent
 
 
-def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
-    """Compute the positive even ground state of P(D)u = N(u) on the grid.
+class _OctantSolve(NamedTuple):
+    octant: np.ndarray
+    residual_history: tuple[float, ...]
+    iterations: int
+    action: float
 
-    The result carries the last iterate, its residual (the last entry of
-    residual_history) and its action, with converged=False if the tolerance
-    was not reached within max_iterations; raises GroundStateError on collapse
-    to the zero field or on a non-finite iterate or residual.  The stabilized
-    map is Anderson-mixed with depth ANDERSON_DEPTH.  A field guess is
-    recentered and symmetrized once, the default Gaussian is sampled on the
-    octant directly; from then on the whole iteration runs on the octant.  An
-    iteration takes three whole-field DCT-I transforms (u and N(u) forward,
-    the update back), five with the Hartree term's Coulomb pair; the residual
-    and the Rayleigh factor come from the coefficients by Parseval, and the
-    mixing adds no transform.
+
+def _solve_octant(
+    op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, u: np.ndarray, cfg: SolverConfig
+) -> _OctantSolve:
+    """The iteration of `solve` from the start octant u, to cfg's tolerance and iteration cap.
+
+    Returns the last iterate's octant, the residual history, the iteration
+    count and the action; cfg.initial_guess is not read.  u is never written
+    to, so one start octant can seed several solves at once.
     """
     nl.validate_dimension(grid.n)
     sym = symbol(op, grid.octant_xi_sq)
     gamma = nl.degree / (nl.degree - 1.0)
-
-    if cfg.initial_guess is None:
-        u = _octant_gaussian(grid)
-    else:
-        _, (guess,) = _real_values(cfg.initial_guess, grid=grid)
-        u = _recentered_octant(grid, guess)
-
     mixer = _AndersonMixer(u.shape, grid.octant_weight)
     history: list[float] = []
 
@@ -251,13 +246,39 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
         image = _recentered_octant(grid, _inverse(grid, (num / den) ** gamma * nh / sym))
         u = mixer.mix(u, image)
 
+    return _OctantSolve(u, tuple(history), iterations, _action_value(grid, sym, nl, u, uh, nu))
+
+
+def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
+    """Compute the positive even ground state of P(D)u = N(u) on the grid.
+
+    The result carries the last iterate, its residual (the last entry of
+    residual_history) and its action, with converged=False if the tolerance
+    was not reached within max_iterations; raises GroundStateError on collapse
+    to the zero field or on a non-finite iterate or residual.  The stabilized
+    map is Anderson-mixed with depth ANDERSON_DEPTH.  The default Gaussian is
+    sampled on the octant directly; a field guess that is exactly even with
+    its peak at the center (a solved field) enters as its octant, any other
+    is recentered and symmetrized once.  From then on the whole iteration
+    runs on the octant, and the result is unfolded once, so it is exactly
+    even.  An iteration takes three whole-field DCT-I transforms (u and N(u)
+    forward, the update back), five with the Hartree term's Coulomb pair; the
+    residual and the Rayleigh factor come from the coefficients by Parseval,
+    and the mixing adds no transform.
+    """
+    if cfg.initial_guess is None:
+        u = _octant_gaussian(grid)
+    else:
+        _, (guess,) = _real_values(cfg.initial_guess, grid=grid)
+        u = _recentered_octant(grid, guess)
+    u, history, iterations, action_value = _solve_octant(op, nl, grid, u, cfg)
     return GroundStateResult(
         field=SpectralField(grid, _unfold(grid, u)),
         residual=history[-1],
-        action=_action_value(grid, sym, nl, u, uh, nu),
+        action=action_value,
         iterations=iterations,
         converged=bool(history[-1] <= cfg.tolerance),
-        residual_history=tuple(history),
+        residual_history=history,
     )
 
 

@@ -2,10 +2,11 @@
 residual diagnostics built on top of the solver.
 
 A sweep solves the relativistic problem over an ascending list of c values
-against a single nonrelativistic reference state on the same grid, and
-records per-order difference norms, the H^{-1} defect residual, the
-projection coefficient of the difference onto the reference state, action
-values and sup-norm table entries.
+against a single nonrelativistic reference state on the same grid, each
+point started from that state and kept on the octant, and records
+per-order difference norms, the H^{-1} defect residual, the projection
+coefficient of the difference onto the reference state, action values and
+sup-norm table entries.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .grid import (
     _coefficients,
     _forward,
     _inverse,
+    _is_even,
     _kernel_values,
     _lattice_sum,
+    _octant,
     _pair,
     _real_values,
     _recentered_octant,
@@ -35,7 +38,7 @@ from .grid import (
 )
 from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative, hartree
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
-from .ground_state import GroundStateResult, SolverConfig, solve
+from .ground_state import GroundStateResult, SolverConfig, _solve_octant, solve
 
 __all__ = [
     "ConvergenceRecord",
@@ -106,6 +109,13 @@ def convergence_record(
     otherwise; every norm and pairing is then read off the coefficients.
     """
     grid, (uc, ref), xi_sq = _kernel_values(u_c, u_inf)
+    return _record(grid, xi_sq, uc, ref, c, s_values, action_c)
+
+
+def _record(
+    grid: Grid, xi_sq: np.ndarray, uc: np.ndarray, ref: np.ndarray, c: float, s_values, action_c: float
+) -> ConvergenceRecord:
+    """`convergence_record` of two octants (or two full-grid arrays), xi_sq the frequencies of their coefficients."""
     w_hat, uc_hat, ref_hat = (_forward(grid, v) for v in (uc - ref, uc, ref))
     h1 = 1.0 + xi_sq
     diff, sup = {}, {}
@@ -155,39 +165,49 @@ def sweep(
 ) -> list[ConvergenceRecord]:
     """Solve the relativistic problem for each c and record convergence data.
 
-    The nonrelativistic reference is solved once (or supplied precomputed on
-    the same grid).  A non-converged point aborts with SweepError carrying the
-    records of the points that did converge.  c values, orders and a supplied
-    reference are checked before any solve.
+    The nonrelativistic reference is solved once, from cfg.initial_guess (or
+    supplied precomputed on the same grid; it must then be exactly even, as
+    every `solve` result is).  cfg.initial_guess seeds the reference solve
+    only: every c point starts from the reference's octant, which lies within
+    O(c^-2) of its solution, and no point's start depends on another's.  Each
+    point runs and is recorded on the octant, with the numbers
+    `convergence_record` gives for `solve`'s field seeded with the reference,
+    and no full-grid field is built.  A non-converged point aborts with
+    SweepError carrying the records of the points that did converge.  c
+    values, orders and a supplied reference (grid, representation, evenness)
+    are checked before any solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
     if u_inf is not None:
-        _real_values(u_inf.field, grid=grid)
+        _, (ref,) = _real_values(u_inf.field, grid=grid)
+        if not _is_even(grid, ref):
+            raise ValueError("a supplied reference must be exactly even, as a solved field is")
     else:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
+        ref = u_inf.field.values
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
+    ref_octant = _octant(grid, ref)
+    seed = _recentered_octant(grid, ref_octant)
 
-    def solve_point(c: float) -> GroundStateResult:
-        return solve(pseudo_relativistic(c), nl, grid, cfg)
+    def sweep_point(c: float) -> ConvergenceRecord | None:
+        point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
+        if point.residual_history[-1] > cfg.tolerance:
+            return None
+        return _record(grid, grid.octant_xi_sq, point.octant, ref_octant, c, s_values, point.action)
 
     if threads > 1:
         # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_point, c_values))
+            results = list(pool.map(sweep_point, c_values))
     else:
-        results = [solve_point(c) for c in c_values]
+        results = [sweep_point(c) for c in c_values]
 
-    records: list[ConvergenceRecord] = []
-    failed: list[float] = []
-    for c, res in zip(c_values, results):
-        if res.converged:
-            records.append(convergence_record(res.field, u_inf.field, c, s_values, res.action))
-        else:
-            failed.append(c)
+    records = [r for r in results if r is not None]
+    failed = [c for c, r in zip(c_values, results) if r is None]
     if failed:
         raise SweepError(f"sweep points did not converge at c = {failed}", records)
     return records
@@ -198,6 +218,9 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
     two-sided constants A_hat = min c^2 ||w||, B_hat = max c^2 ||w||.
 
     Points with ||w||_{H^s} below `floor` are excluded (discretization guard).
+    The slope is the closed form sum(dx dy) / sum(dx^2) about the means, not
+    np.polyfit: its LAPACK least-squares call alone added about 0.4 MB to
+    the peak RSS of a 1D report.
     """
     records = list(records)
     if len(records) < 4:
@@ -213,7 +236,8 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
         raise ValueError("too few points above the discretization floor to fit")
     logs_c = np.log([c for c, _ in pts])
     logs_n = np.log([n for _, n in pts])
-    slope = float(np.polyfit(logs_c, logs_n, 1)[0])
+    dx = logs_c - np.mean(logs_c)
+    slope = float(np.sum(dx * (logs_n - np.mean(logs_n))) / np.sum(dx * dx))
     scaled = [c * c * n for c, n in pts]
     return RateFit(
         s=float(s),
@@ -240,25 +264,27 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     reference enters recentred at its peak and through its even part; a ground
     state is centred and even), so odd modes cannot occur.  The quotient is
     computed through the symmetric similarity B^{-1/2} L B^{-1/2}
-    (B = -Delta + 1) in the weighted octant coordinates sqrt(W) v, in which
-    the full-grid dot product is the plain one, with the constraint deflated
-    by explicit projection inside every matrix-vector product.  A nonpositive
-    return signals a defective reference state or projection; it is reported
-    as computed, never clipped.
+    (B = -Delta + 1) in the coordinates z = sqrt(W / N^n) v_hat of the octant
+    DCT-I coefficients v_hat (W the octant multiplicities), in which the
+    full-grid dot product is the plain one and B^{-1/2} is the diagonal
+    1/sqrt(1 + |xi|^2).  A product then takes one inverse transform, N'(u0)
+    and one forward transform: two whole-field transforms, four with the
+    Hartree term's Coulomb pair.  The constraint is deflated by explicit
+    projection inside every matrix-vector product.  A nonpositive return
+    signals a defective reference state or projection; it is reported as
+    computed, never clipped.
     """
     grid, (values,) = _real_values(u_inf)
     nl.validate_dimension(grid.n)
 
     b_half = np.sqrt(1.0 + grid.octant_xi_sq)
-    b_inv_half = 1.0 / b_half
-    sqrt_w = np.sqrt(grid.octant_weight)
+    scale = np.sqrt(grid.octant_weight / grid.size)
+    to_values = 1.0 / (scale * b_half)  # z -> B^{-1/2} v_hat
+    to_z = scale / b_half  # N'(u0) coefficients -> B^{-1/2} N'(u0) in z
     u0 = _recentered_octant(grid, values)
     apply_derivative = _derivative(nl, grid, u0)
 
-    def smooth(v: np.ndarray) -> np.ndarray:
-        return _inverse(grid, b_inv_half * _forward(grid, v))
-
-    y = (sqrt_w * _inverse(grid, b_half * _forward(grid, u0))).ravel()
+    y = (scale * b_half * _forward(grid, u0)).ravel()
     y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
@@ -267,16 +293,18 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
         return z - np.sum(y * z) * y
 
     def matvec(z: np.ndarray) -> np.ndarray:
-        # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) v with v = B^{-1/2} z
+        # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) B^{-1/2} z
         pz = project(z)
-        v = pz.reshape(grid.octant_shape) / sqrt_w
-        s = pz - (sqrt_w * smooth(apply_derivative(smooth(v)))).ravel()
+        v = _inverse(grid, to_values * pz.reshape(grid.octant_shape))
+        s = pz - (to_z * _forward(grid, apply_derivative(v))).ravel()
         return project(s) + DEFLATION_SHIFT * (z - pz)
 
-    # deterministic start without structure: the Weyl sequence (k phi) mod 1 - 1/2
-    # over the octant's entries, phi = (sqrt(5) - 1) / 2
-    weyl = (np.arange(sqrt_w.size) * 0.6180339887498949) % 1.0 - 0.5
-    v0 = project(sqrt_w.ravel() * weyl)
+    # deterministic start without structure: the field whose octant holds the
+    # Weyl sequence (k phi) mod 1 - 1/2, phi = (sqrt(5) - 1) / 2.  One transform
+    # takes it to z; as coefficients it would need 22 Lanczos steps on the 64^3
+    # Hartree reference instead of 20
+    weyl = (np.arange(scale.size) * 0.6180339887498949) % 1.0 - 0.5
+    v0 = project((scale * _forward(grid, weyl.reshape(grid.octant_shape))).ravel())
     return _lanczos_smallest(matvec, v0, LANCZOS_TOL)
 
 

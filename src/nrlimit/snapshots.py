@@ -18,7 +18,9 @@ __all__ = ["save_field", "load_field"]
 
 
 def save_field(f: SpectralField, stem: str | Path, fmt: str = "binary") -> tuple[Path, Path]:
-    """Write <stem>.json header and <stem>.bin or <stem>.csv samples."""
+    """Write <stem>.json header and <stem>.bin or <stem>.csv samples; a bad fmt writes nothing."""
+    if fmt not in ("binary", "csv"):
+        raise ValueError(f"fmt must be 'binary' or 'csv', got {fmt!r}")
     grid, (values,) = _real_values(f)
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
@@ -28,11 +30,9 @@ def save_field(f: SpectralField, stem: str | Path, fmt: str = "binary") -> tuple
     if fmt == "binary":
         data_path = stem.with_suffix(".bin")
         values.astype("<f8").tofile(data_path)
-    elif fmt == "csv":
+    else:
         data_path = stem.with_suffix(".csv")
         np.savetxt(data_path, values.ravel(), fmt="%.17g")
-    else:
-        raise ValueError(f"fmt must be 'binary' or 'csv', got {fmt!r}")
     return header_path, data_path
 
 

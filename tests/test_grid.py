@@ -404,6 +404,19 @@ class TestOctantKernel:
         # a full-grid array takes the same route
         assert np.array_equal(_recentered_octant(grid, full), moved)
 
+    def test_even_centred_array_enters_as_its_octant(self):
+        grid = KERNEL_GRIDS[2]
+        solved = nr.solve(nr.nonrelativistic(), nr.hartree(), grid).field.values
+        octant = _recentered_octant(grid, solved)
+        assert np.array_equal(octant, _octant(grid, _even_part(grid, _recentered(grid, solved))))
+        assert np.shares_memory(octant, solved)
+        # one cell off the centre: shifted back and symmetrized, onto the same octant
+        rolled = np.roll(solved, 1, axis=0)
+        moved = _recentered_octant(grid, rolled)
+        assert np.array_equal(moved, _octant(grid, _even_part(grid, _recentered(grid, rolled))))
+        assert not np.shares_memory(moved, rolled)
+        assert np.array_equal(moved, octant)
+
     def test_import_does_not_load_scipy_fft(self):
         # scipy.fft costs about 83 ms of start-up; the kernel is numpy.fft only
         src = str(Path(nr.__file__).resolve().parents[1])
@@ -540,6 +553,11 @@ class TestSnapshots:
         message = "length must be a real number" if key == "L" else "must be an integer"
         with pytest.raises(ValueError, match=message):
             nr.load_field(tmp_path / "snap")
+
+    def test_unknown_format_rejected_before_any_write(self, tmp_path):
+        with pytest.raises(ValueError, match="fmt must be"):
+            nr.save_field(random_field(SMALL, np.random.default_rng(10)), tmp_path / "snap", fmt="xml")
+        assert not list(tmp_path.iterdir())
 
 
 def _gaussian(grid):

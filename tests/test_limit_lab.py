@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +92,10 @@ class TestSweep:
 
     def test_partial_records_for_mixed_convergence(self, grid1d, u_inf_1d):
         # Cap the solver at the faster point's count: that point converges,
-        # the other does not, whichever of the two it is.
-        counts = {c: nr.solve(nr.pseudo_relativistic(c), nr.power(3), grid1d).iterations for c in (4.0, 8.0)}
+        # the other does not, whichever of the two it is.  Sweep points start
+        # from the reference, so the counts are those of seeded solves.
+        seeded = nr.SolverConfig(initial_guess=u_inf_1d.field)
+        counts = {c: nr.solve(nr.pseudo_relativistic(c), nr.power(3), grid1d, seeded).iterations for c in (4.0, 8.0)}
         if counts[4.0] == counts[8.0]:
             pytest.skip("iteration counts do not separate the two points")
         fast, slow = sorted(counts, key=counts.get)
@@ -118,6 +121,94 @@ class TestSweep:
         serial = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf)
         threaded = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf, threads=2)
         assert threaded == serial
+
+
+@pytest.fixture(scope="module")
+def u_inf_32():
+    """The 3D Hartree reference on a 32^3 grid, whose octant transforms take the matrix route."""
+    grid = nr.make_grid(3, 16.0, 32)
+    result = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
+    assert result.converged
+    return result
+
+
+class TestSeededSweep:
+    """Every sweep point starts from the reference's octant and is recorded
+    from octants, with no full-grid field built per point."""
+
+    C_3D = [4.0, 8.0, 16.0, 32.0]
+
+    @staticmethod
+    def assert_records_match_seeded_solves(records, u_inf, nl, c_values, s_values):
+        seeded = nr.SolverConfig(initial_guess=u_inf.field)
+        assert [r.c for r in records] == c_values
+        for rec, c in zip(records, c_values):
+            res = nr.solve(nr.pseudo_relativistic(c), nl, u_inf.field.grid, seeded)
+            assert rec == nr.convergence_record(res.field, u_inf.field, c, s_values, res.action)
+
+    def test_records_match_seeded_public_solves_in_1d(self, sweep_1d):
+        self.assert_records_match_seeded_solves(
+            sweep_1d["records"], sweep_1d["u_inf"], nr.power(3), [4.0, 8.0, 16.0, 32.0, 64.0], [0.5, 1.0, 2.0, 3.0, 4.0]
+        )
+
+    def test_records_match_seeded_public_solves_on_32_cubed_hartree(self, u_inf_32):
+        s_values = [0.5, 1.0, 2.0]
+        records = nr.sweep(self.C_3D, s_values, nr.hartree(), u_inf_32.field.grid, u_inf=u_inf_32)
+        self.assert_records_match_seeded_solves(records, u_inf_32, nr.hartree(), self.C_3D, s_values)
+
+    def test_seeded_sweep_takes_fewer_than_60_iterations(self, monkeypatch, u_inf_32):
+        # cold starts from the Gaussian take 20 + 20 + 19 + 18 = 77
+        iterations = []
+        core = nr.limit_lab._solve_octant
+
+        def counted(*args, **kwargs):
+            point = core(*args, **kwargs)
+            iterations.append(point.iterations)
+            return point
+
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
+        nr.sweep(self.C_3D, [1.0], nr.hartree(), u_inf_32.field.grid, u_inf=u_inf_32)
+        assert len(iterations) == len(self.C_3D)
+        assert sum(iterations) < 60
+
+    def test_peak_memory_stays_below_four_full_grid_arrays(self, u_inf_32):
+        grid = u_inf_32.field.grid
+        nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32)  # fill the caches
+        tracemalloc.start()
+        try:
+            nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * u_inf_32.field.values.nbytes
+
+    def test_reference_that_is_not_exactly_even_rejected_before_any_solve(self, monkeypatch, u_inf_1d):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep solved before checking its reference")
+
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
+        grid = u_inf_1d.field.grid
+        shifted = nr.SpectralField(grid, np.roll(u_inf_1d.field.values, 1))
+        u_inf = nr.GroundStateResult(shifted, u_inf_1d.residual, u_inf_1d.action, u_inf_1d.iterations, True)
+        with pytest.raises(ValueError, match="exactly even"):
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid, u_inf=u_inf)
+
+    def test_initial_guess_seeds_the_reference_only(self, monkeypatch, grid1d, u_inf_1d):
+        starts = []
+        core = nr.limit_lab._solve_octant
+
+        def recorded(op, nl, grid, u, cfg):
+            starts.append(u)
+            return core(op, nl, grid, u, cfg)
+
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
+        guess = nr.gaussian_guess(grid1d, 1.3)
+        nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid1d, nr.SolverConfig(initial_guess=guess))
+        reference = nr.solve(nr.nonrelativistic(), nr.power(3), grid1d, nr.SolverConfig(initial_guess=guess))
+        assert len(starts) == 2
+        for u in starts:
+            assert np.array_equal(u, reference.field.values[grid1d.octant_index])
 
 
 class TestSobolevOrderRange:
@@ -177,6 +268,12 @@ class TestFitRate:
         fit = nr.fit_rate(records, 1.0)
         assert np.isclose(fit.slope, -2.0, atol=1e-12)
         assert np.isclose(fit.A_hat, 7.0) and np.isclose(fit.B_hat, 7.0)
+
+    def test_slope_is_the_least_squares_slope(self):
+        c_values = [2.0, 4.0, 8.0, 16.0, 32.0]
+        records = synthetic_records(c_values, lambda c: 5.0 / c**2 * (1.0 + 0.3 * np.sin(c)))
+        expected = np.polyfit(np.log(c_values), np.log([r.diff_norms[1.0] for r in records]), 1)[0]
+        assert nr.fit_rate(records, 1.0).slope == pytest.approx(expected, rel=1e-13)
 
     def test_exact_inverse_first_power(self):
         records = synthetic_records([2.0, 4.0, 8.0, 16.0], lambda c: 1.0 / c)
@@ -302,6 +399,25 @@ class TestNondegeneracyGap:
         centred = nr.SpectralField(SMALL, np.sqrt(2.0) / np.cosh(x))
         shifted = nr.SpectralField(SMALL, np.roll(centred.values, 5))
         assert nr.nondegeneracy_gap(shifted, nr.power(3)) == nr.nondegeneracy_gap(centred, nr.power(3))
+
+    def test_gap_product_takes_four_transforms_on_hartree(self, monkeypatch, transform_counts, u_inf_32):
+        # one inverse transform, N'(u0) with its Coulomb pair, one forward
+        # transform; the set-up transforms u0 and the start, and convolves u0^2 once
+        products = []
+        lanczos = nr.limit_lab._lanczos_smallest
+
+        def counted(matvec, v0, tol):
+            def product(z):
+                products.append(z)
+                return matvec(z)
+
+            return lanczos(product, v0, tol)
+
+        monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", counted)
+        before = transform_counts["dct"]
+        assert nr.nondegeneracy_gap(u_inf_32.field, nr.hartree()) > 0.0
+        assert products
+        assert transform_counts["dct"] - before <= 4 * len(products) + 4
 
     def test_hartree_gap_positive(self, sweep_3d):
         gap = nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
