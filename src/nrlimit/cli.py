@@ -31,20 +31,29 @@ from .operators import (
     taylor_residual,
 )
 from .nonlinearity import NonlinearitySpec
-from .ground_state import GroundStateError, GroundStateResult, SolverConfig, solve
+from .ground_state import (
+    GroundStateError,
+    GroundStateResult,
+    SolverConfig,
+    _octant_gaussian,
+    _OctantSolve,
+    _solve_octant,
+    solve,
+)
 from .limit_lab import (
     ConvergenceRecord,
     GapEigensolveError,
     SweepError,
+    _gap,
+    _identity_residual,
+    _octant_reference,
+    _optimality_forms,
     _reference_norms,
     _sweep_c_values,
+    _sweep_octant,
     _sweep_orders,
     fit_rate,
-    linearization_identity_residual,
-    nondegeneracy_gap,
-    optimality_forms,
     sobolev_ladder,
-    sweep,
 )
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
@@ -323,14 +332,26 @@ def _run_solve(config: RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
+def _reference_solve(config: RunConfig) -> _OctantSolve:
+    """The nonrelativistic reference: `solve`'s iteration from its default Gaussian, kept on the octant."""
+    nl, grid = config.nonlinearity_spec(), config.grid
+    return _solve_octant(nonrelativistic(), nl, grid, _octant_gaussian(grid), config.solver_config())
+
+
 def _sweep_artifacts(config: RunConfig, s_list, threads: int):
-    """Solve the sweep and assemble (records, summary dict, u_inf result)."""
+    """Solve the sweep and assemble (records, summary dict, reference solve).
+
+    The reference stays on the octant: the sweep, the gap, the identity
+    residual, the optimality forms and the reference norms all read its one
+    DCT-I (`_octant_reference`).
+    """
     grid = config.grid
     nl = config.nonlinearity_spec()
     cfg = config.solver_config()
     ladder = sobolev_ladder(config.n, nl.variational_exponent, nl.kind, LADDER_STEPS)
-    u_inf = solve(nonrelativistic(), nl, grid, cfg)
-    records = sweep(config.c_list, s_list, nl, grid, cfg, u_inf=u_inf, threads=threads)
+    u_inf = _reference_solve(config)
+    ref = _octant_reference(grid, u_inf.octant)
+    records = _sweep_octant(config.c_list, s_list, nl, grid, cfg, ref.values, u_inf.converged, threads)
 
     floor = 100.0 * config.tolerance
     fits = {}
@@ -346,10 +367,10 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
             "c_range": list(fit.c_range),
         }
 
-    gap = nondegeneracy_gap(u_inf.field, nl)
-    identity = linearization_identity_residual(u_inf.field, nl)
-    c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, optimality_forms(u_inf.field, config.c_list))}
-    norms, laplacian_norm_sq = _reference_norms(u_inf.field, s_list)
+    gap = _gap(ref, nl)
+    identity = _identity_residual(ref, nl)
+    c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, _optimality_forms(ref, config.c_list))}
+    norms, laplacian_norm_sq = _reference_norms(ref, s_list)
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
@@ -391,17 +412,18 @@ def _run_sweep(config: RunConfig, threads: int) -> int:
 
 def _run_nondeg(config: RunConfig) -> int:
     nl = config.nonlinearity_spec()
-    u_inf = solve(nonrelativistic(), nl, config.grid, config.solver_config())
+    u_inf = _reference_solve(config)
     if not u_inf.converged:
         print("reference solve did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    gap = nondegeneracy_gap(u_inf.field, nl)
+    ref = _octant_reference(config.grid, u_inf.octant)
+    gap = _gap(ref, nl)
     payload = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
         "gap": gap,
         "positive": gap > 0.0,
-        "linearization_identity_residual": linearization_identity_residual(u_inf.field, nl),
+        "linearization_identity_residual": _identity_residual(ref, nl),
         "reference_residual": u_inf.residual,
     }
     _json_dump(config.out_dir / "nondeg.json", payload)
@@ -454,7 +476,7 @@ def _run_report(config: RunConfig, threads: int) -> int:
 
     if is_cubic_1d:
         exact = np.sqrt(2.0) / np.cosh(config.grid.coordinates()[0])
-        linf = float(np.max(np.abs(u_inf.field.values - exact)))
+        linf = float(np.max(np.abs(u_inf.result(config.grid).field.values - exact)))
         checks.append(("soliton profile (sup error vs exact)", f"{linf:.3e}", "<= 1e-6", linf <= 1.0e-6))
         checks.append(("soliton residual", f"{u_inf.residual:.3e}", "<= 1e-10", u_inf.residual <= 1.0e-10))
 

@@ -1,10 +1,11 @@
 """Periodic-box spectral discretization: grids, sampled fields, transforms, norms.
 
 The box is the cube [-L/2, L/2)^n sampled on N points per axis, with the
-frequency lattice {2*pi*k/L : k in [-N/2, N/2)}^n.  Forward transforms are
-continuum-normalized (multiplied by dx^n) so that coefficients approximate
-the integral transform of the sampled function, and Sobolev norms carry the
-weight (1+|xi|^2)^s with the measure (2*pi/L)^n / (2*pi)^n per mode.
+frequency lattice {2*pi*k/L : k in [-N/2, N/2)}^n in numpy.fft's order
+(`Grid.freq_axis` is 2*pi*fftfreq(N, dx), built without numpy.fft).  Forward
+transforms are continuum-normalized (multiplied by dx^n) so that coefficients
+approximate the integral transform of the sampled function, and Sobolev norms
+carry the weight (1+|xi|^2)^s with the measure (2*pi/L)^n / (2*pi)^n per mode.
 
 Fields live in one of two representations:
 
@@ -28,7 +29,9 @@ multiplicity weights `octant_weight`; the same weights serve real-space and
 Parseval sums.  The solver, the Coulomb convolution inside it, the sweep
 records and the gap eigensolve run on the octant; `_kernel_values` sends an
 exactly even field there and any other real field to the full lattice.  The
-full-lattice |xi|^2 array `Grid.xi_sq` is built on first use only.
+full-lattice |xi|^2 array `Grid.xi_sq` is built on first use only.  On the
+octant with N <= 126 nothing calls numpy.fft, so a 3D run at the default
+N = 64 never loads it.
 
 Fields enter the kernel through one gate, which checks each input constraint
 once for every module: `_real_values` (real-space fields on one grid),
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -102,18 +106,21 @@ class Grid:
         object.__setattr__(self, "shape", (self.points,) * self.n)
 
         axis = -0.5 * self.length + dx * np.arange(self.points)
-        freq_axis = 2.0 * np.pi * np.fft.fftfreq(self.points, d=dx)
+        # 2 pi fftfreq(N, dx) bit for bit (integer k times 1/(N dx)), without loading numpy.fft
+        k = np.arange(self.points)
+        k[self.points // 2 :] -= self.points
+        freq_axis = 2.0 * np.pi * (k * (1.0 / (self.points * dx)))
         # the octant keeps indices 0..N/2 on every axis; (-N/2)^2 = (N/2)^2 and
         # (-k)^2 = k^2, so it holds every full-lattice |xi|^2 value bit for bit.
         # Indices 0 and N/2 are their own mirror images, every other index
         # stands for itself and its mirror.
         half = self.points // 2 + 1
         octant_freqs = freq_axis[:half]
-        octant_xi_sq = sum(a * a for a in np.meshgrid(*([octant_freqs] * self.n), indexing="ij"))
+        octant_xi_sq = sum(a * a for a in np.meshgrid(*([octant_freqs] * self.n), indexing="ij", sparse=True))
         multiplicity = np.full(half, 2.0)
         multiplicity[[0, -1]] = 1.0
         octant_weight = np.ones((half,) * self.n)
-        for w in np.meshgrid(*([multiplicity] * self.n), indexing="ij"):
+        for w in np.meshgrid(*([multiplicity] * self.n), indexing="ij", sparse=True):
             octant_weight = octant_weight * w
 
         derived = {
@@ -132,7 +139,7 @@ class Grid:
     @cached_property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 on the full frequency lattice (read-only), built on first use."""
-        xi_sq = sum(a * a for a in np.meshgrid(*([self.freq_axis] * self.n), indexing="ij"))
+        xi_sq = sum(a * a for a in np.meshgrid(*([self.freq_axis] * self.n), indexing="ij", sparse=True))
         xi_sq.setflags(write=False)
         return xi_sq
 
@@ -283,10 +290,19 @@ def _octant(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def _unfold(grid: Grid, octant: np.ndarray) -> np.ndarray:
-    """The even full-grid array whose octant is `octant`."""
-    for ax in grid.axes:
-        octant = _even_extension(octant, ax)
-    return octant
+    """The even full-grid array whose octant is `octant`, written into one new array.
+
+    Each of the 2^n blocks takes, along every axis, indices 0..N/2 of the
+    octant or their mirrors N/2-1..1: bit for bit the per-axis
+    `_even_extension`, with no intermediate array.
+    """
+    half = grid.octant_shape[0]
+    full = np.empty(grid.shape)
+    blocks = ((slice(0, half), slice(None)), (slice(half, None), slice(half - 2, 0, -1)))
+    for block in product(blocks, repeat=grid.n):
+        target, source = zip(*block)
+        full[target] = octant[source]
+    return full
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:

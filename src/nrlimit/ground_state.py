@@ -16,11 +16,19 @@ Per iteration a solve takes three whole-field transforms (u and N(u) forward,
 the update back), five with the Hartree term's Coulomb pair; the residual of
 the final iterate adds two (four).  On grids up to N = 126 an octant
 transform is three products with the cached DCT-I matrix in 3D (one in 1D);
-on larger grids it is one `numpy.fft.rfft` per axis (see `grid._dct`).
+on larger grids it is one `numpy.fft.rfft` per axis (see `grid._dct`).  The
+mixer's small Gram system is solved in Python floats (`_small_solve`), so a
+solve makes no LAPACK call.
+
+The iteration itself is the private core `_solve_octant`, which keeps the
+octant.  `solve` unfolds its last iterate once into the public result; the
+c-sweep and the CLI's reference solve run the core directly and never build
+a full-grid field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import NamedTuple
@@ -105,7 +113,7 @@ def gaussian_guess(grid: Grid, width: float = 1.0) -> SpectralField:
 def _octant_gaussian(grid: Grid) -> np.ndarray:
     """`gaussian_guess(grid)` on the octant coordinates x <= 0, whose last entry is the peak at x = 0."""
     x = grid.axis[: grid.octant_shape[0]]
-    radius_sq = sum(a * a for a in np.meshgrid(*([x] * grid.n), indexing="ij"))
+    radius_sq = sum(a * a for a in np.meshgrid(*([x] * grid.n), indexing="ij", sparse=True))
     return np.exp(-radius_sq / 2.0)
 
 
@@ -136,6 +144,32 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
+def _small_solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Solution of a small dense linear system, or None if a pivot is exactly zero.
+
+    Gaussian elimination with partial pivoting, as LAPACK's gesv, in Python
+    floats: for the mixer's k <= ANDERSON_DEPTH unknowns it costs a few
+    microseconds, while a process's first LAPACK call adds about 0.6 MB to its
+    peak RSS.  As with LAPACK, a NaN entry gives a NaN solution.
+    """
+    k = len(rhs)
+    rows = [row + [b] for row, b in zip(matrix, rhs)]
+    for col in range(k):
+        pivot_row = max(range(col, k), key=lambda i: abs(rows[i][col]))
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col]
+        if pivot[col] == 0.0:
+            return None
+        for row in rows[col + 1 :]:
+            factor = row[col] / pivot[col]
+            for j in range(col + 1, k + 1):
+                row[j] -= factor * pivot[j]
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        x[i] = (rows[i][k] - sum(rows[i][j] * x[j] for j in range(i + 1, k))) / rows[i][i]
+    return x
+
+
 class _AndersonMixer:
     """Type-II Anderson mixing, mixing parameter 1, of a fixed-point map G.
 
@@ -147,6 +181,9 @@ class _AndersonMixer:
     The step is bound by memory traffic: the projections <dF_j, f> of the
     older columns are updated from the new Gram row instead of recomputed,
     and the scaled columns of the update go through one scratch array.
+    The k x k Gram system (k <= ANDERSON_DEPTH) is solved by `_small_solve`,
+    not LAPACK; an exactly zero pivot or a non-finite alpha restarts the
+    history with the plain step.
     Neither u nor G(u) is written to, so the previous pair is held by reference.
     """
 
@@ -181,11 +218,8 @@ class _AndersonMixer:
         # <dF_j, f> = <dF_j, f_prev> + <dF_j, dF_s>; only the new column needs a dot
         self.proj[:k] += self.gram[:k, s]
         self.proj[s] = _dot(weighted, f)
-        try:
-            alpha = np.linalg.solve(self.gram[:k, :k], self.proj[:k])
-        except np.linalg.LinAlgError:
-            alpha = None
-        if alpha is None or not np.all(np.isfinite(alpha)):
+        alpha = _small_solve(self.gram[:k, :k].tolist(), self.proj[:k].tolist())
+        if alpha is None or not all(map(math.isfinite, alpha)):
             # singular or overflowing system: take the plain step, restart the history
             self.columns = self.slot = 0
             return g
@@ -209,6 +243,22 @@ class _OctantSolve(NamedTuple):
     residual_history: tuple[float, ...]
     iterations: int
     action: float
+    converged: bool
+
+    @property
+    def residual(self) -> float:
+        return self.residual_history[-1]
+
+    def result(self, grid: Grid) -> GroundStateResult:
+        """The public result: the octant unfolded once, to the exactly even full-grid field."""
+        return GroundStateResult(
+            field=SpectralField(grid, _unfold(grid, self.octant)),
+            residual=self.residual,
+            action=self.action,
+            iterations=self.iterations,
+            converged=self.converged,
+            residual_history=self.residual_history,
+        )
 
 
 def _solve_octant(
@@ -217,7 +267,8 @@ def _solve_octant(
     """The iteration of `solve` from the start octant u, to cfg's tolerance and iteration cap.
 
     Returns the last iterate's octant, the residual history, the iteration
-    count and the action; cfg.initial_guess is not read.  u is never written
+    count, the action and whether the last residual met cfg.tolerance;
+    cfg.initial_guess is not read.  u is never written
     to, so one start octant can seed several solves at once.
     """
     nl.validate_dimension(grid.n)
@@ -246,7 +297,8 @@ def _solve_octant(
         image = _recentered_octant(grid, _inverse(grid, (num / den) ** gamma * nh / sym))
         u = mixer.mix(u, image)
 
-    return _OctantSolve(u, tuple(history), iterations, _action_value(grid, sym, nl, u, uh, nu))
+    action_value = _action_value(grid, sym, nl, u, uh, nu)
+    return _OctantSolve(u, tuple(history), iterations, action_value, bool(history[-1] <= cfg.tolerance))
 
 
 def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
@@ -260,8 +312,9 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     sampled on the octant directly; a field guess that is exactly even with
     its peak at the center (a solved field) enters as its octant, any other
     is recentered and symmetrized once.  From then on the whole iteration
-    runs on the octant, and the result is unfolded once, so it is exactly
-    even.  An iteration takes three whole-field DCT-I transforms (u and N(u)
+    runs on the octant (`_solve_octant`), and the result is unfolded once, so
+    it is exactly even; of the CLI's commands only `nrlimit solve` comes here.
+    An iteration takes three whole-field DCT-I transforms (u and N(u)
     forward, the update back), five with the Hartree term's Coulomb pair; the
     residual and the Rayleigh factor come from the coefficients by Parseval,
     and the mixing adds no transform.
@@ -271,15 +324,7 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     else:
         _, (guess,) = _real_values(cfg.initial_guess, grid=grid)
         u = _recentered_octant(grid, guess)
-    u, history, iterations, action_value = _solve_octant(op, nl, grid, u, cfg)
-    return GroundStateResult(
-        field=SpectralField(grid, _unfold(grid, u)),
-        residual=history[-1],
-        action=action_value,
-        iterations=iterations,
-        converged=bool(history[-1] <= cfg.tolerance),
-        residual_history=history,
-    )
+    return _solve_octant(op, nl, grid, u, cfg).result(grid)
 
 
 def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:

@@ -11,9 +11,11 @@ sup-norm table entries.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 DEFLATION_SHIFT = 10.0  # pushes the removed directions above the sought eigenvalue
-LANCZOS_MAX_STEPS = 200  # the gap converges in about 20; each step re-solves a tridiagonal eigenproblem
+LANCZOS_MAX_STEPS = 200  # the gap converges in about 20; each step finds the smallest Ritz pair anew
 LANCZOS_TOL = 1.0e-10  # relative Ritz residual at which the gap is accepted
 
 
@@ -186,16 +188,33 @@ def sweep(
     else:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
         ref = u_inf.field.values
-    if not u_inf.converged:
+    return _sweep_octant(c_values, s_values, nl, grid, cfg, _octant(grid, ref), u_inf.converged, threads)
+
+
+def _sweep_octant(
+    c_values,
+    s_values,
+    nl: NonlinearitySpec,
+    grid: Grid,
+    cfg: SolverConfig,
+    ref: np.ndarray,
+    converged: bool,
+    threads: int,
+) -> list[ConvergenceRecord]:
+    """The c points of `sweep` against the reference octant `ref` (checked c values and orders).
+
+    Every point starts from the recentred `ref` and is recorded against `ref`;
+    an unconverged reference is a SweepError before any point is solved.
+    """
+    if not converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
-    ref_octant = _octant(grid, ref)
-    seed = _recentered_octant(grid, ref_octant)
+    seed = _recentered_octant(grid, ref)
 
     def sweep_point(c: float) -> ConvergenceRecord | None:
         point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
-        if point.residual_history[-1] > cfg.tolerance:
+        if not point.converged:
             return None
-        return _record(grid, grid.octant_xi_sq, point.octant, ref_octant, c, s_values, point.action)
+        return _record(grid, grid.octant_xi_sq, point.octant, ref, c, s_values, point.action)
 
     if threads > 1:
         # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
@@ -256,6 +275,33 @@ def h_minus1_residual(u_c: SpectralField, c: float) -> float:
     return sobolev_norm(g, -1.0)
 
 
+class _Reference(NamedTuple):
+    """A reference state as its diagnostics read it: the grid, the array the
+    kernel works on (an octant, or the full grid for a field that is not exactly
+    even), its one `_forward` transform and the frequencies of that transform."""
+
+    grid: Grid
+    values: np.ndarray
+    coeff: np.ndarray
+    xi_sq: np.ndarray
+
+
+def _field_reference(u_inf: SpectralField) -> _Reference:
+    """The gate of the identity residual, the optimality forms and the reference norms: `_kernel_values`."""
+    grid, (values,), xi_sq = _kernel_values(u_inf)
+    return _Reference(grid, values, _forward(grid, values), xi_sq)
+
+
+def _octant_reference(grid: Grid, values: np.ndarray) -> _Reference:
+    """The gap's gate: `values` (a full-grid array or an octant) through `_recentered_octant`.
+
+    A solved octant is its own recentred octant, so the CLI hands the
+    reference solve's octant here once and reads every diagnostic from it.
+    """
+    octant = _recentered_octant(grid, values)
+    return _Reference(grid, octant, _forward(grid, octant), grid.octant_xi_sq)
+
+
 def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     """Smallest constrained Rayleigh quotient <Lv, v>_{L^2} / ||v||_{H^1}^2.
 
@@ -275,16 +321,21 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     computed, never clipped.
     """
     grid, (values,) = _real_values(u_inf)
+    return _gap(_octant_reference(grid, values), nl)
+
+
+def _gap(ref: _Reference, nl: NonlinearitySpec) -> float:
+    """`nondegeneracy_gap` of an `_octant_reference`."""
+    grid, u0 = ref.grid, ref.values
     nl.validate_dimension(grid.n)
 
     b_half = np.sqrt(1.0 + grid.octant_xi_sq)
     scale = np.sqrt(grid.octant_weight / grid.size)
     to_values = 1.0 / (scale * b_half)  # z -> B^{-1/2} v_hat
     to_z = scale / b_half  # N'(u0) coefficients -> B^{-1/2} N'(u0) in z
-    u0 = _recentered_octant(grid, values)
     apply_derivative = _derivative(nl, grid, u0)
 
-    y = (scale * b_half * _forward(grid, u0)).ravel()
+    y = (scale * b_half * ref.coeff).ravel()
     y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
@@ -317,24 +368,24 @@ def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
     Appl. 34, 1980).  After step m the smallest eigenpair (theta, s) of the m x m
     tridiagonal is accepted once beta_m |s_m| <= tol max(|theta|, eps^(2/3)),
     ARPACK's test for its `tol`; a zero beta_m means an invariant subspace, so
-    theta is exact.  Every dot and norm is an np.sum, not a BLAS call, which is
-    threaded where numpy was imported before nrlimit (package docstring).
+    theta is exact.  theta and |s_m| come from `_smallest_ritz_pair`, warm-started
+    from the previous step's theta, not from LAPACK.  Every dot and norm is an
+    np.sum, not a BLAS call, which is threaded where numpy was imported before
+    nrlimit (package docstring).
     """
     q = v0 / np.sqrt(np.sum(v0 * v0))
     q_prev = np.zeros_like(q)
     alphas: list[float] = []
     betas: list[float] = []
-    beta = estimate = 0.0
+    beta = estimate = theta = 0.0
     floor = np.finfo(float).eps ** (2.0 / 3.0)
     for _ in range(LANCZOS_MAX_STEPS):
         w = matvec(q)
         alphas.append(float(np.sum(q * w)))
         w -= alphas[-1] * q + beta * q_prev
         beta = float(np.sqrt(np.sum(w * w)))
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        thetas, vectors = np.linalg.eigh(t)
-        theta = float(thetas[0])
-        estimate = beta * abs(vectors[-1, 0])
+        theta, last = _smallest_ritz_pair(alphas, betas, theta)
+        estimate = beta * last
         if beta == 0.0 or estimate <= tol * max(abs(theta), floor):
             return theta
         betas.append(beta)
@@ -343,6 +394,90 @@ def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
         f"gap eigensolve: Lanczos did not converge in {LANCZOS_MAX_STEPS} steps"
         f" (residual estimate {estimate:.3e}, tolerance {tol:g})"
     )
+
+
+def _newton_step(alphas: list[float], betas: list[float], x: float) -> float | None:
+    """The Newton step on det(T - x) from x toward the smallest eigenvalue theta of T; 0 if x >= theta.
+
+    T is the symmetric tridiagonal matrix with diagonal `alphas` and
+    off-diagonal `betas`.  The pivots d_i of T - x = L D L^T and their
+    derivatives d_i' follow the Sturm recurrence, and x < theta iff every d_i
+    is positive.  None unless every pivot but the last is positive, that is
+    unless x lies below the eigenvalues of T's leading (m-1) x (m-1) block.
+    With C = sum_{i<m} d_i' / d_i, the step -det / det' is -d_m / (C d_m + d_m').
+    """
+    d = alphas[0] - x
+    slope = -1.0
+    total = 0.0
+    for a, b in zip(alphas[1:], betas):
+        if not d > 0.0:
+            return None
+        total += slope / d
+        ratio = b * b / d
+        slope = ratio * slope / d - 1.0
+        d = a - x - ratio
+    return -d / (total * d + slope) if d > 0.0 else 0.0
+
+
+def _last_component(alphas: list[float], betas: list[float], x: float) -> float:
+    """|y_m| / ||y|| for y = (T - x)^{-1} (1, ..., 1): one step of inverse iteration.
+
+    T - x is factored as in `_newton_step`, whose pivots but the last are
+    positive at x.  For x within round-off of the smallest eigenvalue theta,
+    y is theta's eigenvector to about round-off over the gap to the next
+    eigenvalue, so this is |s_m| to that absolute accuracy however small s_m
+    is; a determinant quotient would give s_m^2 to that accuracy instead.  y
+    is scaled by the last pivot d_m, which may be zero or just below it.
+    """
+    pivots, multipliers, w = [alphas[0] - x], [], [1.0]
+    for a, b in zip(alphas[1:], betas):
+        d = pivots[-1]
+        multipliers.append(b / d)
+        w.append(1.0 - multipliers[-1] * w[-1])
+        pivots.append(a - x - b * b / d)
+    last_pivot = pivots[-1]
+    y = w[-1]
+    norm_sq = y * y
+    for wi, di, li in zip(reversed(w[:-1]), reversed(pivots[:-1]), reversed(multipliers)):
+        y = last_pivot * wi / di - li * y
+        norm_sq += y * y
+    return abs(w[-1]) / math.sqrt(norm_sq)
+
+
+def _smallest_ritz_pair(alphas: list[float], betas: list[float], previous: float) -> tuple[float, float]:
+    """Smallest eigenvalue theta of the m x m symmetric tridiagonal T (diagonal
+    `alphas`, off-diagonal `betas`) and |s_m|, the last component of its unit
+    eigenvector; `previous` is the smallest eigenvalue of T's leading
+    (m-1) x (m-1) block, unused for m = 1.
+
+    By interlacing, the smallest eigenvalue of [[previous, b], [b, a]], with a
+    and b T's last diagonal and off-diagonal entries, lies at or below theta.
+    Newton's method on det(T - x) rises from there monotonically to theta, as
+    for any polynomial with real roots; the Sturm recurrence (`_newton_step`)
+    gives each step and tells whether x is still below theta.  It stops when a
+    step no longer moves x or round-off carries x onto or just past theta; a
+    step that round-off carries past an eigenvalue of the leading block is
+    halved.  |s_m| then comes from `_last_component`.
+    """
+    if len(alphas) == 1:
+        return alphas[0], 1.0
+    a, b = alphas[-1], betas[-1]
+    x = 0.5 * (previous + a) - math.hypot(0.5 * (previous - a), b)
+    # round-off (or b = 0) can put the bound onto an eigenvalue of the leading block: step below it
+    drop = max(float(np.finfo(float).eps) * (abs(x) + abs(b)), float(np.finfo(float).tiny))
+    while (step := _newton_step(alphas, betas, x)) is None:
+        x -= drop
+        drop *= 2.0
+    while step > 0.0:
+        nxt = x + step
+        if nxt == x:
+            break
+        nxt_step = _newton_step(alphas, betas, nxt)
+        if nxt_step is None:
+            step *= 0.5
+        else:
+            x, step = nxt, nxt_step
+    return x, _last_component(alphas, betas, x)
 
 
 def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
@@ -354,10 +489,14 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     evaluated on its octant, any other on the full lattice; four whole-field
     transforms for Hartree, two for powers.
     """
-    grid, (u,), xi_sq = _kernel_values(u_inf)
+    return _identity_residual(_field_reference(u_inf), nl)
+
+
+def _identity_residual(ref: _Reference, nl: NonlinearitySpec) -> float:
+    """`linearization_identity_residual` of a `_Reference`; three whole-field transforms for Hartree, one for powers."""
+    grid, u, uh, xi_sq = ref
     nl.validate_dimension(grid.n)
     h1 = 1.0 + xi_sq
-    uh = _forward(grid, u)
     bu = _inverse(grid, h1 * uh)
     lu = bu - _derivative(nl, grid, u)(u)
     target = -(nl.variational_exponent - 2) * bu
@@ -378,19 +517,23 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
 
 def optimality_forms(u_inf: SpectralField, c_values) -> list[float]:
     """`optimality_functional` at each c of `c_values`, from one transform of u_inf."""
-    specs = [pseudo_relativistic(c) for c in c_values]
     if u_inf.space == "freq":
+        specs = [pseudo_relativistic(c) for c in c_values]
         grid, ref_sq = u_inf.grid, _abs_sq(u_inf.values)
         return [float(np.sum(symbol_defect(spec, grid.xi_sq) * ref_sq) / grid.volume) for spec in specs]
-    grid, (values,), xi_sq = _kernel_values(u_inf)
-    ref_sq = _abs_sq(_forward(grid, values))
-    return [_spectral_integral(grid, symbol_defect(spec, xi_sq), ref_sq) for spec in specs]
+    return _optimality_forms(_field_reference(u_inf), c_values)
 
 
-def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float], float]:
-    """H^s norms of u_inf at each order, and ||Delta u_inf||_{L^2}^2, from one transform of u_inf."""
-    grid, (values,), xi_sq = _kernel_values(u_inf)
-    ref_sq = _abs_sq(_forward(grid, values))
+def _optimality_forms(ref: _Reference, c_values) -> list[float]:
+    """`optimality_forms` of a `_Reference`; no transform."""
+    specs = [pseudo_relativistic(c) for c in c_values]
+    ref_sq = _abs_sq(ref.coeff)
+    return [_spectral_integral(ref.grid, symbol_defect(spec, ref.xi_sq), ref_sq) for spec in specs]
+
+
+def _reference_norms(ref: _Reference, s_values) -> tuple[dict[float, float], float]:
+    """H^s norms of a `_Reference` at each order, and ||Delta u_inf||_{L^2}^2; no transform."""
+    grid, xi_sq, ref_sq = ref.grid, ref.xi_sq, _abs_sq(ref.coeff)
     norms = {float(s): float(np.sqrt(_spectral_integral(grid, _sobolev_weight(xi_sq, s), ref_sq))) for s in s_values}
     return norms, _spectral_integral(grid, xi_sq * xi_sq, ref_sq)
 

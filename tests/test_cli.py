@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -259,6 +262,42 @@ class TestNondegCommand:
         assert not (out / "nondeg.json").exists()
 
 
+class TestProcessFootprint:
+    """What a CLI run loads and calls, each in a fresh interpreter: the first
+    LAPACK call of a process costs about 1 MB of peak RSS, loading numpy.fft
+    about 0.6 MB, and unfolding the 64^3 reference 2 MB plus its copy."""
+
+    REFUSE_LAPACK = (
+        "import sys, numpy as np, nrlimit.cli as cli, nrlimit.ground_state as gs\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('refused call')\n"
+        "np.linalg.solve = np.linalg.eigh = np.linalg.eigvalsh = refuse\n"
+    )
+
+    @staticmethod
+    def run_fresh(code: str) -> None:
+        src = str(Path(nr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_3d_nondeg_keeps_the_reference_on_the_octant_and_loads_no_numpy_fft(self, tmp_path):
+        args = ["nondeg", "--out", str(tmp_path / "n"), "--override", "problem.n=3"]
+        args += ["--override", "problem.nonlinearity=hartree", "--override", "grid.N=32"]
+        self.run_fresh(
+            self.REFUSE_LAPACK
+            + "gs._unfold = refuse\n"
+            + f"assert cli.main({args!r}) == 0\n"
+            + "assert 'numpy.fft._pocketfft_umath' not in sys.modules\n"
+        )
+        assert json.loads((tmp_path / "n" / "nondeg.json").read_text())["positive"] is True
+
+    def test_1d_report_makes_no_lapack_call(self, tmp_path):
+        # exit 4: the s=4 uniform bound is the one known FAIL row
+        args = ["report", "--out", str(tmp_path / "r"), *SWEEP_OVERRIDES]
+        self.run_fresh(self.REFUSE_LAPACK + f"assert cli.main({args!r}) == 4\n")
+        assert (tmp_path / "r" / "report.md").exists()
+
+
 class TestVerifySymbolsCommand:
     def test_symbol_table(self, tmp_path):
         out = tmp_path / "v"
@@ -291,6 +330,7 @@ class TestReportCommand:
         # the Taylor window at c = 1 needs 2 pi / L <= 1/2, that is L >= 4 pi
         solves = []
         monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: solves.append(args))
+        monkeypatch.setattr(cli, "_solve_octant", lambda *args, **kwargs: solves.append(args))
         out = tmp_path / command
         assert main([command, "--out", str(out), "--override", "grid.L=8", "--override", "grid.N=256"]) == 2
         assert "grid.L:" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,29 @@ class TestMakeGrid:
         for f in freqs:
             if not np.isclose(f, nyquist):
                 assert -f in freqs
+
+
+class TestDenseConstructionOracle:
+    """`freq_axis`, `octant_xi_sq` and `octant_weight` equal, bit for bit, the
+    dense construction from numpy.fft.fftfreq and a full meshgrid."""
+
+    # a 3D grid of 1024 points would hold two octant arrays of 1.1 GB each
+    CASES = [(n, points) for points in (16, 18, 64, 126, 128, 1024) for n in (1, 2, 3) if n < 3 or points <= 128]
+
+    @pytest.mark.parametrize("n, points", CASES)
+    @pytest.mark.parametrize("length", [16.0, 100.0 / 3.0])
+    def test_bit_equal(self, n, points, length):
+        grid = nr.make_grid(n, length, points)
+        half = points // 2 + 1
+        freq_axis = 2.0 * np.pi * np.fft.fftfreq(points, d=length / points)
+        xi_sq = sum(a * a for a in np.meshgrid(*([freq_axis[:half]] * n), indexing="ij"))
+        multiplicity = np.full(half, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        weight = np.ones((half,) * n)
+        for w in np.meshgrid(*([multiplicity] * n), indexing="ij"):
+            weight = weight * w
+        for got, expected in ((grid.freq_axis, freq_axis), (grid.octant_xi_sq, xi_sq), (grid.octant_weight, weight)):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestReadOnlyArrays:
@@ -377,6 +401,17 @@ class TestOctantKernel:
         for s in (-1.0, 1.0, 4.0):
             octant_norm = _spectral_norm(grid, (1.0 + grid.octant_xi_sq) ** s, coeff)
             assert np.isclose(octant_norm, nr.sobolev_norm(full_hat, s), rtol=1e-13, atol=0.0)
+
+    def test_unfold_allocates_only_its_result(self):
+        grid = nr.make_grid(3, 16.0, 64)
+        octant = np.random.default_rng(91).standard_normal(grid.octant_shape)
+        tracemalloc.start()
+        try:
+            full = _unfold(grid, octant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * full.nbytes
 
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_restrict_and_unfold_round_trip_bit_for_bit(self, grid):

@@ -6,7 +6,7 @@ import pytest
 import nrlimit as nr
 from conftest import random_field
 from nrlimit.grid import _octant
-from nrlimit.ground_state import _AndersonMixer, _octant_gaussian
+from nrlimit.ground_state import _AndersonMixer, _octant_gaussian, _small_solve
 from oracles import shoot_ground_state
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -300,6 +300,58 @@ class TestAndersonAcceleration:
         mixer.mix(u, g.copy())
         assert np.array_equal(mixer.mix(u, g.copy()), g)
         assert mixer.columns == 0
+
+
+class TestSmallSolve:
+    """The mixer's hand Gram solve against LAPACK (np.linalg.solve) on 1 x 1 to 3 x 3 systems."""
+
+    @staticmethod
+    def solve(a, b):
+        return _small_solve(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_spd_gram_systems(self, k):
+        rng = np.random.default_rng(60 + k)
+        for _ in range(200):
+            cols = rng.standard_normal((5, k))
+            gram, rhs = cols.T @ cols, rng.standard_normal(k)
+            expected = np.linalg.solve(gram, rhs)
+            assert np.allclose(self.solve(gram, rhs), expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ill_conditioned_gram_systems_are_backward_stable(self, k):
+        # nearly parallel difference columns, as the mixer meets them near convergence
+        rng = np.random.default_rng(70 + k)
+        for scale in (1e-4, 1e-6, 1e-8):
+            base = rng.standard_normal(6)
+            cols = base[:, None] + scale * rng.standard_normal((6, k))
+            gram, rhs = cols.T @ cols, rng.standard_normal(k)
+            x = np.array(self.solve(gram, rhs))
+            expected = np.linalg.solve(gram, rhs)
+            eps = np.finfo(float).eps
+            assert np.linalg.norm(gram @ x - rhs) <= 50 * eps * np.linalg.norm(gram) * np.linalg.norm(x)
+            assert np.linalg.norm(x - expected) <= 50 * eps * np.linalg.cond(gram) * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[0.0]],
+            [[1.0, 2.0], [2.0, 4.0]],
+            [[0.0, 0.0], [0.0, 3.0]],
+            [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 5.0]],
+        ],
+        ids=["zero", "rank-one", "zero-column", "repeated-row"],
+    )
+    def test_exactly_singular_systems_give_none_where_lapack_raises(self, gram):
+        rhs = np.ones(len(gram))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array(gram), rhs)
+        assert self.solve(gram, rhs) is None
+
+    def test_nan_entries_give_a_nan_solution_as_in_lapack(self):
+        for gram, rhs in (([[1.0, np.nan], [np.nan, 2.0]], [1.0, 1.0]), ([[1.0, 0.0], [0.0, 2.0]], [np.nan, 1.0])):
+            assert np.isnan(np.linalg.solve(gram, rhs)).any()
+            assert np.isnan(self.solve(gram, rhs)).any()
 
 
 class TestFailureModes:

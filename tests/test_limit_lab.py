@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, null_space, orth
+from scipy.linalg import eigh, eigh_tridiagonal, null_space, orth
 
 import nrlimit as nr
-from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest
+from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest, _smallest_ritz_pair
 from oracles import dense_gap_fd
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -458,6 +458,72 @@ class TestLanczosSmallest:
         spectrum = np.array([2.0, -1.5, 3.0, 0.5])
         theta = _lanczos_smallest(lambda z: spectrum * z, np.array([1.0, 1.0, 0.0, 0.0]), 1e-300)
         assert theta == pytest.approx(-1.5, rel=1e-15)
+
+
+class TestSmallestRitzPair:
+    """The smallest eigenpair of every leading m x m block of a tridiagonal,
+    m = 1..60, chained as `_lanczos_smallest` calls it, against scipy's
+    eigh_tridiagonal: theta to a few units of round-off of ||T||, |s_m| to
+    the eigenvector's own accuracy, round-off over the gap to the next
+    eigenvalue."""
+
+    @staticmethod
+    def assert_matches_eigh_tridiagonal(alphas, betas):
+        alphas, betas = [float(a) for a in alphas], [float(b) for b in betas]
+        eps = np.finfo(float).eps
+        theta = 0.0
+        for m in range(1, len(alphas) + 1):
+            theta, last = _smallest_ritz_pair(alphas[:m], betas[: m - 1], theta)
+            w, v = eigh_tridiagonal(np.array(alphas[:m]), np.array(betas[: m - 1]))
+            scale = max(np.max(np.abs(w)), np.max(np.abs(betas[: m - 1]), initial=0.0))
+            assert abs(theta - w[0]) <= 32 * eps * scale, m
+            gap = w[1] - w[0] if m > 1 else np.inf
+            assert 0.0 <= last <= 1.0
+            assert abs(last - abs(v[-1, 0])) <= 1e-13 + 64 * eps * scale / gap, m
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tridiagonals(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_eigh_tridiagonal(rng.standard_normal(60), np.abs(rng.standard_normal(59)))
+
+    def test_positive_spectrum_and_negative_minimum(self):
+        rng = np.random.default_rng(11)
+        alphas = 2.0 + rng.random(60)
+        self.assert_matches_eigh_tridiagonal(alphas, 0.3 * rng.random(59))
+        alphas[37] = -0.37
+        self.assert_matches_eigh_tridiagonal(alphas, 0.3 * rng.random(59))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_off_diagonals(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        betas = np.abs(rng.standard_normal(59))
+        betas[rng.random(59) < 0.25] = 0.0
+        betas[0] = 0.0
+        self.assert_matches_eigh_tridiagonal(rng.standard_normal(60), betas)
+
+    def test_diagonal_matrix(self):
+        self.assert_matches_eigh_tridiagonal(np.linspace(3.0, -2.0, 60), np.zeros(59))
+
+    def test_clustered_minimum_of_the_negated_wilkinson_matrix(self):
+        # -W+_41: its two smallest eigenvalues agree to about 1e-14
+        alphas = -np.abs(np.arange(41) - 20.0)
+        self.assert_matches_eigh_tridiagonal(alphas, np.ones(40))
+
+    def test_tridiagonal_of_a_lanczos_run_that_lost_orthogonality(self):
+        # plain Lanczos on a spectrum with a close pair at its negative minimum:
+        # after 60 steps the tridiagonal holds duplicated, clustered Ritz values
+        spectrum = np.concatenate([[-0.37, -0.37 + 1e-9], np.linspace(0.1, 4.0, 300)])
+        q = np.random.default_rng(5).standard_normal(spectrum.size)
+        q /= np.linalg.norm(q)
+        q_prev, beta, alphas, betas = np.zeros_like(q), 0.0, [], []
+        for _ in range(60):
+            w = spectrum * q - beta * q_prev
+            alphas.append(q @ w)
+            w -= alphas[-1] * q
+            beta = np.linalg.norm(w)
+            betas.append(beta)
+            q_prev, q = q, w / beta
+        self.assert_matches_eigh_tridiagonal(alphas, betas[:-1])
 
 
 class TestOptimalityFunctional:
