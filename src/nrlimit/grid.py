@@ -22,8 +22,9 @@ Fields live in one of two representations:
   continuum-normalized and centered at x = 0), and the kernel's complex
   transform of a real field that is not even.
 
-The kernel (`_forward`, `_inverse`, `_lattice_sum`) takes an octant or a
-full-grid array and works on the octant or the full lattice accordingly.  An
+The kernel (`_forward`, `_inverse`, `_lattice_sum`, `_lattice_dot`) takes an
+octant or a full-grid array and works on the octant or the full lattice
+accordingly (on the octant, optionally in the caller's work arrays).  An
 octant entry stands for all its mirror images, so octant sums carry the
 multiplicity weights `octant_weight`; the same weights serve real-space and
 Parseval sums.  The solver, the Coulomb convolution inside it, the sweep
@@ -199,6 +200,15 @@ class SpectralField:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _owned(cls, grid: Grid, values: np.ndarray) -> SpectralField:
+        """The real-space field on `values` itself, frozen but not copied: `values` must be a fresh float64
+        array of the grid's shape that no one else holds (the constructor copies a caller's array)."""
+        field = object.__new__(cls)
+        values.setflags(write=False)
+        field.__dict__.update(grid=grid, values=values, space="real")
+        return field
+
 
 def make_grid(n: int, length: float, points: int) -> Grid:
     """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3, non-integer n or N, non-real L."""
@@ -233,9 +243,9 @@ def _even_extension(values: np.ndarray, ax: int) -> np.ndarray:
     return np.concatenate((values, values[mirror]), axis=ax)
 
 
-@lru_cache(maxsize=8)
-def _dct_matrix(h: int) -> np.ndarray:
-    """The h x h DCT-I matrix C[k, j] = w_j cos(pi jk / (h - 1)), w = 1 at both ends and 2 elsewhere (read-only).
+@lru_cache(maxsize=16)
+def _dct_matrix(h: int, divisor: int = 1) -> np.ndarray:
+    """The h x h DCT-I matrix C[k, j] = w_j cos(pi jk / (h - 1)) / divisor, w = 1 at both ends, 2 elsewhere (read-only).
 
     The angle is reduced as (jk) mod 2(h - 1) before the cosine, so equal
     angles give equal entries and C[k, j] / w_j is exactly symmetric.  The
@@ -245,19 +255,24 @@ def _dct_matrix(h: int) -> np.ndarray:
     j = np.arange(h)
     weight = np.full(h, 2.0)
     weight[[0, -1]] = 1.0
-    matrix = np.asfortranarray(np.cos(np.pi * (np.outer(j, j) % (2 * (h - 1))) / (h - 1)) * weight)
+    matrix = np.asfortranarray(np.cos(np.pi * (np.outer(j, j) % (2 * (h - 1))) / (h - 1)) * weight / divisor)
     matrix.setflags(write=False)
     return matrix
 
 
-def _dct(values: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I of an octant array along every axis.
+def _dct(
+    values: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None, divisor: int = 1
+) -> np.ndarray:
+    """Unnormalized DCT-I of an octant array along every axis, divided by `divisor`.
 
     An axis of h <= _MATRIX_DCT_MAX_POINTS points is multiplied by
     `_dct_matrix(h)`, batched over the other axes so that every BLAS call is
     one h x h by h x h product (a vector product in 1D); a longer axis takes
     one `numpy.fft.rfft` of its even extension, whose imaginary part vanishes
-    and is dropped.  Both routes agree to a few units of round-off.
+    and is dropped.  Both routes agree to a few units of round-off.  The
+    divisor rides in the last axis's matrix or rfft copy.  The axes write
+    alternately to `work` and `out` (new arrays if None), the last to out;
+    `work` may be `values` itself, which is then overwritten.
 
     Where the cut-off sits (numpy 2.4 with OpenBLAS 0.3.31, 2-core x86-64):
     on 3D octants the matrix route is 2x (h = 9) to 5x (h = 33, 0.14 ms
@@ -270,18 +285,24 @@ def _dct(values: np.ndarray) -> np.ndarray:
     imported first, the limit still keeps every call off the worker thread,
     whose spin would add CPU time to the work that follows.
     """
-    for ax in range(values.ndim):
+    ndim = values.ndim
+    if out is None:
+        out = np.empty(values.shape)
+    if ndim > 1 and (work is None or (work is values and ndim % 2 == 0)):
+        work = np.empty(values.shape)
+    for ax in range(ndim):
         h = values.shape[ax]
+        last = ax == ndim - 1
+        target = out if (ndim - 1 - ax) % 2 == 0 else work
         if h > _MATRIX_DCT_MAX_POINTS:
-            values = np.fft.rfft(_even_extension(values, ax), axis=ax).real
-        elif ax == values.ndim - 1:
-            values = values @ _dct_matrix(h).T
+            np.divide(np.fft.rfft(_even_extension(values, ax), axis=ax).real, divisor if last else 1, out=target)
+        elif last:
+            np.matmul(values, _dct_matrix(h, divisor).T, out=target)
         else:
             # C times each h x h slice whose rows run along ax, stored in the input's axis order
-            out = np.empty(values.shape)
-            np.matmul(_dct_matrix(h), np.moveaxis(values, ax, -2), out=np.moveaxis(out, ax, -2))
-            values = out
-    return values
+            np.matmul(_dct_matrix(h), np.moveaxis(values, ax, -2), out=np.moveaxis(target, ax, -2))
+        values = target
+    return out
 
 
 def _octant(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -344,18 +365,23 @@ def _kernel_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.n
     return grid, arrays, grid.xi_sq
 
 
-def _forward(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Unnormalized transform of a real array: DCT-I of an octant, fftn of a full-grid array."""
+def _forward(
+    grid: Grid, values: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Unnormalized transform of a real array: DCT-I of an octant (`_dct`, its out and work), fftn of a full grid."""
     if values.shape == grid.octant_shape:
-        return _dct(values)
+        return _dct(values, out, work)
     return np.fft.fftn(values)
 
 
-def _inverse(grid: Grid, coeff: np.ndarray) -> np.ndarray:
-    """Inverse of `_forward`: real (octant) coefficients go back to the octant, complex ones to the full grid."""
+def _inverse(
+    grid: Grid, coeff: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse of `_forward`: real (octant) coefficients go back to the octant (1/N^n in the DCT-I), complex
+    ones to the full grid."""
     if np.iscomplexobj(coeff):
         return np.fft.ifftn(coeff).real
-    return _dct(coeff) / grid.size
+    return _dct(coeff, out, work, divisor=grid.size)
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,6 +402,16 @@ def _lattice_sum(grid: Grid, q: np.ndarray) -> float:
     """
     if q.shape == grid.octant_shape:
         return float(np.sum(q * grid.octant_weight))
+    return float(np.sum(q))
+
+
+def _lattice_dot(grid: Grid, a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> float:
+    """`_lattice_sum(grid, _pair(a, b))` bit for bit, real products formed in `work` (new if None; may be a or b)."""
+    if np.iscomplexobj(a):
+        return _lattice_sum(grid, _pair(a, b))
+    q = np.multiply(a, b, out=work)
+    if q.shape == grid.octant_shape:
+        q *= grid.octant_weight
     return float(np.sum(q))
 
 
@@ -452,7 +488,7 @@ def _recentered(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.roll(values, shift, axis=grid.axes)
 
 
-def _recentered_octant(grid: Grid, values: np.ndarray) -> np.ndarray:
+def _recentered_octant(grid: Grid, values: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """The octant of the even part of a real array recentred at its peak (`_recentered`, then `_even_part`).
 
     `values` is a full-grid array or an even field stored on its octant.  The
@@ -460,12 +496,13 @@ def _recentered_octant(grid: Grid, values: np.ndarray) -> np.ndarray:
     even field whose peak is at the center (the octant's last entry) needs
     neither shift nor symmetrization: an octant is returned as it is, an
     exactly even full-grid array as its octant (a view), bit for bit what the
-    shift and the even part would give.
+    shift and the even part would give.  The peak test takes |values| in
+    `work` (an octant array, new if None).
     """
     if values.shape != grid.octant_shape and _is_even(grid, values):
         values = _octant(grid, values)
     if values.shape == grid.octant_shape:
-        if np.argmax(np.abs(values)) == values.size - 1:
+        if np.argmax(np.abs(values, out=work)) == values.size - 1:
             return values
         values = _unfold(grid, values)
     return _octant(grid, _even_part(grid, _recentered(grid, values)))

@@ -12,13 +12,14 @@ Ni, SIAM J. Numer. Anal. 49, 2011), with the octant-weighted dot product, which
 takes a 3D Hartree solve from about 85 iterations to about 20 with no extra
 transform.
 
-Per iteration a solve takes three whole-field transforms (u and N(u) forward,
-the update back), five with the Hartree term's Coulomb pair; the residual of
-the final iterate adds two (four).  On grids up to N = 126 an octant
-transform is three products with the cached DCT-I matrix in 3D (one in 1D);
-on larger grids it is one `numpy.fft.rfft` per axis (see `grid._dct`).  The
-mixer's small Gram system is solved in Python floats (`_small_solve`), so a
-solve makes no LAPACK call.
+The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
+transforms (N(u) forward, the mixed coefficients back), four with the
+Hartree term's Coulomb pair, and allocates no array; a solve adds the start
+transform, the final N(u) and one transform per confirm (`_solve_octant`).
+On grids up to N = 126 an octant transform is three products with the
+cached DCT-I matrix in 3D (one in 1D), on larger grids one
+`numpy.fft.rfft` per axis (`grid._dct`).  The mixer's small Gram system is
+solved in Python floats (`_small_solve`): no LAPACK call.
 
 The iteration itself is the private core `_solve_octant`, which keeps the
 octant.  `solve` unfolds its last iterate once into the public result; the
@@ -38,11 +39,10 @@ import numpy as np
 from .grid import (
     Grid,
     SpectralField,
-    _abs_sq,
     _forward,
     _inverse,
     _kernel_values,
-    _lattice_sum,
+    _lattice_dot,
     _real_values,
     _recentered_octant,
     _unfold,
@@ -117,31 +117,27 @@ def _octant_gaussian(grid: Grid) -> np.ndarray:
     return np.exp(-radius_sq / 2.0)
 
 
-def _l2_norm(grid: Grid, u: np.ndarray) -> float:
-    # np.sum (inside _lattice_sum), not the BLAS dot behind np.linalg.norm.
+def _l2_norm(grid: Grid, u: np.ndarray, work: np.ndarray | None = None) -> float:
+    # np.sum (inside _lattice_dot), not the BLAS dot behind np.linalg.norm.
     # Importing nrlimit first leaves OpenBLAS one thread (package docstring);
     # where numpy was imported first, a 64^3 dot is threaded, and its spinning
     # worker doubles the CPU time of a solve
-    return float(np.sqrt(_lattice_sum(grid, u * u)))
+    return float(np.sqrt(_lattice_dot(grid, u, u, work)))
 
 
-def _residual_state(grid: Grid, sym: np.ndarray, nl: NonlinearitySpec, u: np.ndarray, norm_u: float):
-    """Coefficients of u and N(u), N(u) itself, and the relative residual.
-
-    u is an octant or a full-grid array, and sym the symbol on the matching
-    frequencies.  The residual ||P(D)u - N(u)|| / ||u|| is taken from the
-    coefficients by Parseval (unnormalized transform: sum |r|^2 = sum |r_hat|^2 / N^n).
-    """
-    uh = _forward(grid, u)
-    nu = _term_values(nl, grid, u)
-    nh = _forward(grid, nu)
-    res = np.sqrt(_lattice_sum(grid, _abs_sq(sym * uh - nh)) / grid.size) / norm_u
-    return uh, nu, nh, float(res)
+def _residual_value(
+    grid: Grid, sym: np.ndarray, uh: np.ndarray, nh: np.ndarray, norm_u: float, work: np.ndarray | None = None
+) -> float:
+    """||P(D)u - N(u)|| / ||u|| from the coefficients uh of u and nh of N(u) (octant or full lattice), by
+    Parseval: sum |r|^2 = sum |r_hat|^2 / N^n, r_hat formed in `work` (a new array if None)."""
+    r = np.multiply(sym, uh, out=work)
+    r -= nh
+    return float(np.sqrt(_lattice_dot(grid, r, r, r) / grid.size) / norm_u)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
     # np.sum, as in _l2_norm: the BLAS dot is threaded where numpy was imported before nrlimit
-    return float(np.sum(a * b))
+    return float(np.sum(np.multiply(a, b, out=work)))
 
 
 def _small_solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -180,61 +176,73 @@ class _AndersonMixer:
     it is the full-grid dot product of the even fields).
     The step is bound by memory traffic: the projections <dF_j, f> of the
     older columns are updated from the new Gram row instead of recomputed,
-    and the scaled columns of the update go through one scratch array.
+    and products go through the caller's two scratch arrays.
     The k x k Gram system (k <= ANDERSON_DEPTH) is solved by `_small_solve`,
     not LAPACK; an exactly zero pivot or a non-finite alpha restarts the
-    history with the plain step.
-    Neither u nor G(u) is written to, so the previous pair is held by reference.
+    history with the plain step.  G(u) is held by reference, not copied.
     """
 
-    def __init__(self, shape: tuple[int, ...], weight: np.ndarray | float = 1.0) -> None:
+    def __init__(
+        self, shape: tuple[int, ...], weight: np.ndarray | float, scratch: tuple[np.ndarray, np.ndarray]
+    ) -> None:
         m = ANDERSON_DEPTH
         self.weight = weight
         self.df = np.empty((m, *shape))
         self.dg = np.empty((m, *shape))
         self.gram = np.empty((m, m))
         self.proj = np.zeros(m)
-        self.scratch = np.empty(shape)
+        self.f_arrays = (np.empty(shape), np.empty(shape))
+        self.weighted, self.product = scratch
+        self.restart()
+
+    def restart(self) -> None:
         self.f_prev: np.ndarray | None = None
         self.g_prev: np.ndarray | None = None
-        self.columns = 0
-        self.slot = 0
+        self.columns = self.slot = 0
 
-    def mix(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Next iterate from u and its image g = G(u)."""
-        f = g - u
+    def mix(self, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Next iterate from u and its image g = G(u), written to `out` (it may be u)."""
+        f = np.subtract(g, u, out=self.f_arrays[self.f_prev is self.f_arrays[0]])
         f_prev, g_prev = self.f_prev, self.g_prev
         self.f_prev, self.g_prev = f, g
         if f_prev is None:
-            return g
+            np.copyto(out, g)
+            return out
         s = self.slot
         np.subtract(f, f_prev, out=self.df[s])
         np.subtract(g, g_prev, out=self.dg[s])
         self.slot = (s + 1) % ANDERSON_DEPTH
         self.columns = k = min(self.columns + 1, ANDERSON_DEPTH)
-        weighted = np.multiply(self.df[s], self.weight, out=self.scratch)
+        weighted = np.multiply(self.df[s], self.weight, out=self.weighted)
         for j in range(k):
-            self.gram[s, j] = self.gram[j, s] = _dot(weighted, self.df[j])
+            self.gram[s, j] = self.gram[j, s] = _dot(weighted, self.df[j], self.product)
         # <dF_j, f> = <dF_j, f_prev> + <dF_j, dF_s>; only the new column needs a dot
         self.proj[:k] += self.gram[:k, s]
-        self.proj[s] = _dot(weighted, f)
+        self.proj[s] = _dot(weighted, f, self.product)
         alpha = _small_solve(self.gram[:k, :k].tolist(), self.proj[:k].tolist())
         if alpha is None or not all(map(math.isfinite, alpha)):
             # singular or overflowing system: take the plain step, restart the history
             self.columns = self.slot = 0
-            return g
-        u_next = np.multiply(self.dg[0], -alpha[0])
+            np.copyto(out, g)
+            return out
+        u_next = np.multiply(self.dg[0], -alpha[0], out=out)
         u_next += g
         for a, d in zip(alpha[1:], self.dg[1:k]):
-            u_next -= np.multiply(d, a, out=self.scratch)
+            u_next -= np.multiply(d, a, out=self.product)
         return u_next
 
 
 def _action_value(
-    grid: Grid, sym: np.ndarray, nl: NonlinearitySpec, u: np.ndarray, uh: np.ndarray, nu: np.ndarray
+    grid: Grid,
+    sym: np.ndarray,
+    nl: NonlinearitySpec,
+    u: np.ndarray,
+    uh: np.ndarray,
+    nu: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> float:
-    quad = _lattice_sum(grid, sym * _abs_sq(uh)) * grid.cell_volume**2 / grid.volume
-    pairing = _lattice_sum(grid, nu * u) * grid.cell_volume
+    quad = _lattice_dot(grid, np.multiply(sym, uh, out=work), uh, work) * grid.cell_volume**2 / grid.volume
+    pairing = _lattice_dot(grid, nu, u, work) * grid.cell_volume
     return 0.5 * quad - pairing / nl.variational_exponent
 
 
@@ -252,7 +260,7 @@ class _OctantSolve(NamedTuple):
     def result(self, grid: Grid) -> GroundStateResult:
         """The public result: the octant unfolded once, to the exactly even full-grid field."""
         return GroundStateResult(
-            field=SpectralField(grid, _unfold(grid, self.octant)),
+            field=SpectralField._owned(grid, _unfold(grid, self.octant)),
             residual=self.residual,
             action=self.action,
             iterations=self.iterations,
@@ -270,35 +278,65 @@ def _solve_octant(
     count, the action and whether the last residual met cfg.tolerance;
     cfg.initial_guess is not read.  u is never written
     to, so one start octant can seed several solves at once.
+
+    The iterate is held as samples x and DCT-I coefficients uh; the mixer
+    mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
+    dot products' alpha unchanged), one inverse gives the next samples, and
+    the recentring test reads them.  A mixed uh omits the round-off of x's
+    own transform (up to eps max P), so a mixed residual that would stop
+    the loop is confirmed on the transform of x, which is recorded and, if
+    it fails, continued from.
     """
     nl.validate_dimension(grid.n)
     sym = symbol(op, grid.octant_xi_sq)
     gamma = nl.degree / (nl.degree - 1.0)
-    mixer = _AndersonMixer(u.shape, grid.octant_weight)
+    x = u.copy()
+    uh = _forward(grid, x)  # the start transform
+    synced = True  # uh is the transform of x, bit for bit
+    nu, nh, work = (np.empty(x.shape) for _ in range(3))
+    images = (np.empty(x.shape), np.empty(x.shape))  # this step's G(u) and the last, which the mixer holds
+    mixer = _AndersonMixer(x.shape, grid.octant_weight, (nu, nh))  # both free during a mix
     history: list[float] = []
 
     for iterations in range(cfg.max_iterations + 1):
-        norm_u = _l2_norm(grid, u)
+        norm_u = _l2_norm(grid, x, work)
         if not np.isfinite(norm_u):
             raise GroundStateError(f"non-finite iterate at iteration {iterations}")
         if norm_u * np.sqrt(grid.cell_volume) < COLLAPSE_NORM:
             raise GroundStateError("iterate collapsed to the zero field; bad initial guess")
-        uh, nu, nh, res = _residual_state(grid, sym, nl, u, norm_u)
+        _term_values(nl, grid, x, out=nu, work=work)
+        _forward(grid, nu, out=nh, work=work)
+        res = _residual_value(grid, sym, uh, nh, norm_u, work)
+        stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
+        if stop and not synced:
+            _forward(grid, x, out=uh, work=work)
+            synced = True
+            res = _residual_value(grid, sym, uh, nh, norm_u, work)
+            stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
         if not np.isfinite(res):
             raise GroundStateError(f"non-finite residual at iteration {iterations}")
         history.append(res)
-        if res <= cfg.tolerance or iterations >= cfg.max_iterations:
+        if stop:
             break
 
-        num = _lattice_sum(grid, sym * uh * uh)
-        den = _lattice_sum(grid, nh * uh)
+        num = _lattice_dot(grid, np.multiply(sym, uh, out=work), uh, work)
+        den = _lattice_dot(grid, nh, uh, work)
         if den <= 0.0:
             raise GroundStateError("nonlinear pairing lost positivity during iteration")
-        image = _recentered_octant(grid, _inverse(grid, (num / den) ** gamma * nh / sym))
-        u = mixer.mix(u, image)
+        image = np.multiply(nh, (num / den) ** gamma, out=images[iterations % 2])
+        image /= sym
+        mixer.mix(uh, image, out=uh)
+        _inverse(grid, uh, out=x, work=work)
+        synced = False
+        centred = _recentered_octant(grid, x, work)
+        if centred is not x:
+            np.copyto(x, centred)
+            _forward(grid, x, out=uh, work=work)
+            synced = True
+            mixer.restart()
 
-    action_value = _action_value(grid, sym, nl, u, uh, nu)
-    return _OctantSolve(u, tuple(history), iterations, action_value, bool(history[-1] <= cfg.tolerance))
+    action_value = _action_value(grid, sym, nl, x, uh, nu, work)
+    return _OctantSolve(x, tuple(history), iterations, action_value, bool(history[-1] <= cfg.tolerance))
 
 
 def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
@@ -314,10 +352,9 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     is recentered and symmetrized once.  From then on the whole iteration
     runs on the octant (`_solve_octant`), and the result is unfolded once, so
     it is exactly even; of the CLI's commands only `nrlimit solve` comes here.
-    An iteration takes three whole-field DCT-I transforms (u and N(u)
-    forward, the update back), five with the Hartree term's Coulomb pair; the
-    residual and the Rayleigh factor come from the coefficients by Parseval,
-    and the mixing adds no transform.
+    An iteration takes two whole-field DCT-I transforms (N(u) forward, the
+    mixed coefficients back), four with the Hartree term's Coulomb pair; the
+    residual and the Rayleigh factor come from the coefficients by Parseval.
     """
     if cfg.initial_guess is None:
         u = _octant_gaussian(grid)
@@ -327,6 +364,13 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     return _solve_octant(op, nl, grid, u, cfg).result(grid)
 
 
+def _field_state(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec):
+    """Grid, symbol, kernel array, its transform and N of it: what `residual` and `action` read of a field."""
+    grid, (values,), xi_sq = _kernel_values(u)
+    nl.validate_dimension(grid.n)
+    return grid, symbol(op, xi_sq), values, _forward(grid, values), _term_values(nl, grid, values)
+
+
 def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     """Relative equation residual ||P(D)u - N(u)||_{L^2} / ||u||_{L^2}.
 
@@ -334,12 +378,11 @@ def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     residual of a solved field equals the one `solve` reports bit for bit;
     any other field on the full lattice.
     """
-    grid, (values,), xi_sq = _kernel_values(u)
-    nl.validate_dimension(grid.n)
+    grid, sym, values, uh, nu = _field_state(u, op, nl)
     norm_u = _l2_norm(grid, values)
     if norm_u == 0.0:
         raise ValueError("residual of the zero field is undefined")
-    return _residual_state(grid, symbol(op, xi_sq), nl, values, norm_u)[3]
+    return _residual_value(grid, sym, uh, _forward(grid, nu), norm_u)
 
 
 def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
@@ -349,10 +392,8 @@ def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     p is the variational exponent: degree + 1 for powers, 4 for Hartree.  Like
     `residual`, it evaluates an exactly even field on its octant.
     """
-    grid, (values,), xi_sq = _kernel_values(u)
-    nl.validate_dimension(grid.n)
-    uh = _forward(grid, values)
-    return _action_value(grid, symbol(op, xi_sq), nl, values, uh, _term_values(nl, grid, values))
+    grid, sym, values, uh, nu = _field_state(u, op, nl)
+    return _action_value(grid, sym, nl, values, uh, nu)
 
 
 def initialization_stability(

@@ -315,10 +315,11 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     full-grid dot product is the plain one and B^{-1/2} is the diagonal
     1/sqrt(1 + |xi|^2).  A product then takes one inverse transform, N'(u0)
     and one forward transform: two whole-field transforms, four with the
-    Hartree term's Coulomb pair.  The constraint is deflated by explicit
-    projection inside every matrix-vector product.  A nonpositive return
-    signals a defective reference state or projection; it is reported as
-    computed, never clipped.
+    Hartree term's Coulomb pair, each inverse's 1/N^n riding in its DCT-I.
+    The constraint is deflated by explicit projection inside every
+    matrix-vector product.  A nonpositive return signals a defective
+    reference state or projection; it is reported as computed, never
+    clipped.
     """
     grid, (values,) = _real_values(u_inf)
     return _gap(_octant_reference(grid, values), nl)

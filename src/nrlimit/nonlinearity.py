@@ -99,18 +99,25 @@ def _coulomb_symbol(grid: Grid, octant: bool = False) -> np.ndarray:
     return out
 
 
-def _coulomb_values(grid: Grid, density: np.ndarray) -> np.ndarray:
-    """Coulomb potential of a full-grid or an octant density, in the same representation."""
+def _coulomb_values(
+    grid: Grid, density: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Coulomb potential of a full-grid or an octant density, in the same representation; `out` and `work`
+    serve the transforms as in `_forward` (out may be the density)."""
     # unnormalized transform pair: the dx^n forward and 1/(L^n) inverse weights cancel
-    octant = density.shape == grid.octant_shape
-    return _inverse(grid, _coulomb_symbol(grid, octant) * _forward(grid, density))
+    coeff = _forward(grid, density, out=work, work=out)
+    coeff *= _coulomb_symbol(grid, density.shape == grid.octant_shape)
+    return _inverse(grid, coeff, out=out, work=coeff)
 
 
-def _term_values(spec: NonlinearitySpec, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """N(u) on raw real arrays (full grid or octant): u^p, or (|x|^-1 * u^2) u."""
+def _term_values(
+    spec: NonlinearitySpec, grid: Grid, u: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """N(u) on raw real arrays (full grid or octant): u^p, or (|x|^-1 * u^2) u, into `out` through `work`."""
     if spec.kind == "power":
-        return u**spec.p
-    return _coulomb_values(grid, u * u) * u
+        return np.power(u, spec.p, out=out)
+    density = np.multiply(u, u, out=work)
+    return np.multiply(_coulomb_values(grid, density, out=density, work=out), u, out=out)
 
 
 def _derivative(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
