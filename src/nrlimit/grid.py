@@ -300,7 +300,7 @@ def _dct(
             np.matmul(values, _dct_matrix(h, divisor).T, out=target)
         else:
             # C times each h x h slice whose rows run along ax, stored in the input's axis order
-            np.matmul(_dct_matrix(h), np.moveaxis(values, ax, -2), out=np.moveaxis(target, ax, -2))
+            np.matmul(_dct_matrix(h), values.swapaxes(ax, -2), out=target.swapaxes(ax, -2))
         values = target
     return out
 

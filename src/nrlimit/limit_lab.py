@@ -97,6 +97,17 @@ class SweepError(RuntimeError):
         self.records = records
 
 
+class _Reference(NamedTuple):
+    """A reference state as its diagnostics read it: the grid, the array the
+    kernel works on (an octant, or the full grid for a field that is not exactly
+    even), its one `_forward` transform and the frequencies of that transform."""
+
+    grid: Grid
+    values: np.ndarray
+    coeff: np.ndarray
+    xi_sq: np.ndarray
+
+
 def convergence_record(
     u_c: SpectralField,
     u_inf: SpectralField,
@@ -111,20 +122,19 @@ def convergence_record(
     otherwise; every norm and pairing is then read off the coefficients.
     """
     grid, (uc, ref), xi_sq = _kernel_values(u_c, u_inf)
-    return _record(grid, xi_sq, uc, ref, c, s_values, action_c)
+    return _record(_Reference(grid, ref, _forward(grid, ref), xi_sq), uc, c, s_values, action_c)
 
 
-def _record(
-    grid: Grid, xi_sq: np.ndarray, uc: np.ndarray, ref: np.ndarray, c: float, s_values, action_c: float
-) -> ConvergenceRecord:
-    """`convergence_record` of two octants (or two full-grid arrays), xi_sq the frequencies of their coefficients."""
-    w_hat, uc_hat, ref_hat = (_forward(grid, v) for v in (uc - ref, uc, ref))
+def _record(ref: _Reference, uc: np.ndarray, c: float, s_values, action_c: float) -> ConvergenceRecord:
+    """`convergence_record` of `uc` against `ref`, both octants or both full-grid arrays; two transforms."""
+    grid, xi_sq, ref_hat = ref.grid, ref.xi_sq, ref.coeff
+    w_hat, uc_hat = _forward(grid, uc - ref.values), _forward(grid, uc)
+    w_sq, uc_sq = _abs_sq(w_hat), _abs_sq(uc_hat)
     h1 = 1.0 + xi_sq
     diff, sup = {}, {}
     for s in map(float, s_values):
         weight = _sobolev_weight(xi_sq, s)
-        diff[s] = _spectral_norm(grid, weight, w_hat)
-        sup[s] = _spectral_norm(grid, weight, uc_hat)
+        diff[s], sup[s] = (float(np.sqrt(_spectral_integral(grid, weight, q))) for q in (w_sq, uc_sq))
     lam = _spectral_integral(grid, h1, _pair(w_hat, ref_hat)) / _spectral_integral(grid, h1, _abs_sq(ref_hat))
     defect = symbol_defect(pseudo_relativistic(c), xi_sq)
     return ConvergenceRecord(
@@ -188,33 +198,26 @@ def sweep(
     else:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
         ref = u_inf.field.values
-    return _sweep_octant(c_values, s_values, nl, grid, cfg, _octant(grid, ref), u_inf.converged, threads)
+    octant = _octant(grid, ref)
+    reference = _Reference(grid, octant, _forward(grid, octant), grid.octant_xi_sq)
+    return _sweep_octant(c_values, s_values, nl, cfg, reference, u_inf.converged, threads)
 
 
 def _sweep_octant(
-    c_values,
-    s_values,
-    nl: NonlinearitySpec,
-    grid: Grid,
-    cfg: SolverConfig,
-    ref: np.ndarray,
-    converged: bool,
-    threads: int,
+    c_values, s_values, nl: NonlinearitySpec, cfg: SolverConfig, ref: _Reference, converged: bool, threads: int
 ) -> list[ConvergenceRecord]:
-    """The c points of `sweep` against the reference octant `ref` (checked c values and orders).
-
-    Every point starts from the recentred `ref` and is recorded against `ref`;
-    an unconverged reference is a SweepError before any point is solved.
-    """
+    """The c points of `sweep` (checked c values and orders), each started from the recentred `ref.values` and
+    recorded against `ref` and its coefficients; an unconverged reference is a SweepError before any solve."""
     if not converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
-    seed = _recentered_octant(grid, ref)
+    grid = ref.grid
+    seed = _recentered_octant(grid, ref.values)
 
     def sweep_point(c: float) -> ConvergenceRecord | None:
         point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
         if not point.converged:
             return None
-        return _record(grid, grid.octant_xi_sq, point.octant, ref, c, s_values, point.action)
+        return _record(ref, point.octant, c, s_values, point.action)
 
     if threads > 1:
         # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
@@ -273,17 +276,6 @@ def h_minus1_residual(u_c: SpectralField, c: float) -> float:
     coeff = _coefficients(u_c)
     g = SpectralField(u_c.grid, symbol_defect(spec, u_c.grid.xi_sq) * coeff, space="freq")
     return sobolev_norm(g, -1.0)
-
-
-class _Reference(NamedTuple):
-    """A reference state as its diagnostics read it: the grid, the array the
-    kernel works on (an octant, or the full grid for a field that is not exactly
-    even), its one `_forward` transform and the frequencies of that transform."""
-
-    grid: Grid
-    values: np.ndarray
-    coeff: np.ndarray
-    xi_sq: np.ndarray
 
 
 def _field_reference(u_inf: SpectralField) -> _Reference:

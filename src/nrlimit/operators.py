@@ -137,6 +137,13 @@ def symbol_gap_scan(spec: OperatorSpec, xi_max: float = 1.0e3, samples: int = 20
     return float(smallest)
 
 
+def _proven_min_ratio(spec: OperatorSpec) -> float:
+    """min over every xi of P_c(xi) / sqrt(1 + |xi|^2), attained at xi = 0: with D as above and x = D/c^2 >= 1,
+    P_c^2 - 1 - |xi|^2 = c^2 (x - 1) [(c^2 - 1)(x - 1) + 1] >= 0 for every c >= 1, zero only at xi = 0.
+    `symbol_gap_scan` samples the same ratio densely, the proof's independent witness."""
+    return float(symbol(spec, 0.0) / np.sqrt(1.0 + 0.0))
+
+
 def taylor_residual(spec: OperatorSpec, grid: Grid, cutoff_fraction: float) -> float:
     """max over lattice 0 < |xi| <= cutoff_fraction * c of c^2 ((1+|xi|^2) - P_c) / |xi|^4.
 

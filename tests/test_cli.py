@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -241,6 +242,34 @@ class TestSweepCommand:
         for name in ("sweep.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_octant_sweep_reads_the_reference_coefficients(self, monkeypatch, transform_counts):
+        # a record reads the reference's coefficients and transforms only its point and the difference;
+        # the public sweep adds one transform of its reference octant
+        config = parse_config(json.dumps({"command": "sweep", "grid": {"N": 256}, "operator": {"c_list": [4, 8, 16]}}))
+        nl, cfg = config.nonlinearity_spec(), config.solver_config()
+        u_inf = cli._reference_solve(config)
+        solves = []
+        solve_octant = nr.limit_lab._solve_octant
+
+        def counted(*args):
+            before = transform_counts["dct"]
+            point = solve_octant(*args)
+            solves.append(transform_counts["dct"] - before)
+            return point
+
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
+        ref = nr.limit_lab._octant_reference(config.grid, u_inf.octant)
+        before = transform_counts["dct"]
+        records = nr.limit_lab._sweep_octant(config.c_list, [0.5, 1.0], nl, cfg, ref, True, 1)
+        assert len(records) == len(solves) == 3
+        assert transform_counts["dct"] - before - sum(solves) == 2 * 3
+
+        solves.clear()
+        before = transform_counts["dct"]
+        public = nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=u_inf.result(config.grid))
+        assert transform_counts["dct"] - before - sum(solves) == 2 * 3 + 1
+        assert public == records
+
 
 class TestNondegCommand:
     def test_gap_artifact(self, tmp_path):
@@ -336,6 +365,18 @@ class TestReportCommand:
         assert "grid.L:" in capsys.readouterr().err
         assert solves == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, code", [("verify-symbols", 0), ("report", 4)])
+    def test_symbol_table_takes_the_proven_minimum_without_scanning(self, tmp_path, monkeypatch, command, code):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the symbol table scanned")
+
+        monkeypatch.setattr(nr.operators, "symbol_gap_scan", refuse)
+        monkeypatch.setattr(nr, "symbol_gap_scan", refuse)
+        out = tmp_path / command
+        assert main([command, "--out", str(out), *SWEEP_OVERRIDES]) == code
+        rows = json.loads((out / "symbols.json").read_text())["rows"]
+        assert [row["dense_min_ratio"] for row in rows] == [1.0] * len(cli.SYMBOL_C_GRID)
 
     @pytest.mark.parametrize("length", [5e-324, 1e-300, 1.0, math.nextafter(4.0 * math.pi, 0.0)])
     def test_short_box_exits_2_at_grid_length_and_writes_nothing(self, tmp_path, capsys, length):
@@ -556,3 +597,31 @@ class TestConfigProperties:
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith("grid.L: ") and err.getvalue().count("\n") == 1
         assert written == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestBenchmarkArtifacts:
+    """The benchmark's workloads, run in process with `perfbench/run.py`'s arguments
+    and checked by `perfbench/compare.py` against `perfbench/reference/`."""
+
+    @staticmethod
+    def load(monkeypatch, name: str):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    # exit 4: the s=4 uniform bound is the one known FAIL row of the 1D report
+    @pytest.mark.parametrize(
+        "workload, code", [("report-1d-cubic", 4), ("report-3d-hartree", 0), ("nondeg-3d-hartree", 0)]
+    )
+    def test_workload_matches_its_reference(self, tmp_path, monkeypatch, workload, code):
+        compare = self.load(monkeypatch, "compare")
+        wl = self.load(monkeypatch, "run").WORKLOADS[workload]
+        assert wl.expected_exit == code
+        out = tmp_path / workload
+        exit_code = main([*wl.cli_args, "--out", str(out)])
+        assert compare.compare_run(PERFBENCH / "reference" / workload, out, wl.expected_exit, exit_code) == []

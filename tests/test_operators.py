@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nrlimit as nr
 from nrlimit import operators
@@ -181,6 +183,32 @@ class TestSymbolGapScan:
     def test_rejects_xi_max_that_is_not_finite_and_positive(self, xi_max):
         with pytest.raises(ValueError, match="xi_max must be finite and > 0"):
             nr.symbol_gap_scan(nr.pseudo_relativistic(4.0), xi_max=xi_max)
+
+
+class TestProvenMinRatio:
+    """The symbol table's dense minimum, `operators._proven_min_ratio`, against its two witnesses."""
+
+    @pytest.mark.parametrize("c", sorted({1.0, *SYMBOL_C_GRID}))
+    def test_equals_both_dense_scans(self, c):
+        spec = nr.pseudo_relativistic(c)
+        assert operators._proven_min_ratio(spec) == nr.symbol_gap_scan(spec) == dense_symbol_gap_scan(spec) == 1.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        c=st.one_of(st.just(1.0), st.floats(1.0, 1.0e4)),
+        xi=st.one_of(st.floats(0.0, 1.0e3), st.floats(1.0e-12, 1.0e-3)),
+    )
+    def test_identity_and_its_sign(self, c, xi):
+        # P^2 - 1 - t = c^2 (x - 1) [(c^2 - 1)(x - 1) + 1] with t = |xi|^2 and
+        # x - 1 = t / D, written so that no term cancels
+        spec = nr.pseudo_relativistic(c)
+        t = xi * xi
+        y = t / operators._sqrt_denominator(c, t)
+        excess = c * c * y * ((c * c - 1.0) * y + 1.0)
+        p = nr.symbol(spec, t)
+        assert excess >= 0.0
+        assert abs(p * p - (1.0 + t + excess)) <= 16.0 * np.spacing(p * p)
+        assert p / np.sqrt(1.0 + t) >= operators._proven_min_ratio(spec) - 2.0 * np.finfo(float).eps
 
 
 class TestTaylorResidual:
