@@ -369,7 +369,8 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
 
     gap = _gap(ref, nl)
     identity = _identity_residual(ref, nl)
-    c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, _optimality_forms(ref, config.c_list))}
+    forms = _optimality_forms(ref.grid, ref.coeff, ref.xi_sq, config.c_list)
+    c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, forms)}
     norms, laplacian_norm_sq = _reference_norms(ref, s_list)
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},

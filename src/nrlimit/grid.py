@@ -17,10 +17,11 @@ Fields live in one of two representations:
   _MATRIX_DCT_MAX_POINTS octant points is multiplied by the cached DCT-I
   matrix, a longer one goes through rfft of its even extension
   [a, a[-2:0:-1]] (see `_dct`);
-- the full lattice, which holds everything else: `transform` and
-  frequency-space `SpectralField`s (complex coefficients of every mode,
-  continuum-normalized and centered at x = 0), and the kernel's complex
-  transform of a real field that is not even.
+- the full lattice, for a real field that is not even and every
+  frequency-space `SpectralField`, in one convention: fftn of the samples
+  shifted by N/2 per axis (origin x = 0).  `transform` is the kernel's
+  transform times dx^n, so a frequency-space field's values over dx^n are
+  its kernel coefficients.
 
 The kernel (`_forward`, `_inverse`, `_lattice_sum`, `_lattice_dot`) takes an
 octant or a full-grid array and works on the octant or the full lattice
@@ -36,6 +37,7 @@ N = 64 never loads it.
 
 Fields enter the kernel through one gate, which checks each input constraint
 once for every module: `_real_values` (real-space fields on one grid),
+`_coefficients` (coefficients of real- or frequency-space fields on one grid),
 `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]) and
 `_recentered_octant` (recentre at the peak, take the even part, keep the octant).
 """
@@ -218,22 +220,20 @@ def make_grid(n: int, length: float, points: int) -> Grid:
 def transform(f: SpectralField, direction: str) -> SpectralField:
     """Continuum-normalized FFT between real and frequency representations.
 
-    Forward multiplies the discrete transform by dx^n so coefficients
-    approximate the integral of f * exp(-i xi . x) over the box; inverse
-    undoes this exactly.  The samples are shifted by N/2 per axis so that the
-    transform origin is the box center x = 0; for even N this is the phase
-    (-1)^k per axis.
+    Forward multiplies the kernel's full-lattice transform by dx^n so that
+    coefficients approximate the integral of f * exp(-i xi . x) over the box;
+    inverse undoes this exactly.  The transform origin is the box center x = 0
+    (the samples are shifted by N/2 per axis; for even N the phase (-1)^k).
     """
+    grid = f.grid
     if direction == "forward":
         if f.space != "real":
             raise ValueError("forward transform requires a real-space field")
-        coeff = np.fft.fftn(np.fft.fftshift(f.values)) * f.grid.cell_volume
-        return SpectralField(f.grid, coeff, space="freq")
+        return SpectralField(grid, _forward(grid, f.values) * grid.cell_volume, space="freq")
     if direction == "inverse":
         if f.space != "freq":
             raise ValueError("inverse transform requires a frequency-space field")
-        vals = np.fft.ifftshift(np.fft.ifftn(f.values).real) / f.grid.cell_volume
-        return SpectralField(f.grid, vals, space="real")
+        return SpectralField(grid, _inverse(grid, f.values) / grid.cell_volume, space="real")
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
@@ -340,15 +340,20 @@ def _is_even(grid: Grid, values: np.ndarray) -> bool:
     return True
 
 
-def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
-    """The grid and samples of real-space fields on one grid (`grid`, if given); else a ValueError."""
-    if grid is None:
-        grid = fields[0].grid
+def _one_grid(fields, grid: Grid | None = None) -> Grid:
+    """The grid that every field lies on (`grid`, if given); else a ValueError."""
+    grid = fields[0].grid if grid is None else grid
     for f in fields:
-        if f.space != "real":
-            raise ValueError("requires real-space fields, got a frequency-space field")
         if f.grid != grid:
             raise ValueError(f"fields must share one grid, got {f.grid} and {grid}")
+    return grid
+
+
+def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
+    """The grid and samples of real-space fields on one grid (`grid`, if given); else a ValueError."""
+    grid = _one_grid(fields, grid)
+    if any(f.space != "real" for f in fields):
+        raise ValueError("requires real-space fields, got a frequency-space field")
     return grid, [f.values for f in fields]
 
 
@@ -368,10 +373,10 @@ def _kernel_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.n
 def _forward(
     grid: Grid, values: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
-    """Unnormalized transform of a real array: DCT-I of an octant (`_dct`, its out and work), fftn of a full grid."""
+    """Unnormalized transform of a real array: DCT-I of an octant (`_dct`, its out and work), else the centred fftn."""
     if values.shape == grid.octant_shape:
         return _dct(values, out, work)
-    return np.fft.fftn(values)
+    return np.fft.fftn(np.fft.fftshift(values))
 
 
 def _inverse(
@@ -380,7 +385,7 @@ def _inverse(
     """Inverse of `_forward`: real (octant) coefficients go back to the octant (1/N^n in the DCT-I), complex
     ones to the full grid."""
     if np.iscomplexobj(coeff):
-        return np.fft.ifftn(coeff).real
+        return np.fft.ifftshift(np.fft.ifftn(coeff).real)
     return _dct(coeff, out, work, divisor=grid.size)
 
 
@@ -425,12 +430,6 @@ def _spectral_norm(grid: Grid, mult: np.ndarray, coeff: np.ndarray) -> float:
     return float(np.sqrt(_spectral_integral(grid, mult, _abs_sq(coeff))))
 
 
-def _coefficients(f: SpectralField) -> np.ndarray:
-    if f.space == "freq":
-        return f.values
-    return transform(f, "forward").values
-
-
 def _sobolev_weight(xi_sq: np.ndarray | float, s: float) -> np.ndarray | float:
     """The H^s weight (1+|xi|^2)^s; an order outside [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX] (or nan) is a ValueError."""
     if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
@@ -438,33 +437,37 @@ def _sobolev_weight(xi_sq: np.ndarray | float, s: float) -> np.ndarray | float:
     return (1.0 + xi_sq) ** s
 
 
+def _coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
+    """The grid of fields on one grid, their `_forward` coefficients and the frequencies of those.
+
+    Real-space fields go through `_kernel_values` (to the octant when every one
+    is exactly even); if any field is in frequency space, every field goes to
+    the full lattice, where its coefficients are its values divided by dx^n.
+    """
+    if all(f.space == "real" for f in fields):
+        grid, arrays, xi_sq = _kernel_values(*fields)
+        return grid, [_forward(grid, a) for a in arrays], xi_sq
+    grid = _one_grid(fields)
+    coeffs = [f.values / grid.cell_volume if f.space == "freq" else _forward(grid, f.values) for f in fields]
+    return grid, coeffs, grid.xi_sq
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm of f via (1+|xi|^2)^s spectral weights; s = 0 is the L^2 norm."""
-    grid = f.grid
-    weight = _sobolev_weight(grid.xi_sq, s)
-    if f.space == "real":
-        return _spectral_norm(grid, weight, _forward(grid, f.values))
-    return float(np.sqrt(np.sum(weight * _abs_sq(f.values)) / grid.volume))
+    grid, (coeff,), xi_sq = _coefficients(f)
+    return _spectral_norm(grid, _sobolev_weight(xi_sq, s), coeff)
 
 
 def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> float:
-    """Integral pairing of two fields on the same grid.
+    """Integral pairing of two fields on one grid.
 
     'L2' returns the integral of f*g; 'H1' returns the integral of
     grad f . grad g + f*g, evaluated spectrally.
     """
-    if f.grid != g.grid:
-        raise ValueError("inner_product requires fields on the same grid")
     if weight not in ("L2", "H1"):
         raise ValueError(f"weight must be 'L2' or 'H1', got {weight!r}")
-    grid = f.grid
-    if f.space == "real" and g.space == "real":
-        if weight == "L2":
-            return float(np.sum(f.values * g.values) * grid.cell_volume)
-        return _spectral_integral(grid, 1.0 + grid.xi_sq, _pair(_forward(grid, f.values), _forward(grid, g.values)))
-    fh, gh = _coefficients(f), _coefficients(g)
-    pairing = np.conj(fh) * gh if weight == "L2" else (1.0 + grid.xi_sq) * np.conj(fh) * gh
-    return float(np.sum(pairing).real / grid.volume)
+    grid, (fh, gh), xi_sq = _coefficients(f, g)
+    return _spectral_integral(grid, 1.0 if weight == "L2" else 1.0 + xi_sq, _pair(fh, gh))
 
 
 def _reflect(values: np.ndarray, ax: int) -> np.ndarray:

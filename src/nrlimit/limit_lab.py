@@ -36,7 +36,6 @@ from .grid import (
     _sobolev_weight,
     _spectral_integral,
     _spectral_norm,
-    sobolev_norm,
 )
 from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative, hartree
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
@@ -136,11 +135,10 @@ def _record(ref: _Reference, uc: np.ndarray, c: float, s_values, action_c: float
         weight = _sobolev_weight(xi_sq, s)
         diff[s], sup[s] = (float(np.sqrt(_spectral_integral(grid, weight, q))) for q in (w_sq, uc_sq))
     lam = _spectral_integral(grid, h1, _pair(w_hat, ref_hat)) / _spectral_integral(grid, h1, _abs_sq(ref_hat))
-    defect = symbol_defect(pseudo_relativistic(c), xi_sq)
     return ConvergenceRecord(
         c=float(c),
         diff_norms=MappingProxyType(diff),
-        h_minus1_residual=_spectral_norm(grid, 1.0 / h1, defect * uc_hat),
+        h_minus1_residual=_defect_residual(grid, xi_sq, uc_hat, c),
         lam=float(lam),
         v_norm_h1=_spectral_norm(grid, h1, w_hat - lam * ref_hat),
         action_c=float(action_c),
@@ -157,12 +155,12 @@ def _sweep_orders(s_values) -> list[float]:
 
 
 def _sweep_c_values(c_values) -> list[float]:
-    """A sweep's c values as floats: at least one, each a valid light speed, ascending."""
+    """A sweep's c values as floats: at least one, each a valid light speed, strictly ascending."""
     c_values = [pseudo_relativistic(c).c for c in c_values]
     if not c_values:
         raise ValueError("sweep requires at least one c value")
-    if sorted(c_values) != c_values:
-        raise ValueError("c values must be ascending")
+    if any(b <= a for a, b in zip(c_values, c_values[1:])):
+        raise ValueError(f"c values must be strictly ascending, got {c_values}")
     return c_values
 
 
@@ -254,8 +252,8 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
             raise ValueError(f"nonpositive difference norm at c={r.c}")
         if norm >= floor:
             pts.append((r.c, norm))
-    if len(pts) < 2:
-        raise ValueError("too few points above the discretization floor to fit")
+    if len({c for c, _ in pts}) < 2:
+        raise ValueError("too few distinct c values above the discretization floor to fit")
     logs_c = np.log([c for c, _ in pts])
     logs_n = np.log([n for _, n in pts])
     dx = logs_c - np.mean(logs_c)
@@ -272,16 +270,13 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
 
 def h_minus1_residual(u_c: SpectralField, c: float) -> float:
     """H^{-1} norm of the symbol-defect operator applied to u_c at parameter c."""
-    spec = pseudo_relativistic(c)
-    coeff = _coefficients(u_c)
-    g = SpectralField(u_c.grid, symbol_defect(spec, u_c.grid.xi_sq) * coeff, space="freq")
-    return sobolev_norm(g, -1.0)
+    grid, (coeff,), xi_sq = _coefficients(u_c)
+    return _defect_residual(grid, xi_sq, coeff, c)
 
 
-def _field_reference(u_inf: SpectralField) -> _Reference:
-    """The gate of the identity residual, the optimality forms and the reference norms: `_kernel_values`."""
-    grid, (values,), xi_sq = _kernel_values(u_inf)
-    return _Reference(grid, values, _forward(grid, values), xi_sq)
+def _defect_residual(grid: Grid, xi_sq: np.ndarray, coeff: np.ndarray, c: float) -> float:
+    """`h_minus1_residual` of the field with kernel coefficients `coeff` at frequencies `xi_sq`; no transform."""
+    return _spectral_norm(grid, 1.0 / (1.0 + xi_sq), symbol_defect(pseudo_relativistic(c), xi_sq) * coeff)
 
 
 def _octant_reference(grid: Grid, values: np.ndarray) -> _Reference:
@@ -482,7 +477,8 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     evaluated on its octant, any other on the full lattice; four whole-field
     transforms for Hartree, two for powers.
     """
-    return _identity_residual(_field_reference(u_inf), nl)
+    grid, (values,), xi_sq = _kernel_values(u_inf)
+    return _identity_residual(_Reference(grid, values, _forward(grid, values), xi_sq), nl)
 
 
 def _identity_residual(ref: _Reference, nl: NonlinearitySpec) -> float:
@@ -510,18 +506,14 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
 
 def optimality_forms(u_inf: SpectralField, c_values) -> list[float]:
     """`optimality_functional` at each c of `c_values`, from one transform of u_inf."""
-    if u_inf.space == "freq":
-        specs = [pseudo_relativistic(c) for c in c_values]
-        grid, ref_sq = u_inf.grid, _abs_sq(u_inf.values)
-        return [float(np.sum(symbol_defect(spec, grid.xi_sq) * ref_sq) / grid.volume) for spec in specs]
-    return _optimality_forms(_field_reference(u_inf), c_values)
+    grid, (coeff,), xi_sq = _coefficients(u_inf)
+    return _optimality_forms(grid, coeff, xi_sq, c_values)
 
 
-def _optimality_forms(ref: _Reference, c_values) -> list[float]:
-    """`optimality_forms` of a `_Reference`; no transform."""
-    specs = [pseudo_relativistic(c) for c in c_values]
-    ref_sq = _abs_sq(ref.coeff)
-    return [_spectral_integral(ref.grid, symbol_defect(spec, ref.xi_sq), ref_sq) for spec in specs]
+def _optimality_forms(grid: Grid, coeff: np.ndarray, xi_sq: np.ndarray, c_values) -> list[float]:
+    """`optimality_forms` of the field with kernel coefficients `coeff` at frequencies `xi_sq`; no transform."""
+    ref_sq = _abs_sq(coeff)
+    return [_spectral_integral(grid, symbol_defect(pseudo_relativistic(c), xi_sq), ref_sq) for c in c_values]
 
 
 def _reference_norms(ref: _Reference, s_values) -> tuple[dict[float, float], float]:

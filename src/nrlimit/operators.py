@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _forward, _inverse
+from .grid import Grid, SpectralField, _coefficients, _inverse, _unfold
 
 __all__ = [
     "OperatorSpec",
@@ -96,13 +96,13 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
     """
     if mode not in ("forward", "inverse_of_symbol"):
         raise ValueError(f"mode must be 'forward' or 'inverse_of_symbol', got {mode!r}")
-    grid = f.grid
-    values = symbol(spec, grid.xi_sq)
-    if mode == "inverse_of_symbol":
-        values = 1.0 / values
+    grid, (coeff,), xi_sq = _coefficients(f)
+    values = symbol(spec, xi_sq)
+    coeff *= 1.0 / values if mode == "inverse_of_symbol" else values
     if f.space == "freq":
-        return SpectralField(grid, f.values * values, space="freq")
-    return SpectralField(grid, _inverse(grid, values * _forward(grid, f.values)))
+        return SpectralField(grid, coeff * grid.cell_volume, space="freq")
+    out = _inverse(grid, coeff)
+    return SpectralField._owned(grid, _unfold(grid, out) if out.shape == grid.octant_shape else out)
 
 
 def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:

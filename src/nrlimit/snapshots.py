@@ -37,18 +37,21 @@ def save_field(f: SpectralField, stem: str | Path, fmt: str = "binary") -> tuple
 
 
 def load_field(stem: str | Path) -> SpectralField:
-    """Read a snapshot written by save_field (binary preferred when both exist)."""
+    """Read a snapshot written by save_field (binary preferred when both exist); a malformed one is a ValueError."""
     stem = Path(stem)
-    header = json.loads(stem.with_suffix(".json").read_text())
+    header_path, bin_path, csv_path = (stem.with_suffix(suffix) for suffix in (".json", ".bin", ".csv"))
+    header = json.loads(header_path.read_text())
+    if not (isinstance(header, dict) and {"n", "L", "N"} <= header.keys()):
+        raise ValueError(f"{header_path}: header must be a JSON object with keys n, L and N")
     grid = make_grid(header["n"], header["L"], header["N"])
-    bin_path = stem.with_suffix(".bin")
-    csv_path = stem.with_suffix(".csv")
     if bin_path.exists():
-        values = np.fromfile(bin_path, dtype="<f8")
+        data_path, values = bin_path, np.fromfile(bin_path, dtype="<f8")
+        if bin_path.stat().st_size != values.nbytes:
+            raise ValueError(f"{bin_path}: size is not a whole number of float64 samples")
     elif csv_path.exists():
-        values = np.loadtxt(csv_path, dtype=np.float64).ravel()
+        data_path, values = csv_path, np.loadtxt(csv_path, dtype=np.float64).ravel()
     else:
         raise FileNotFoundError(f"no snapshot data found for stem {stem}")
     if values.size != grid.points**grid.n:
-        raise ValueError("snapshot sample count does not match header")
+        raise ValueError(f"{data_path}: snapshot sample count does not match header")
     return SpectralField(grid, values.reshape(grid.shape))

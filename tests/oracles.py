@@ -5,7 +5,8 @@ These deliberately avoid the package's spectral code paths so that agreement
 is meaningful: derivatives are finite differences, profiles come from an ODE
 integrator, and eigenvalues from dense symmetric solvers.  The one exception
 is `dense_symbol_gap_scan`, a reference for how the package evaluates a
-quantity rather than for the quantity itself.
+quantity rather than for the quantity itself.  `lattice_pairing` is the
+full-lattice spectral reference: numpy.fft of the samples, no nrlimit kernel.
 """
 
 from __future__ import annotations
@@ -149,3 +150,35 @@ def dense_symbol_gap_scan(spec, xi_max: float = 1.0e3, samples: int = 200_001) -
     t = xi * xi
     ratio = operators.symbol(spec, t) / np.sqrt(1.0 + t)
     return float(np.min(ratio))
+
+
+def lattice_coefficients(values, length: float):
+    """Continuum-normalized coefficients dx^n fftn(values) of samples on a periodic box of side `length`,
+    and |xi|^2 of each mode, xi from 2 pi fftfreq(N, dx) on every axis.
+
+    The coefficients are taken about the box's corner, not its center: the two
+    differ by a phase of modulus one, which no norm or pairing sees.
+    """
+    values = np.asarray(values, dtype=float)
+    dx = length / values.shape[0]
+    freqs = 2.0 * np.pi * np.fft.fftfreq(values.shape[0], dx)
+    xi_sq = sum(k * k for k in np.meshgrid(*([freqs] * values.ndim), indexing="ij"))
+    return np.fft.fftn(values) * dx**values.ndim, xi_sq
+
+
+def lattice_pairing(f, g, length: float, weight=None) -> float:
+    """The integral of weight(|xi|^2) Re(conj(f_hat) g_hat) d xi / (2 pi)^n on the lattice: the mode sum over L^n.
+
+    f and g are sample arrays; weight maps |xi|^2 to the multiplier (1 if None).
+    With weight (1 + |xi|^2)^s and g = f this is the squared H^s norm.
+    """
+    fh, xi_sq = lattice_coefficients(f, length)
+    gh, _ = lattice_coefficients(g, length)
+    mult = 1.0 if weight is None else weight(xi_sq)
+    return float(np.sum(mult * (np.conj(fh) * gh).real) / length**fh.ndim)
+
+
+def lattice_multiplier(values, length: float, weight):
+    """Samples of the field whose coefficients are weight(|xi|^2) times those of `values` (ifftn of the product)."""
+    coeff, xi_sq = lattice_coefficients(values, length)
+    return np.fft.ifftn(weight(xi_sq) * coeff).real / (length / coeff.shape[0]) ** coeff.ndim

@@ -227,6 +227,14 @@ class TestSweepCommand:
         assert not (out / "sweep.csv").exists()
         assert not (out / "ground_state.json").exists()
 
+    def test_repeated_c_values_rejected_before_solving(self, tmp_path, capsys):
+        # a repeated c would solve one point four times and fit a NaN slope, which strict JSON rejects
+        out = tmp_path / "rep"
+        args = ["sweep", "--out", str(out), "--override", "operator.c_list=[4,4,4,4]", "--override", "grid.N=256"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("operator.c_list: c values must be strictly ascending")
+        assert not out.exists()
+
     def test_partial_output_on_nonconvergence(self, tmp_path):
         out = tmp_path / "p"
         code = main(["sweep", "--out", str(out), *SWEEP_OVERRIDES, "--override", "solver.max_iterations=4"])
@@ -457,7 +465,7 @@ def valid_configs(draw):
     operator = _fields(
         draw,
         kind=st.sampled_from(KINDS),
-        c_list=st.lists(c, min_size=1, max_size=5).map(sorted),
+        c_list=st.lists(c, min_size=1, max_size=5, unique=True).map(sorted),
     )
     if command == "solve" and operator.get("kind") == "pseudo_relativistic":
         operator["c"] = draw(c)
@@ -515,6 +523,8 @@ INVALID = {
         st.just([]),
         st.lists(st.floats(max_value=1.0, exclude_max=True), min_size=1, max_size=3).map(lambda v: [4.0, *v]),
         st.lists(st.floats(1.0, 1.0e3), min_size=2, max_size=4, unique=True).map(lambda v: sorted(v, reverse=True)),
+        # ascending but not strictly: a repeated c would fit a NaN slope, which strict JSON rejects
+        st.lists(st.floats(1.0, 1.0e3), min_size=1, max_size=3).map(lambda v: sorted([*v, v[0]])),
         st.lists(st.one_of(NON_FINITE, st.booleans()), min_size=1, max_size=2),
         NOT_LISTS,
     ),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from nrlimit.grid import (
     _unfold,
 )
 from nrlimit.nonlinearity import _coulomb_symbol
+from oracles import lattice_multiplier, lattice_pairing
 
 SMALL = nr.make_grid(1, 16.0, 64)
 
@@ -201,6 +204,16 @@ class TestTransform:
         mirrored = np.roll(fh[::-1], 1)
         assert np.max(np.abs(fh - np.conj(mirrored))) < 1e-12 * np.max(np.abs(fh))
 
+    @pytest.mark.parametrize(
+        "grid", [SMALL, nr.make_grid(2, 8.0, 32), nr.make_grid(3, 8.0, 16)], ids=lambda g: f"{g.n}d"
+    )
+    def test_centred_numpy_fft_bit_for_bit(self, grid):
+        f = random_field(grid, np.random.default_rng(12))
+        fh = nr.transform(f, "forward")
+        assert np.array_equal(fh.values, np.fft.fftn(np.fft.fftshift(f.values)) * grid.dx**grid.n)
+        back = nr.transform(fh, "inverse")
+        assert np.array_equal(back.values, np.fft.ifftshift(np.fft.ifftn(fh.values).real) / grid.dx**grid.n)
+
     def test_wrong_representation_rejected(self):
         f = nr.SpectralField(SMALL, np.zeros(SMALL.shape))
         with pytest.raises(ValueError):
@@ -294,8 +307,9 @@ def _nyquist_field(grid, rng):
 
 
 class TestRealKernelAgainstFullLattice:
-    """Real-space fields take the kernel's uncentered transform; frequency
-    fields from `transform` carry the centering phase.  Both must agree."""
+    """A real-space field that is not even and a frequency-space field both
+    take the kernel's full-lattice route; each must agree with the numpy.fft
+    oracle, which uses no nrlimit transform."""
 
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_sobolev_norm(self, grid):
@@ -303,16 +317,19 @@ class TestRealKernelAgainstFullLattice:
         for f in (random_field(grid, rng), _nyquist_field(grid, rng)):
             fh = nr.transform(f, "forward")
             for s in (-1.0, 0.0, 1.0, 4.0):
-                assert np.isclose(nr.sobolev_norm(f, s), nr.sobolev_norm(fh, s), rtol=1e-13, atol=0.0)
+                expected = np.sqrt(lattice_pairing(f.values, f.values, grid.length, lambda t: (1.0 + t) ** s))
+                assert np.isclose(nr.sobolev_norm(f, s), expected, rtol=1e-13, atol=0.0)
+                assert np.isclose(nr.sobolev_norm(fh, s), expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_inner_product(self, grid):
         rng = np.random.default_rng(50 + grid.n)
         f, g = _nyquist_field(grid, rng), _nyquist_field(grid, rng)
         fh, gh = nr.transform(f, "forward"), nr.transform(g, "forward")
-        for weight in ("L2", "H1"):
-            full = nr.inner_product(fh, gh, weight)
-            assert np.isclose(nr.inner_product(f, g, weight), full, rtol=1e-13, atol=0.0)
+        for weight, mult in (("L2", None), ("H1", lambda t: 1.0 + t)):
+            expected = lattice_pairing(f.values, g.values, grid.length, mult)
+            assert np.isclose(nr.inner_product(f, g, weight), expected, rtol=1e-13, atol=0.0)
+            assert np.isclose(nr.inner_product(fh, gh, weight), expected, rtol=1e-13, atol=0.0)
 
     def test_nyquist_mode_norm(self):
         # (-1)^j alone: H^s norm is sqrt(L^n) (1 + (pi N / L)^2)^(s/2)
@@ -540,6 +557,18 @@ class TestFullLatticeOnDemand:
         assert "xi_sq" not in vars(grid)
         assert grid.xi_sq is grid.xi_sq and "xi_sq" in vars(grid)
 
+    def test_spectral_diagnostics_of_an_even_field_stay_on_the_octant(self, transform_counts):
+        grid = nr.make_grid(3, 8.0, 16)
+        u = _gaussian(grid)  # exactly even
+        values = {name: call(u) for name, call in SPECTRAL_CALLS.items()}
+        assert "xi_sq" not in vars(grid)
+        assert transform_counts["complex"] == 0 and transform_counts["dct"] > 0
+        # the octant's P(D)u, unfolded, against numpy.fft of the full grid
+        spec = nr.pseudo_relativistic(4.0)
+        expected = lattice_multiplier(u.values, grid.length, lambda t: nr.symbol(spec, t))
+        assert values["apply_multiplier"].space == "real"
+        assert np.max(np.abs(values["apply_multiplier"].values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_symbol_table_on_the_octant_equals_the_full_lattice(self, grid):
         # every full-lattice |xi|^2 value occurs bit for bit on the octant
@@ -587,6 +616,30 @@ class TestSnapshots:
         header_path.write_text(json.dumps({**header, key: value}))
         message = "length must be a real number" if key == "L" else "must be an integer"
         with pytest.raises(ValueError, match=message):
+            nr.load_field(tmp_path / "snap")
+
+    @pytest.mark.parametrize("extra", [1, 7])
+    def test_partial_sample_in_binary_rejected(self, tmp_path, extra):
+        _, data_path = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")
+        with data_path.open("ab") as fh:
+            fh.write(b"\x01" * extra)
+        with pytest.raises(ValueError, match="snap.bin: size is not a whole number of float64 samples"):
+            nr.load_field(tmp_path / "snap")
+
+    @pytest.mark.parametrize("header", [[1, 16.0, 64], "n", 3, None])
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, header):
+        header_path, _ = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="snap.json: header must be a JSON object"):
+            nr.load_field(tmp_path / "snap")
+
+    @pytest.mark.parametrize("key", ["n", "L", "N"])
+    def test_header_without_a_key_rejected(self, tmp_path, key):
+        header_path, _ = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")
+        header = json.loads(header_path.read_text())
+        del header[key]
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="snap.json: header must be a JSON object with keys n, L and N"):
             nr.load_field(tmp_path / "snap")
 
     def test_unknown_format_rejected_before_any_write(self, tmp_path):
@@ -647,3 +700,65 @@ class TestRealSpaceGate:
         guess = _gaussian(nr.make_grid(1, 2.0 * SMALL.length, SMALL.points))
         with pytest.raises(ValueError, match="one grid"):
             nr.solve(nr.nonrelativistic(), nr.power(3), SMALL, nr.SolverConfig(initial_guess=guess))
+
+
+# every public function that reads spectral coefficients through the gate
+# `grid._coefficients`, which takes real- and frequency-space fields alike
+SPECTRAL_CALLS = {
+    "sobolev_norm": lambda u: nr.sobolev_norm(u, 1.0),
+    "inner_product": lambda u: nr.inner_product(u, u, "H1"),
+    "apply_multiplier": lambda u: nr.apply_multiplier(u, nr.pseudo_relativistic(4.0)),
+    "h_minus1_residual": lambda u: nr.h_minus1_residual(u, 4.0),
+    "optimality_forms": lambda u: nr.optimality_forms(u, [4.0, 8.0]),
+    "optimality_functional": lambda u: nr.optimality_functional(u, 4.0),
+}
+
+
+class TestSpectralGate:
+    """Every public field function reads its fields through one of two gates:
+    `_real_values` (REAL_SPACE_CALLS) or `_coefficients` (SPECTRAL_CALLS)."""
+
+    def test_every_public_field_function_declares_its_gate(self):
+        real = {key.split("-")[0] for key in REAL_SPACE_CALLS}
+        assert not real & set(SPECTRAL_CALLS)
+        field_functions = {
+            name
+            for name, obj in vars(nr).items()
+            if not name.startswith("_")
+            and inspect.isfunction(obj)
+            and any("SpectralField" in str(p.annotation) for p in inspect.signature(obj).parameters.values())
+        }
+        assert "sobolev_norm" in field_functions and "save_field" in field_functions
+        # transform checks the representation it converts from itself
+        assert field_functions - {"transform"} <= real | set(SPECTRAL_CALLS)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRAL_CALLS))
+    def test_frequency_space_field_gives_the_real_space_value(self, name):
+        # the even real field is read on the octant, its transform on the full lattice
+        u = _gaussian(SMALL)
+        real, freq = SPECTRAL_CALLS[name](u), SPECTRAL_CALLS[name](nr.transform(u, "forward"))
+        if name == "apply_multiplier":
+            assert (real.space, freq.space) == ("real", "freq")
+            real, freq = real.values, nr.transform(freq, "inverse").values
+        np.testing.assert_allclose(freq, real, rtol=1e-12, atol=1e-14 * np.max(np.abs(real)))
+
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "shifted"])
+    @pytest.mark.parametrize("grid", [SMALL, KERNEL_GRIDS[2]], ids=["1d", "3d"])
+    def test_mixed_inner_product(self, grid, even):
+        shift = 0.0 if even else 0.7
+        f = nr.SpectralField(grid, np.exp(-0.5 * sum((x - shift) ** 2 for x in grid.coordinates())))
+        g = _nyquist_field(grid, np.random.default_rng(60 + grid.n))
+        fh, gh = nr.transform(f, "forward"), nr.transform(g, "forward")
+        for weight, mult in (("L2", None), ("H1", lambda t: 1.0 + t)):
+            both = nr.inner_product(fh, gh, weight)
+            assert np.isclose(both, lattice_pairing(f.values, g.values, grid.length, mult), rtol=1e-13, atol=0.0)
+            assert np.isclose(nr.inner_product(f, gh, weight), both, rtol=1e-13, atol=0.0)
+            assert np.isclose(nr.inner_product(fh, g, weight), both, rtol=1e-13, atol=0.0)
+
+    def test_inner_product_on_two_grids_of_one_shape_rejected(self):
+        other = nr.make_grid(1, 2.0 * SMALL.length, SMALL.points)
+        u, v = _gaussian(SMALL), _gaussian(other)
+        uh, vh = nr.transform(u, "forward"), nr.transform(v, "forward")
+        for f, g in ((u, v), (uh, vh), (u, vh), (uh, v)):
+            with pytest.raises(ValueError, match="one grid"):
+                nr.inner_product(f, g)

@@ -9,7 +9,7 @@ import nrlimit as nr
 from conftest import random_field
 from nrlimit.grid import _octant
 from nrlimit.ground_state import _AndersonMixer, _octant_gaussian, _small_solve, _solve_octant
-from oracles import shoot_ground_state
+from oracles import lattice_multiplier, shoot_ground_state
 
 SMALL = nr.make_grid(1, 16.0, 64)
 
@@ -226,14 +226,12 @@ class TestEvenOctant:
     @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.3, -0.6, 0.45)], ids=["even", "shifted"])
     @pytest.mark.parametrize("n", [1, 3])
     def test_residual_and_action_match_a_full_lattice_reference(self, n, center):
-        # the even field is evaluated on its octant, the shifted one on the full lattice
+        # the even field is evaluated on its octant, the shifted one on the full lattice; P(D)u by numpy.fft
         grid = nr.make_grid(1, 16.0, 64) if n == 1 else nr.make_grid(3, 8.0, 16)
         nl = nr.power(3) if n == 1 else nr.hartree()
         op = nr.pseudo_relativistic(2.0)
         u = _gaussian(grid, center[:n])
-        u_hat = nr.transform(u, "forward")
-        pu_hat = nr.SpectralField(grid, nr.symbol(op, grid.xi_sq) * u_hat.values, space="freq")
-        pu = nr.transform(pu_hat, "inverse").values
+        pu = lattice_multiplier(u.values, grid.length, lambda t: nr.symbol(op, t))
         nu = nr.evaluate(nl, u).values
         r = pu - nu
         expected_residual = np.sqrt(np.sum(r * r) / np.sum(u.values * u.values))

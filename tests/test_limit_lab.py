@@ -12,7 +12,7 @@ from scipy.linalg import eigh, eigh_tridiagonal, null_space, orth
 
 import nrlimit as nr
 from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest, _smallest_ritz_pair
-from oracles import dense_gap_fd
+from oracles import dense_gap_fd, lattice_pairing
 
 SMALL = nr.make_grid(1, 16.0, 64)
 SMALL3 = nr.make_grid(3, 8.0, 16)
@@ -52,8 +52,8 @@ class TestSweep:
                 del table[1.0]
 
     def test_projection_pythagoras(self, sweep_1d):
-        u_inf = sweep_1d["u_inf"]
-        ref_sq = nr.sobolev_norm(u_inf.field, 1.0) ** 2
+        u_inf = sweep_1d["u_inf"].field
+        ref_sq = lattice_pairing(u_inf.values, u_inf.values, u_inf.grid.length, lambda t: 1.0 + t)
         for rec in sweep_1d["records"]:
             w_sq = rec.diff_norms[1.0] ** 2
             gap = abs(w_sq - rec.lam**2 * ref_sq - rec.v_norm_h1**2)
@@ -82,6 +82,13 @@ class TestSweep:
             nr.sweep([0.5], [1.0], nr.power(3), grid1d)
         with pytest.raises(ValueError):
             nr.sweep([], [1.0], nr.power(3), grid1d)
+
+    @pytest.mark.parametrize("c_values", [[4.0, 4.0, 4.0, 4.0], [4.0, 8.0, 8.0, 16.0]])
+    def test_repeated_c_values_rejected_before_any_solve(self, monkeypatch, c_values):
+        monkeypatch.setattr(nr.limit_lab, "solve", TestSweepReference.no_solve)
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", TestSweepReference.no_solve)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            nr.sweep(c_values, [1.0], nr.power(3), SMALL)
 
     def test_nonconvergence_aborts_with_partial_report(self, grid1d, u_inf_1d):
         starving = nr.SolverConfig(max_iterations=5)
@@ -235,7 +242,8 @@ class TestSobolevOrderRange:
         rec = nr.convergence_record(u, u, 4.0, [-4, 8])
         assert list(rec.sup_norms) == [-4.0, 8.0]
         for s, norm in rec.sup_norms.items():
-            assert np.isclose(norm, nr.sobolev_norm(u, s), rtol=1e-12, atol=0.0)
+            expected = np.sqrt(lattice_pairing(u.values, u.values, SMALL.length, lambda t: (1.0 + t) ** s))
+            assert np.isclose(norm, expected, rtol=1e-12, atol=0.0)
 
 
 class TestSweepReference:
@@ -296,6 +304,14 @@ class TestFitRate:
         with pytest.raises(ValueError):
             nr.fit_rate(records, 1.0, floor=1.0)
 
+    def test_fewer_than_two_distinct_c_values_do_not_fit(self):
+        with pytest.raises(ValueError, match="distinct c values"):
+            nr.fit_rate(synthetic_records([4.0, 4.0, 4.0, 4.0], lambda c: 1.0 / c**2), 1.0)
+        records = synthetic_records([4.0, 4.0, 8.0, 16.0], lambda c: 1.0 / c**2)
+        assert nr.fit_rate(records, 1.0, floor=1.0 / 70.0).c_range == (4.0, 4.0, 8.0)
+        with pytest.raises(ValueError, match="distinct c values"):
+            nr.fit_rate(records, 1.0, floor=1.0 / 20.0)  # only the two c = 4 records remain
+
     def test_real_sweep_slope(self, sweep_1d):
         fit = nr.fit_rate(sweep_1d["records"], 1.0, floor=1e-10)
         assert -2.15 <= fit.slope <= -1.85
@@ -317,11 +333,17 @@ class TestHMinus1Residual:
         assert nr.h_minus1_residual(sech_exact, 1.0e6) < 1e-9
 
     def test_record_matches_public_function(self, grid1d, u_inf_1d):
-        # the record reads the residual on the octant, the public function on the full lattice
+        # both read the residual on the octant; the oracle takes numpy.fft of the full grid
         for c in (4.0, 8.0, 16.0, 32.0, 64.0):
             u_c = nr.solve(nr.pseudo_relativistic(c), nr.power(3), grid1d).field
             record = nr.convergence_record(u_c, u_inf_1d.field, c, [1.0])
-            assert record.h_minus1_residual == pytest.approx(nr.h_minus1_residual(u_c, c), rel=1e-12)
+            spec = nr.pseudo_relativistic(c)
+            defect_sq = lattice_pairing(
+                u_c.values, u_c.values, grid1d.length, lambda t: nr.symbol_defect(spec, t) ** 2 / (1.0 + t)
+            )
+            expected = np.sqrt(defect_sq)
+            assert record.h_minus1_residual == pytest.approx(expected, rel=1e-12)
+            assert nr.h_minus1_residual(u_c, c) == pytest.approx(expected, rel=1e-12)
 
     def test_scaled_stability_on_sweep(self, sweep_1d):
         vals = [r.c**2 * r.h_minus1_residual for r in sweep_1d["records"] if r.c in (16.0, 32.0, 64.0)]
