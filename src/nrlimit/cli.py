@@ -463,6 +463,58 @@ def _symbol_table(config: RunConfig) -> dict:
     return {"c_grid": list(SYMBOL_C_GRID), "rows": rows, "overall_min_ratio": overall}
 
 
+def _meets(value: float | None, bound: str) -> bool:
+    """Whether `value` meets `bound` as printed ("<= 1e-6", ">= 0.5", "> 0", "<= 2%", "in [a, b]"); n/a (None) fails."""
+    if value is None:
+        return False
+    op, limit = bound.split(" ", 1)
+    if op == "in":
+        lo, hi = map(float, limit.strip("[]").split(","))
+        return lo <= value <= hi
+    x = float(limit.rstrip("%")) / (100.0 if limit.endswith("%") else 1.0)
+    return {"<=": value <= x, ">=": value >= x, ">": value > x}[op]
+
+
+def _checks(config: RunConfig, records: list[ConvergenceRecord], summary: dict, symbols: dict, u_inf: _OctantSolve):
+    """(name, measured, bound, passed) of each report check that applies, in report order.  A table row is
+    (name, format, bound, applies, value), its value read from the run's records, summary, symbols or reference."""
+    fits, norms, opt = summary["rate_fits"], summary["reference_state"]["norms"], summary["optimality"]
+    power, hartree, grid = config.nonlinearity == "power", config.nonlinearity == "hartree", config.grid
+    cubic_1d = power and config.n == 1 and config.p == 3
+    exact = np.sqrt(2.0) / np.cosh(grid.axis[: grid.octant_shape[0]])  # the 1D cubic's sqrt(2) sech x on the octant
+    soliton = float(np.max(np.abs(u_inf.octant - exact))) if cubic_1d else None
+    # every c >= 16 is in the tail; with fewer than two there is no drift to measure (n/a)
+    tail = [r for r in records if r.c >= 16.0]
+    tail_name = f"c in {tail[0].c:g}..{tail[-1].c:g}" if len(tail) >= 2 else "needs two c >= 16"
+    stab = [r.c * r.c * r.h_minus1_residual for r in tail]
+    # the 1D cubic's constant is exactly 28/15; elsewhere the reference is ||Laplacian u_inf||^2
+    ref = 28.0 / 15.0 if cubic_1d else opt["laplacian_norm_sq"]
+    ratios = [r.diff_norms[3.0] / (r.diff_norms[0.5] + 1.0 / (r.c * r.c)) for r in records]
+    h1_sq = norms["1"] ** 2
+    decomp = [abs(r.diff_norms[1.0] ** 2 - r.lam**2 * h1_sq - r.v_norm_h1**2) / r.diff_norms[1.0] ** 2 for r in records]
+    table = [
+        ("soliton profile (sup error vs exact)", ".3e", "<= 1e-6", cubic_1d, soliton),
+        ("soliton residual", ".3e", "<= 1e-10", cubic_1d, summary["reference_state"]["residual"]),
+        *[row for k in ("0.5", "1", "2", "3") if k in fits for row in (
+            (f"rate slope at s={k}", ".4f", "in [-2.15, -1.85]", power, fits[k]["slope"]),
+            (f"two-sided spread at s={k}", ".3f", "<= 3", power, fits[k]["B_hat"] / fits[k]["A_hat"]),
+            (f"rate slope at s={k}", ".4f", "in [-2.3, -1.7]", hartree and k in ("0.5", "1"), fits[k]["slope"]),
+        )],
+        (f"H^-1 defect stability ({tail_name})", ".4f", "<= 1.05", power and config.n == 1,
+         max(stab) / min(stab) if len(stab) >= 2 else None),
+        ("symbol lower bound (lattice + dense scan)", ".4f", ">= 0.5", True, symbols["overall_min_ratio"]),
+        ("optimality limit vs reference", ".4%", "<= 2%", True, abs(opt["limit_estimate"] - ref) / ref),
+        ("nondegeneracy gap", ".6f", "> 0", True, summary["nondegeneracy_gap"]),
+        ("linearization identity residual", ".3e", "<= 1e-8", True, summary["linearization_identity_residual"]),
+        *[(f"uniform bound at s={s:g}", ".4f", "<= 1.5", True, max(r.sup_norms[s] for r in records) / norms[f"{s:g}"])
+          for s in UNIFORM_BOUND_ORDERS],
+        ("bootstrap ratio spread (1/2 -> 3)", ".3f", "<= 3", True, max(ratios) / min(ratios)),
+        ("projection decomposition identity", ".3e", "<= 1e-8", True, max(0.0, *decomp)),
+    ]
+    rows = [(name, fmt, bound, v) for name, fmt, bound, applies, v in table if applies]
+    return [(name, "n/a" if v is None else f"{v:{fmt}}", bound, _meets(v, bound)) for name, fmt, bound, v in rows]
+
+
 def _run_report(config: RunConfig, threads: int) -> int:
     symbols = _symbol_table(config)
     s_all = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS)))
@@ -472,68 +524,7 @@ def _run_report(config: RunConfig, threads: int) -> int:
         print(f"report aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 
-    is_cubic_1d = config.nonlinearity == "power" and config.n == 1 and config.p == 3
-    checks: list[tuple[str, str, str, bool]] = []
-
-    if is_cubic_1d:
-        exact = np.sqrt(2.0) / np.cosh(config.grid.coordinates()[0])
-        linf = float(np.max(np.abs(u_inf.result(config.grid).field.values - exact)))
-        checks.append(("soliton profile (sup error vs exact)", f"{linf:.3e}", "<= 1e-6", linf <= 1.0e-6))
-        checks.append(("soliton residual", f"{u_inf.residual:.3e}", "<= 1e-10", u_inf.residual <= 1.0e-10))
-
-    slope_lo, slope_hi = (-2.3, -1.7) if config.nonlinearity == "hartree" else (-2.15, -1.85)
-    slope_orders = (0.5, 1.0) if config.nonlinearity == "hartree" else (0.5, 1.0, 2.0, 3.0)
-    for s in slope_orders:
-        key = f"{s:g}"
-        if key not in summary["rate_fits"]:
-            continue
-        fit = summary["rate_fits"][key]
-        ok = slope_lo <= fit["slope"] <= slope_hi
-        checks.append((f"rate slope at s={s:g}", f"{fit['slope']:.4f}", f"in [{slope_lo}, {slope_hi}]", ok))
-        if config.nonlinearity == "power":
-            spread = fit["B_hat"] / fit["A_hat"]
-            checks.append((f"two-sided spread at s={s:g}", f"{spread:.3f}", "<= 3", spread <= 3.0))
-
-    if config.nonlinearity == "power" and config.n == 1:
-        # every c >= 16 is in the tail; with fewer than two there is no drift to measure
-        tail = [r for r in records if r.c >= 16.0]
-        if len(tail) >= 2:
-            stab = [r.c * r.c * r.h_minus1_residual for r in tail]
-            drift = max(stab) / min(stab)
-            name = f"H^-1 defect stability (c in {tail[0].c:g}..{tail[-1].c:g})"
-            checks.append((name, f"{drift:.4f}", "<= 1.05", drift <= 1.05))
-        else:
-            checks.append(("H^-1 defect stability (needs two c >= 16)", "n/a", "<= 1.05", False))
-
-    sym_ok = symbols["overall_min_ratio"] >= 0.5
-    checks.append(("symbol lower bound (lattice + dense scan)", f"{symbols['overall_min_ratio']:.4f}", ">= 0.5", sym_ok))
-
-    limit = summary["optimality"]["limit_estimate"]
-    reference = 28.0 / 15.0 if is_cubic_1d else summary["optimality"]["laplacian_norm_sq"]
-    rel = abs(limit - reference) / reference
-    checks.append(("optimality limit vs reference", f"{rel:.4%}", "<= 2%", rel <= 0.02))
-
-    gap = summary["nondegeneracy_gap"]
-    checks.append(("nondegeneracy gap", f"{gap:.6f}", "> 0", gap > 0.0))
-    ident = summary["linearization_identity_residual"]
-    checks.append(("linearization identity residual", f"{ident:.3e}", "<= 1e-8", ident <= 1.0e-8))
-
-    ref_norms = summary["reference_state"]["norms"]
-    for s in UNIFORM_BOUND_ORDERS:
-        worst = max(r.sup_norms[s] for r in records) / ref_norms[f"{s:g}"]
-        checks.append((f"uniform bound at s={s:g}", f"{worst:.4f}", "<= 1.5", worst <= 1.5))
-
-    ratios = [r.diff_norms[3.0] / (r.diff_norms[0.5] + 1.0 / (r.c * r.c)) for r in records]
-    spread = max(ratios) / min(ratios)
-    checks.append(("bootstrap ratio spread (1/2 -> 3)", f"{spread:.3f}", "<= 3", spread <= 3.0))
-
-    decomp = 0.0
-    for r in records:
-        w_sq = r.diff_norms[1.0] ** 2
-        lhs = abs(w_sq - r.lam**2 * ref_norms["1"] ** 2 - r.v_norm_h1**2)
-        decomp = max(decomp, lhs / w_sq)
-    checks.append(("projection decomposition identity", f"{decomp:.3e}", "<= 1e-8", decomp <= 1.0e-8))
-
+    checks = _checks(config, records, summary, symbols, u_inf)
     lines = [
         "# Limit verification report",
         "",
@@ -610,6 +601,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError([f"--threads: must be at least 1, got {args.threads}"])
         doc = {}
         if args.config is not None:
             try:
@@ -624,7 +617,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             _apply_override(doc, "output.directory=" + json.dumps(str(args.out)))
         config = parse_config(json.dumps(doc))
-        return run(config, threads=max(1, args.threads))
+        return run(config, threads=args.threads)
     except ConfigError as exc:
         for line in exc.violations:
             print(line, file=sys.stderr)

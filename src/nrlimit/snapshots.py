@@ -40,7 +40,10 @@ def load_field(stem: str | Path) -> SpectralField:
     """Read a snapshot written by save_field (binary preferred when both exist); a malformed one is a ValueError."""
     stem = Path(stem)
     header_path, bin_path, csv_path = (stem.with_suffix(suffix) for suffix in (".json", ".bin", ".csv"))
-    header = json.loads(header_path.read_text())
+    try:
+        header = json.loads(header_path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{header_path}: header is not valid JSON ({exc})") from None
     if not (isinstance(header, dict) and {"n", "L", "N"} <= header.keys()):
         raise ValueError(f"{header_path}: header must be a JSON object with keys n, L and N")
     grid = make_grid(header["n"], header["L"], header["N"])
@@ -49,7 +52,10 @@ def load_field(stem: str | Path) -> SpectralField:
         if bin_path.stat().st_size != values.nbytes:
             raise ValueError(f"{bin_path}: size is not a whole number of float64 samples")
     elif csv_path.exists():
-        data_path, values = csv_path, np.loadtxt(csv_path, dtype=np.float64).ravel()
+        try:
+            data_path, values = csv_path, np.loadtxt(csv_path, dtype=np.float64).ravel()
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from None
     else:
         raise FileNotFoundError(f"no snapshot data found for stem {stem}")
     if values.size != grid.points**grid.n:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import importlib.util
 import io
 import json
@@ -250,6 +251,13 @@ class TestSweepCommand:
         for name in ("sweep.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys, threads):
+        out = tmp_path / "s"
+        assert main(["sweep", "--out", str(out), "--threads", threads, *SWEEP_OVERRIDES]) == 2
+        assert capsys.readouterr().err == f"--threads: must be at least 1, got {threads}\n"
+        assert not out.exists()
+
     def test_octant_sweep_reads_the_reference_coefficients(self, monkeypatch, transform_counts):
         # a record reads the reference's coefficients and transforms only its point and the difference;
         # the public sweep adds one transform of its reference octant
@@ -429,6 +437,139 @@ class TestReportCommand:
         gap_row = next(line for line in text.splitlines() if "nondegeneracy gap" in line)
         reported = float(gap_row.split("|")[2])
         assert np.isclose(reported, summary["nondegeneracy_gap"], atol=1e-6)
+
+    def test_1d_report_keeps_the_reference_on_the_octant(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("unfolded a field")
+
+        monkeypatch.setattr(nr.ground_state, "_unfold", refuse)
+        out = tmp_path / "r"
+        assert main(["report", "--out", str(out), *SWEEP_OVERRIDES]) == 4
+        assert "| soliton profile (sup error vs exact) | 3.183e-07 |" in (out / "report.md").read_text()
+
+
+def _report_run(monkeypatch, out: Path, *args: str) -> tuple:
+    """Run `nrlimit report` and return what its check table read: (config, records, summary, symbols, u_inf)."""
+    runs = []
+    checks = cli._checks
+    monkeypatch.setattr(cli, "_checks", lambda *run: runs.append(run) or checks(*run))
+    main(["report", "--out", str(out), *args])
+    return runs[0]
+
+
+def _statuses(checks) -> list[tuple[str, str, str]]:
+    return [(name, bound, "PASS" if ok else "FAIL") for name, _, bound, ok in checks]
+
+
+# (name, bound, status) of every row of two reports the benchmark does not run, as report.md prints them
+P5_ROWS = [
+    ("rate slope at s=0.5", "in [-2.15, -1.85]", "PASS"),
+    ("two-sided spread at s=0.5", "<= 3", "PASS"),
+    ("rate slope at s=1", "in [-2.15, -1.85]", "PASS"),
+    ("two-sided spread at s=1", "<= 3", "PASS"),
+    ("rate slope at s=2", "in [-2.15, -1.85]", "PASS"),
+    ("two-sided spread at s=2", "<= 3", "PASS"),
+    ("rate slope at s=3", "in [-2.15, -1.85]", "PASS"),
+    ("two-sided spread at s=3", "<= 3", "PASS"),
+    ("H^-1 defect stability (c in 16..64)", "<= 1.05", "PASS"),
+    ("symbol lower bound (lattice + dense scan)", ">= 0.5", "PASS"),
+    ("optimality limit vs reference", "<= 2%", "PASS"),
+    ("nondegeneracy gap", "> 0", "PASS"),
+    ("linearization identity residual", "<= 1e-8", "PASS"),
+    ("uniform bound at s=0.5", "<= 1.5", "PASS"),
+    ("uniform bound at s=1", "<= 1.5", "PASS"),
+    ("uniform bound at s=2", "<= 1.5", "PASS"),
+    ("uniform bound at s=3", "<= 1.5", "FAIL"),
+    ("uniform bound at s=4", "<= 1.5", "FAIL"),
+    ("bootstrap ratio spread (1/2 -> 3)", "<= 3", "PASS"),
+    ("projection decomposition identity", "<= 1e-8", "PASS"),
+]
+SHORT_LADDER_ROWS = [
+    ("soliton profile (sup error vs exact)", "<= 1e-6", "PASS"),
+    ("soliton residual", "<= 1e-10", "PASS"),
+    ("rate slope at s=0.5", "in [-2.15, -1.85]", "FAIL"),
+    ("two-sided spread at s=0.5", "<= 3", "PASS"),
+    ("rate slope at s=1", "in [-2.15, -1.85]", "FAIL"),
+    ("two-sided spread at s=1", "<= 3", "PASS"),
+    ("rate slope at s=2", "in [-2.15, -1.85]", "PASS"),
+    ("two-sided spread at s=2", "<= 3", "PASS"),
+    ("rate slope at s=3", "in [-2.15, -1.85]", "PASS"),
+    ("two-sided spread at s=3", "<= 3", "PASS"),
+    ("H^-1 defect stability (needs two c >= 16)", "<= 1.05", "FAIL"),
+    ("symbol lower bound (lattice + dense scan)", ">= 0.5", "PASS"),
+    ("optimality limit vs reference", "<= 2%", "FAIL"),
+    ("nondegeneracy gap", "> 0", "PASS"),
+    ("linearization identity residual", "<= 1e-8", "PASS"),
+    ("uniform bound at s=0.5", "<= 1.5", "PASS"),
+    ("uniform bound at s=1", "<= 1.5", "PASS"),
+    ("uniform bound at s=2", "<= 1.5", "PASS"),
+    ("uniform bound at s=3", "<= 1.5", "FAIL"),
+    ("uniform bound at s=4", "<= 1.5", "FAIL"),
+    ("bootstrap ratio spread (1/2 -> 3)", "<= 3", "PASS"),
+    ("projection decomposition identity", "<= 1e-8", "PASS"),
+]
+
+
+class TestReportChecks:
+    """The report's check table, enumerated on the runs it reads."""
+
+    @pytest.mark.parametrize(
+        "workload, args",
+        [
+            ("report-1d-cubic", []),
+            ("report-3d-hartree", ["--override", "problem.n=3", "--override", "problem.nonlinearity=hartree"]),
+        ],
+    )
+    def test_benchmark_reports_yield_their_reference_rows(self, tmp_path, monkeypatch, workload, args):
+        checks = cli._checks(*_report_run(monkeypatch, tmp_path / "r", *args))
+        expected = json.loads((PERFBENCH / "reference" / workload / "report_status.json").read_text())
+        assert [[name, status] for name, _, status in _statuses(checks)] == expected
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (["--override", "problem.p=5", "--override", "grid.N=256"], P5_ROWS),
+            (["--override", "operator.c_list=[2,4,8,16]"], SHORT_LADDER_ROWS),
+        ],
+    )
+    def test_rows_off_the_benchmark(self, tmp_path, monkeypatch, args, rows):
+        assert _statuses(cli._checks(*_report_run(monkeypatch, tmp_path / "r", *args))) == rows
+
+    @pytest.mark.parametrize(
+        "path, value, row",
+        [
+            (("summary", "nondegeneracy_gap"), -0.5, "nondegeneracy gap"),
+            (("summary", "linearization_identity_residual"), 2.0e-8, "linearization identity residual"),
+            (("summary", "reference_state", "residual"), 1.0e-9, "soliton residual"),
+            (("summary", "rate_fits", "2", "slope"), -1.5, "rate slope at s=2"),
+            (("summary", "reference_state", "norms", "4"), 1.0e3, "uniform bound at s=4"),
+            (("symbols", "overall_min_ratio"), 0.25, "symbol lower bound (lattice + dense scan)"),
+        ],
+    )
+    def test_moving_one_value_across_its_bound_flips_only_its_row(self, tmp_path, monkeypatch, path, value, row):
+        config, records, summary, symbols, u_inf = _report_run(monkeypatch, tmp_path / "r", "--override", "grid.N=256")
+        moved = {"summary": copy.deepcopy(summary), "symbols": copy.deepcopy(symbols)}
+        node = moved[path[0]]
+        for key in path[1:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        before = cli._checks(config, records, summary, symbols, u_inf)
+        after = cli._checks(config, records, moved["summary"], moved["symbols"], u_inf)
+        assert [b[0] for b, a in zip(before, after, strict=True) if b[3] != a[3]] == [row]
+
+    @pytest.mark.parametrize(
+        "bound, inside, outside",
+        [
+            ("<= 1e-6", 1.0e-6, math.nextafter(1.0e-6, 1.0)),
+            (">= 0.5", 0.5, math.nextafter(0.5, 0.0)),
+            ("> 0", 5e-324, 0.0),
+            ("<= 2%", 0.02, math.nextafter(0.02, 1.0)),
+            ("in [-2.3, -1.7]", -2.3, math.nextafter(-1.7, 0.0)),
+        ],
+    )
+    def test_printed_bound_is_the_bound_checked(self, bound, inside, outside):
+        assert cli._meets(inside, bound) and not cli._meets(outside, bound)
+        assert not cli._meets(None, bound) and not cli._meets(math.nan, bound)
 
 
 def _override_args(doc: dict) -> list[str]:

@@ -642,6 +642,18 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="snap.json: header must be a JSON object with keys n, L and N"):
             nr.load_field(tmp_path / "snap")
 
+    def test_header_that_is_not_json_rejected(self, tmp_path):
+        header_path, _ = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")
+        header_path.write_text("{not json")
+        with pytest.raises(ValueError, match=r"snap\.json: header is not valid JSON"):
+            nr.load_field(tmp_path / "snap")
+
+    def test_non_numeric_csv_sample_rejected(self, tmp_path):
+        _, data_path = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap", fmt="csv")
+        data_path.write_text("x\n" + data_path.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match=r"snap\.csv: could not convert string 'x'"):
+            nr.load_field(tmp_path / "snap")
+
     def test_unknown_format_rejected_before_any_write(self, tmp_path):
         with pytest.raises(ValueError, match="fmt must be"):
             nr.save_field(random_field(SMALL, np.random.default_rng(10)), tmp_path / "snap", fmt="xml")
