@@ -4,17 +4,24 @@ symbol verification and report generation.
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence,
 4 failed check in report mode.  Artifacts are deterministic: identical
 configs produce bit-identical CSV/JSON outputs.
+
+`main` runs one command and returns its exit code; `entry` is the `nrlimit`
+process (the console script, `python -m nrlimit` and this module run as a
+script), which exits with that code without the interpreter's shutdown
+collections (see "Process exit" in the package docstring).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,7 +63,7 @@ from .limit_lab import (
     sobolev_ladder,
 )
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main", "entry"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -479,6 +486,10 @@ def _checks(config: RunConfig, records: list[ConvergenceRecord], summary: dict, 
     """(name, measured, bound, passed) of each report check that applies, in report order.  A table row is
     (name, format, bound, applies, value), its value read from the run's records, summary, symbols or reference."""
     fits, norms, opt = summary["rate_fits"], summary["reference_state"]["norms"], summary["optimality"]
+    # a requested order without a fit (too few c values, or too few above the floor) keeps its rows, as n/a
+    orders = [k for k in ("0.5", "1", "2", "3") if k in {f"{float(s):g}" for s in config.s_list}]
+    slope = {k: fit["slope"] for k, fit in fits.items()}
+    spread = {k: fit["B_hat"] / fit["A_hat"] for k, fit in fits.items()}
     power, hartree, grid = config.nonlinearity == "power", config.nonlinearity == "hartree", config.grid
     cubic_1d = power and config.n == 1 and config.p == 3
     exact = np.sqrt(2.0) / np.cosh(grid.axis[: grid.octant_shape[0]])  # the 1D cubic's sqrt(2) sech x on the octant
@@ -495,10 +506,10 @@ def _checks(config: RunConfig, records: list[ConvergenceRecord], summary: dict, 
     table = [
         ("soliton profile (sup error vs exact)", ".3e", "<= 1e-6", cubic_1d, soliton),
         ("soliton residual", ".3e", "<= 1e-10", cubic_1d, summary["reference_state"]["residual"]),
-        *[row for k in ("0.5", "1", "2", "3") if k in fits for row in (
-            (f"rate slope at s={k}", ".4f", "in [-2.15, -1.85]", power, fits[k]["slope"]),
-            (f"two-sided spread at s={k}", ".3f", "<= 3", power, fits[k]["B_hat"] / fits[k]["A_hat"]),
-            (f"rate slope at s={k}", ".4f", "in [-2.3, -1.7]", hartree and k in ("0.5", "1"), fits[k]["slope"]),
+        *[row for k in orders for row in (
+            (f"rate slope at s={k}", ".4f", "in [-2.15, -1.85]", power, slope.get(k)),
+            (f"two-sided spread at s={k}", ".3f", "<= 3", power, spread.get(k)),
+            (f"rate slope at s={k}", ".4f", "in [-2.3, -1.7]", hartree and k in ("0.5", "1"), slope.get(k)),
         )],
         (f"H^-1 defect stability ({tail_name})", ".4f", "<= 1.05", power and config.n == 1,
          max(stab) / min(stab) if len(stab) >= 2 else None),
@@ -627,5 +638,18 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
 
 
+def entry() -> NoReturn:
+    """The `nrlimit` process: run `main` on sys.argv and exit with its code.
+
+    Every artifact is written and closed when `main` returns, so the objects
+    still alive die with the process: freezing them first spares the
+    interpreter's shutdown collections a walk over all of them.  atexit
+    handlers and the stdio flushes still run.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import importlib.util
 import io
 import json
@@ -307,6 +308,12 @@ class TestNondegCommand:
         assert not (out / "nondeg.json").exists()
 
 
+def _src_env() -> dict[str, str]:
+    """This process's environment, finding nrlimit in src/ first."""
+    src = str(Path(nr.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestProcessFootprint:
     """What a CLI run loads and calls, each in a fresh interpreter: the first
     LAPACK call of a process costs about 1 MB of peak RSS, loading numpy.fft
@@ -321,9 +328,7 @@ class TestProcessFootprint:
 
     @staticmethod
     def run_fresh(code: str) -> None:
-        src = str(Path(nr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
     def test_3d_nondeg_keeps_the_reference_on_the_octant_and_loads_no_numpy_fft(self, tmp_path):
         args = ["nondeg", "--out", str(tmp_path / "n"), "--override", "problem.n=3"]
@@ -341,6 +346,64 @@ class TestProcessFootprint:
         args = ["report", "--out", str(tmp_path / "r"), *SWEEP_OVERRIDES]
         self.run_fresh(self.REFUSE_LAPACK + f"assert cli.main({args!r}) == 4\n")
         assert (tmp_path / "r" / "report.md").exists()
+
+
+class TestProcessEntry:
+    """`cli.entry`, the one way into an `nrlimit` process: `main`, then `gc.freeze()` and `sys.exit`."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_every_way_in_calls_entry(self):
+        pyproject = (self.ROOT / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert [line for line in scripts.splitlines() if line.strip()] == ['nrlimit = "nrlimit.cli:entry"']
+        package = self.ROOT / "src" / "nrlimit"
+        assert (package / "__main__.py").read_text() == "from .cli import entry\n\nentry()\n"
+        assert (package / "cli.py").read_text().endswith('\nif __name__ == "__main__":\n    entry()\n')
+
+    def test_entry_freezes_after_main_and_atexit_still_runs(self, tmp_path):
+        code = (
+            "import atexit, gc, sys\n"
+            "import nrlimit.cli as cli\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['nrlimit', 'verify-symbols', '--out', {str(tmp_path / 'v')!r}]\n"
+            "cli.entry()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "True\n")
+        assert main(["verify-symbols", "--out", str(tmp_path / "in-process")]) == 0
+        fresh, in_process = ((tmp_path / run / "symbols.json").read_bytes() for run in ("v", "in-process"))
+        assert fresh == in_process
+
+    @pytest.mark.parametrize(
+        "args, code, err",
+        [
+            (["solve", "--override", "justakey"], 2, "override 'justakey': expected key.path=value\n"),
+            # the s=4 uniform bound is the one known FAIL row
+            (["report", *SWEEP_OVERRIDES], 4, ""),
+        ],
+    )
+    def test_exit_code_reaches_the_parent(self, tmp_path, args, code, err):
+        cmd = [sys.executable, "-m", "nrlimit", *args, "--out", str(tmp_path / "o")]
+        proc = subprocess.run(cmd, env=_src_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (code, err)
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["verify-symbols", "--out", str(tmp_path / "v")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_fresh_process_writes_what_main_writes(self, tmp_path):
+        # every file is complete when main returns: none waits for a finalizer at shutdown
+        args = ["solve", "--override", "grid.N=256", "--override", 'output.formats=["binary", "csv"]']
+        cmd = [sys.executable, "-m", "nrlimit", *args, "--out", str(tmp_path / "process")]
+        subprocess.run(cmd, env=_src_env(), check=True)
+        assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
+        names = sorted(p.name for p in (tmp_path / "process").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "in-process").iterdir())
+        assert len(names) == 4  # ground_state.json and the field's .bin, .csv and .json
+        for name in names:
+            assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes(), name
 
 
 class TestVerifySymbolsCommand:
@@ -509,6 +572,28 @@ SHORT_LADDER_ROWS = [
     ("projection decomposition identity", "<= 1e-8", "PASS"),
 ]
 
+# three c values: fit_rate needs four, so no order has a fit and each rate row reads n/a
+NO_FIT_ROWS = [
+    ("soliton profile (sup error vs exact)", "<= 1e-6", "PASS"),
+    ("soliton residual", "<= 1e-10", "PASS"),
+    *[row for k in ("0.5", "1", "2", "3") for row in (
+        (f"rate slope at s={k}", "in [-2.15, -1.85]", "FAIL"),
+        (f"two-sided spread at s={k}", "<= 3", "FAIL"),
+    )],
+    ("H^-1 defect stability (needs two c >= 16)", "<= 1.05", "FAIL"),
+    ("symbol lower bound (lattice + dense scan)", ">= 0.5", "PASS"),
+    ("optimality limit vs reference", "<= 2%", "FAIL"),
+    ("nondegeneracy gap", "> 0", "PASS"),
+    ("linearization identity residual", "<= 1e-8", "PASS"),
+    ("uniform bound at s=0.5", "<= 1.5", "PASS"),
+    ("uniform bound at s=1", "<= 1.5", "PASS"),
+    ("uniform bound at s=2", "<= 1.5", "PASS"),
+    ("uniform bound at s=3", "<= 1.5", "PASS"),
+    ("uniform bound at s=4", "<= 1.5", "FAIL"),
+    ("bootstrap ratio spread (1/2 -> 3)", "<= 3", "PASS"),
+    ("projection decomposition identity", "<= 1e-8", "PASS"),
+]
+
 
 class TestReportChecks:
     """The report's check table, enumerated on the runs it reads."""
@@ -530,6 +615,7 @@ class TestReportChecks:
         [
             (["--override", "problem.p=5", "--override", "grid.N=256"], P5_ROWS),
             (["--override", "operator.c_list=[2,4,8,16]"], SHORT_LADDER_ROWS),
+            (["--override", "grid.N=256", "--override", "operator.c_list=[4,8,16]"], NO_FIT_ROWS),
         ],
     )
     def test_rows_off_the_benchmark(self, tmp_path, monkeypatch, args, rows):
@@ -776,3 +862,11 @@ class TestBenchmarkArtifacts:
         out = tmp_path / workload
         exit_code = main([*wl.cli_args, "--out", str(out)])
         assert compare.compare_run(PERFBENCH / "reference" / workload, out, wl.expected_exit, exit_code) == []
+
+    def test_benchmark_command_matches_its_reference(self, tmp_path, monkeypatch):
+        # the `python -m nrlimit` process the benchmark spawns, in the benchmark's environment
+        compare, run = self.load(monkeypatch, "compare"), self.load(monkeypatch, "run")
+        wl, out = run.WORKLOADS["report-1d-cubic"], tmp_path / "report-1d-cubic"
+        proc = subprocess.run(run.cli_command(wl, out), env=run.child_env(), cwd=run.ROOT)
+        reference = PERFBENCH / "reference" / "report-1d-cubic"
+        assert compare.compare_run(reference, out, wl.expected_exit, proc.returncode) == []
