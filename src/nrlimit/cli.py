@@ -326,6 +326,8 @@ def _solve_record(config: RunConfig, result: GroundStateResult) -> dict:
         "residual": result.residual,
         "action": result.action,
         "iterations": result.iterations,
+        "coarse_iterations": result.coarse_iterations,
+        "coarse_start": result.coarse_start,
         "converged": result.converged,
         "action_convention": "mass term included",
     }

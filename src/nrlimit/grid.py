@@ -25,15 +25,17 @@ Fields live in one of two representations:
 
 The kernel (`_forward`, `_inverse`, `_lattice_sum`, `_lattice_dot`) takes an
 octant or a full-grid array and works on the octant or the full lattice
-accordingly (on the octant, optionally in the caller's work arrays).  An
-octant entry stands for all its mirror images, so octant sums carry the
-multiplicity weights `octant_weight`; the same weights serve real-space and
-Parseval sums.  The solver, the Coulomb convolution inside it, the sweep
-records and the gap eigensolve run on the octant; `_kernel_values` sends an
-exactly even field there and any other real field to the full lattice.  The
-full-lattice |xi|^2 array `Grid.xi_sq` is built on first use only.  On the
-octant with N <= 126 nothing calls numpy.fft, so a 3D run at the default
-N = 64 never loads it.
+accordingly (on the octant, optionally in the caller's work arrays).
+`_prolonged` takes an octant to the grid with twice the points per axis by
+trigonometric interpolation, in two DCT-I transforms: the start of the
+solver's fine level.  An octant entry stands for all its mirror images, so
+octant sums carry the multiplicity weights `octant_weight`; the same weights
+serve real-space and Parseval sums.  The solver, the Coulomb convolution
+inside it, the sweep records and the gap eigensolve run on the octant;
+`_kernel_values` sends an exactly even field there and any other real field
+to the full lattice.  The full-lattice |xi|^2 array `Grid.xi_sq` is built on
+first use only.  On the octant with N <= 126 nothing calls numpy.fft, so a
+3D run at the default N = 64 never loads it.
 
 Fields enter the kernel through one gate, which checks each input constraint
 once for every module: `_real_values` (real-space fields on one grid),
@@ -303,6 +305,25 @@ def _dct(
             np.matmul(_dct_matrix(h), values.swapaxes(ax, -2), out=target.swapaxes(ax, -2))
         values = target
     return out
+
+
+def _prolonged(coarse: Grid, grid: Grid, octant: np.ndarray) -> np.ndarray:
+    """The octant on `grid` of the trigonometric interpolant of an octant on `coarse`, which has N/2 points.
+
+    Coarse index j is fine index 2j, so both octants end at x = 0.  The
+    coarse DCT-I coefficients, times 2^n (the two inverses divide by N^n and
+    (N/2)^n), fill the low corner of a zero fine octant; the coarse Nyquist
+    index N/4 is halved once per axis, since on the fine lattice it stands
+    for the pair +-N/4.  One inverse DCT-I then gives the samples: two
+    whole-field transforms in all.
+    """
+    h = coarse.octant_shape[0]
+    coeff = np.zeros(grid.octant_shape)
+    low = coeff[(slice(0, h),) * grid.n]
+    np.multiply(_dct(octant), 2.0**grid.n, out=low)
+    for ax in grid.axes:
+        low[(slice(None),) * ax + (h - 1,)] *= 0.5
+    return _inverse(grid, coeff, work=coeff)
 
 
 def _octant(grid: Grid, values: np.ndarray) -> np.ndarray:

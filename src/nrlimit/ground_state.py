@@ -1,4 +1,4 @@
-"""Ground-state solver: Anderson-mixed stabilized iteration on the even octant.
+"""Ground-state solver: Anderson-mixed stabilized iteration on the even octant, on two grid levels.
 
 The map G(u) = M^gamma P(D)^{-1} N(u) with M = <P(D)u, u> / <N(u), u> is the
 classical stabilized (Petviashvili) iteration for homogeneous nonlinearities,
@@ -9,28 +9,42 @@ every transform is a DCT-I, and the image of an even field is even by
 construction.  Recentering pins the translation mode.  The iterates are not
 G(u) itself but its type-II Anderson mixing of depth ANDERSON_DEPTH (Walker &
 Ni, SIAM J. Numer. Anal. 49, 2011), with the octant-weighted dot product, which
-takes a 3D Hartree solve from about 85 iterations to about 20 with no extra
-transform.
+takes a one-level 3D Hartree solve from about 85 iterations to about 20 with
+no extra transform.
+
+On 3D grids with N >= 64 a solve is nested iteration (Brandt, Math.
+Comp. 31, 1977) on two levels (`_solve_octant`): the loop `_solve_level`
+first runs on the N/2 grid from the start's every-other sample, and the
+fine loop starts from the spectral prolongation of that solution
+(`grid._prolonged`) when its fine residual is at most sqrt(tolerance), else
+from the start itself.  The ground state is smooth, so on 64^3 the 32^3
+solution's prolongation has a residual of about 7e-9 and the fine loop
+takes 3-4 iterations instead of 13-18, after a coarse solve whose
+iterations cost about an eighth as much.  1D, 2D and smaller 3D grids take
+one level (`_coarse_grid`).
 
 The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
 transforms (N(u) forward, the mixed coefficients back), four with the
-Hartree term's Coulomb pair, and allocates no array; a solve adds the start
-transform, the final N(u) and one transform per confirm (`_solve_octant`).
+Hartree term's Coulomb pair, and allocates no array; a level adds the start
+transform, the final N(u) and one transform per confirm (`_solve_level`),
+and a two-level solve the prolongation's two transforms, and, where the rule
+rejects the prolongation, the start transform and N(u) of its one residual.
 On grids up to N = 126 an octant transform is three products with the
 cached DCT-I matrix in 3D (one in 1D), on larger grids one
 `numpy.fft.rfft` per axis (`grid._dct`).  The mixer's small Gram system is
 solved in Python floats (`_small_solve`): no LAPACK call.
 
-The iteration itself is the private core `_solve_octant`, which keeps the
-octant.  `solve` unfolds its last iterate once into the public result; the
-c-sweep and the CLI's reference solve run the core directly and never build
-a full-grid field.
+The solve is the private core `_solve_octant`, which keeps the octant.
+`solve` unfolds its last iterate once into the public result; the c-sweep
+and the CLI's reference solve run the core directly and never build a
+full-grid field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -43,6 +57,7 @@ from .grid import (
     _inverse,
     _kernel_values,
     _lattice_dot,
+    _prolonged,
     _real_values,
     _recentered_octant,
     _unfold,
@@ -103,6 +118,8 @@ class GroundStateResult:
     iterations: int
     converged: bool
     residual_history: tuple[float, ...] = ()
+    coarse_iterations: int = 0
+    coarse_start: bool = False
 
 
 def gaussian_guess(grid: Grid, width: float = 1.0) -> SpectralField:
@@ -126,12 +143,11 @@ def _l2_norm(grid: Grid, u: np.ndarray, work: np.ndarray | None = None) -> float
 
 
 def _residual_value(
-    grid: Grid, sym: np.ndarray, uh: np.ndarray, nh: np.ndarray, norm_u: float, work: np.ndarray | None = None
+    grid: Grid, sym_uh: np.ndarray, nh: np.ndarray, norm_u: float, work: np.ndarray | None = None
 ) -> float:
-    """||P(D)u - N(u)|| / ||u|| from the coefficients uh of u and nh of N(u) (octant or full lattice), by
-    Parseval: sum |r|^2 = sum |r_hat|^2 / N^n, r_hat formed in `work` (a new array if None)."""
-    r = np.multiply(sym, uh, out=work)
-    r -= nh
+    """||P(D)u - N(u)|| / ||u|| from the coefficients sym_uh of P(D)u and nh of N(u) (octant or full lattice),
+    by Parseval: sum |r|^2 = sum |r_hat|^2 / N^n, r_hat formed in `work` (a new array if None)."""
+    r = np.subtract(sym_uh, nh, out=work)
     return float(np.sqrt(_lattice_dot(grid, r, r, r) / grid.size) / norm_u)
 
 
@@ -252,6 +268,8 @@ class _OctantSolve(NamedTuple):
     iterations: int
     action: float
     converged: bool
+    coarse_iterations: int = 0
+    coarse_start: bool = False
 
     @property
     def residual(self) -> float:
@@ -266,18 +284,80 @@ class _OctantSolve(NamedTuple):
             iterations=self.iterations,
             converged=self.converged,
             residual_history=self.residual_history,
+            coarse_iterations=self.coarse_iterations,
+            coarse_start=self.coarse_start,
         )
+
+
+@lru_cache(maxsize=16)
+def _coarse_grid(grid: Grid) -> Grid | None:
+    """The N/2 grid of a two-level solve on `grid`, or None where there is none.
+
+    There is one for n = 3 when N/2 is even (so coarse index j is fine index
+    2j on the octant, and both end at x = 0) and at least 32, the only case
+    measured to pay off.  On 32^3 the N/2 = 16 grid under-resolves the state:
+    the start rule rejects its prolongation, and the coarse solve would only
+    add its iterations to the one-level solve's.  1D takes none: a 513-point
+    octant iteration is bound by per-call overhead, so a coarse iteration
+    costs about as much as a fine one, and 1D stops ride the round-off
+    floor, which a prolonged start can take longer to meet.  2D takes none
+    either, since no 2D solve was measured to gain from one.
+    """
+    half = grid.points // 2
+    if grid.n != 3 or half % 2 or half < 32:
+        return None
+    return Grid(grid.n, grid.length, half)
 
 
 def _solve_octant(
     op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, u: np.ndarray, cfg: SolverConfig
 ) -> _OctantSolve:
-    """The iteration of `solve` from the start octant u, to cfg's tolerance and iteration cap.
+    """The solve of `solve` from the start octant u, to cfg's tolerance and iteration cap, on two levels.
+
+    Where `_coarse_grid` gives an N/2 grid, `_solve_level` first runs there
+    from u's every-other sample, and the fine loop starts from the spectral
+    prolongation of that solution (`grid._prolonged`), but only if its fine
+    residual is at most sqrt(cfg.tolerance); a coarse solve that does not
+    converge or raises GroundStateError, or a prolongation that fails the
+    rule, leaves the fine loop to start from u, bit for bit the one-level
+    solve.  On 64^3 the prolongation meets the fine tolerance within 3-4
+    fine iterations.  u's own residual is not evaluated, so an accepted
+    prolongation replaces even a start that already meets the tolerance.
+    cfg.max_iterations caps each level.  The result is the fine level's,
+    with the coarse iteration count (0 when no coarse solve completed) and
+    whether the fine loop started from it.  u is never written to, so one
+    start octant can seed several solves at once.
+    """
+    coarse = _coarse_grid(grid)
+    low = None
+    if coarse is not None:
+        try:
+            low = _solve_level(op, nl, coarse, u[(slice(None, None, 2),) * grid.n], cfg)
+        except GroundStateError:
+            pass  # the fine loop starts from u
+    if low is not None and low.converged:
+        start = _prolonged(coarse, grid, low.octant)
+        fine = _solve_level(op, nl, grid, start, cfg, start_limit=math.sqrt(cfg.tolerance))
+        if fine is not None:
+            return fine._replace(coarse_iterations=low.iterations, coarse_start=True)
+    fine = _solve_level(op, nl, grid, u, cfg)
+    return fine if low is None else fine._replace(coarse_iterations=low.iterations)
+
+
+def _solve_level(
+    op: OperatorSpec,
+    nl: NonlinearitySpec,
+    grid: Grid,
+    u: np.ndarray,
+    cfg: SolverConfig,
+    start_limit: float = math.inf,
+) -> _OctantSolve | None:
+    """The iteration on one grid from the start octant u (never written to), to cfg's tolerance and iteration cap.
 
     Returns the last iterate's octant, the residual history, the iteration
     count, the action and whether the last residual met cfg.tolerance;
-    cfg.initial_guess is not read.  u is never written
-    to, so one start octant can seed several solves at once.
+    cfg.initial_guess is not read.  If the start's own residual exceeds
+    `start_limit`, returns None after that one evaluation.
 
     The iterate is held as samples x and DCT-I coefficients uh; the mixer
     mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
@@ -285,7 +365,9 @@ def _solve_octant(
     the recentring test reads them.  A mixed uh omits the round-off of x's
     own transform (up to eps max P), so a mixed residual that would stop
     the loop is confirmed on the transform of x, which is recorded and, if
-    it fails, continued from.
+    it fails, continued from.  P_hat uh is formed once per pass, in this
+    step's image buffer (free until the image is written), and serves both
+    the residual and the Rayleigh numerator.
     """
     nl.validate_dimension(grid.n)
     sym = symbol(op, grid.octant_xi_sq)
@@ -306,24 +388,29 @@ def _solve_octant(
             raise GroundStateError("iterate collapsed to the zero field; bad initial guess")
         _term_values(nl, grid, x, out=nu, work=work)
         _forward(grid, nu, out=nh, work=work)
-        res = _residual_value(grid, sym, uh, nh, norm_u, work)
+        image = images[iterations % 2]
+        sym_uh = np.multiply(sym, uh, out=image)
+        res = _residual_value(grid, sym_uh, nh, norm_u, work)
         stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
         if stop and not synced:
             _forward(grid, x, out=uh, work=work)
             synced = True
-            res = _residual_value(grid, sym, uh, nh, norm_u, work)
+            sym_uh = np.multiply(sym, uh, out=image)
+            res = _residual_value(grid, sym_uh, nh, norm_u, work)
             stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
         if not np.isfinite(res):
             raise GroundStateError(f"non-finite residual at iteration {iterations}")
+        if res > start_limit and iterations == 0:
+            return None
         history.append(res)
         if stop:
             break
 
-        num = _lattice_dot(grid, np.multiply(sym, uh, out=work), uh, work)
+        num = _lattice_dot(grid, sym_uh, uh, work)
         den = _lattice_dot(grid, nh, uh, work)
         if den <= 0.0:
             raise GroundStateError("nonlinear pairing lost positivity during iteration")
-        image = np.multiply(nh, (num / den) ** gamma, out=images[iterations % 2])
+        np.multiply(nh, (num / den) ** gamma, out=image)
         image /= sym
         mixer.mix(uh, image, out=uh)
         _inverse(grid, uh, out=x, work=work)
@@ -349,11 +436,21 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     map is Anderson-mixed with depth ANDERSON_DEPTH.  The default Gaussian is
     sampled on the octant directly; a field guess that is exactly even with
     its peak at the center (a solved field) enters as its octant, any other
-    is recentered and symmetrized once.  From then on the whole iteration
-    runs on the octant (`_solve_octant`), and the result is unfolded once, so
-    it is exactly even; of the CLI's commands only `nrlimit solve` comes here.
-    An iteration takes two whole-field DCT-I transforms (N(u) forward, the
-    mixed coefficients back), four with the Hartree term's Coulomb pair; the
+    is recentered and symmetrized once.  From then on the whole solve runs
+    on the octant (`_solve_octant`), and the result is unfolded once, so it
+    is exactly even; of the CLI's commands only `nrlimit solve` comes here.
+    On 3D grids with N >= 64 (N/2 even) the solve first runs on the N/2
+    grid and the fine loop starts from that solution's prolongation when its
+    residual is at most sqrt(tolerance): the result's iterations,
+    residual_history, converged and action are the fine level's,
+    coarse_iterations counts the coarse level's (0 where none completed) and
+    coarse_start says whether the fine loop started from it.
+    max_iterations caps each level.  There the given start is not checked
+    first: an initial_guess that already meets the tolerance is replaced by
+    the accepted prolongation, and the result is a few fine iterations from
+    it, not the guess itself at 0 iterations.  An iteration
+    takes two whole-field DCT-I transforms (N(u) forward, the mixed
+    coefficients back), four with the Hartree term's Coulomb pair; the
     residual and the Rayleigh factor come from the coefficients by Parseval.
     """
     if cfg.initial_guess is None:
@@ -382,7 +479,7 @@ def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     norm_u = _l2_norm(grid, values)
     if norm_u == 0.0:
         raise ValueError("residual of the zero field is undefined")
-    return _residual_value(grid, sym, uh, _forward(grid, nu), norm_u)
+    return _residual_value(grid, sym * uh, _forward(grid, nu), norm_u)
 
 
 def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:

@@ -78,6 +78,8 @@ class TestSolveCommand:
         record = json.loads((out / "ground_state.json").read_text())
         assert record["converged"] is True
         assert record["residual"] <= 1e-10
+        # 1D takes no coarse level
+        assert record["coarse_iterations"] == 0 and record["coarse_start"] is False
         field = nr.load_field(out / "ground_state_field")
         x = field.grid.coordinates()[0]
         assert np.max(np.abs(field.values - np.sqrt(2.0) / np.cosh(x))) <= 1e-6
@@ -97,6 +99,15 @@ class TestSolveCommand:
             assert main(["solve", "--out", str(tmp_path / "default"), "--override", "grid.N=256"]) == 0
             default = nr.load_field(tmp_path / "default" / "ground_state_field")
             assert np.array_equal(nr.load_field(out / "ground_state_field").values, default.values)
+
+    def test_3d_record_counts_both_levels(self, tmp_path):
+        out = tmp_path / "run"
+        overrides = ["problem.n=3", "problem.nonlinearity=hartree", "output.formats=[]"]
+        assert main(["solve", "--out", str(out), *(a for o in overrides for a in ("--override", o))]) == 0
+        record = json.loads((out / "ground_state.json").read_text())
+        assert record["coarse_start"] is True
+        assert record["coarse_iterations"] > 0
+        assert record["iterations"] <= 5
 
     def test_nonconvergence_exit_code(self, tmp_path):
         out = tmp_path / "run"
@@ -862,6 +873,26 @@ class TestBenchmarkArtifacts:
         out = tmp_path / workload
         exit_code = main([*wl.cli_args, "--out", str(out)])
         assert compare.compare_run(PERFBENCH / "reference" / workload, out, wl.expected_exit, exit_code) == []
+
+    def test_3d_report_solves_start_from_their_coarse_solutions(self, tmp_path, monkeypatch):
+        # one level took 18 iterations for the reference and 57 for the four c points
+        self.load(monkeypatch, "compare")  # run.py imports it
+        wl = self.load(monkeypatch, "run").WORKLOADS["report-3d-hartree"]
+        core, solves = nr.ground_state._solve_octant, []
+
+        def recorded(*args):
+            result = core(*args)
+            solves.append(result)
+            return result
+
+        monkeypatch.setattr(cli, "_solve_octant", recorded)
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
+        assert main([*wl.cli_args, "--out", str(tmp_path / "report")]) == wl.expected_exit
+        reference, *points = solves
+        assert len(points) == 4
+        assert all(s.coarse_start for s in solves)
+        assert reference.iterations <= 5
+        assert sum(p.iterations for p in points) <= 20
 
     def test_benchmark_command_matches_its_reference(self, tmp_path, monkeypatch):
         # the `python -m nrlimit` process the benchmark spawns, in the benchmark's environment

@@ -24,6 +24,7 @@ from nrlimit.grid import (
     _kernel_values,
     _lattice_sum,
     _octant,
+    _prolonged,
     _recentered,
     _recentered_octant,
     _spectral_norm,
@@ -475,6 +476,49 @@ class TestOctantKernel:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import nrlimit, sys; assert 'scipy.fft' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _interpolated_twice_as_fine(values: np.ndarray) -> np.ndarray:
+    """Trigonometric interpolation of a periodic array onto twice the points per axis, one axis at a
+    time by numpy.fft: the modes |k| < M/2 keep their place, the Nyquist mode splits evenly into +-M/2."""
+    for ax in range(values.ndim):
+        m = values.shape[ax]
+        coeff = np.moveaxis(np.fft.fft(values, axis=ax), ax, 0)
+        padded = np.zeros((2 * m, *coeff.shape[1:]), dtype=complex)
+        padded[: m // 2] = coeff[: m // 2]
+        padded[-(m // 2) + 1 :] = coeff[-(m // 2) + 1 :]
+        padded[m // 2] = padded[-(m // 2)] = 0.5 * coeff[m // 2]
+        values = np.moveaxis(2.0 * np.fft.ifft(padded, axis=0).real, 0, ax)
+    return values
+
+
+class TestProlongation:
+    """`_prolonged` takes an octant on the N/2 grid to the octant of its
+    trigonometric interpolant on the N grid, in two DCT-I transforms."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_fft_interpolation_of_the_unfolded_field(self, n, transform_counts):
+        coarse, fine = nr.make_grid(n, 8.0, 16), nr.make_grid(n, 8.0, 32)
+        octant = np.random.default_rng(n).standard_normal(coarse.octant_shape)
+        prolonged = _prolonged(coarse, fine, octant)
+        assert transform_counts["dct"] == 2
+        reference = _octant(fine, _interpolated_twice_as_fine(_unfold(coarse, octant)))
+        assert np.max(np.abs(prolonged - reference)) <= 1e-13 * np.max(np.abs(octant))
+        # coarse index j is fine index 2j: the coarse samples are kept
+        assert np.max(np.abs(prolonged[(slice(None, None, 2),) * n] - octant)) <= 1e-13 * np.max(np.abs(octant))
+
+    @pytest.mark.parametrize("modes", [(0, 0, 0), (3, 1, 5), (8, 0, 2), (8, 8, 8)], ids=str)
+    def test_even_modes_up_to_the_coarse_nyquist_are_exact(self, modes):
+        # on L = 8 with 16 coarse points, mode 8 is the coarse Nyquist frequency
+        coarse, fine = nr.make_grid(3, 8.0, 16), nr.make_grid(3, 8.0, 32)
+
+        def sampled(grid):
+            x = grid.axis[: grid.octant_shape[0]]
+            axes = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+            fx, fy, fz = (np.cos(2.0 * np.pi * k * a / grid.length) for k, a in zip(modes, axes))
+            return fx * fy * fz
+
+        assert np.max(np.abs(_prolonged(coarse, fine, sampled(coarse)) - sampled(fine))) <= 1e-13
 
 
 class TestSymmetrize:

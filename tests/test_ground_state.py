@@ -8,7 +8,14 @@ import pytest
 import nrlimit as nr
 from conftest import random_field
 from nrlimit.grid import _octant
-from nrlimit.ground_state import _AndersonMixer, _octant_gaussian, _small_solve, _solve_octant
+from nrlimit.ground_state import (
+    _AndersonMixer,
+    _coarse_grid,
+    _octant_gaussian,
+    _small_solve,
+    _solve_level,
+    _solve_octant,
+)
 from oracles import lattice_multiplier, shoot_ground_state
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -248,11 +255,17 @@ class TestTransformCount:
     mixer mixes coefficients, so each stabilized iteration costs the forward
     transform of N(u) (plus the Coulomb pair in the Hartree case) and one
     inverse transform of the mixed coefficients to the next samples: 4
-    Hartree, 2 power.  Outside the iterations a solve takes k more: the start
-    transform, the final iterate's N(u) (3 Hartree, 1 power) and one
-    transform per confirm of a mixed residual, one in the first two solves
-    below, so k = 5 Hartree, 3 power; the final action reuses the confirmed
-    coefficients."""
+    Hartree, 2 power.  Outside the iterations a level takes k more: the
+    start transform, the final iterate's N(u) (3 Hartree, 1 power) and one
+    transform per confirm of a mixed residual, one in each level below, so
+    k = 5 Hartree, 3 power; the final action reuses the confirmed
+    coefficients.  A two-level solve adds the coarse level's iterations and
+    k, 2 for the prolongation (the coarse forward and the fine inverse), and
+    the start rule's residual: nothing where the fine loop starts from the
+    prolongation (it is that loop's first pass), the start transform and
+    N(u) (4 Hartree, 2 power) where the rule rejects it."""
+
+    HARTREE, POWER = (4, 5, 4), (2, 3, 2)  # per iteration, per level, a rejected start's residual
 
     @staticmethod
     def octant_transforms(counts) -> int:
@@ -261,15 +274,49 @@ class TestTransformCount:
         assert counts["rfftn"] == counts["irfftn"] == counts["irfft"] == 0
         return counts["dct"]
 
+    @staticmethod
+    def accounted(res, costs) -> int:
+        """The transforms of a solve by the accounting above, from the counts its result reports."""
+        per_iteration, per_level, rejected = costs
+        fine = per_iteration * res.iterations + per_level
+        if res.coarse_iterations == 0:
+            return fine
+        return per_iteration * res.coarse_iterations + per_level + 2 + (0 if res.coarse_start else rejected) + fine
+
     def test_hartree_3d(self, transform_counts):
+        # 32^3 takes one level
         grid = nr.make_grid(3, 16.0, 32)
         res = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
         assert res.converged
-        assert self.octant_transforms(transform_counts) <= 4 * res.iterations + 5
+        assert res.coarse_iterations == 0 and not res.coarse_start
+        assert self.octant_transforms(transform_counts) <= self.accounted(res, self.HARTREE)
+
+    def test_hartree_3d_with_a_rejected_coarse_start(self, transform_counts, monkeypatch):
+        # given a 16^3 level, the rule rejects its solution's prolongation on 32^3
+        grid = nr.make_grid(3, 16.0, 32)
+        monkeypatch.setattr(nr.ground_state, "_coarse_grid", lambda g: nr.make_grid(3, 16.0, 16))
+        res = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
+        assert res.converged
+        assert res.coarse_iterations > 0 and not res.coarse_start
+        assert self.octant_transforms(transform_counts) <= self.accounted(res, self.HARTREE)
+
+    def test_hartree_3d_from_the_coarse_start(self, transform_counts, grid3d):
+        res = nr.solve(nr.nonrelativistic(), nr.hartree(), grid3d)
+        assert res.converged
+        assert res.coarse_iterations > 0 and res.coarse_start
+        assert self.octant_transforms(transform_counts) <= self.accounted(res, self.HARTREE)
+
+    def test_power_2d(self, transform_counts):
+        # 2D takes one level
+        res = nr.solve(nr.nonrelativistic(), nr.power(3), nr.make_grid(2, 8.0, 128))
+        assert res.converged
+        assert res.coarse_iterations == 0 and not res.coarse_start
+        assert self.octant_transforms(transform_counts) <= self.accounted(res, self.POWER)
 
     def test_cubic_1d(self, transform_counts, grid1d):
         res = nr.solve(nr.pseudo_relativistic(4.0), nr.power(3), grid1d)
         assert res.converged
+        assert res.coarse_iterations == 0
         assert self.octant_transforms(transform_counts) <= 2 * res.iterations + 3
 
     def test_round_off_floor_box_confirms_on_the_samples(self, transform_counts):
@@ -300,6 +347,115 @@ class TestTransformCount:
         u = nr.SpectralField(grid1d, np.exp(-0.5 * grid1d.radius_sq()))
         nr.nondegeneracy_gap(u, nr.power(3))
         assert 0 < self.octant_transforms(transform_counts) <= 60
+
+
+class TestTwoLevel:
+    """Where there is an N/2 grid (n = 3, N/2 even and >= 32), `_solve_octant`
+    solves there first and starts the fine loop from the prolongation of that
+    solution if its fine residual is at most sqrt(tolerance).  Otherwise, and
+    wherever the coarse solve fails, the fine loop is the one-level loop
+    `_solve_level` from the given start, bit for bit."""
+
+    CFG = nr.SolverConfig()
+
+    @staticmethod
+    def assert_identical(two_level, one_level):
+        assert two_level.residual_history == one_level.residual_history
+        assert two_level.iterations == one_level.iterations
+        assert two_level.action == one_level.action
+        assert np.array_equal(two_level.octant, one_level.octant)
+
+    @pytest.mark.parametrize("op", [nr.nonrelativistic(), nr.pseudo_relativistic(32.0)], ids=["c=inf", "c=32"])
+    def test_64_cube_starts_from_the_coarse_solution(self, grid3d, op):
+        # the 32^3 solution's prolongation has a fine residual of about 7e-9; one level takes 18 iterations
+        nl = nr.hartree()
+        res = nr.solve(op, nl, grid3d)
+        assert res.converged
+        assert res.coarse_start and res.coarse_iterations > 0
+        assert res.iterations <= 5
+        assert nr.residual(res.field, op, nl) == res.residual
+        one_level = _solve_level(op, nl, grid3d, _octant_gaussian(grid3d), self.CFG)
+        assert np.max(np.abs(_octant(grid3d, res.field.values) - one_level.octant)) <= 1e-12
+
+    def test_a_converged_guess_is_replaced_by_the_prolongation(self, grid3d):
+        # the guess's own residual is not checked: the solve runs both levels
+        # from it and returns a few fine iterations from the prolongation
+        op, nl = nr.nonrelativistic(), nr.hartree()
+        seed = nr.solve(op, nl, grid3d)
+        res = nr.solve(op, nl, grid3d, nr.SolverConfig(initial_guess=seed.field))
+        assert res.converged
+        assert res.coarse_start and res.coarse_iterations > 0
+        assert 0 < res.iterations <= 5
+        assert np.max(np.abs(res.field.values - seed.field.values)) <= 1e-12
+
+    def test_the_rule_rejects_an_under_resolved_coarse_start(self, monkeypatch):
+        # given a 16^3 level on 32^3, the prolongation's residual is near 1e-3, above sqrt(1e-12)
+        op, nl, start = nr.nonrelativistic(), nr.hartree(), _octant_gaussian(SMALL3)
+        monkeypatch.setattr(nr.ground_state, "_coarse_grid", lambda g: nr.make_grid(3, 16.0, 16))
+        res = _solve_octant(op, nl, SMALL3, start, self.CFG)
+        assert res.coarse_iterations > 0 and not res.coarse_start
+        self.assert_identical(res, _solve_level(op, nl, SMALL3, start, self.CFG))
+
+    @pytest.mark.parametrize("failure", ["raises", "unconverged"])
+    def test_a_failed_coarse_solve_falls_back(self, grid3d, monkeypatch, failure):
+        op, nl, start = nr.nonrelativistic(), nr.hartree(), _octant_gaussian(grid3d)
+        one_level = _solve_level(op, nl, grid3d, start, self.CFG)
+        level = nr.ground_state._solve_level
+
+        def failing(op, nl, grid, u, cfg, **kwargs):
+            if grid == grid3d:
+                return level(op, nl, grid, u, cfg, **kwargs)
+            if failure == "raises":
+                raise nr.GroundStateError("coarse failure")
+            return level(op, nl, grid, u, cfg)._replace(converged=False)
+
+        monkeypatch.setattr(nr.ground_state, "_solve_level", failing)
+        res = _solve_octant(op, nl, grid3d, start, self.CFG)
+        assert not res.coarse_start
+        assert (res.coarse_iterations == 0) == (failure == "raises")
+        self.assert_identical(res, one_level)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [nr.make_grid(1, 32.0, 1024), nr.make_grid(2, 32.0, 256), SMALL3],
+        ids=["1d", "2d", "32^3"],
+    )
+    def test_one_level_grids_build_no_coarse_grid(self, grid, monkeypatch):
+        op = nr.pseudo_relativistic(8.0)
+        nl = nr.hartree() if grid.n == 3 else nr.power(3)
+        start = _octant_gaussian(grid)
+        one_level = _solve_level(op, nl, grid, start, self.CFG)
+        level, grids = nr.ground_state._solve_level, []
+
+        def recorded(op, nl, grid, *args, **kwargs):
+            grids.append(grid)
+            return level(op, nl, grid, *args, **kwargs)
+
+        monkeypatch.setattr(nr.ground_state, "_solve_level", recorded)
+        res = _solve_octant(op, nl, grid, start, self.CFG)
+        assert _coarse_grid(grid) is None
+        assert grids == [grid]
+        assert res.coarse_iterations == 0 and not res.coarse_start
+        self.assert_identical(res, one_level)
+
+    @pytest.mark.parametrize(
+        "n, points, coarse",
+        [
+            (1, 1024, None),
+            (2, 64, None),
+            (2, 256, None),
+            (3, 64, 32),
+            (3, 128, 64),
+            (3, 68, 34),
+            (3, 66, None),
+            (3, 60, None),
+            (3, 32, None),
+        ],
+    )
+    def test_which_grids_have_a_coarse_level(self, n, points, coarse):
+        grid = nr.make_grid(n, 16.0, points)
+        expected = None if coarse is None else nr.make_grid(n, 16.0, coarse)
+        assert _coarse_grid(grid) == expected
 
 
 class TestAndersonAcceleration:

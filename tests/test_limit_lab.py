@@ -129,6 +129,22 @@ class TestSweep:
         threaded = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf, threads=2)
         assert threaded == serial
 
+    def test_threaded_sweep_matches_serial_from_coarse_starts(self, grid3d, sweep_3d, monkeypatch):
+        # at 64^3 every point starts its fine loop from its own 32^3 solution
+        core, points = nr.limit_lab._solve_octant, []
+
+        def recorded(*args):
+            point = core(*args)
+            points.append(point)
+            return point
+
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
+        u_inf = sweep_3d["u_inf"]
+        serial = nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), grid3d, u_inf=u_inf)
+        threaded = nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), grid3d, u_inf=u_inf, threads=2)
+        assert threaded == serial
+        assert len(points) == 4 and all(p.coarse_start for p in points)
+
 
 @pytest.fixture(scope="module")
 def u_inf_32():
