@@ -38,29 +38,20 @@ from .operators import (
     taylor_residual,
 )
 from .nonlinearity import NonlinearitySpec
-from .ground_state import (
-    GroundStateError,
-    GroundStateResult,
-    SolverConfig,
-    _octant_gaussian,
-    _OctantSolve,
-    _solve_octant,
-    solve,
-)
+from .ground_state import GroundStateError, GroundStateResult, SolverConfig, solve
 from .limit_lab import (
     ConvergenceRecord,
     GapEigensolveError,
     SweepError,
-    _gap,
-    _identity_residual,
-    _octant_reference,
-    _optimality_forms,
     _reference_norms,
     _sweep_c_values,
-    _sweep_octant,
     _sweep_orders,
     fit_rate,
+    linearization_identity_residual,
+    nondegeneracy_gap,
+    optimality_forms,
     sobolev_ladder,
+    sweep,
 )
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main", "entry"]
@@ -341,26 +332,16 @@ def _run_solve(config: RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _reference_solve(config: RunConfig) -> _OctantSolve:
-    """The nonrelativistic reference: `solve`'s iteration from its default Gaussian, kept on the octant."""
-    nl, grid = config.nonlinearity_spec(), config.grid
-    return _solve_octant(nonrelativistic(), nl, grid, _octant_gaussian(grid), config.solver_config())
-
-
 def _sweep_artifacts(config: RunConfig, s_list, threads: int):
     """Solve the sweep and assemble (records, summary dict, reference solve).
 
-    The reference stays on the octant: the sweep, the gap, the identity
-    residual, the optimality forms and the reference norms all read its one
-    DCT-I (`_octant_reference`).
+    The solved reference keeps its octant, which the sweep, the gap, the
+    identity residual, the optimality forms and the reference norms each read.
     """
-    grid = config.grid
-    nl = config.nonlinearity_spec()
-    cfg = config.solver_config()
+    grid, nl, cfg = config.grid, config.nonlinearity_spec(), config.solver_config()
     ladder = sobolev_ladder(config.n, nl.variational_exponent, nl.kind, LADDER_STEPS)
-    u_inf = _reference_solve(config)
-    ref = _octant_reference(grid, u_inf.octant)
-    records = _sweep_octant(config.c_list, s_list, nl, cfg, ref, u_inf.converged, threads)
+    u_inf = solve(nonrelativistic(), nl, grid, cfg)
+    records = sweep(config.c_list, s_list, nl, grid, cfg, u_inf=u_inf, threads=threads)
 
     floor = 100.0 * config.tolerance
     fits = {}
@@ -376,11 +357,11 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
             "c_range": list(fit.c_range),
         }
 
-    gap = _gap(ref, nl)
-    identity = _identity_residual(ref, nl)
-    forms = _optimality_forms(ref.grid, ref.coeff, ref.xi_sq, config.c_list)
+    gap = nondegeneracy_gap(u_inf.field, nl)
+    identity = linearization_identity_residual(u_inf.field, nl)
+    forms = optimality_forms(u_inf.field, config.c_list)
     c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, forms)}
-    norms, laplacian_norm_sq = _reference_norms(ref, s_list)
+    norms, laplacian_norm_sq = _reference_norms(u_inf.field, s_list)
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
@@ -422,18 +403,17 @@ def _run_sweep(config: RunConfig, threads: int) -> int:
 
 def _run_nondeg(config: RunConfig) -> int:
     nl = config.nonlinearity_spec()
-    u_inf = _reference_solve(config)
+    u_inf = solve(nonrelativistic(), nl, config.grid, config.solver_config())
     if not u_inf.converged:
         print("reference solve did not converge", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    ref = _octant_reference(config.grid, u_inf.octant)
-    gap = _gap(ref, nl)
+    gap = nondegeneracy_gap(u_inf.field, nl)
     payload = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
         "grid": {"L": config.L, "N": config.N},
         "gap": gap,
         "positive": gap > 0.0,
-        "linearization_identity_residual": _identity_residual(ref, nl),
+        "linearization_identity_residual": linearization_identity_residual(u_inf.field, nl),
         "reference_residual": u_inf.residual,
     }
     _json_dump(config.out_dir / "nondeg.json", payload)
@@ -484,7 +464,9 @@ def _meets(value: float | None, bound: str) -> bool:
     return {"<=": value <= x, ">=": value >= x, ">": value > x}[op]
 
 
-def _checks(config: RunConfig, records: list[ConvergenceRecord], summary: dict, symbols: dict, u_inf: _OctantSolve):
+def _checks(
+    config: RunConfig, records: list[ConvergenceRecord], summary: dict, symbols: dict, u_inf: GroundStateResult
+):
     """(name, measured, bound, passed) of each report check that applies, in report order.  A table row is
     (name, format, bound, applies, value), its value read from the run's records, summary, symbols or reference."""
     fits, norms, opt = summary["rate_fits"], summary["reference_state"]["norms"], summary["optimality"]
@@ -495,7 +477,7 @@ def _checks(config: RunConfig, records: list[ConvergenceRecord], summary: dict, 
     power, hartree, grid = config.nonlinearity == "power", config.nonlinearity == "hartree", config.grid
     cubic_1d = power and config.n == 1 and config.p == 3
     exact = np.sqrt(2.0) / np.cosh(grid.axis[: grid.octant_shape[0]])  # the 1D cubic's sqrt(2) sech x on the octant
-    soliton = float(np.max(np.abs(u_inf.octant - exact))) if cubic_1d else None
+    soliton = float(np.max(np.abs(u_inf.field.octant - exact))) if cubic_1d else None
     # every c >= 16 is in the tail; with fewer than two there is no drift to measure (n/a)
     tail = [r for r in records if r.c >= 16.0]
     tail_name = f"c in {tail[0].c:g}..{tail[-1].c:g}" if len(tail) >= 2 else "needs two c >= 16"

@@ -37,8 +37,16 @@ to the full lattice.  The full-lattice |xi|^2 array `Grid.xi_sq` is built on
 first use only.  On the octant with N <= 126 nothing calls numpy.fft, so a
 3D run at the default N = 64 never loads it.
 
+A field the library computes as exactly even (a solved ground state, an
+octant multiplier's output) is an `_EvenField`: a `SpectralField` that stores
+its read-only octant (`octant`) and unfolds it into `values` on first read
+only.  The gate reads that stored octant (`_stored`), so the kernel, the
+diagnostics and a solver start take such a field with no evenness test and
+no full-grid array; only a caller that reads `values` builds it.
+
 Fields enter the kernel through one gate, which checks each input constraint
-once for every module: `_real_values` (real-space fields on one grid),
+once for every module: `_real_grid` and `_real_values` (real-space fields on
+one grid),
 `_coefficients` (coefficients of real- or frequency-space fields on one grid),
 `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]) and
 `_recentered_octant` (recentre at the peak, take the even part, keep the octant).
@@ -214,6 +222,28 @@ class SpectralField:
         return field
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class _EvenField(SpectralField):
+    """An exactly even real-space field stored as its octant, which it owns and freezes.
+
+    `values` is the unfolding of the octant (`_unfold`), built on first read
+    and kept: bit for bit the field a full-grid constructor would hold, and
+    read-only.  Like every `SpectralField` it is immutable.
+    """
+
+    octant: np.ndarray
+
+    def __init__(self, grid: Grid, octant: np.ndarray) -> None:
+        octant.setflags(write=False)
+        self.__dict__.update(grid=grid, octant=octant, space="real")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        full = _unfold(self.grid, self.octant)
+        full.setflags(write=False)
+        return full
+
+
 def make_grid(n: int, length: float, points: int) -> Grid:
     """Build a periodic cubic grid; rejects odd N, N < 16, L <= 0, n not in 1..3, non-integer n or N, non-real L."""
     return Grid(n=n, length=length, points=points)
@@ -348,11 +378,14 @@ def _unfold(grid: Grid, octant: np.ndarray) -> np.ndarray:
 
 
 def _is_even(grid: Grid, values: np.ndarray) -> bool:
-    """Whether a full-grid array is exactly even: equal, value for value, to the unfolding of its octant.
+    """Whether an array is exactly even: an octant always, a full-grid array when it equals, value for value, the
+    unfolding of its octant.
 
     Each axis is compared with its mirror image j <-> N - j through views, so
     no full-grid array is built.
     """
+    if values.shape == grid.octant_shape:
+        return True
     half = grid.points // 2
     for ax in grid.axes:
         lead = (slice(None),) * ax
@@ -370,25 +403,37 @@ def _one_grid(fields, grid: Grid | None = None) -> Grid:
     return grid
 
 
-def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
-    """The grid and samples of real-space fields on one grid (`grid`, if given); else a ValueError."""
+def _real_grid(fields, grid: Grid | None = None) -> Grid:
+    """The grid of real-space fields on one grid (`grid`, if given); else a ValueError."""
     grid = _one_grid(fields, grid)
     if any(f.space != "real" for f in fields):
         raise ValueError("requires real-space fields, got a frequency-space field")
-    return grid, [f.values for f in fields]
+    return grid
+
+
+def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
+    """The grid and samples of real-space fields on one grid (`_real_grid`)."""
+    return _real_grid(fields, grid), [f.values for f in fields]
+
+
+def _stored(f: SpectralField) -> np.ndarray:
+    """The array a real-space field stores: an `_EvenField`'s octant, any other field's samples."""
+    return f.octant if isinstance(f, _EvenField) else f.values
 
 
 def _kernel_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
     """The grid of real-space fields, the arrays the kernel works on, and the frequencies of their coefficients.
 
-    If every field is exactly even (equal, bit for bit, to the unfolding of its
-    octant) the octants are returned with `octant_xi_sq`; otherwise the samples
-    themselves, whose transforms live on the full lattice, with `xi_sq`.
+    If every field is exactly even (a stored octant, or samples equal, bit for
+    bit, to the unfolding of their octant) the octants are returned with
+    `octant_xi_sq`; otherwise the samples themselves, whose transforms live on
+    the full lattice, with `xi_sq`.
     """
-    grid, arrays = _real_values(*fields)
+    grid = _real_grid(fields)
+    arrays = [_stored(f) for f in fields]
     if all(_is_even(grid, a) for a in arrays):
         return grid, [_octant(grid, a) for a in arrays], grid.octant_xi_sq
-    return grid, arrays, grid.xi_sq
+    return grid, [f.values for f in fields], grid.xi_sq
 
 
 def _forward(

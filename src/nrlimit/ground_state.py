@@ -34,10 +34,11 @@ cached DCT-I matrix in 3D (one in 1D), on larger grids one
 `numpy.fft.rfft` per axis (`grid._dct`).  The mixer's small Gram system is
 solved in Python floats (`_small_solve`): no LAPACK call.
 
-The solve is the private core `_solve_octant`, which keeps the octant.
-`solve` unfolds its last iterate once into the public result; the c-sweep
-and the CLI's reference solve run the core directly and never build a
-full-grid field.
+The solve is the private core `_solve_octant`, which `solve` and the c-sweep
+call.  Its result is a `GroundStateResult` whose field is the last iterate
+kept as its octant (`grid._EvenField`): it unfolds to the full grid only
+where a caller reads `values`, such as `nrlimit solve`'s field output.  Every
+diagnostic, and a solve started from a solved field, reads the octant.
 """
 
 from __future__ import annotations
@@ -46,21 +47,21 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     Grid,
     SpectralField,
+    _EvenField,
     _forward,
     _inverse,
     _kernel_values,
     _lattice_dot,
     _prolonged,
-    _real_values,
+    _real_grid,
     _recentered_octant,
-    _unfold,
+    _stored,
     sobolev_norm,
 )
 from .nonlinearity import NonlinearitySpec, _term_values
@@ -112,6 +113,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """A solve's last iterate and its record; a solved field is exactly even and keeps its octant."""
+
     field: SpectralField
     residual: float
     action: float
@@ -262,33 +265,6 @@ def _action_value(
     return 0.5 * quad - pairing / nl.variational_exponent
 
 
-class _OctantSolve(NamedTuple):
-    octant: np.ndarray
-    residual_history: tuple[float, ...]
-    iterations: int
-    action: float
-    converged: bool
-    coarse_iterations: int = 0
-    coarse_start: bool = False
-
-    @property
-    def residual(self) -> float:
-        return self.residual_history[-1]
-
-    def result(self, grid: Grid) -> GroundStateResult:
-        """The public result: the octant unfolded once, to the exactly even full-grid field."""
-        return GroundStateResult(
-            field=SpectralField._owned(grid, _unfold(grid, self.octant)),
-            residual=self.residual,
-            action=self.action,
-            iterations=self.iterations,
-            converged=self.converged,
-            residual_history=self.residual_history,
-            coarse_iterations=self.coarse_iterations,
-            coarse_start=self.coarse_start,
-        )
-
-
 @lru_cache(maxsize=16)
 def _coarse_grid(grid: Grid) -> Grid | None:
     """The N/2 grid of a two-level solve on `grid`, or None where there is none.
@@ -311,7 +287,7 @@ def _coarse_grid(grid: Grid) -> Grid | None:
 
 def _solve_octant(
     op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, u: np.ndarray, cfg: SolverConfig
-) -> _OctantSolve:
+) -> GroundStateResult:
     """The solve of `solve` from the start octant u, to cfg's tolerance and iteration cap, on two levels.
 
     Where `_coarse_grid` gives an N/2 grid, `_solve_level` first runs there
@@ -336,12 +312,12 @@ def _solve_octant(
         except GroundStateError:
             pass  # the fine loop starts from u
     if low is not None and low.converged:
-        start = _prolonged(coarse, grid, low.octant)
+        start = _prolonged(coarse, grid, low.field.octant)
         fine = _solve_level(op, nl, grid, start, cfg, start_limit=math.sqrt(cfg.tolerance))
         if fine is not None:
-            return fine._replace(coarse_iterations=low.iterations, coarse_start=True)
+            return replace(fine, coarse_iterations=low.iterations, coarse_start=True)
     fine = _solve_level(op, nl, grid, u, cfg)
-    return fine if low is None else fine._replace(coarse_iterations=low.iterations)
+    return fine if low is None else replace(fine, coarse_iterations=low.iterations)
 
 
 def _solve_level(
@@ -351,12 +327,12 @@ def _solve_level(
     u: np.ndarray,
     cfg: SolverConfig,
     start_limit: float = math.inf,
-) -> _OctantSolve | None:
+) -> GroundStateResult | None:
     """The iteration on one grid from the start octant u (never written to), to cfg's tolerance and iteration cap.
 
-    Returns the last iterate's octant, the residual history, the iteration
-    count, the action and whether the last residual met cfg.tolerance;
-    cfg.initial_guess is not read.  If the start's own residual exceeds
+    Returns the last iterate as an `_EvenField` on its octant, with the
+    residual history, the iteration count, the action and whether the last
+    residual met cfg.tolerance; cfg.initial_guess is not read.  If the start's own residual exceeds
     `start_limit`, returns None after that one evaluation.
 
     The iterate is held as samples x and DCT-I coefficients uh; the mixer
@@ -423,7 +399,8 @@ def _solve_level(
             mixer.restart()
 
     action_value = _action_value(grid, sym, nl, x, uh, nu, work)
-    return _OctantSolve(x, tuple(history), iterations, action_value, bool(history[-1] <= cfg.tolerance))
+    converged = bool(history[-1] <= cfg.tolerance)
+    return GroundStateResult(_EvenField(grid, x), history[-1], action_value, iterations, converged, tuple(history))
 
 
 def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
@@ -434,11 +411,12 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     was not reached within max_iterations; raises GroundStateError on collapse
     to the zero field or on a non-finite iterate or residual.  The stabilized
     map is Anderson-mixed with depth ANDERSON_DEPTH.  The default Gaussian is
-    sampled on the octant directly; a field guess that is exactly even with
-    its peak at the center (a solved field) enters as its octant, any other
-    is recentered and symmetrized once.  From then on the whole solve runs
-    on the octant (`_solve_octant`), and the result is unfolded once, so it
-    is exactly even; of the CLI's commands only `nrlimit solve` comes here.
+    sampled on the octant directly; a solved field enters as the octant it
+    stores, another field that is exactly even with its peak at the center as
+    its octant, any other is recentered and symmetrized once.  From then on
+    the whole solve runs on the octant (`_solve_octant`), and the result's
+    field is exactly even: it keeps the last iterate's octant and builds the
+    full-grid `values` only when they are read.
     On 3D grids with N >= 64 (N/2 even) the solve first runs on the N/2
     grid and the fine loop starts from that solution's prolongation when its
     residual is at most sqrt(tolerance): the result's iterations,
@@ -456,9 +434,9 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     if cfg.initial_guess is None:
         u = _octant_gaussian(grid)
     else:
-        _, (guess,) = _real_values(cfg.initial_guess, grid=grid)
-        u = _recentered_octant(grid, guess)
-    return _solve_octant(op, nl, grid, u, cfg).result(grid)
+        _real_grid((cfg.initial_guess,), grid)
+        u = _recentered_octant(grid, _stored(cfg.initial_guess))
+    return _solve_octant(op, nl, grid, u, cfg)
 
 
 def _field_state(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec):
@@ -491,6 +469,7 @@ def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     """
     grid, sym, values, uh, nu = _field_state(u, op, nl)
     return _action_value(grid, sym, nl, values, uh, nu)
+
 
 
 def initialization_stability(

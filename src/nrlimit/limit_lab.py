@@ -7,6 +7,12 @@ point started from that state and kept on the octant, and records
 per-order difference norms, the H^{-1} defect residual, the projection
 coefficient of the difference onto the reference state, action values and
 sup-norm table entries.
+
+Every diagnostic is one public function: the CLI calls the same `sweep`,
+`nondegeneracy_gap`, `linearization_identity_residual` and
+`optimality_forms` as any other caller.  A solved reference is exactly even
+and stores its octant (`grid._EvenField`), so each of them reads that octant
+and takes its own DCT-I of it; none builds a full-grid field.
 """
 
 from __future__ import annotations
@@ -31,9 +37,10 @@ from .grid import (
     _lattice_sum,
     _octant,
     _pair,
-    _real_values,
+    _real_grid,
     _recentered_octant,
     _sobolev_weight,
+    _stored,
     _spectral_integral,
     _spectral_norm,
 )
@@ -177,11 +184,14 @@ def sweep(
 
     The nonrelativistic reference is solved once, from cfg.initial_guess (or
     supplied precomputed on the same grid; it must then be exactly even, as
-    every `solve` result is).  cfg.initial_guess seeds the reference solve
-    only: every c point starts from the reference's octant, which lies within
-    O(c^-2) of its solution, and no point's start depends on another's.  Each
-    point runs and is recorded on the octant, with the numbers
-    `convergence_record` gives for `solve`'s field seeded with the reference,
+    every `solve` result is, and a solved one is read from the octant it
+    stores).  An unconverged reference is a SweepError before any point is
+    solved.  cfg.initial_guess seeds the reference solve only: every c point
+    starts from the reference's octant, which lies within O(c^-2) of its
+    solution, and no point's start depends on another's.  Each point runs
+    and is recorded on the octant, with the numbers `convergence_record`
+    gives for `solve`'s field seeded with the reference; the reference is
+    transformed once, each record transforms its point and the difference,
     and no full-grid field is built.  A non-converged point aborts with
     SweepError carrying the records of the points that did converge.  c
     values, orders and a supplied reference (grid, representation, evenness)
@@ -190,32 +200,22 @@ def sweep(
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
     if u_inf is not None:
-        _, (ref,) = _real_values(u_inf.field, grid=grid)
-        if not _is_even(grid, ref):
+        _real_grid((u_inf.field,), grid)
+        if not _is_even(grid, _stored(u_inf.field)):
             raise ValueError("a supplied reference must be exactly even, as a solved field is")
     else:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
-        ref = u_inf.field.values
-    octant = _octant(grid, ref)
-    reference = _Reference(grid, octant, _forward(grid, octant), grid.octant_xi_sq)
-    return _sweep_octant(c_values, s_values, nl, cfg, reference, u_inf.converged, threads)
-
-
-def _sweep_octant(
-    c_values, s_values, nl: NonlinearitySpec, cfg: SolverConfig, ref: _Reference, converged: bool, threads: int
-) -> list[ConvergenceRecord]:
-    """The c points of `sweep` (checked c values and orders), each started from the recentred `ref.values` and
-    recorded against `ref` and its coefficients; an unconverged reference is a SweepError before any solve."""
-    if not converged:
+    if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
-    grid = ref.grid
-    seed = _recentered_octant(grid, ref.values)
+    octant = _octant(grid, _stored(u_inf.field))
+    ref = _Reference(grid, octant, _forward(grid, octant), grid.octant_xi_sq)
+    seed = _recentered_octant(grid, octant)
 
     def sweep_point(c: float) -> ConvergenceRecord | None:
         point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
         if not point.converged:
             return None
-        return _record(ref, point.octant, c, s_values, point.action)
+        return _record(ref, point.field.octant, c, s_values, point.action)
 
     if threads > 1:
         # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
@@ -279,16 +279,6 @@ def _defect_residual(grid: Grid, xi_sq: np.ndarray, coeff: np.ndarray, c: float)
     return _spectral_norm(grid, 1.0 / (1.0 + xi_sq), symbol_defect(pseudo_relativistic(c), xi_sq) * coeff)
 
 
-def _octant_reference(grid: Grid, values: np.ndarray) -> _Reference:
-    """The gap's gate: `values` (a full-grid array or an octant) through `_recentered_octant`.
-
-    A solved octant is its own recentred octant, so the CLI hands the
-    reference solve's octant here once and reads every diagnostic from it.
-    """
-    octant = _recentered_octant(grid, values)
-    return _Reference(grid, octant, _forward(grid, octant), grid.octant_xi_sq)
-
-
 def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     """Smallest constrained Rayleigh quotient <Lv, v>_{L^2} / ||v||_{H^1}^2.
 
@@ -306,15 +296,10 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     The constraint is deflated by explicit projection inside every
     matrix-vector product.  A nonpositive return signals a defective
     reference state or projection; it is reported as computed, never
-    clipped.
+    clipped.  A solved reference enters as the octant it stores.
     """
-    grid, (values,) = _real_values(u_inf)
-    return _gap(_octant_reference(grid, values), nl)
-
-
-def _gap(ref: _Reference, nl: NonlinearitySpec) -> float:
-    """`nondegeneracy_gap` of an `_octant_reference`."""
-    grid, u0 = ref.grid, ref.values
+    grid = _real_grid((u_inf,))
+    u0 = _recentered_octant(grid, _stored(u_inf))
     nl.validate_dimension(grid.n)
 
     b_half = np.sqrt(1.0 + grid.octant_xi_sq)
@@ -323,7 +308,7 @@ def _gap(ref: _Reference, nl: NonlinearitySpec) -> float:
     to_z = scale / b_half  # N'(u0) coefficients -> B^{-1/2} N'(u0) in z
     apply_derivative = _derivative(nl, grid, u0)
 
-    y = (scale * b_half * ref.coeff).ravel()
+    y = (scale * b_half * _forward(grid, u0)).ravel()
     y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
@@ -477,14 +462,9 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     evaluated on its octant, any other on the full lattice; four whole-field
     transforms for Hartree, two for powers.
     """
-    grid, (values,), xi_sq = _kernel_values(u_inf)
-    return _identity_residual(_Reference(grid, values, _forward(grid, values), xi_sq), nl)
-
-
-def _identity_residual(ref: _Reference, nl: NonlinearitySpec) -> float:
-    """`linearization_identity_residual` of a `_Reference`; three whole-field transforms for Hartree, one for powers."""
-    grid, u, uh, xi_sq = ref
+    grid, (u,), xi_sq = _kernel_values(u_inf)
     nl.validate_dimension(grid.n)
+    uh = _forward(grid, u)
     h1 = 1.0 + xi_sq
     bu = _inverse(grid, h1 * uh)
     lu = bu - _derivative(nl, grid, u)(u)
@@ -507,18 +487,14 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
 def optimality_forms(u_inf: SpectralField, c_values) -> list[float]:
     """`optimality_functional` at each c of `c_values`, from one transform of u_inf."""
     grid, (coeff,), xi_sq = _coefficients(u_inf)
-    return _optimality_forms(grid, coeff, xi_sq, c_values)
-
-
-def _optimality_forms(grid: Grid, coeff: np.ndarray, xi_sq: np.ndarray, c_values) -> list[float]:
-    """`optimality_forms` of the field with kernel coefficients `coeff` at frequencies `xi_sq`; no transform."""
     ref_sq = _abs_sq(coeff)
     return [_spectral_integral(grid, symbol_defect(pseudo_relativistic(c), xi_sq), ref_sq) for c in c_values]
 
 
-def _reference_norms(ref: _Reference, s_values) -> tuple[dict[float, float], float]:
-    """H^s norms of a `_Reference` at each order, and ||Delta u_inf||_{L^2}^2; no transform."""
-    grid, xi_sq, ref_sq = ref.grid, ref.xi_sq, _abs_sq(ref.coeff)
+def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float], float]:
+    """H^s norms of a reference field at each order, and ||Delta u_inf||_{L^2}^2, from one transform."""
+    grid, (coeff,), xi_sq = _coefficients(u_inf)
+    ref_sq = _abs_sq(coeff)
     norms = {float(s): float(np.sqrt(_spectral_integral(grid, _sobolev_weight(xi_sq, s), ref_sq))) for s in s_values}
     return norms, _spectral_integral(grid, xi_sq * xi_sq, ref_sq)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _coefficients, _inverse, _unfold
+from .grid import Grid, SpectralField, _EvenField, _coefficients, _inverse
 
 __all__ = [
     "OperatorSpec",
@@ -92,7 +92,8 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
     """Multiply spectral coefficients by the symbol or its reciprocal.
 
     The reciprocal is always well defined since the symbol is >= 1 on the
-    lattice.  Output representation matches the input representation.
+    lattice.  Output representation matches the input representation; the
+    output of an exactly even real field is exactly even and keeps its octant.
     """
     if mode not in ("forward", "inverse_of_symbol"):
         raise ValueError(f"mode must be 'forward' or 'inverse_of_symbol', got {mode!r}")
@@ -102,7 +103,7 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
     if f.space == "freq":
         return SpectralField(grid, coeff * grid.cell_volume, space="freq")
     out = _inverse(grid, coeff)
-    return SpectralField._owned(grid, _unfold(grid, out) if out.shape == grid.octant_shape else out)
+    return _EvenField(grid, out) if out.shape == grid.octant_shape else SpectralField._owned(grid, out)
 
 
 def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:

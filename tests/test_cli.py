@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -272,10 +274,10 @@ class TestSweepCommand:
 
     def test_octant_sweep_reads_the_reference_coefficients(self, monkeypatch, transform_counts):
         # a record reads the reference's coefficients and transforms only its point and the difference;
-        # the public sweep adds one transform of its reference octant
+        # the sweep adds one transform of the octant its solved reference stores, and unfolds nothing
         config = parse_config(json.dumps({"command": "sweep", "grid": {"N": 256}, "operator": {"c_list": [4, 8, 16]}}))
         nl, cfg = config.nonlinearity_spec(), config.solver_config()
-        u_inf = cli._reference_solve(config)
+        u_inf = nr.solve(nr.nonrelativistic(), nl, config.grid, cfg)
         solves = []
         solve_octant = nr.limit_lab._solve_octant
 
@@ -286,17 +288,52 @@ class TestSweepCommand:
             return point
 
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
-        ref = nr.limit_lab._octant_reference(config.grid, u_inf.octant)
         before = transform_counts["dct"]
-        records = nr.limit_lab._sweep_octant(config.c_list, [0.5, 1.0], nl, cfg, ref, True, 1)
+        records = nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=u_inf)
         assert len(records) == len(solves) == 3
-        assert transform_counts["dct"] - before - sum(solves) == 2 * 3
+        assert transform_counts["dct"] - before - sum(solves) == 2 * 3 + 1
+        assert "values" not in vars(u_inf.field)
 
+        # a plain full-grid copy of the reference is found exactly even and gives the same records
+        plain = dataclasses.replace(u_inf, field=nr.SpectralField(config.grid, u_inf.field.values))
         solves.clear()
         before = transform_counts["dct"]
-        public = nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=u_inf.result(config.grid))
+        assert nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=plain) == records
         assert transform_counts["dct"] - before - sum(solves) == 2 * 3 + 1
-        assert public == records
+
+
+class TestPublicPath:
+    """The CLI walks solve -> sweep -> gap and report through the public
+    library, the same functions any caller uses (and the benchmark's tracer
+    spans), not through private kernels of its own."""
+
+    SOLVER, LAB = "ground_state", "limit_lab"
+    # the private kernels that each public diagnostic was folded into
+    FOLDED = {"_gap", "_identity_residual", "_optimality_forms", "_sweep_octant", "_octant_reference"}
+
+    def test_cli_imports_no_private_solver_name_and_no_folded_kernel(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = {self.SOLVER: set(), self.LAB: set()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                # a module object would let private names through as attributes
+                assert not {a.name.rsplit(".", 1)[-1] for a in node.names} & set(names)
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rsplit(".", 1)[-1]
+                assert not {a.name for a in node.names} & set(names), "import names from the module instead"
+                if module in names:
+                    names[module] |= {a.name for a in node.names}
+        assert names[self.SOLVER] and names[self.LAB]
+        assert [name for name in names[self.SOLVER] if name.startswith("_")] == []
+        assert names[self.LAB] & self.FOLDED == set()
+        assert {"solve", "sweep", "nondegeneracy_gap", "linearization_identity_residual"} <= (
+            names[self.SOLVER] | names[self.LAB]
+        )
+
+    def test_the_folded_kernels_and_the_second_result_type_are_gone(self):
+        assert self.FOLDED & set(vars(nr.limit_lab)) == set()
+        assert not hasattr(nr.ground_state, "_OctantSolve") and not hasattr(nr.GroundStateResult, "result")
+        assert not hasattr(cli, "_reference_solve")
 
 
 class TestNondegCommand:
@@ -328,10 +365,12 @@ def _src_env() -> dict[str, str]:
 class TestProcessFootprint:
     """What a CLI run loads and calls, each in a fresh interpreter: the first
     LAPACK call of a process costs about 1 MB of peak RSS, loading numpy.fft
-    about 0.6 MB, and unfolding the 64^3 reference 2 MB plus its copy."""
+    about 0.6 MB, and unfolding the 64^3 reference 2 MB.  A solved field
+    unfolds its octant through `grid._unfold` on the first read of its
+    values, so refusing that function refuses every unfolding."""
 
     REFUSE_LAPACK = (
-        "import sys, numpy as np, nrlimit.cli as cli, nrlimit.ground_state as gs\n"
+        "import sys, numpy as np, nrlimit.cli as cli, nrlimit.grid as grid\n"
         "def refuse(*args, **kwargs):\n"
         "    raise AssertionError('refused call')\n"
         "np.linalg.solve = np.linalg.eigh = np.linalg.eigvalsh = refuse\n"
@@ -346,11 +385,23 @@ class TestProcessFootprint:
         args += ["--override", "problem.nonlinearity=hartree", "--override", "grid.N=32"]
         self.run_fresh(
             self.REFUSE_LAPACK
-            + "gs._unfold = refuse\n"
+            + "grid._unfold = refuse\n"
             + f"assert cli.main({args!r}) == 0\n"
             + "assert 'numpy.fft._pocketfft_umath' not in sys.modules\n"
         )
         assert json.loads((tmp_path / "n" / "nondeg.json").read_text())["positive"] is True
+
+    def test_3d_report_keeps_the_reference_on_the_octant_and_loads_no_numpy_fft(self, tmp_path):
+        # the benchmark's 64^3 Hartree report: five solves, the sweep, the gap and every reference diagnostic
+        args = ["report", "--out", str(tmp_path / "r"), "--override", "problem.n=3"]
+        args += ["--override", "problem.nonlinearity=hartree"]
+        self.run_fresh(
+            self.REFUSE_LAPACK
+            + "grid._unfold = refuse\n"
+            + f"assert cli.main({args!r}) == 0\n"
+            + "assert 'numpy.fft._pocketfft_umath' not in sys.modules\n"
+        )
+        assert "checks passed" in (tmp_path / "r" / "report.md").read_text()
 
     def test_1d_report_makes_no_lapack_call(self, tmp_path):
         # exit 4: the s=4 uniform bound is the one known FAIL row
@@ -449,7 +500,7 @@ class TestReportCommand:
         # the Taylor window at c = 1 needs 2 pi / L <= 1/2, that is L >= 4 pi
         solves = []
         monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: solves.append(args))
-        monkeypatch.setattr(cli, "_solve_octant", lambda *args, **kwargs: solves.append(args))
+        monkeypatch.setattr(nr.ground_state, "_solve_octant", lambda *args, **kwargs: solves.append(args))
         out = tmp_path / command
         assert main([command, "--out", str(out), "--override", "grid.L=8", "--override", "grid.N=256"]) == 2
         assert "grid.L:" in capsys.readouterr().err
@@ -516,7 +567,7 @@ class TestReportCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("unfolded a field")
 
-        monkeypatch.setattr(nr.ground_state, "_unfold", refuse)
+        monkeypatch.setattr(nr.grid, "_unfold", refuse)
         out = tmp_path / "r"
         assert main(["report", "--out", str(out), *SWEEP_OVERRIDES]) == 4
         assert "| soliton profile (sup error vs exact) | 3.183e-07 |" in (out / "report.md").read_text()
@@ -885,7 +936,7 @@ class TestBenchmarkArtifacts:
             solves.append(result)
             return result
 
-        monkeypatch.setattr(cli, "_solve_octant", recorded)
+        monkeypatch.setattr(nr.ground_state, "_solve_octant", recorded)
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
         assert main([*wl.cli_args, "--out", str(tmp_path / "report")]) == wl.expected_exit
         reference, *points = solves

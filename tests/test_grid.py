@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import os
@@ -16,6 +17,7 @@ import nrlimit as nr
 from conftest import random_field, smooth_random_field
 from nrlimit.grid import (
     _MATRIX_DCT_MAX_POINTS,
+    _EvenField,
     _dct,
     _dct_matrix,
     _even_part,
@@ -624,6 +626,65 @@ class TestFullLatticeOnDemand:
             tw = t[window]
             expected = float(np.max(c**2 * nr.symbol_defect(spec, tw) / (tw * tw)))
             assert nr.taylor_residual(spec, grid, 0.5) == expected
+
+
+def _diagnostics(u_c, u_inf, nl) -> dict:
+    """Every public diagnostic of a solved pair, as floats, records or sample arrays."""
+    op = nr.pseudo_relativistic(4.0)
+    return {
+        "sobolev_norm": nr.sobolev_norm(u_inf, 1.5),
+        "inner_product": nr.inner_product(u_c, u_inf, "H1"),
+        "residual": nr.residual(u_inf, nr.nonrelativistic(), nl),
+        "action": nr.action(u_c, op, nl),
+        "nondegeneracy_gap": nr.nondegeneracy_gap(u_inf, nl),
+        "linearization_identity_residual": nr.linearization_identity_residual(u_inf, nl),
+        "optimality_forms": nr.optimality_forms(u_inf, [4.0, 16.0]),
+        "h_minus1_residual": nr.h_minus1_residual(u_c, 4.0),
+        "convergence_record": nr.convergence_record(u_c, u_inf, 4.0, [0.5, 1.0, 2.0], 0.25),
+        "apply_multiplier": nr.apply_multiplier(u_inf, op),
+    }
+
+
+class TestEvenField:
+    """A solved field is an `_EvenField`: it stores its octant, and its values
+    are the unfolding of that octant, built on first read and kept.  Every
+    public diagnostic reads the stored octant, and gives what it gives for a
+    plain full-grid copy of the field."""
+
+    @pytest.fixture(scope="class", params=[1, 3], ids=["1d", "3d"])
+    def solved(self, request):
+        grid = nr.make_grid(1, 16.0, 64) if request.param == 1 else nr.make_grid(3, 8.0, 16)
+        nl = nr.power(3) if grid.n == 1 else nr.hartree()
+        u_inf = nr.solve(nr.nonrelativistic(), nl, grid)
+        u_c = nr.solve(nr.pseudo_relativistic(4.0), nl, grid)
+        assert u_inf.converged and u_c.converged
+        return grid, nl, u_c.field, u_inf.field
+
+    def test_values_are_the_unfolded_octant_built_once(self, solved):
+        grid, _, _, field = solved
+        assert isinstance(field, _EvenField) and isinstance(field, nr.SpectralField)
+        assert field.space == "real" and field.octant.shape == grid.octant_shape
+        assert not field.octant.flags.writeable
+        values = field.values
+        assert np.array_equal(values, _unfold(grid, field.octant))
+        assert values.shape == grid.shape and not values.flags.writeable
+        assert field.values is values
+        for name in ("values", "octant", "grid", "space"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(field, name, None)
+        assert field.values is values
+
+    def test_diagnostics_read_the_octant_and_match_a_plain_copy(self, solved):
+        grid, nl, solved_c, solved_inf = solved
+        # fresh fields on the same octants, so that no earlier read has unfolded them
+        u_c, u_inf = _EvenField(grid, solved_c.octant), _EvenField(grid, solved_inf.octant)
+        lazy = _diagnostics(u_c, u_inf, nl)
+        assert "values" not in vars(u_c) and "values" not in vars(u_inf)
+        plain = _diagnostics(nr.SpectralField(grid, u_c.values), nr.SpectralField(grid, u_inf.values), nl)
+        # the octant multiplier's output is an exactly even field too
+        assert isinstance(lazy["apply_multiplier"], _EvenField)
+        assert np.array_equal(lazy.pop("apply_multiplier").values, plain.pop("apply_multiplier").values)
+        assert lazy == plain
 
 
 class TestSnapshots:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ class TestEvenOctant:
         res = _solve_octant(nr.nonrelativistic(), nl, grid, start, nr.SolverConfig())
         assert any(moves)
         assert res.converged
-        assert np.max(np.abs(res.octant - _octant(grid, centred.field.values))) <= 1e-10
+        assert np.max(np.abs(res.field.octant - _octant(grid, centred.field.values))) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_shifted_non_even_guess_converges_to_the_centred_state(self, n):
@@ -363,7 +364,7 @@ class TestTwoLevel:
         assert two_level.residual_history == one_level.residual_history
         assert two_level.iterations == one_level.iterations
         assert two_level.action == one_level.action
-        assert np.array_equal(two_level.octant, one_level.octant)
+        assert np.array_equal(two_level.field.octant, one_level.field.octant)
 
     @pytest.mark.parametrize("op", [nr.nonrelativistic(), nr.pseudo_relativistic(32.0)], ids=["c=inf", "c=32"])
     def test_64_cube_starts_from_the_coarse_solution(self, grid3d, op):
@@ -375,7 +376,7 @@ class TestTwoLevel:
         assert res.iterations <= 5
         assert nr.residual(res.field, op, nl) == res.residual
         one_level = _solve_level(op, nl, grid3d, _octant_gaussian(grid3d), self.CFG)
-        assert np.max(np.abs(_octant(grid3d, res.field.values) - one_level.octant)) <= 1e-12
+        assert np.max(np.abs(res.field.octant - one_level.field.octant)) <= 1e-12
 
     def test_a_converged_guess_is_replaced_by_the_prolongation(self, grid3d):
         # the guess's own residual is not checked: the solve runs both levels
@@ -407,7 +408,7 @@ class TestTwoLevel:
                 return level(op, nl, grid, u, cfg, **kwargs)
             if failure == "raises":
                 raise nr.GroundStateError("coarse failure")
-            return level(op, nl, grid, u, cfg)._replace(converged=False)
+            return replace(level(op, nl, grid, u, cfg), converged=False)
 
         monkeypatch.setattr(nr.ground_state, "_solve_level", failing)
         res = _solve_octant(op, nl, grid3d, start, self.CFG)
@@ -560,8 +561,9 @@ def _traced_peak(call) -> int:
 class TestMemory:
     """A warm 64^3 Hartree solve iterates in arrays allocated once per solve
     (sixteen 33^3 octants, 4.6 MB; the per-step temporaries they replaced
-    peaked at 5.5 MB), and its public result keeps the one full-grid array
-    the unfolding writes (2.1 MB; a copy of it peaked at 4.2 MB)."""
+    peaked at 5.5 MB), and its result's field keeps the octant: the first read
+    of its values keeps the one full-grid array the unfolding writes (2.1 MB;
+    a copy of it peaked at 4.2 MB)."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -576,12 +578,13 @@ class TestMemory:
 
     def test_result_keeps_the_unfolded_array(self, problem):
         grid, args = problem
-        solved = _solve_octant(*args)
-        results = []
-        assert _traced_peak(lambda: results.append(solved.result(grid))) <= 2.2e6
-        values = results[0].field.values
+        field = _solve_octant(*args).field
+        reads = []
+        assert _traced_peak(lambda: reads.append(field.values)) <= 2.2e6
+        values = reads[0]
         assert not values.flags.writeable
-        assert np.array_equal(_octant(grid, values), solved.octant)
+        assert field.values is values
+        assert np.array_equal(_octant(grid, values), field.octant)
 
 
 class TestFailureModes:
