@@ -35,7 +35,6 @@ from .grid import (
     Grid,
     SpectralField,
     inner_product,
-    lp_norm,
     make_grid,
     recenter,
     sobolev_norm,
@@ -56,12 +55,10 @@ from .operators import (
 )
 from .nonlinearity import (
     NonlinearitySpec,
-    RatioStats,
     evaluate,
     hartree,
     hartree_potential,
     linearize,
-    multilinear_ratio,
     power,
     taylor_remainder,
 )
@@ -71,7 +68,6 @@ from .ground_state import (
     SolverConfig,
     action,
     gaussian_guess,
-    initialization_stability,
     residual,
     solve,
 )

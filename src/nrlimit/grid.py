@@ -46,10 +46,10 @@ no full-grid array; only a caller that reads `values` builds it.
 
 Fields enter the kernel through one gate, which checks each input constraint
 once for every module: `_real_grid` and `_real_values` (real-space fields on
-one grid),
-`_coefficients` (coefficients of real- or frequency-space fields on one grid),
-`_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]) and
-`_recentered_octant` (recentre at the peak, take the even part, keep the octant).
+one grid), `_coefficients` (coefficients of real- or frequency-space fields on
+one grid), `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN,
+SOBOLEV_ORDER_MAX]) and `_recentered_octant` (recentre at the peak, take the
+even part, keep the octant).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "inner_product",
     "symmetrize",
     "recenter",
-    "lp_norm",
 ]
 
 SOBOLEV_ORDER_MIN = -4.0
@@ -588,11 +587,3 @@ def recenter(f: SpectralField) -> SpectralField:
     grid, (values,) = _real_values(f)
     vals = _recentered(grid, values)
     return f if vals is values else SpectralField(grid, vals)
-
-
-def lp_norm(f: SpectralField, p: float) -> float:
-    """Lebesgue L^p norm of a real-space field (cell-volume weighted), for finite p >= 1."""
-    grid, (values,) = _real_values(f)
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError(f"lp_norm requires a finite exponent p >= 1, got {p}")
-    return float((np.sum(np.abs(values) ** p) * grid.cell_volume) ** (1.0 / p))

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from .grid import (
     _real_grid,
     _recentered_octant,
     _stored,
-    sobolev_norm,
 )
 from .nonlinearity import NonlinearitySpec, _term_values
 from .operators import OperatorSpec, symbol
@@ -75,7 +73,6 @@ __all__ = [
     "residual",
     "action",
     "gaussian_guess",
-    "initialization_stability",
 ]
 
 COLLAPSE_NORM = 1.0e-8
@@ -332,8 +329,9 @@ def _solve_level(
 
     Returns the last iterate as an `_EvenField` on its octant, with the
     residual history, the iteration count, the action and whether the last
-    residual met cfg.tolerance; cfg.initial_guess is not read.  If the start's own residual exceeds
-    `start_limit`, returns None after that one evaluation.
+    residual met cfg.tolerance; cfg.initial_guess is not read.  If the
+    start's own residual exceeds `start_limit`, returns None after that one
+    evaluation.
 
     The iterate is held as samples x and DCT-I coefficients uh; the mixer
     mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
@@ -469,26 +467,3 @@ def action(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:
     """
     grid, sym, values, uh, nu = _field_state(u, op, nl)
     return _action_value(grid, sym, nl, values, uh, nu)
-
-
-
-def initialization_stability(
-    op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()
-) -> float:
-    """Max pairwise H^1 distance of solves started from perturbed initial data."""
-    guesses = [gaussian_guess(grid, width) for width in (1.0, 0.7, 1.4)]
-    bump = 1.0 + 0.1 * np.cos(2.0 * np.pi * grid.coordinates()[0] / grid.length)
-    guesses.append(SpectralField(grid, guesses[0].values * bump))
-
-    results = []
-    for g in guesses:
-        res = solve(op, nl, grid, replace(cfg, initial_guess=g))
-        if not res.converged:
-            raise GroundStateError("perturbed initialization failed to converge")
-        results.append(res.field)
-
-    worst = 0.0
-    for a, b in combinations(results, 2):
-        diff = SpectralField(grid, a.values - b.values)
-        worst = max(worst, sobolev_norm(diff, 1.0))
-    return worst

@@ -40,9 +40,9 @@ from .grid import (
     _real_grid,
     _recentered_octant,
     _sobolev_weight,
-    _stored,
     _spectral_integral,
     _spectral_norm,
+    _stored,
 )
 from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative, hartree
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _forward, _inverse, _real_values, sobolev_norm
+from .grid import Grid, SpectralField, _forward, _inverse, _real_values
 
 __all__ = [
     "NonlinearitySpec",
@@ -30,8 +30,6 @@ __all__ = [
     "hartree_potential",
     "linearize",
     "taylor_remainder",
-    "multilinear_ratio",
-    "RatioStats",
 ]
 
 LADDER_EPS = 1.0e-3  # offset used when a Sobolev exponent lands exactly on n/2
@@ -175,58 +173,3 @@ def taylor_remainder(spec: NonlinearitySpec, u0: SpectralField, w: SpectralField
     uw = _coulomb_values(grid, base * step)
     return SpectralField(grid, ww * base + 2.0 * uw * step + ww * step)
 
-
-@dataclass(frozen=True)
-class RatioStats:
-    max: float
-    mean: float
-    min: float
-    count: int
-
-
-def _power_target_order(degree: int, s: float, n: int) -> float:
-    # product of `degree` factors: target H^{degree*s - n(degree-1)/2} below n/2,
-    # H^{(n-eps)/2} exactly at n/2, H^s above n/2
-    if s > 0.5 * n:
-        return s
-    if s == 0.5 * n:
-        return 0.5 * (n - LADDER_EPS)
-    return degree * s - 0.5 * n * (degree - 1)
-
-
-def multilinear_ratio(spec: NonlinearitySpec, s: float, samples) -> RatioStats:
-    """Empirical product-estimate ratios: LHS/RHS over the given factor tuples.
-
-    Hartree samples are triples (v1, v2, v3) with
-    LHS = || (|x|^-1 * (v1 v2)) v3 ||_{H^s}; power samples are `degree`-tuples
-    with LHS the product norm in the target order. RHS is the product of the
-    factor H^s norms.  A boundedness diagnostic, not a constant estimate.
-    """
-    if s < 0.5:
-        raise ValueError(f"multilinear diagnostics require s >= 1/2, got {s}")
-    expected = 3 if spec.kind == "hartree" else spec.degree
-    ratios = []
-    for fields in samples:
-        fields = tuple(fields)
-        if len(fields) != expected:
-            raise ValueError(f"expected factor tuples of length {expected}, got {len(fields)}")
-        grid, values = _real_values(*fields)
-        denom = 1.0
-        for v in fields:
-            nv = sobolev_norm(v, s)
-            if nv == 0.0:
-                raise ValueError("multilinear diagnostics require nonzero factors")
-            denom *= nv
-        if spec.kind == "hartree":
-            spec.validate_dimension(grid.n)
-            conv = _coulomb_values(grid, values[0] * values[1])
-            lhs_field = SpectralField(grid, conv * values[2])
-            target = s
-        else:
-            lhs_field = SpectralField(grid, np.prod(values, axis=0))
-            target = _power_target_order(spec.degree, s, grid.n)
-        ratios.append(sobolev_norm(lhs_field, target) / denom)
-    if not ratios:
-        raise ValueError("no samples provided")
-    arr = np.asarray(ratios)
-    return RatioStats(float(arr.max()), float(arr.mean()), float(arr.min()), len(ratios))

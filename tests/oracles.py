@@ -7,15 +7,26 @@ integrator, and eigenvalues from dense symmetric solvers.  The one exception
 is `dense_symbol_gap_scan`, a reference for how the package evaluates a
 quantity rather than for the quantity itself.  `lattice_pairing` is the
 full-lattice spectral reference: numpy.fft of the samples, no nrlimit kernel.
+
+The last section holds lab diagnostics that only tests call (`lp_norm`,
+`multilinear_ratio`, `initialization_stability`).  They left the package's
+public surface, since no command, acceptance criterion or benchmark uses them;
+unlike the oracles they run on the package's own code.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
+import nrlimit as nr
 from nrlimit import operators
+from nrlimit.grid import _real_values
+from nrlimit.nonlinearity import LADDER_EPS, _coulomb_values
 
 
 def dense_gap_fd(length: float, num: int, profile, degree: int, shift: float = 10.0) -> float:
@@ -182,3 +193,87 @@ def lattice_multiplier(values, length: float, weight):
     """Samples of the field whose coefficients are weight(|xi|^2) times those of `values` (ifftn of the product)."""
     coeff, xi_sq = lattice_coefficients(values, length)
     return np.fft.ifftn(weight(xi_sq) * coeff).real / (length / coeff.shape[0]) ** coeff.ndim
+
+
+def lp_norm(f, p: float) -> float:
+    """Lebesgue L^p norm of a real-space field (cell-volume weighted), for finite p >= 1."""
+    grid, (values,) = _real_values(f)
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValueError(f"lp_norm requires a finite exponent p >= 1, got {p}")
+    return float((np.sum(np.abs(values) ** p) * grid.cell_volume) ** (1.0 / p))
+
+
+@dataclass(frozen=True)
+class RatioStats:
+    max: float
+    mean: float
+    min: float
+    count: int
+
+
+def _power_target_order(degree: int, s: float, n: int) -> float:
+    # product of `degree` factors: target H^{degree*s - n(degree-1)/2} below n/2,
+    # H^{(n-eps)/2} exactly at n/2, H^s above n/2
+    if s > 0.5 * n:
+        return s
+    if s == 0.5 * n:
+        return 0.5 * (n - LADDER_EPS)
+    return degree * s - 0.5 * n * (degree - 1)
+
+
+def multilinear_ratio(spec, s: float, samples) -> RatioStats:
+    """Empirical product-estimate ratios: LHS/RHS over the given factor tuples.
+
+    Hartree samples are triples (v1, v2, v3) with
+    LHS = || (|x|^-1 * (v1 v2)) v3 ||_{H^s}; power samples are `degree`-tuples
+    with LHS the product norm in the target order. RHS is the product of the
+    factor H^s norms.  A boundedness diagnostic, not a constant estimate.
+    """
+    if s < 0.5:
+        raise ValueError(f"multilinear diagnostics require s >= 1/2, got {s}")
+    expected = 3 if spec.kind == "hartree" else spec.degree
+    ratios = []
+    for fields in samples:
+        fields = tuple(fields)
+        if len(fields) != expected:
+            raise ValueError(f"expected factor tuples of length {expected}, got {len(fields)}")
+        grid, values = _real_values(*fields)
+        denom = 1.0
+        for v in fields:
+            nv = nr.sobolev_norm(v, s)
+            if nv == 0.0:
+                raise ValueError("multilinear diagnostics require nonzero factors")
+            denom *= nv
+        if spec.kind == "hartree":
+            spec.validate_dimension(grid.n)
+            conv = _coulomb_values(grid, values[0] * values[1])
+            lhs_field = nr.SpectralField(grid, conv * values[2])
+            target = s
+        else:
+            lhs_field = nr.SpectralField(grid, np.prod(values, axis=0))
+            target = _power_target_order(spec.degree, s, grid.n)
+        ratios.append(nr.sobolev_norm(lhs_field, target) / denom)
+    if not ratios:
+        raise ValueError("no samples provided")
+    arr = np.asarray(ratios)
+    return RatioStats(float(arr.max()), float(arr.mean()), float(arr.min()), len(ratios))
+
+
+def initialization_stability(op, nl, grid, cfg=nr.SolverConfig()) -> float:
+    """Max pairwise H^1 distance of solves started from perturbed initial data."""
+    guesses = [nr.gaussian_guess(grid, width) for width in (1.0, 0.7, 1.4)]
+    bump = 1.0 + 0.1 * np.cos(2.0 * np.pi * grid.coordinates()[0] / grid.length)
+    guesses.append(nr.SpectralField(grid, guesses[0].values * bump))
+
+    results = []
+    for g in guesses:
+        res = nr.solve(op, nl, grid, replace(cfg, initial_guess=g))
+        if not res.converged:
+            raise nr.GroundStateError("perturbed initialization failed to converge")
+        results.append(res.field)
+
+    worst = 0.0
+    for a, b in combinations(results, 2):
+        diff = nr.SpectralField(grid, a.values - b.values)
+        worst = max(worst, nr.sobolev_norm(diff, 1.0))
+    return worst

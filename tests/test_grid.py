@@ -33,7 +33,7 @@ from nrlimit.grid import (
     _unfold,
 )
 from nrlimit.nonlinearity import _coulomb_symbol
-from oracles import lattice_multiplier, lattice_pairing
+from oracles import lattice_multiplier, lattice_pairing, lp_norm, multilinear_ratio
 
 SMALL = nr.make_grid(1, 16.0, 64)
 
@@ -574,15 +574,15 @@ class TestRecenter:
 class TestLpNorm:
     def test_two_norm_is_the_l2_norm(self):
         f = random_field(SMALL, np.random.default_rng(9))
-        assert np.isclose(nr.lp_norm(f, 2.0), nr.sobolev_norm(f, 0.0), rtol=1e-12)
-        assert np.isclose(nr.lp_norm(f, 1), np.sum(np.abs(f.values)) * SMALL.cell_volume, rtol=1e-12)
+        assert np.isclose(lp_norm(f, 2.0), nr.sobolev_norm(f, 0.0), rtol=1e-12)
+        assert np.isclose(lp_norm(f, 1), np.sum(np.abs(f.values)) * SMALL.cell_volume, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [float("inf"), -float("inf"), float("nan"), 0.0, 0, 0.5, -1.0])
     def test_rejects_exponents_that_give_no_norm(self, p):
         # p = inf returned 1.0 for every field, p = 0 divided by zero, p < 1 is no norm
         f = random_field(SMALL, np.random.default_rng(10))
         with pytest.raises(ValueError, match="p >= 1"):
-            nr.lp_norm(f, p)
+            lp_norm(f, p)
 
 
 class TestFullLatticeOnDemand:
@@ -769,12 +769,13 @@ def _gaussian(grid):
     return nr.SpectralField(grid, np.exp(-0.5 * grid.radius_sq()))
 
 
-# every public function that works on real-space samples, with the
-# frequency-space field `uh` in one of its field slots; `u` is real
+# every public function that works on real-space samples, and the test-side
+# diagnostics lp_norm and multilinear_ratio that read them through the same
+# gate, with the frequency-space field `uh` in one of its field slots; `u` is real
 REAL_SPACE_CALLS = {
     "symmetrize": lambda u, uh, path: nr.symmetrize(uh),
     "recenter": lambda u, uh, path: nr.recenter(uh),
-    "lp_norm": lambda u, uh, path: nr.lp_norm(uh, 2.0),
+    "lp_norm": lambda u, uh, path: lp_norm(uh, 2.0),
     "residual": lambda u, uh, path: nr.residual(uh, nr.nonrelativistic(), nr.power(3)),
     "action": lambda u, uh, path: nr.action(uh, nr.nonrelativistic(), nr.power(3)),
     "solve-guess": lambda u, uh, path: nr.solve(
@@ -785,7 +786,7 @@ REAL_SPACE_CALLS = {
     "linearize-base": lambda u, uh, path: nr.linearize(nr.power(3), uh, u),
     "linearize-direction": lambda u, uh, path: nr.linearize(nr.power(3), u, uh),
     "taylor_remainder": lambda u, uh, path: nr.taylor_remainder(nr.power(3), u, uh),
-    "multilinear_ratio": lambda u, uh, path: nr.multilinear_ratio(nr.power(3), 1.0, [(u, u, uh)]),
+    "multilinear_ratio": lambda u, uh, path: multilinear_ratio(nr.power(3), 1.0, [(u, u, uh)]),
     "convergence_record-u_c": lambda u, uh, path: nr.convergence_record(uh, u, 4.0, [1.0]),
     "convergence_record-u_inf": lambda u, uh, path: nr.convergence_record(u, uh, 4.0, [1.0]),
     "nondegeneracy_gap": lambda u, uh, path: nr.nondegeneracy_gap(uh, nr.power(3)),
@@ -811,7 +812,7 @@ class TestRealSpaceGate:
         u, v = _gaussian(SMALL), _gaussian(other)
         assert u.values.shape == v.values.shape
         with pytest.raises(ValueError, match="one grid"):
-            nr.multilinear_ratio(nr.power(3), 1.0, [(u, u, v)])
+            multilinear_ratio(nr.power(3), 1.0, [(u, u, v)])
 
     def test_guess_on_another_grid_rejected(self):
         guess = _gaussian(nr.make_grid(1, 2.0 * SMALL.length, SMALL.points))

@@ -17,7 +17,7 @@ from nrlimit.ground_state import (
     _solve_level,
     _solve_octant,
 )
-from oracles import lattice_multiplier, shoot_ground_state
+from oracles import initialization_stability, lattice_multiplier, shoot_ground_state
 
 SMALL = nr.make_grid(1, 16.0, 64)
 
@@ -658,5 +658,5 @@ class TestDefaultGuess:
 class TestInitializationStability:
     def test_perturbed_starts_agree(self, grid1d):
         cfg = nr.SolverConfig(tolerance=1e-12)
-        worst = nr.initialization_stability(nr.nonrelativistic(), nr.power(3), grid1d, cfg)
+        worst = initialization_stability(nr.nonrelativistic(), nr.power(3), grid1d, cfg)
         assert worst <= 10.0 * cfg.tolerance
