@@ -335,8 +335,8 @@ def _run_solve(config: RunConfig) -> int:
 def _sweep_artifacts(config: RunConfig, s_list, threads: int):
     """Solve the sweep and assemble (records, summary dict, reference solve).
 
-    The solved reference keeps its octant, which the sweep, the gap, the
-    identity residual, the optimality forms and the reference norms each read.
+    The solved reference keeps its octant and coefficients, which the sweep,
+    the gap, the identity residual, the optimality forms and the norms read.
     """
     grid, nl, cfg = config.grid, config.nonlinearity_spec(), config.solver_config()
     ladder = sobolev_ladder(config.n, nl.variational_exponent, nl.kind, LADDER_STEPS)
@@ -389,16 +389,20 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
 
 
 def _run_sweep(config: RunConfig, threads: int) -> int:
+    """`sweep` and `report` (`_run_report`, over s_list and UNIFORM_BOUND_ORDERS), with one failure path:
+    on a SweepError, sweep.csv holds the converged points' rows and summary.json the error (exit 3)."""
+    report = config.command == "report"
+    s_list = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS))) if report else config.s_list
     try:
-        records, summary, _ = _sweep_artifacts(config, config.s_list, threads)
+        records, summary, u_inf = _sweep_artifacts(config, s_list, threads)
     except SweepError as exc:
-        (config.out_dir / "sweep.csv").write_text(_csv_rows(exc.records, config.s_list))
+        (config.out_dir / "sweep.csv").write_text(_csv_rows(exc.records, s_list))
         _json_dump(config.out_dir / "summary.json", {"error": str(exc), "partial_rows": len(exc.records)})
-        print(f"sweep aborted: {exc}", file=sys.stderr)
+        print(f"{config.command} aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    (config.out_dir / "sweep.csv").write_text(_csv_rows(records, config.s_list))
+    (config.out_dir / "sweep.csv").write_text(_csv_rows(records, s_list))
     _json_dump(config.out_dir / "summary.json", summary)
-    return EXIT_OK
+    return _run_report(config, records, summary, u_inf) if report else EXIT_OK
 
 
 def _run_nondeg(config: RunConfig) -> int:
@@ -510,15 +514,9 @@ def _checks(
     return [(name, "n/a" if v is None else f"{v:{fmt}}", bound, _meets(v, bound)) for name, fmt, bound, v in rows]
 
 
-def _run_report(config: RunConfig, threads: int) -> int:
+def _run_report(config: RunConfig, records: list[ConvergenceRecord], summary: dict, u_inf: GroundStateResult) -> int:
+    """The report's symbols.json and report.md, from the sweep `_run_sweep` has written."""
     symbols = _symbol_table(config)
-    s_all = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS)))
-    try:
-        records, summary, u_inf = _sweep_artifacts(config, s_all, threads)
-    except SweepError as exc:
-        print(f"report aborted: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-
     checks = _checks(config, records, summary, symbols, u_inf)
     lines = [
         "# Limit verification report",
@@ -541,8 +539,6 @@ def _run_report(config: RunConfig, threads: int) -> int:
         "",
     ]
 
-    (config.out_dir / "sweep.csv").write_text(_csv_rows(records, s_all))
-    _json_dump(config.out_dir / "summary.json", summary)
     _json_dump(config.out_dir / "symbols.json", symbols)
     (config.out_dir / "report.md").write_text("\n".join(lines))
     return EXIT_REPORT_FAILURE if failed else EXIT_OK
@@ -553,15 +549,13 @@ def run(config: RunConfig, threads: int = 1) -> int:
     _prepare_out_dir(config.out_dir)
     if config.command == "solve":
         return _run_solve(config)
-    if config.command == "sweep":
+    if config.command in ("sweep", "report"):
         return _run_sweep(config, threads)
     if config.command == "nondeg":
         return _run_nondeg(config)
     if config.command == "verify-symbols":
         _json_dump(config.out_dir / "symbols.json", _symbol_table(config))
         return EXIT_OK
-    if config.command == "report":
-        return _run_report(config, threads)
     raise ConfigError([f"unknown command {config.command!r}"])
 
 

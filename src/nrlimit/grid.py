@@ -26,28 +26,30 @@ Fields live in one of two representations:
 The kernel (`_forward`, `_inverse`, `_lattice_sum`, `_lattice_dot`) takes an
 octant or a full-grid array and works on the octant or the full lattice
 accordingly (on the octant, optionally in the caller's work arrays).
-`_prolonged` takes an octant to the grid with twice the points per axis by
-trigonometric interpolation, in two DCT-I transforms: the start of the
-solver's fine level.  An octant entry stands for all its mirror images, so
-octant sums carry the multiplicity weights `octant_weight`; the same weights
-serve real-space and Parseval sums.  The solver, the Coulomb convolution
-inside it, the sweep records and the gap eigensolve run on the octant;
-`_kernel_values` sends an exactly even field there and any other real field
-to the full lattice.  The full-lattice |xi|^2 array `Grid.xi_sq` is built on
-first use only.  On the octant with N <= 126 nothing calls numpy.fft, so a
-3D run at the default N = 64 never loads it.
+`_prolonged` takes an even field's coefficients to the grid with twice the
+points per axis by trigonometric interpolation, in one inverse DCT-I: the
+start of the solver's fine level.  An octant entry stands for all its mirror
+images, so octant sums carry the multiplicity weights `octant_weight`; the
+same weights serve real-space and Parseval sums.  The solver, the Coulomb
+convolution inside it, the sweep records and the gap eigensolve run on the
+octant; `_kernel_coefficients` sends an exactly even field there and any
+other real field to the full lattice.  The full-lattice |xi|^2 array
+`Grid.xi_sq` is built on first use only.  On the octant with N <= 126
+nothing calls numpy.fft, so a 3D run at the default N = 64 never loads it.
 
 A field the library computes as exactly even (a solved ground state, an
 octant multiplier's output) is an `_EvenField`: a `SpectralField` that stores
 its read-only octant (`octant`) and unfolds it into `values` on first read
-only.  The gate reads that stored octant (`_stored`), so the kernel, the
-diagnostics and a solver start take such a field with no evenness test and
-no full-grid array; only a caller that reads `values` builds it.
+only, and carries the octant's DCT-I (`coefficients`), which a solve hands
+over.  The gate reads that octant (`_stored`) and those coefficients, so the
+kernel, the diagnostics and a solver start take such a field with no
+evenness test, no full-grid array and no transform of it.
 
 Fields enter the kernel through one gate, which checks each input constraint
 once for every module: `_real_grid` and `_real_values` (real-space fields on
-one grid), `_coefficients` (coefficients of real- or frequency-space fields on
-one grid), `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN,
+one grid), `_kernel_coefficients` (the arrays the kernel works on and their
+coefficients), `_coefficients` (coefficients of real- or frequency-space
+fields on one grid), `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN,
 SOBOLEV_ORDER_MAX]) and `_recentered_octant` (recentre at the peak, take the
 even part, keep the octant).
 """
@@ -225,22 +227,33 @@ class SpectralField:
 class _EvenField(SpectralField):
     """An exactly even real-space field stored as its octant, which it owns and freezes.
 
-    `values` is the unfolding of the octant (`_unfold`), built on first read
-    and kept: bit for bit the field a full-grid constructor would hold, and
-    read-only.  Like every `SpectralField` it is immutable.
+    `values` is the unfolding of the octant (`_unfold`), bit for bit the
+    field a full-grid constructor would hold; `coefficients` is
+    `_forward(grid, octant)`, handed over by a caller that holds it bit for
+    bit (a solve).  Each is read-only, built on first read and kept.  Like
+    every `SpectralField` it is immutable.
     """
 
     octant: np.ndarray
 
-    def __init__(self, grid: Grid, octant: np.ndarray) -> None:
+    def __init__(self, grid: Grid, octant: np.ndarray, coefficients: np.ndarray | None = None) -> None:
         octant.setflags(write=False)
         self.__dict__.update(grid=grid, octant=octant, space="real")
+        if coefficients is not None:
+            coefficients.setflags(write=False)
+            self.__dict__["coefficients"] = coefficients
 
     @cached_property
     def values(self) -> np.ndarray:
         full = _unfold(self.grid, self.octant)
         full.setflags(write=False)
         return full
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        coeff = _forward(self.grid, self.octant)
+        coeff.setflags(write=False)
+        return coeff
 
 
 def make_grid(n: int, length: float, points: int) -> Grid:
@@ -336,28 +349,27 @@ def _dct(
     return out
 
 
-def _prolonged(coarse: Grid, grid: Grid, octant: np.ndarray) -> np.ndarray:
-    """The octant on `grid` of the trigonometric interpolant of an octant on `coarse`, which has N/2 points.
+def _prolonged(coarse: _EvenField, grid: Grid) -> np.ndarray:
+    """The octant on `grid` of the trigonometric interpolant of `coarse`, an even field on the grid with N/2 points.
 
     Coarse index j is fine index 2j, so both octants end at x = 0.  The
-    coarse DCT-I coefficients, times 2^n (the two inverses divide by N^n and
-    (N/2)^n), fill the low corner of a zero fine octant; the coarse Nyquist
-    index N/4 is halved once per axis, since on the fine lattice it stands
-    for the pair +-N/4.  One inverse DCT-I then gives the samples: two
-    whole-field transforms in all.
+    coarse field's `coefficients`, times 2^n (the two inverses divide by N^n
+    and (N/2)^n), fill the low corner of a zero fine octant; the coarse
+    Nyquist index N/4 is halved once per axis, since on the fine lattice it
+    stands for the pair +-N/4.  One inverse DCT-I then gives the samples.
     """
-    h = coarse.octant_shape[0]
+    h = coarse.grid.octant_shape[0]
     coeff = np.zeros(grid.octant_shape)
     low = coeff[(slice(0, h),) * grid.n]
-    np.multiply(_dct(octant), 2.0**grid.n, out=low)
+    np.multiply(coarse.coefficients, 2.0**grid.n, out=low)
     for ax in grid.axes:
         low[(slice(None),) * ax + (h - 1,)] *= 0.5
     return _inverse(grid, coeff, work=coeff)
 
 
 def _octant(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Restriction of a full-grid array to the octant (a view)."""
-    return values[grid.octant_index]
+    """Restriction of a full-grid array to the octant (a view); an octant array itself."""
+    return values if values.shape == grid.octant_shape else values[grid.octant_index]
 
 
 def _unfold(grid: Grid, octant: np.ndarray) -> np.ndarray:
@@ -420,19 +432,26 @@ def _stored(f: SpectralField) -> np.ndarray:
     return f.octant if isinstance(f, _EvenField) else f.values
 
 
-def _kernel_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
-    """The grid of real-space fields, the arrays the kernel works on, and the frequencies of their coefficients.
+def _kernel_coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """The grid of real-space fields, their kernel arrays and `_forward` coefficients, and the frequencies of those.
 
     If every field is exactly even (a stored octant, or samples equal, bit for
-    bit, to the unfolding of their octant) the octants are returned with
-    `octant_xi_sq`; otherwise the samples themselves, whose transforms live on
-    the full lattice, with `xi_sq`.
+    bit, to the unfolding of their octant): the octants, their coefficients
+    (`_carried_forward`) and `octant_xi_sq`; otherwise the samples, their
+    full-lattice transforms and `xi_sq`.
     """
     grid = _real_grid(fields)
     arrays = [_stored(f) for f in fields]
     if all(_is_even(grid, a) for a in arrays):
-        return grid, [_octant(grid, a) for a in arrays], grid.octant_xi_sq
-    return grid, [f.values for f in fields], grid.xi_sq
+        arrays = [_octant(grid, a) for a in arrays]
+        return grid, arrays, [_carried_forward(f, a) for f, a in zip(fields, arrays)], grid.octant_xi_sq
+    arrays = [f.values for f in fields]
+    return grid, arrays, [_forward(grid, a) for a in arrays], grid.xi_sq
+
+
+def _carried_forward(f: SpectralField, array: np.ndarray) -> np.ndarray:
+    """`_forward(f.grid, array)`, `array` f's kernel array: read-only and no transform if it is f's stored octant."""
+    return f.coefficients if isinstance(f, _EvenField) and array is f.octant else _forward(f.grid, array)
 
 
 def _forward(
@@ -505,13 +524,14 @@ def _sobolev_weight(xi_sq: np.ndarray | float, s: float) -> np.ndarray | float:
 def _coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
     """The grid of fields on one grid, their `_forward` coefficients and the frequencies of those.
 
-    Real-space fields go through `_kernel_values` (to the octant when every one
-    is exactly even); if any field is in frequency space, every field goes to
-    the full lattice, where its coefficients are its values divided by dx^n.
+    Real-space fields go through `_kernel_coefficients` (to the octant when
+    every one is exactly even); if any field is in frequency space, every
+    field goes to the full lattice, where its coefficients are its values
+    divided by dx^n.  Carried coefficients are read-only.
     """
     if all(f.space == "real" for f in fields):
-        grid, arrays, xi_sq = _kernel_values(*fields)
-        return grid, [_forward(grid, a) for a in arrays], xi_sq
+        grid, _, coeffs, xi_sq = _kernel_coefficients(*fields)
+        return grid, coeffs, xi_sq
     grid = _one_grid(fields)
     coeffs = [f.values / grid.cell_volume if f.space == "freq" else _forward(grid, f.values) for f in fields]
     return grid, coeffs, grid.xi_sq
@@ -567,7 +587,7 @@ def _recentered_octant(grid: Grid, values: np.ndarray, work: np.ndarray | None =
     shift and the even part would give.  The peak test takes |values| in
     `work` (an octant array, new if None).
     """
-    if values.shape != grid.octant_shape and _is_even(grid, values):
+    if _is_even(grid, values):
         values = _octant(grid, values)
     if values.shape == grid.octant_shape:
         if np.argmax(np.abs(values, out=work)) == values.size - 1:

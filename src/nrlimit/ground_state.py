@@ -27,18 +27,19 @@ The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
 transforms (N(u) forward, the mixed coefficients back), four with the
 Hartree term's Coulomb pair, and allocates no array; a level adds the start
 transform, the final N(u) and one transform per confirm (`_solve_level`),
-and a two-level solve the prolongation's two transforms, and, where the rule
-rejects the prolongation, the start transform and N(u) of its one residual.
-On grids up to N = 126 an octant transform is three products with the
-cached DCT-I matrix in 3D (one in 1D), on larger grids one
+and a two-level solve the prolongation's one inverse transform, and, where
+the rule rejects the prolongation, the start transform and N(u) of its one
+residual.  On grids up to N = 126 an octant transform is three products
+with the cached DCT-I matrix in 3D (one in 1D), on larger grids one
 `numpy.fft.rfft` per axis (`grid._dct`).  The mixer's small Gram system is
 solved in Python floats (`_small_solve`): no LAPACK call.
 
 The solve is the private core `_solve_octant`, which `solve` and the c-sweep
 call.  Its result is a `GroundStateResult` whose field is the last iterate
-kept as its octant (`grid._EvenField`): it unfolds to the full grid only
-where a caller reads `values`, such as `nrlimit solve`'s field output.  Every
-diagnostic, and a solve started from a solved field, reads the octant.
+kept as its octant and the coefficients the loop ended with
+(`grid._EvenField`): it unfolds to the full grid only where a caller reads
+`values`, such as `nrlimit solve`'s field output.  Every diagnostic, and a
+solve started from a solved field, reads those, and transforms nothing.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .grid import (
     _EvenField,
     _forward,
     _inverse,
-    _kernel_values,
+    _kernel_coefficients,
     _lattice_dot,
     _prolonged,
     _real_grid,
@@ -309,7 +310,7 @@ def _solve_octant(
         except GroundStateError:
             pass  # the fine loop starts from u
     if low is not None and low.converged:
-        start = _prolonged(coarse, grid, low.field.octant)
+        start = _prolonged(low.field, grid)
         fine = _solve_level(op, nl, grid, start, cfg, start_limit=math.sqrt(cfg.tolerance))
         if fine is not None:
             return replace(fine, coarse_iterations=low.iterations, coarse_start=True)
@@ -327,11 +328,11 @@ def _solve_level(
 ) -> GroundStateResult | None:
     """The iteration on one grid from the start octant u (never written to), to cfg's tolerance and iteration cap.
 
-    Returns the last iterate as an `_EvenField` on its octant, with the
-    residual history, the iteration count, the action and whether the last
-    residual met cfg.tolerance; cfg.initial_guess is not read.  If the
-    start's own residual exceeds `start_limit`, returns None after that one
-    evaluation.
+    Returns the last iterate as an `_EvenField` on its octant and final uh,
+    with the residual history, the iteration count, the action and whether
+    the last residual met cfg.tolerance; cfg.initial_guess is not read.  If
+    the start's own residual exceeds `start_limit`, returns None after that
+    one evaluation.
 
     The iterate is held as samples x and DCT-I coefficients uh; the mixer
     mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
@@ -339,9 +340,10 @@ def _solve_level(
     the recentring test reads them.  A mixed uh omits the round-off of x's
     own transform (up to eps max P), so a mixed residual that would stop
     the loop is confirmed on the transform of x, which is recorded and, if
-    it fails, continued from.  P_hat uh is formed once per pass, in this
-    step's image buffer (free until the image is written), and serves both
-    the residual and the Rayleigh numerator.
+    it fails, continued from: at exit uh is the transform of x bit for bit.
+    P_hat uh is formed once per pass, in this step's image buffer (free
+    until the image is written), and serves both the residual and the
+    Rayleigh numerator.
     """
     nl.validate_dimension(grid.n)
     sym = symbol(op, grid.octant_xi_sq)
@@ -398,7 +400,7 @@ def _solve_level(
 
     action_value = _action_value(grid, sym, nl, x, uh, nu, work)
     converged = bool(history[-1] <= cfg.tolerance)
-    return GroundStateResult(_EvenField(grid, x), history[-1], action_value, iterations, converged, tuple(history))
+    return GroundStateResult(_EvenField(grid, x, uh), history[-1], action_value, iterations, converged, tuple(history))
 
 
 def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig = SolverConfig()) -> GroundStateResult:
@@ -413,8 +415,8 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     stores, another field that is exactly even with its peak at the center as
     its octant, any other is recentered and symmetrized once.  From then on
     the whole solve runs on the octant (`_solve_octant`), and the result's
-    field is exactly even: it keeps the last iterate's octant and builds the
-    full-grid `values` only when they are read.
+    field is exactly even: it keeps the last iterate's octant and DCT-I
+    coefficients and builds the full-grid `values` only when they are read.
     On 3D grids with N >= 64 (N/2 even) the solve first runs on the N/2
     grid and the fine loop starts from that solution's prolongation when its
     residual is at most sqrt(tolerance): the result's iterations,
@@ -439,9 +441,9 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
 
 def _field_state(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec):
     """Grid, symbol, kernel array, its transform and N of it: what `residual` and `action` read of a field."""
-    grid, (values,), xi_sq = _kernel_values(u)
+    grid, (values,), (uh,), xi_sq = _kernel_coefficients(u)
     nl.validate_dimension(grid.n)
-    return grid, symbol(op, xi_sq), values, _forward(grid, values), _term_values(nl, grid, values)
+    return grid, symbol(op, xi_sq), values, uh, _term_values(nl, grid, values)
 
 
 def residual(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec) -> float:

@@ -10,9 +10,9 @@ sup-norm table entries.
 
 Every diagnostic is one public function: the CLI calls the same `sweep`,
 `nondegeneracy_gap`, `linearization_identity_residual` and
-`optimality_forms` as any other caller.  A solved reference is exactly even
-and stores its octant (`grid._EvenField`), so each of them reads that octant
-and takes its own DCT-I of it; none builds a full-grid field.
+`optimality_forms` as any other caller.  A solved field stores its octant
+and the DCT-I coefficients its solve ended with (`grid._EvenField`), which
+each of them reads: none transforms it again or builds a full-grid field.
 """
 
 from __future__ import annotations
@@ -21,19 +21,20 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     Grid,
     SpectralField,
+    _EvenField,
     _abs_sq,
+    _carried_forward,
     _coefficients,
     _forward,
     _inverse,
     _is_even,
-    _kernel_values,
+    _kernel_coefficients,
     _lattice_sum,
     _octant,
     _pair,
@@ -103,17 +104,6 @@ class SweepError(RuntimeError):
         self.records = records
 
 
-class _Reference(NamedTuple):
-    """A reference state as its diagnostics read it: the grid, the array the
-    kernel works on (an octant, or the full grid for a field that is not exactly
-    even), its one `_forward` transform and the frequencies of that transform."""
-
-    grid: Grid
-    values: np.ndarray
-    coeff: np.ndarray
-    xi_sq: np.ndarray
-
-
 def convergence_record(
     u_c: SpectralField,
     u_inf: SpectralField,
@@ -123,18 +113,13 @@ def convergence_record(
 ) -> ConvergenceRecord:
     """Build a sweep row from solved fields on a shared grid.
 
-    The difference and each field are transformed once, on the octant when
-    both fields are exactly even (solved fields are) and on the full lattice
-    otherwise; every norm and pairing is then read off the coefficients.
+    On the octant when both fields are exactly even (solved fields are), on
+    the full lattice otherwise.  The difference is transformed, and each
+    field that does not carry its coefficients (as a solved one does);
+    every norm and pairing is then read off the coefficients.
     """
-    grid, (uc, ref), xi_sq = _kernel_values(u_c, u_inf)
-    return _record(_Reference(grid, ref, _forward(grid, ref), xi_sq), uc, c, s_values, action_c)
-
-
-def _record(ref: _Reference, uc: np.ndarray, c: float, s_values, action_c: float) -> ConvergenceRecord:
-    """`convergence_record` of `uc` against `ref`, both octants or both full-grid arrays; two transforms."""
-    grid, xi_sq, ref_hat = ref.grid, ref.xi_sq, ref.coeff
-    w_hat, uc_hat = _forward(grid, uc - ref.values), _forward(grid, uc)
+    grid, (uc, ref), (uc_hat, ref_hat), xi_sq = _kernel_coefficients(u_c, u_inf)
+    w_hat = _forward(grid, uc - ref)
     w_sq, uc_sq = _abs_sq(w_hat), _abs_sq(uc_hat)
     h1 = 1.0 + xi_sq
     diff, sup = {}, {}
@@ -184,38 +169,37 @@ def sweep(
 
     The nonrelativistic reference is solved once, from cfg.initial_guess (or
     supplied precomputed on the same grid; it must then be exactly even, as
-    every `solve` result is, and a solved one is read from the octant it
-    stores).  An unconverged reference is a SweepError before any point is
-    solved.  cfg.initial_guess seeds the reference solve only: every c point
-    starts from the reference's octant, which lies within O(c^-2) of its
-    solution, and no point's start depends on another's.  Each point runs
-    and is recorded on the octant, with the numbers `convergence_record`
-    gives for `solve`'s field seeded with the reference; the reference is
-    transformed once, each record transforms its point and the difference,
-    and no full-grid field is built.  A non-converged point aborts with
-    SweepError carrying the records of the points that did converge.  c
-    values, orders and a supplied reference (grid, representation, evenness)
-    are checked before any solve.
+    every `solve` result is, and a plain one is wrapped once as an even
+    field whose coefficients are taken before any point starts).  An
+    unconverged reference is a SweepError before any point is solved.
+    cfg.initial_guess seeds the reference solve only: every c point starts
+    from the reference's octant, which lies within O(c^-2) of its solution,
+    and no point's start depends on another's.  Each point runs on the
+    octant and is recorded by `convergence_record` of its solved field
+    against the reference, which transforms only their difference; no
+    full-grid field is built.  A non-converged point aborts with SweepError
+    carrying the records of the points that did converge.  c values, orders
+    and a supplied reference (grid, representation, evenness) are checked
+    before any solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
-    if u_inf is not None:
-        _real_grid((u_inf.field,), grid)
-        if not _is_even(grid, _stored(u_inf.field)):
-            raise ValueError("a supplied reference must be exactly even, as a solved field is")
-    else:
+    if u_inf is None:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
+    ref = u_inf.field
+    if not _is_even(_real_grid((ref,), grid), _stored(ref)):
+        raise ValueError("a supplied reference must be exactly even, as a solved field is")
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
-    octant = _octant(grid, _stored(u_inf.field))
-    ref = _Reference(grid, octant, _forward(grid, octant), grid.octant_xi_sq)
-    seed = _recentered_octant(grid, octant)
+    ref = ref if isinstance(ref, _EvenField) else _EvenField(grid, _octant(grid, ref.values))
+    ref.coefficients  # taken here, before the points start
+    seed = _recentered_octant(grid, ref.octant)
 
     def sweep_point(c: float) -> ConvergenceRecord | None:
         point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
         if not point.converged:
             return None
-        return _record(ref, point.field.octant, c, s_values, point.action)
+        return convergence_record(point.field, ref, c, s_values, point.action)
 
     if threads > 1:
         # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
@@ -296,7 +280,7 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     The constraint is deflated by explicit projection inside every
     matrix-vector product.  A nonpositive return signals a defective
     reference state or projection; it is reported as computed, never
-    clipped.  A solved reference enters as the octant it stores.
+    clipped.  A solved reference enters as its octant and coefficients.
     """
     grid = _real_grid((u_inf,))
     u0 = _recentered_octant(grid, _stored(u_inf))
@@ -308,7 +292,7 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     to_z = scale / b_half  # N'(u0) coefficients -> B^{-1/2} N'(u0) in z
     apply_derivative = _derivative(nl, grid, u0)
 
-    y = (scale * b_half * _forward(grid, u0)).ravel()
+    y = (scale * b_half * _carried_forward(u_inf, u0)).ravel()
     y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
@@ -459,12 +443,12 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     p is the variational exponent; the identity is exact at any solution of
     the nonrelativistic equation.  Returned value is normalized by the H^2
     norm of the reference state.  An exactly even field (a solved one) is
-    evaluated on its octant, any other on the full lattice; four whole-field
-    transforms for Hartree, two for powers.
+    evaluated on its octant, any other on the full lattice; three whole-field
+    transforms for Hartree, one for powers, and one more for a field that
+    carries no coefficients.
     """
-    grid, (u,), xi_sq = _kernel_values(u_inf)
+    grid, (u,), (uh,), xi_sq = _kernel_coefficients(u_inf)
     nl.validate_dimension(grid.n)
-    uh = _forward(grid, u)
     h1 = 1.0 + xi_sq
     bu = _inverse(grid, h1 * uh)
     lu = bu - _derivative(nl, grid, u)(u)

@@ -99,7 +99,7 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
         raise ValueError(f"mode must be 'forward' or 'inverse_of_symbol', got {mode!r}")
     grid, (coeff,), xi_sq = _coefficients(f)
     values = symbol(spec, xi_sq)
-    coeff *= 1.0 / values if mode == "inverse_of_symbol" else values
+    coeff = coeff * (1.0 / values if mode == "inverse_of_symbol" else values)  # carried coefficients are read-only
     if f.space == "freq":
         return SpectralField(grid, coeff * grid.cell_volume, space="freq")
     out = _inverse(grid, coeff)

@@ -250,13 +250,17 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("operator.c_list: c values must be strictly ascending")
         assert not out.exists()
 
-    def test_partial_output_on_nonconvergence(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_partial_output_on_nonconvergence(self, tmp_path, capsys, command):
+        # sweep and report fail one way: the converged rows, the error in summary.json, exit 3
         out = tmp_path / "p"
-        code = main(["sweep", "--out", str(out), *SWEEP_OVERRIDES, "--override", "solver.max_iterations=4"])
+        code = main([command, "--out", str(out), *SWEEP_OVERRIDES, "--override", "solver.max_iterations=4"])
         assert code == 3
         assert (out / "sweep.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert "error" in summary
+        assert capsys.readouterr().err == f"{command} aborted: {summary['error']}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "sweep.csv"]
 
     def test_threads_flag_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
@@ -273,8 +277,8 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_octant_sweep_reads_the_reference_coefficients(self, monkeypatch, transform_counts):
-        # a record reads the reference's coefficients and transforms only its point and the difference;
-        # the sweep adds one transform of the octant its solved reference stores, and unfolds nothing
+        # a record reads the coefficients that the solved reference and its solved point carry and
+        # transforms only the difference; the sweep transforms no solved reference and unfolds nothing
         config = parse_config(json.dumps({"command": "sweep", "grid": {"N": 256}, "operator": {"c_list": [4, 8, 16]}}))
         nl, cfg = config.nonlinearity_spec(), config.solver_config()
         u_inf = nr.solve(nr.nonrelativistic(), nl, config.grid, cfg)
@@ -291,15 +295,16 @@ class TestSweepCommand:
         before = transform_counts["dct"]
         records = nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=u_inf)
         assert len(records) == len(solves) == 3
-        assert transform_counts["dct"] - before - sum(solves) == 2 * 3 + 1
+        assert transform_counts["dct"] - before - sum(solves) == 3
         assert "values" not in vars(u_inf.field)
 
-        # a plain full-grid copy of the reference is found exactly even and gives the same records
+        # a plain full-grid copy of the reference is found exactly even and gives the same records;
+        # its coefficients take one transform, before any point starts
         plain = dataclasses.replace(u_inf, field=nr.SpectralField(config.grid, u_inf.field.values))
         solves.clear()
         before = transform_counts["dct"]
         assert nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=plain) == records
-        assert transform_counts["dct"] - before - sum(solves) == 2 * 3 + 1
+        assert transform_counts["dct"] - before - sum(solves) == 3 + 1
 
 
 class TestPublicPath:
@@ -332,6 +337,8 @@ class TestPublicPath:
 
     def test_the_folded_kernels_and_the_second_result_type_are_gone(self):
         assert self.FOLDED & set(vars(nr.limit_lab)) == set()
+        # solved fields carry their coefficients, and sweep records through the public convergence_record
+        assert not hasattr(nr.limit_lab, "_Reference") and not hasattr(nr.limit_lab, "_record")
         assert not hasattr(nr.ground_state, "_OctantSolve") and not hasattr(nr.GroundStateResult, "result")
         assert not hasattr(cli, "_reference_solve")
 
@@ -944,6 +951,17 @@ class TestBenchmarkArtifacts:
         assert all(s.coarse_start for s in solves)
         assert reference.iterations <= 5
         assert sum(p.iterations for p in points) <= 20
+
+    # whole-field DCT-I transforms per run; 199, 523 and 184 while each diagnostic transformed the solved
+    # reference itself and each sweep record its solved point
+    @pytest.mark.parametrize(
+        "workload, transforms", [("report-1d-cubic", 189), ("report-3d-hartree", 509), ("nondeg-3d-hartree", 181)]
+    )
+    def test_whole_field_transforms_per_run(self, tmp_path, monkeypatch, transform_counts, workload, transforms):
+        self.load(monkeypatch, "compare")  # run.py imports it
+        wl = self.load(monkeypatch, "run").WORKLOADS[workload]
+        assert main([*wl.cli_args, "--out", str(tmp_path / workload)]) == wl.expected_exit
+        assert transform_counts["dct"] == transforms
 
     def test_benchmark_command_matches_its_reference(self, tmp_path, monkeypatch):
         # the `python -m nrlimit` process the benchmark spawns, in the benchmark's environment

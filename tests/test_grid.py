@@ -23,7 +23,7 @@ from nrlimit.grid import (
     _even_part,
     _forward,
     _inverse,
-    _kernel_values,
+    _kernel_coefficients,
     _lattice_sum,
     _octant,
     _prolonged,
@@ -437,13 +437,13 @@ class TestOctantKernel:
     def test_restrict_and_unfold_round_trip_bit_for_bit(self, grid):
         full = _even_nyquist_field(grid, np.random.default_rng(90 + grid.n))
         assert np.array_equal(_unfold(grid, _octant(grid, full)), full)
-        _, (values,), xi_sq = _kernel_values(nr.SpectralField(grid, full))
+        _, (values,), _, xi_sq = _kernel_coefficients(nr.SpectralField(grid, full))
         assert values.shape == grid.octant_shape and xi_sq is grid.octant_xi_sq
         # one sample off its mirror image sends the field to the full lattice
         uneven = full.copy()
         uneven[(1,) * grid.n] += 1e-12
         uneven_field = nr.SpectralField(grid, uneven)
-        _, (values,), xi_sq = _kernel_values(uneven_field)
+        _, (values,), _, xi_sq = _kernel_coefficients(uneven_field)
         assert values is uneven_field.values and xi_sq is grid.xi_sq
 
     def test_recentering_a_corner_peak_on_the_octant(self):
@@ -495,15 +495,18 @@ def _interpolated_twice_as_fine(values: np.ndarray) -> np.ndarray:
 
 
 class TestProlongation:
-    """`_prolonged` takes an octant on the N/2 grid to the octant of its
-    trigonometric interpolant on the N grid, in two DCT-I transforms."""
+    """`_prolonged` takes an even field on the N/2 grid to the octant of its
+    trigonometric interpolant on the N grid, in one inverse DCT-I of the
+    coefficients the field carries."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_fft_interpolation_of_the_unfolded_field(self, n, transform_counts):
         coarse, fine = nr.make_grid(n, 8.0, 16), nr.make_grid(n, 8.0, 32)
         octant = np.random.default_rng(n).standard_normal(coarse.octant_shape)
-        prolonged = _prolonged(coarse, fine, octant)
-        assert transform_counts["dct"] == 2
+        field = _EvenField(coarse, octant, _forward(coarse, octant))
+        before = transform_counts["dct"]
+        prolonged = _prolonged(field, fine)
+        assert transform_counts["dct"] - before == 1
         reference = _octant(fine, _interpolated_twice_as_fine(_unfold(coarse, octant)))
         assert np.max(np.abs(prolonged - reference)) <= 1e-13 * np.max(np.abs(octant))
         # coarse index j is fine index 2j: the coarse samples are kept
@@ -520,7 +523,7 @@ class TestProlongation:
             fx, fy, fz = (np.cos(2.0 * np.pi * k * a / grid.length) for k, a in zip(modes, axes))
             return fx * fy * fz
 
-        assert np.max(np.abs(_prolonged(coarse, fine, sampled(coarse)) - sampled(fine))) <= 1e-13
+        assert np.max(np.abs(_prolonged(_EvenField(coarse, sampled(coarse)), fine) - sampled(fine))) <= 1e-13
 
 
 class TestSymmetrize:
@@ -646,10 +649,11 @@ def _diagnostics(u_c, u_inf, nl) -> dict:
 
 
 class TestEvenField:
-    """A solved field is an `_EvenField`: it stores its octant, and its values
-    are the unfolding of that octant, built on first read and kept.  Every
-    public diagnostic reads the stored octant, and gives what it gives for a
-    plain full-grid copy of the field."""
+    """A solved field is an `_EvenField`: it stores its octant and the DCT-I
+    coefficients its solve ended with, and its values are the unfolding of
+    that octant, built on first read and kept.  Every public diagnostic reads
+    the stored octant and coefficients, and gives what it gives for a plain
+    full-grid copy of the field."""
 
     @pytest.fixture(scope="class", params=[1, 3], ids=["1d", "3d"])
     def solved(self, request):
@@ -669,10 +673,40 @@ class TestEvenField:
         assert np.array_equal(values, _unfold(grid, field.octant))
         assert values.shape == grid.shape and not values.flags.writeable
         assert field.values is values
-        for name in ("values", "octant", "grid", "space"):
+        for name in ("values", "octant", "coefficients", "grid", "space"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(field, name, None)
         assert field.values is values
+
+    @pytest.mark.parametrize("n", [1, 3], ids=["1d-rfft", "3d-matrix"])
+    def test_a_solve_hands_over_the_transform_of_its_octant(self, monkeypatch, n):
+        # the 1D default grid takes the rfft route, both levels of 64^3 Hartree the matrix route
+        grid = nr.make_grid(1, 32.0, 1024) if n == 1 else nr.make_grid(3, 16.0, 64)
+        nl = nr.power(3) if n == 1 else nr.hartree()
+        solve_level, levels = nr.ground_state._solve_level, []
+
+        def recorded(*args, **kwargs):
+            levels.append(solve_level(*args, **kwargs))
+            return levels[-1]
+
+        monkeypatch.setattr(nr.ground_state, "_solve_level", recorded)
+        result = nr.solve(nr.nonrelativistic(), nl, grid)
+        assert result.converged and levels[-1].field is result.field
+        assert [level.field.grid.points for level in levels] == ([1024] if n == 1 else [32, 64])
+        for level in levels:
+            field = level.field
+            assert "coefficients" in vars(field)  # handed over, not computed on read
+            assert field.coefficients.tobytes() == _forward(field.grid, field.octant).tobytes()
+            assert not field.coefficients.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                field.coefficients = None
+
+    def test_a_field_built_from_its_octant_transforms_it_once(self, transform_counts):
+        octant = np.random.default_rng(3).standard_normal(SMALL.octant_shape)
+        field = _EvenField(SMALL, octant)
+        coefficients = field.coefficients
+        assert transform_counts["dct"] == 1 and field.coefficients is coefficients
+        assert coefficients.tobytes() == _forward(SMALL, octant).tobytes() and not coefficients.flags.writeable
 
     def test_diagnostics_read_the_octant_and_match_a_plain_copy(self, solved):
         grid, nl, solved_c, solved_inf = solved
@@ -681,10 +715,16 @@ class TestEvenField:
         lazy = _diagnostics(u_c, u_inf, nl)
         assert "values" not in vars(u_c) and "values" not in vars(u_inf)
         plain = _diagnostics(nr.SpectralField(grid, u_c.values), nr.SpectralField(grid, u_inf.values), nl)
+        # the solved fields themselves read the coefficients their solves handed over
+        carried = _diagnostics(solved_c, solved_inf, nl)
         # the octant multiplier's output is an exactly even field too
         assert isinstance(lazy["apply_multiplier"], _EvenField)
-        assert np.array_equal(lazy.pop("apply_multiplier").values, plain.pop("apply_multiplier").values)
+        assert isinstance(carried["apply_multiplier"], _EvenField)
+        expected = plain.pop("apply_multiplier").values
+        assert np.array_equal(lazy.pop("apply_multiplier").values, expected)
+        assert np.array_equal(carried.pop("apply_multiplier").values, expected)
         assert lazy == plain
+        assert carried == plain
 
 
 class TestSnapshots:

@@ -586,10 +586,15 @@ class TestOptimalityFunctional:
                 assert got >= xi0**4 / (1.03 * c * c) * mode_mass
 
     def test_forms_over_a_c_list_read_one_transform(self, sweep_1d, transform_counts):
+        # a solved field carries its coefficients: no transform; a plain copy takes one for the whole c list
         u_inf = sweep_1d["u_inf"].field
         c_values = [4.0, 8.0, 16.0, 32.0, 64.0]
         before = transform_counts["dct"]
         forms = nr.optimality_forms(u_inf, c_values)
+        assert transform_counts["dct"] - before == 0
+        plain = nr.SpectralField(u_inf.grid, u_inf.values)
+        before = transform_counts["dct"]
+        assert nr.optimality_forms(plain, c_values) == forms
         assert transform_counts["dct"] - before == 1
         assert forms == [nr.optimality_functional(u_inf, c) for c in c_values]
         u_hat = nr.transform(u_inf, "forward")
