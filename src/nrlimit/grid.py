@@ -435,10 +435,9 @@ def _stored(f: SpectralField) -> np.ndarray:
 def _kernel_coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], list[np.ndarray], np.ndarray]:
     """The grid of real-space fields, their kernel arrays and `_forward` coefficients, and the frequencies of those.
 
-    If every field is exactly even (a stored octant, or samples equal, bit for
-    bit, to the unfolding of their octant): the octants, their coefficients
-    (`_carried_forward`) and `octant_xi_sq`; otherwise the samples, their
-    full-lattice transforms and `xi_sq`.
+    If every field is exactly even (a stored octant, or samples equal bit for
+    bit to the unfolding of their octant): the octants, their coefficients
+    (`_carried_forward`) and `octant_xi_sq`; else the samples, transformed, and `xi_sq`.
     """
     grid = _real_grid(fields)
     arrays = [_stored(f) for f in fields]

@@ -293,6 +293,7 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     apply_derivative = _derivative(nl, grid, u0)
 
     y = (scale * b_half * _carried_forward(u_inf, u0)).ravel()
+    del b_half  # freed for the Lanczos run, during which the reference keeps its coefficients alive
     y /= np.sqrt(np.sum(y * y))
 
     def project(z: np.ndarray) -> np.ndarray:
