@@ -64,7 +64,7 @@ from .grid import (
     _stored,
 )
 from .nonlinearity import NonlinearitySpec, _term_values
-from .operators import OperatorSpec, symbol
+from .operators import PSEUDO, OperatorSpec, symbol
 
 __all__ = [
     "SolverConfig",
@@ -103,6 +103,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 1.0e-14 <= self.tolerance <= 1.0e-4:
             raise ValueError(f"tolerance must lie in [1e-14, 1e-4], got {self.tolerance}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not (self.initial_guess is None or isinstance(self.initial_guess, SpectralField)):
@@ -275,7 +277,8 @@ def _coarse_grid(grid: Grid) -> Grid | None:
     octant iteration is bound by per-call overhead, so a coarse iteration
     costs about as much as a fine one, and 1D stops ride the round-off
     floor, which a prolonged start can take longer to meet.  2D takes none
-    either, since no 2D solve was measured to gain from one.
+    either: a 2D solve runs only at c = inf, since the finite-c rule admits
+    no 2D nonlinearity, and none was measured to gain from one.
     """
     half = grid.points // 2
     if grid.n != 3 or half % 2 or half < 32:
@@ -345,7 +348,7 @@ def _solve_level(
     until the image is written), and serves both the residual and the
     Rayleigh numerator.
     """
-    nl.validate_dimension(grid.n)
+    nl.validate_dimension(grid.n, op.kind == PSEUDO)
     sym = symbol(op, grid.octant_xi_sq)
     gamma = nl.degree / (nl.degree - 1.0)
     x = u.copy()
@@ -409,27 +412,28 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     The result carries the last iterate, its residual (the last entry of
     residual_history) and its action, with converged=False if the tolerance
     was not reached within max_iterations; raises GroundStateError on collapse
-    to the zero field or on a non-finite iterate or residual.  The stabilized
-    map is Anderson-mixed with depth ANDERSON_DEPTH.  The default Gaussian is
-    sampled on the octant directly; a solved field enters as the octant it
-    stores, another field that is exactly even with its peak at the center as
-    its octant, any other is recentered and symmetrized once.  From then on
-    the whole solve runs on the octant (`_solve_octant`), and the result's
-    field is exactly even: it keeps the last iterate's octant and DCT-I
-    coefficients and builds the full-grid `values` only when they are read.
-    On 3D grids with N >= 64 (N/2 even) the solve first runs on the N/2
-    grid and the fine loop starts from that solution's prolongation when its
-    residual is at most sqrt(tolerance): the result's iterations,
-    residual_history, converged and action are the fine level's,
-    coarse_iterations counts the coarse level's (0 where none completed) and
-    coarse_start says whether the fine loop started from it.
+    to the zero field or on a non-finite iterate or residual, and ValueError
+    where nl fails the rule of `NonlinearitySpec.validate_dimension` for op's
+    kind, before any iteration.  The stabilized map is Anderson-mixed with
+    depth ANDERSON_DEPTH.  The default Gaussian is sampled on the octant
+    directly; a solved field enters as the octant it stores, another field
+    that is exactly even with its peak at the center as its octant, any other
+    is recentered and symmetrized once.  From then on the whole solve runs on
+    the octant (`_solve_octant`), and the result's field is exactly even: it
+    keeps the last iterate's octant and DCT-I coefficients and builds the
+    full-grid `values` only when they are read.  On 3D grids with N >= 64 (N/2
+    even) the solve first runs on the N/2 grid and the fine loop starts from
+    that solution's prolongation when its residual is at most sqrt(tolerance):
+    the result's iterations, residual_history, converged and action are the
+    fine level's, coarse_iterations counts the coarse level's (0 where none
+    completed) and coarse_start says whether the fine loop started from it.
     max_iterations caps each level.  There the given start is not checked
     first: an initial_guess that already meets the tolerance is replaced by
     the accepted prolongation, and the result is a few fine iterations from
-    it, not the guess itself at 0 iterations.  An iteration
-    takes two whole-field DCT-I transforms (N(u) forward, the mixed
-    coefficients back), four with the Hartree term's Coulomb pair; the
-    residual and the Rayleigh factor come from the coefficients by Parseval.
+    it, not the guess itself at 0 iterations.  An iteration takes two
+    whole-field DCT-I transforms (N(u) forward, the mixed coefficients back),
+    four with the Hartree term's Coulomb pair; the residual and the Rayleigh
+    factor come from the coefficients by Parseval.
     """
     if cfg.initial_guess is None:
         u = _octant_gaussian(grid)
@@ -442,7 +446,7 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
 def _field_state(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec):
     """Grid, symbol, kernel array, its transform and N of it: what `residual` and `action` read of a field."""
     grid, (values,), (uh,), xi_sq = _kernel_coefficients(u)
-    nl.validate_dimension(grid.n)
+    nl.validate_dimension(grid.n, op.kind == PSEUDO)
     return grid, symbol(op, xi_sq), values, uh, _term_values(nl, grid, values)
 
 

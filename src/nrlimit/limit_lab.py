@@ -45,7 +45,7 @@ from .grid import (
     _spectral_norm,
     _stored,
 )
-from .nonlinearity import LADDER_EPS, NonlinearitySpec, _derivative, hartree
+from .nonlinearity import NonlinearitySpec, _derivative
 from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, _solve_octant, solve
 
@@ -178,12 +178,14 @@ def sweep(
     octant and is recorded by `convergence_record` of its solved field
     against the reference, which transforms only their difference; no
     full-grid field is built.  A non-converged point aborts with SweepError
-    carrying the records of the points that did converge.  c values, orders
-    and a supplied reference (grid, representation, evenness) are checked
-    before any solve.
+    carrying the records of the points that did converge.  c values, orders,
+    the finite-c subcriticality rule (`NonlinearitySpec.validate_dimension`),
+    which every point must meet, and a supplied reference (grid,
+    representation, evenness) are checked before any solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
+    nl.validate_dimension(grid.n, relativistic=True)
     if u_inf is None:
         u_inf = solve(nonrelativistic(), nl, grid, cfg)
     ref = u_inf.field
@@ -484,38 +486,17 @@ def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float]
     return norms, _spectral_integral(grid, xi_sq * xi_sq, ref_sq)
 
 
-def sobolev_ladder(n: int, p: float | None, kind: str, count: int) -> list[float]:
-    """Increasing Sobolev orders along which product estimates iterate.
+def sobolev_ladder(n: int, nl: NonlinearitySpec, count: int) -> list[float]:
+    """Increasing Sobolev orders s_k = k + 1/2, k = 0..count, along which product estimates iterate.
 
-    Hartree: s_k = k + 1/2.  Power type (p is the variational exponent): the
-    recursion s_{k+1} = 1 - n(p-2)/2 + (p-1) s_k until the first order above
-    n/2, then unit steps.  An order landing exactly on n/2 is nudged down by
-    1e-3 before continuing.  Returns count+1 orders starting at 1/2.
+    `nl` must pass the finite-c rule of `NonlinearitySpec.validate_dimension`.
+    Hartree steps by one from 1/2.  A power with variational exponent q
+    iterates s_{k+1} = 1 - n(q-2)/2 + (q-1) s_k from 1/2 until the first
+    order above n/2, then steps by one; the rule admits powers only in 1D,
+    where s_1 = 1 - (q-2)/2 + (q-1)/2 = 3/2 > 1/2 for every q, so the unit
+    steps start at 1/2 there too.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if kind == "hartree":
-        hartree().validate_dimension(n)
-        return [k + 0.5 for k in range(count + 1)]
-    if kind != "power":
-        raise ValueError(f"kind must be 'power' or 'hartree', got {kind!r}")
-    if p is None or p <= 2:
-        raise ValueError("power ladder requires a variational exponent p > 2")
-    if 1.0 / (p - 2.0) - (n - 1.0) / 2.0 <= 0.0:
-        raise ValueError(
-            f"variational exponent p={p} is outside the subcritical range for n={n}: ladder does not increase"
-        )
-
-    half_n = 0.5 * n
-    ladder = [0.5]
-    crossed = ladder[0] > half_n
-    while len(ladder) <= count:
-        if crossed:
-            nxt = ladder[-1] + 1.0
-        else:
-            nxt = 1.0 - 0.5 * n * (p - 2.0) + (p - 1.0) * ladder[-1]
-            if nxt == half_n:
-                nxt = half_n - LADDER_EPS
-        crossed = crossed or nxt > half_n
-        ladder.append(nxt)
-    return ladder
+    nl.validate_dimension(n, relativistic=True)
+    return [k + 0.5 for k in range(count + 1)]

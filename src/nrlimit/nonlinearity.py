@@ -32,8 +32,6 @@ __all__ = [
     "taylor_remainder",
 ]
 
-LADDER_EPS = 1.0e-3  # offset used when a Sobolev exponent lands exactly on n/2
-
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -62,17 +60,25 @@ class NonlinearitySpec:
         """Exponent in the action pairing: degree + 1 (4 for Hartree)."""
         return self.degree + 1
 
-    def validate_dimension(self, n: int) -> None:
-        """Cross-field admissibility: Hartree needs n = 3; powers must be subcritical."""
+    def validate_dimension(self, n: int, relativistic: bool = False) -> None:
+        """The one admissibility rule: Hartree needs n = 3, and a power must be subcritical.
+
+        At c = inf (the default) the action lives on H^1: p < 2n/(n-1).  At
+        finite c (`relativistic`, from the operator's kind) it lives on
+        H^(1/2), which embeds in L^(2n/(n-1)): p + 1 < 2n/(n-1), so every power
+        in 1D and none in 2D (whose cubic is H^(1/2)-critical) or 3D.
+        """
         if self.kind == "hartree":
             if n != 3:
                 raise ValueError("hartree nonlinearity is only defined in dimension n = 3")
             return
         if n >= 2:
             bound = 2 * n / (n - 1)
-            if self.p >= bound:
+            exponent, name, where = (self.p + 1, "p + 1", " at finite c") if relativistic else (self.p, "p", "")
+            if exponent >= bound:
                 raise ValueError(
-                    f"power exponent p={self.p} violates subcriticality: requires p < 2n/(n-1) = {bound:g} for n={n}"
+                    f"power exponent p={self.p} violates subcriticality{where}: "
+                    f"requires {name} < 2n/(n-1) = {bound:g} for n={n}"
                 )
 
 

@@ -26,7 +26,7 @@ from scipy.integrate import solve_ivp
 import nrlimit as nr
 from nrlimit import operators
 from nrlimit.grid import _real_values
-from nrlimit.nonlinearity import LADDER_EPS, _coulomb_values
+from nrlimit.nonlinearity import _coulomb_values
 
 
 def dense_gap_fd(length: float, num: int, profile, degree: int, shift: float = 10.0) -> float:
@@ -201,6 +201,9 @@ def lp_norm(f, p: float) -> float:
     if not (np.isfinite(p) and p >= 1.0):
         raise ValueError(f"lp_norm requires a finite exponent p >= 1, got {p}")
     return float((np.sum(np.abs(values) ** p) * grid.cell_volume) ** (1.0 / p))
+
+
+LADDER_EPS = 1.0e-3  # offset of a target order that lands exactly on n/2
 
 
 @dataclass(frozen=True)

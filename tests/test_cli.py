@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -204,12 +205,20 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     def test_config_without_ladder_rejected_before_solving(self, tmp_path, capsys, command):
-        # 2D cubic is subcritical for the solver, but its variational exponent
-        # has no increasing Sobolev ladder for the summary
+        # the 2D cubic is H^1-subcritical, so it solves at c = inf, but H^(1/2)-critical:
+        # the finite-c rule refuses it for the sweep's points before the reference is solved
         out = tmp_path / command
         assert main([command, "--out", str(out), "--override", "problem.n=2"]) == 2
         assert "problem.p" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_finite_c_two_dimensional_solve_rejected_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "solve"
+        finite_c = ["--override", "operator.kind=pseudo_relativistic", "--override", "operator.c=8"]
+        assert main(["solve", "--out", str(out), "--override", "problem.n=2", *finite_c]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("problem.p: ") and "at finite c" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, override, field",
@@ -561,6 +570,20 @@ class TestReportCommand:
         assert len(rows) == 1 + 22  # the header and every check
         assert [r for r in rows if "H^-1 defect stability" in r] == [row]
 
+    def test_footer_excepts_the_one_number_no_artifact_holds(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["report", "--out", str(out)]) == 4
+        lines = (out / "report.md").read_text().splitlines()
+        assert lines[-1] == (
+            "All numbers above except the soliton profile error, which reads the unwritten reference field,"
+            " are computed from sweep.csv, summary.json and symbols.json in this directory."
+        )
+        # the soliton profile error (3.183e-07) is no number of the three files, at its printed precision
+        profile = next(line for line in lines if line.startswith("| soliton profile")).split(" | ")[1]
+        written = " ".join((out / name).read_text() for name in ("sweep.csv", "summary.json", "symbols.json"))
+        numbers = re.findall(r"-?\d+\.\d+(?:e[-+]\d+)?", written)
+        assert numbers and profile not in {f"{float(x):.3e}" for x in numbers}
+
     def test_report_numbers_traceable(self, tmp_path):
         out = tmp_path / "r2"
         main(["report", "--out", str(out)])
@@ -750,7 +773,7 @@ def _fields(draw, **strategies) -> dict:
 def valid_configs(draw):
     """Config documents parse_config accepts."""
     n = draw(st.sampled_from([1, 2, 3]))
-    # 2D powers are subcritical but have no Sobolev ladder for sweep and report
+    # the finite-c rule admits no 2D power: 2D runs no sweep or report, and solves only at c = inf
     command = draw(st.sampled_from(["solve", "nondeg", "verify-symbols"] if n == 2 else cli.COMMANDS))
     if n == 3:
         problem = {"n": 3, "nonlinearity": "hartree", **_fields(draw, p=st.none())}
@@ -760,7 +783,7 @@ def valid_configs(draw):
     c = st.floats(1.0, 1.0e3)
     operator = _fields(
         draw,
-        kind=st.sampled_from(KINDS),
+        kind=st.just("nonrelativistic") if (n, command) == (2, "solve") else st.sampled_from(KINDS),
         c_list=st.lists(c, min_size=1, max_size=5, unique=True).map(sorted),
     )
     if command == "solve" and operator.get("kind") == "pseudo_relativistic":

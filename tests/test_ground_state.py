@@ -29,6 +29,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             nr.SolverConfig(tolerance=1e-3)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None], ids=["2.5", "3.0", "true", "str", "none"])
+    def test_max_iterations_is_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            nr.SolverConfig(max_iterations=value)
+
+    def test_max_iterations_positive(self):
+        assert nr.SolverConfig(max_iterations=np.int64(5)).max_iterations == 5
+        with pytest.raises(ValueError, match="max_iterations must be positive"):
+            nr.SolverConfig(max_iterations=0)
+
     @pytest.mark.parametrize("guess", [1.0, np.inf, np.nan, 0.0, np.ones(64)], ids=["1", "inf", "nan", "0", "array"])
     def test_initial_guess_is_a_field_or_none(self, guess):
         with pytest.raises(TypeError, match="initial_guess must be a SpectralField or None"):
@@ -422,7 +432,8 @@ class TestTwoLevel:
         ids=["1d", "2d", "32^3"],
     )
     def test_one_level_grids_build_no_coarse_grid(self, grid, monkeypatch):
-        op = nr.pseudo_relativistic(8.0)
+        # the finite-c rule admits no 2D nonlinearity, so 2D solves at c = inf
+        op = nr.nonrelativistic() if grid.n == 2 else nr.pseudo_relativistic(8.0)
         nl = nr.hartree() if grid.n == 3 else nr.power(3)
         start = _octant_gaussian(grid)
         one_level = _solve_level(op, nl, grid, start, self.CFG)

@@ -615,37 +615,44 @@ class TestBootstrapRatio:
 
 class TestSobolevLadder:
     def test_hartree_sequence(self):
-        assert nr.sobolev_ladder(3, None, "hartree", 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
+        assert nr.sobolev_ladder(3, nr.hartree(), 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_hartree_dimension_rule_is_the_nonlinearity_s(self, n):
         with pytest.raises(ValueError) as ladder:
-            nr.sobolev_ladder(n, None, "hartree", 4)
+            nr.sobolev_ladder(n, nr.hartree(), 4)
         with pytest.raises(ValueError) as spec:
             nr.hartree().validate_dimension(n)
         assert str(ladder.value) == str(spec.value)
 
     def test_cubic_one_dimensional(self):
         # variational exponent 4: recursion jumps to 3/2, then unit steps
-        assert nr.sobolev_ladder(1, 4, "power", 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
+        assert nr.sobolev_ladder(1, nr.power(3), 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
 
-    def test_quadratic_recursions(self):
-        assert nr.sobolev_ladder(1, 3, "power", 3) == [0.5, 1.5, 2.5, 3.5]
-        perturbed = nr.sobolev_ladder(2, 3, "power", 3)
-        assert perturbed[0] == 0.5
-        assert np.isclose(perturbed[1], 1.0 - 1e-3)
-        assert np.isclose(perturbed[2], 2.0 * (1.0 - 1e-3))
-        assert np.isclose(perturbed[3], perturbed[2] + 1.0)
+    @pytest.mark.parametrize("p", range(3, 10))
+    def test_one_dimensional_closed_form(self, p):
+        # the recursion s_1 = 1 - n(q-2)/2 + (q-1)/2 with n = 1 is 3/2 for every q = p + 1, above n/2 = 1/2
+        assert nr.sobolev_ladder(1, nr.power(p), 6) == [k + 0.5 for k in range(7)]
 
     def test_supercritical_rejected(self):
         with pytest.raises(ValueError):
-            nr.sobolev_ladder(2, 4, "power", 3)
+            nr.sobolev_ladder(2, nr.power(3), 3)
         with pytest.raises(ValueError):
-            nr.sobolev_ladder(3, 4, "power", 3)
+            nr.sobolev_ladder(3, nr.power(3), 3)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            nr.sobolev_ladder(1, 4, "power", 0)
+            nr.sobolev_ladder(1, nr.power(3), 0)
+
+
+def test_sweep_refuses_the_two_dimensional_cubic_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sweep solved before refusing")
+
+    monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
+    monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
+    with pytest.raises(ValueError, match="at finite c"):
+        nr.sweep([4.0, 8.0], [1.0], nr.power(3), nr.make_grid(2, 32.0, 64))
 
 
 class TestUniformBoundTable:

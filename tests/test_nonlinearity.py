@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
 import nrlimit as nr
+from nrlimit.cli import ConfigError, parse_config
 from conftest import random_field, smooth_random_field
 from oracles import lp_norm, multilinear_ratio
 
@@ -44,6 +47,73 @@ class TestSpecValidation:
         assert nr.power(4).variational_exponent == 5
         assert nr.hartree().degree == 3
         assert nr.hartree().variational_exponent == 4
+
+
+INF = float("inf")
+RULE_SPECS = {"power(3)": nr.power(3), "power(5)": nr.power(5), "hartree()": nr.hartree()}
+# every 1D power; the 2D cubic at c = inf only (H^1-subcritical, H^(1/2)-critical); Hartree in 3D
+RULE_ADMITS = {
+    (1, "power(3)", INF),
+    (1, "power(3)", 8.0),
+    (1, "power(5)", INF),
+    (1, "power(5)", 8.0),
+    (2, "power(3)", INF),
+    (3, "hartree()", INF),
+    (3, "hartree()", 8.0),
+}
+
+
+class _WorkStarted(Exception):
+    """Raised by the first transform of a solve or by a sweep's reference solve."""
+
+
+class TestOneSubcriticalityRule:
+    """Every entry point admits a case, or refuses it before any work with the rule's own message."""
+
+    @pytest.mark.parametrize("c", [INF, 8.0], ids=["c=inf", "c=8"])
+    @pytest.mark.parametrize("name", list(RULE_SPECS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_entry_point_applies_it(self, n, name, c, monkeypatch):
+        nl, finite = RULE_SPECS[name], c < INF
+        try:
+            nl.validate_dimension(n, finite)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert (message is None) == ((n, name, c) in RULE_ADMITS)
+        if message is not None and nl.kind == "power":
+            assert message.startswith(f"power exponent p={nl.p} ")  # p as the config gives it
+
+        def work(*args, **kwargs):
+            raise _WorkStarted
+
+        def ladder():
+            nr.sobolev_ladder(n, nl, 6)
+            raise _WorkStarted  # admitted: the ladder starts no work of its own
+
+        monkeypatch.setattr(nr.ground_state, "_forward", work)
+        monkeypatch.setattr(nr.limit_lab, "solve", work)
+        grid = nr.make_grid(n, 16.0, 16)
+        op = nr.pseudo_relativistic(c) if finite else nr.nonrelativistic()
+        runs = [lambda: nr.solve(op, nl, grid)]
+        if finite:
+            runs += [lambda: nr.sweep([c], [1.0], nl, grid), ladder]
+        for run in runs:
+            with pytest.raises(_WorkStarted if message is None else ValueError) as raised:
+                run()
+            if message is not None:
+                assert str(raised.value) == message
+
+        operator = {"kind": "pseudo_relativistic", "c": c} if finite else {"kind": "nonrelativistic"}
+        at = "problem.p" if nl.kind == "power" else "problem.nonlinearity"
+        for command in ("solve", "sweep", "report") if finite else ("solve", "nondeg"):
+            doc = {"command": command, "problem": {"n": n, "nonlinearity": nl.kind, "p": nl.p}, "operator": operator}
+            if message is None:
+                parse_config(json.dumps(doc))
+            else:
+                with pytest.raises(ConfigError) as raised:
+                    parse_config(json.dumps(doc))
+                assert raised.value.violations == [f"{at}: {message}"]
 
 
 class TestEvaluate:
