@@ -13,26 +13,24 @@ takes a one-level 3D Hartree solve from about 85 iterations to about 20 with
 no extra transform.
 
 On 3D grids with N >= 64 a solve is nested iteration (Brandt, Math.
-Comp. 31, 1977) on two levels (`_solve_octant`): the loop `_solve_level`
-first runs on the N/2 grid from the start's every-other sample, and the
-fine loop starts from the spectral prolongation of that solution
-(`grid._prolonged`) when its fine residual is at most sqrt(tolerance), else
-from the start itself.  The ground state is smooth, so on 64^3 the 32^3
-solution's prolongation has a residual of about 7e-9 and the fine loop
-takes 3-4 iterations instead of 13-18, after a coarse solve whose
-iterations cost about an eighth as much.  1D, 2D and smaller 3D grids take
-one level (`_coarse_grid`).
+Comp. 31, 1977) on two levels (`_solve_octant`).  The ground state is
+smooth, so on 64^3 the prolonged 32^3 solution has a residual of about 7e-9
+and the fine loop takes 3-4 iterations instead of 13-18, after a coarse
+solve whose iterations cost about an eighth as much.  1D, 2D and smaller 3D
+grids take one level (`_coarse_grid`).
 
 The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
 transforms (N(u) forward, the mixed coefficients back), four with the
-Hartree term's Coulomb pair, and allocates no array; a level adds the start
-transform, the final N(u) and one transform per confirm (`_solve_level`),
-and a two-level solve the prolongation's one inverse transform, and, where
-the rule rejects the prolongation, the start transform and N(u) of its one
-residual.  On grids up to N = 126 an octant transform is three products
-with the cached DCT-I matrix in 3D (one in 1D), on larger grids one
-`numpy.fft.rfft` per axis (`grid._dct`).  The mixer's small Gram system is
-solved in Python floats (`_small_solve`): no LAPACK call.
+Hartree term's Coulomb pair, and allocates no array: a level holds 13
+octant arrays, the last f = G(u) - u and G(u) waiting in the mixer's ring
+(`_AndersonMixer`).  A level adds the start transform, the final N(u) and
+one transform per confirm (`_solve_level`), and a two-level solve the
+prolongation's one inverse transform, and, where the rule rejects the
+prolongation, the start transform and N(u) of its one residual.  On grids
+up to N = 126 an octant transform is three products with the cached DCT-I
+matrix in 3D (one in 1D), on larger grids one `numpy.fft.rfft` per axis
+(`grid._dct`).  The mixer's small Gram system is solved in Python floats
+(`_small_solve`): no LAPACK call.
 
 The solve is the private core `_solve_octant`, which `solve` and the c-sweep
 call.  Its result is a `GroundStateResult` whose field is the last iterate
@@ -101,6 +99,8 @@ class SolverConfig:
     initial_guess: SpectralField | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if not 1.0e-14 <= self.tolerance <= 1.0e-4:
             raise ValueError(f"tolerance must lie in [1e-14, 1e-4], got {self.tolerance}")
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
@@ -192,17 +192,19 @@ class _AndersonMixer:
     preallocated ring buffer and their Gram matrix, one new row per step.  The
     next iterate is G(u) - dG alpha with alpha minimizing ||f - dF alpha||, in
     the dot product weighted by `weight` (the octant multiplicities, so that
-    it is the full-grid dot product of the even fields).
-    The step is bound by memory traffic: the projections <dF_j, f> of the
-    older columns are updated from the new Gram row instead of recomputed,
-    and products go through the caller's two scratch arrays.
-    The k x k Gram system (k <= ANDERSON_DEPTH) is solved by `_small_solve`,
-    not LAPACK; an exactly zero pivot or a non-finite alpha restarts the
-    history with the plain step.  G(u) is held by reference, not copied.
+    it is the full-grid dot product of the even fields).  The step is bound
+    by memory traffic: the projections <dF_j, f> of the older columns are
+    updated from the new Gram row instead of recomputed, f is formed in the
+    first of the caller's three scratch arrays, products in the other two.
+    f and G(u) then wait in the ring slot whose old column no later step
+    reads, where the next step turns them into its difference columns in
+    place: the mixer holds no array beyond its ring.  The k x k Gram system
+    (k <= ANDERSON_DEPTH) is solved by `_small_solve`, not LAPACK; an exactly
+    zero pivot or a non-finite alpha restarts the history with the plain step.
     """
 
     def __init__(
-        self, shape: tuple[int, ...], weight: np.ndarray | float, scratch: tuple[np.ndarray, np.ndarray]
+        self, shape: tuple[int, ...], weight: np.ndarray | float, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> None:
         m = ANDERSON_DEPTH
         self.weight = weight
@@ -210,45 +212,40 @@ class _AndersonMixer:
         self.dg = np.empty((m, *shape))
         self.gram = np.empty((m, m))
         self.proj = np.zeros(m)
-        self.f_arrays = (np.empty(shape), np.empty(shape))
-        self.weighted, self.product = scratch
+        self.f, self.weighted, self.product = scratch
         self.restart()
 
     def restart(self) -> None:
-        self.f_prev: np.ndarray | None = None
-        self.g_prev: np.ndarray | None = None
-        self.columns = self.slot = 0
+        self.columns, self.slot = -1, 0  # -1: no f and G(u) parked yet
 
     def mix(self, u: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Next iterate from u and its image g = G(u), written to `out` (it may be u)."""
-        f = np.subtract(g, u, out=self.f_arrays[self.f_prev is self.f_arrays[0]])
-        f_prev, g_prev = self.f_prev, self.g_prev
-        self.f_prev, self.g_prev = f, g
-        if f_prev is None:
-            np.copyto(out, g)
-            return out
-        s = self.slot
-        np.subtract(f, f_prev, out=self.df[s])
-        np.subtract(g, g_prev, out=self.dg[s])
-        self.slot = (s + 1) % ANDERSON_DEPTH
-        self.columns = k = min(self.columns + 1, ANDERSON_DEPTH)
-        weighted = np.multiply(self.df[s], self.weight, out=self.weighted)
-        for j in range(k):
-            self.gram[s, j] = self.gram[j, s] = _dot(weighted, self.df[j], self.product)
-        # <dF_j, f> = <dF_j, f_prev> + <dF_j, dF_s>; only the new column needs a dot
-        self.proj[:k] += self.gram[:k, s]
-        self.proj[s] = _dot(weighted, f, self.product)
-        alpha = _small_solve(self.gram[:k, :k].tolist(), self.proj[:k].tolist())
+        """Next iterate from u and its image g = G(u), written to `out` (it may be u, not g)."""
+        f = np.subtract(g, u, out=self.f)
+        s, alpha = self.slot, None
+        if self.columns >= 0:
+            np.subtract(f, self.df[s], out=self.df[s])
+            np.subtract(g, self.dg[s], out=self.dg[s])
+            self.slot = (s + 1) % ANDERSON_DEPTH
+            self.columns = k = min(self.columns + 1, ANDERSON_DEPTH)
+            weighted = np.multiply(self.df[s], self.weight, out=self.weighted)
+            for j in range(k):
+                self.gram[s, j] = self.gram[j, s] = _dot(weighted, self.df[j], self.product)
+            # <dF_j, f> = <dF_j, f_prev> + <dF_j, dF_s>; only the new column needs a dot
+            self.proj[:k] += self.gram[:k, s]
+            self.proj[s] = _dot(weighted, f, self.product)
+            alpha = _small_solve(self.gram[:k, :k].tolist(), self.proj[:k].tolist())
         if alpha is None or not all(map(math.isfinite, alpha)):
-            # singular or overflowing system: take the plain step, restart the history
+            # a first step, or a singular or overflowing system: take the plain step, restart the history
             self.columns = self.slot = 0
             np.copyto(out, g)
-            return out
-        u_next = np.multiply(self.dg[0], -alpha[0], out=out)
-        u_next += g
-        for a, d in zip(alpha[1:], self.dg[1:k]):
-            u_next -= np.multiply(d, a, out=self.product)
-        return u_next
+        else:
+            np.multiply(self.dg[0], -alpha[0], out=out)
+            out += g
+            for a, d in zip(alpha[1:], self.dg[1:]):
+                out -= np.multiply(d, a, out=self.product)
+        np.copyto(self.df[self.slot], f)
+        np.copyto(self.dg[self.slot], g)
+        return out
 
 
 def _action_value(
@@ -309,15 +306,14 @@ def _solve_octant(
     low = None
     if coarse is not None:
         try:
-            low = _solve_level(op, nl, coarse, u[(slice(None, None, 2),) * grid.n], cfg)
+            low = _solve_level(op, nl, coarse, u[(slice(None, None, 2),) * grid.n].copy(), cfg)
         except GroundStateError:
             pass  # the fine loop starts from u
     if low is not None and low.converged:
-        start = _prolonged(low.field, grid)
-        fine = _solve_level(op, nl, grid, start, cfg, start_limit=math.sqrt(cfg.tolerance))
+        fine = _solve_level(op, nl, grid, _prolonged(low.field, grid), cfg, start_limit=math.sqrt(cfg.tolerance))
         if fine is not None:
             return replace(fine, coarse_iterations=low.iterations, coarse_start=True)
-    fine = _solve_level(op, nl, grid, u, cfg)
+    fine = _solve_level(op, nl, grid, u.copy(), cfg)
     return fine if low is None else replace(fine, coarse_iterations=low.iterations)
 
 
@@ -325,11 +321,11 @@ def _solve_level(
     op: OperatorSpec,
     nl: NonlinearitySpec,
     grid: Grid,
-    u: np.ndarray,
+    x: np.ndarray,
     cfg: SolverConfig,
     start_limit: float = math.inf,
 ) -> GroundStateResult | None:
-    """The iteration on one grid from the start octant u (never written to), to cfg's tolerance and iteration cap.
+    """The iteration on one grid from the start octant x, to cfg's tolerance and iteration cap.
 
     Returns the last iterate as an `_EvenField` on its octant and final uh,
     with the residual history, the iteration count, the action and whether
@@ -337,26 +333,25 @@ def _solve_level(
     the start's own residual exceeds `start_limit`, returns None after that
     one evaluation.
 
-    The iterate is held as samples x and DCT-I coefficients uh; the mixer
+    The iterate is held as samples x, which the level owns and writes to, and
+    DCT-I coefficients uh; a level holds 13 octant arrays: x, uh, the symbol,
+    the image, three scratch arrays and the mixer's ring of six.  The mixer
     mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
     dot products' alpha unchanged), one inverse gives the next samples, and
     the recentring test reads them.  A mixed uh omits the round-off of x's
-    own transform (up to eps max P), so a mixed residual that would stop
-    the loop is confirmed on the transform of x, which is recorded and, if
-    it fails, continued from: at exit uh is the transform of x bit for bit.
-    P_hat uh is formed once per pass, in this step's image buffer (free
-    until the image is written), and serves both the residual and the
-    Rayleigh numerator.
+    own transform (up to eps max P), so a mixed residual that would stop the
+    loop is confirmed on the transform of x, which is recorded and, if it
+    fails, continued from: at exit uh is the transform of x bit for bit.
+    P_hat uh is formed once per pass, in the image buffer, and serves both
+    the residual and the Rayleigh numerator.
     """
     nl.validate_dimension(grid.n, op.kind == PSEUDO)
     sym = symbol(op, grid.octant_xi_sq)
     gamma = nl.degree / (nl.degree - 1.0)
-    x = u.copy()
     uh = _forward(grid, x)  # the start transform
     synced = True  # uh is the transform of x, bit for bit
-    nu, nh, work = (np.empty(x.shape) for _ in range(3))
-    images = (np.empty(x.shape), np.empty(x.shape))  # this step's G(u) and the last, which the mixer holds
-    mixer = _AndersonMixer(x.shape, grid.octant_weight, (nu, nh))  # both free during a mix
+    nu, nh, work, image = (np.empty(x.shape) for _ in range(4))
+    mixer = _AndersonMixer(x.shape, grid.octant_weight, (work, nu, nh))  # all free during a mix
     history: list[float] = []
 
     for iterations in range(cfg.max_iterations + 1):
@@ -367,7 +362,6 @@ def _solve_level(
             raise GroundStateError("iterate collapsed to the zero field; bad initial guess")
         _term_values(nl, grid, x, out=nu, work=work)
         _forward(grid, nu, out=nh, work=work)
-        image = images[iterations % 2]
         sym_uh = np.multiply(sym, uh, out=image)
         res = _residual_value(grid, sym_uh, nh, norm_u, work)
         stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
@@ -430,10 +424,7 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     max_iterations caps each level.  There the given start is not checked
     first: an initial_guess that already meets the tolerance is replaced by
     the accepted prolongation, and the result is a few fine iterations from
-    it, not the guess itself at 0 iterations.  An iteration takes two
-    whole-field DCT-I transforms (N(u) forward, the mixed coefficients back),
-    four with the Hartree term's Coulomb pair; the residual and the Rayleigh
-    factor come from the coefficients by Parseval.
+    it, not the guess itself at 0 iterations.
     """
     if cfg.initial_guess is None:
         u = _octant_gaussian(grid)
@@ -445,8 +436,8 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
 
 def _field_state(u: SpectralField, op: OperatorSpec, nl: NonlinearitySpec):
     """Grid, symbol, kernel array, its transform and N of it: what `residual` and `action` read of a field."""
+    nl.validate_dimension(_real_grid((u,)).n, op.kind == PSEUDO)
     grid, (values,), (uh,), xi_sq = _kernel_coefficients(u)
-    nl.validate_dimension(grid.n, op.kind == PSEUDO)
     return grid, symbol(op, xi_sq), values, uh, _term_values(nl, grid, values)
 
 

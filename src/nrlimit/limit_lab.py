@@ -279,6 +279,8 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     1/sqrt(1 + |xi|^2).  A product then takes one inverse transform, N'(u0)
     and one forward transform: two whole-field transforms, four with the
     Hartree term's Coulomb pair, each inverse's 1/N^n riding in its DCT-I.
+    It allocates no array: it works in four octant buffers, the projected z
+    and three that the transforms and N'(u0) take in turn, and returns one.
     The constraint is deflated by explicit projection inside every
     matrix-vector product.  A nonpositive return signals a defective
     reference state or projection; it is reported as computed, never
@@ -297,25 +299,27 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     y = (scale * b_half * _carried_forward(u_inf, u0)).ravel()
     del b_half  # freed for the Lanczos run, during which the reference keeps its coefficients alive
     y /= np.sqrt(np.sum(y * y))
+    pz, a, b, c = (np.empty(grid.octant_shape) for _ in range(4))  # the product's buffers
+    flat_a, flat_b = a.ravel(), b.ravel()
 
-    def project(z: np.ndarray) -> np.ndarray:
-        # np.sum, not np.dot: where numpy was imported before nrlimit (package
-        # docstring) the BLAS dot is threaded, and costs more than it saves here
-        return z - np.sum(y * z) * y
+    def project(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # z - <y, z> y, through a; np.sum, not the BLAS dot, as in `_lanczos_smallest`
+        return np.subtract(z, np.multiply(y, float(np.sum(np.multiply(y, z, out=flat_a))), out=flat_a), out=out)
 
     def matvec(z: np.ndarray) -> np.ndarray:
-        # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) B^{-1/2} z
-        pz = project(z)
-        v = _inverse(grid, to_values * pz.reshape(grid.octant_shape))
-        s = pz - (to_z * _forward(grid, apply_derivative(v))).ravel()
-        return project(s) + DEFLATION_SHIFT * (z - pz)
+        # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) B^{-1/2} z, in b
+        flat_pz = project(z, pz.ravel())
+        v = _inverse(grid, np.multiply(to_values, pz, out=a), out=b, work=c)
+        np.multiply(to_z, _forward(grid, apply_derivative(v, out=c, work=a), out=b, work=a), out=b)
+        ps = project(np.subtract(flat_pz, flat_b, out=flat_b), flat_b)
+        return np.add(ps, np.multiply(np.subtract(z, flat_pz, out=flat_a), DEFLATION_SHIFT, out=flat_a), out=ps)
 
     # deterministic start without structure: the field whose octant holds the
     # Weyl sequence (k phi) mod 1 - 1/2, phi = (sqrt(5) - 1) / 2.  One transform
     # takes it to z; as coefficients it would need 22 Lanczos steps on the 64^3
     # Hartree reference instead of 20
-    weyl = (np.arange(scale.size) * 0.6180339887498949) % 1.0 - 0.5
-    v0 = project((scale * _forward(grid, weyl.reshape(grid.octant_shape))).ravel())
+    v0 = (np.arange(scale.size) * 0.6180339887498949) % 1.0 - 0.5
+    v0 = project((scale * _forward(grid, v0.reshape(grid.octant_shape))).ravel())
     return _lanczos_smallest(matvec, v0, LANCZOS_TOL)
 
 
@@ -331,25 +335,27 @@ def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
     theta is exact.  theta and |s_m| come from `_smallest_ritz_pair`, warm-started
     from the previous step's theta, not from LAPACK.  Every dot and norm is an
     np.sum, not a BLAS call, which is threaded where numpy was imported before
-    nrlimit (package docstring).
+    nrlimit (package docstring).  The run holds three vectors: q (v0,
+    normalized in place), q_prev (overwritten by the next q) and a scratch;
+    w = matvec(q) may be a buffer that the next call overwrites.
     """
-    q = v0 / np.sqrt(np.sum(v0 * v0))
-    q_prev = np.zeros_like(q)
+    q = np.divide(v0, np.sqrt(np.sum(v0 * v0)), out=v0)
+    q_prev, scratch = np.zeros_like(q), np.empty_like(q)
     alphas: list[float] = []
     betas: list[float] = []
     beta = estimate = theta = 0.0
     floor = np.finfo(float).eps ** (2.0 / 3.0)
     for _ in range(LANCZOS_MAX_STEPS):
         w = matvec(q)
-        alphas.append(float(np.sum(q * w)))
-        w -= alphas[-1] * q + beta * q_prev
-        beta = float(np.sqrt(np.sum(w * w)))
+        alphas.append(float(np.sum(np.multiply(q, w, out=scratch))))
+        w -= np.add(np.multiply(q, alphas[-1], out=scratch), np.multiply(q_prev, beta, out=q_prev), out=scratch)
+        beta = float(np.sqrt(np.sum(np.multiply(w, w, out=scratch))))
         theta, last = _smallest_ritz_pair(alphas, betas, theta)
         estimate = beta * last
         if beta == 0.0 or estimate <= tol * max(abs(theta), floor):
             return theta
         betas.append(beta)
-        q_prev, q = q, w / beta
+        q_prev, q = q, np.divide(w, beta, out=q_prev)
     raise GapEigensolveError(
         f"gap eigensolve: Lanczos did not converge in {LANCZOS_MAX_STEPS} steps"
         f" (residual estimate {estimate:.3e}, tolerance {tol:g})"

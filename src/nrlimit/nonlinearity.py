@@ -124,20 +124,23 @@ def _term_values(
     return np.multiply(_coulomb_values(grid, density, out=density, work=out), u, out=out)
 
 
-def _derivative(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map v -> N'(u0) v on raw real arrays in u0's representation (full grid or octant).
+def _derivative(spec: NonlinearitySpec, grid: Grid, u0: np.ndarray) -> Callable[..., np.ndarray]:
+    """The map (v, out=None, work=None) -> N'(u0) v on raw real arrays in u0's representation (full grid or octant).
 
     The power weight p u0^(p-1), or the Coulomb potential phi0 of u0^2, is
-    computed once; v is u0 reuses phi0 as the cross potential.
+    computed once; v is u0 reuses phi0 as the cross potential.  `out` and
+    `work` (new arrays if None, neither v) take the result and the Coulomb pair.
     """
     if spec.kind == "power":
         weight = spec.p * u0 ** (spec.p - 1)
-        return lambda v: weight * v
+        return lambda v, out=None, work=None: np.multiply(weight, v, out=out)
     phi0 = _coulomb_values(grid, u0 * u0)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        cross = phi0 if v is u0 else _coulomb_values(grid, u0 * v)
-        return phi0 * v + 2.0 * u0 * cross
+    def apply(v: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+        cross = phi0 if v is u0 else _coulomb_values(grid, np.multiply(u0, v, out=work), out=work, work=out)
+        term = np.multiply(u0, 2.0, out=out)
+        term *= cross
+        return np.add(np.multiply(phi0, v, out=work), term, out=term)  # phi0 v + (2 u0) cross
 
     return apply
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,16 @@ import pytest
 
 import nrlimit as nr
 import nrlimit.grid as grid_module
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while `call()` runs, counted from zero."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_field(grid, rng, scale=1.0):

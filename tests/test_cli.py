@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import nrlimit as nr
 import nrlimit.cli as cli
+from conftest import traced_peak
 from nrlimit.cli import ConfigError, main, parse_config
 
 
@@ -370,6 +371,17 @@ class TestNondegCommand:
         assert "Lanczos did not converge in 3 steps" in err
         assert "Traceback" not in err
         assert not (out / "nondeg.json").exists()
+
+    def test_3d_hartree_run_peak(self, tmp_path):
+        # the benchmark's 64^3 Hartree nondeg, warm: its peak, 4.72 MB, is in
+        # the reference's fine level (5.87 MB before the level's 13-octant
+        # working set); the bound leaves half an octant (0.14 MB) of headroom
+        args = ["nondeg", "--override", "problem.n=3", "--override", "problem.nonlinearity=hartree"]
+        assert main([*args, "--out", str(tmp_path / "cold")]) == 0  # fills the caches
+        codes = []
+        peak = traced_peak(lambda: codes.append(main([*args, "--out", str(tmp_path / "warm")])))
+        assert codes == [0]
+        assert peak <= 4.87e6
 
 
 def _src_env() -> dict[str, str]:

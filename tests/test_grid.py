@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import nrlimit as nr
-from conftest import random_field, smooth_random_field
+from conftest import random_field, smooth_random_field, traced_peak
 from nrlimit.grid import (
     _MATRIX_DCT_MAX_POINTS,
     _EvenField,
@@ -425,13 +424,8 @@ class TestOctantKernel:
     def test_unfold_allocates_only_its_result(self):
         grid = nr.make_grid(3, 16.0, 64)
         octant = np.random.default_rng(91).standard_normal(grid.octant_shape)
-        tracemalloc.start()
-        try:
-            full = _unfold(grid, octant)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * full.nbytes
+        fulls = []
+        assert traced_peak(lambda: fulls.append(_unfold(grid, octant))) < 1.1 * fulls[0].nbytes
 
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.n}d")
     def test_restrict_and_unfold_round_trip_bit_for_bit(self, grid):

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import eigh, eigh_tridiagonal, null_space, orth
 
 import nrlimit as nr
+from conftest import traced_peak
 from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest, _smallest_ritz_pair
 from oracles import dense_gap_fd, lattice_pairing
 
@@ -197,12 +198,7 @@ class TestSeededSweep:
     def test_peak_memory_stays_below_four_full_grid_arrays(self, u_inf_32):
         grid = u_inf_32.field.grid
         nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32)  # fill the caches
-        tracemalloc.start()
-        try:
-            nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32))
         assert peak < 4 * u_inf_32.field.values.nbytes
 
     def test_reference_that_is_not_exactly_even_rejected_before_any_solve(self, monkeypatch, u_inf_1d):
@@ -461,6 +457,35 @@ class TestNondegeneracyGap:
         gap = nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
         assert gap > 0.0
 
+    def test_gap_peak(self, sweep_3d):
+        # 64^3 Hartree: twelve 33^3 octants, 3.46 MB (the product's four
+        # buffers, Lanczos's three vectors, y, phi0, the two diagonal scalings
+        # and their common factor); 4.32 MB when every product allocated its
+        # temporaries.  The bound leaves half an octant of headroom
+        u_inf = sweep_3d["u_inf"].field
+        nr.nondegeneracy_gap(u_inf, nr.hartree())  # caches the DCT-I matrices and the Coulomb symbol
+        assert traced_peak(lambda: nr.nondegeneracy_gap(u_inf, nr.hartree())) <= 3.6e6
+
+    def test_gap_product_allocates_no_array(self, monkeypatch, u_inf_32):
+        # each product works in the gap's four buffers: what it allocates is a
+        # few array views, far below one 17^3 octant (39 kB)
+        lanczos, growth = nr.limit_lab._lanczos_smallest, []
+
+        def traced(matvec, v0, tol):
+            def product(z):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                w = matvec(z)
+                growth.append(tracemalloc.get_traced_memory()[1] - before)
+                return w
+
+            return lanczos(product, v0, tol)
+
+        monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", traced)
+        traced_peak(lambda: nr.nondegeneracy_gap(u_inf_32.field, nr.hartree()))
+        assert len(growth) > 5
+        assert max(growth) < 0.1 * u_inf_32.field.octant.nbytes
+
     def test_step_cap_raises_naming_steps_and_residual(self, monkeypatch, sech_exact):
         monkeypatch.setattr(nr.limit_lab, "LANCZOS_MAX_STEPS", 3)
         with pytest.raises(nr.GapEigensolveError, match=r"in 3 steps \(residual estimate \d\.\d{3}e[-+]\d+"):
@@ -490,6 +515,20 @@ class TestLanczosSmallest:
         v0 = np.random.default_rng(3).standard_normal(spectrum.size)
         theta = _lanczos_smallest(lambda z: spectrum * z, v0, 1e-10)
         assert abs(theta - spectrum[0]) <= 1e-12 * abs(spectrum[0])
+
+    def test_run_holds_q_prev_and_one_scratch_beyond_v0(self):
+        # v0 is normalized in place into q; a product returning its own buffer
+        # leaves the run two more vectors, the scratch taking alpha q + beta q_prev
+        spectrum = np.concatenate([[-0.37], np.linspace(0.1, 4.0, 20000)])
+        v0 = np.random.default_rng(5).standard_normal(spectrum.size)
+        w, thetas = np.empty_like(v0), []
+
+        def product(z):
+            return np.multiply(spectrum, z, out=w)
+
+        peak = traced_peak(lambda: thetas.append(_lanczos_smallest(product, v0, 1e-10)))
+        assert abs(thetas[0] - spectrum[0]) <= 1e-12 * abs(spectrum[0])
+        assert peak < 2.5 * v0.nbytes
 
     def test_invariant_subspace_is_exact(self):
         # v0 spans two eigenvectors, so the second step ends on beta = 0

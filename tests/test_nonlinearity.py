@@ -91,11 +91,15 @@ class TestOneSubcriticalityRule:
             nr.sobolev_ladder(n, nl, 6)
             raise _WorkStarted  # admitted: the ladder starts no work of its own
 
+        # the grid's own _forward too: residual and action transform a field
+        # that carries no coefficients, and must refuse before that
         monkeypatch.setattr(nr.ground_state, "_forward", work)
+        monkeypatch.setattr(nr.grid, "_forward", work)
         monkeypatch.setattr(nr.limit_lab, "solve", work)
         grid = nr.make_grid(n, 16.0, 16)
         op = nr.pseudo_relativistic(c) if finite else nr.nonrelativistic()
-        runs = [lambda: nr.solve(op, nl, grid)]
+        u = nr.gaussian_guess(grid)
+        runs = [lambda: nr.solve(op, nl, grid), lambda: nr.residual(u, op, nl), lambda: nr.action(u, op, nl)]
         if finite:
             runs += [lambda: nr.sweep([c], [1.0], nl, grid), ladder]
         for run in runs:
