@@ -332,7 +332,7 @@ def _run_solve(config: RunConfig) -> int:
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _sweep_artifacts(config: RunConfig, s_list, threads: int):
+def _sweep_artifacts(config: RunConfig, s_list):
     """Solve the sweep and assemble (records, summary dict, reference solve).
 
     The solved reference keeps its octant and coefficients, which the sweep,
@@ -341,7 +341,7 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
     grid, nl, cfg = config.grid, config.nonlinearity_spec(), config.solver_config()
     ladder = sobolev_ladder(config.n, nl, LADDER_STEPS)
     u_inf = solve(nonrelativistic(), nl, grid, cfg)
-    records = sweep(config.c_list, s_list, nl, grid, cfg, u_inf=u_inf, threads=threads)
+    records = sweep(config.c_list, s_list, nl, grid, cfg, u_inf=u_inf)
 
     floor = 100.0 * config.tolerance
     fits = {}
@@ -388,13 +388,13 @@ def _sweep_artifacts(config: RunConfig, s_list, threads: int):
     return records, summary, u_inf
 
 
-def _run_sweep(config: RunConfig, threads: int) -> int:
+def _run_sweep(config: RunConfig) -> int:
     """`sweep` and `report` (`_run_report`, over s_list and UNIFORM_BOUND_ORDERS), with one failure path:
     on a SweepError, sweep.csv holds the converged points' rows and summary.json the error (exit 3)."""
     report = config.command == "report"
     s_list = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS))) if report else config.s_list
     try:
-        records, summary, u_inf = _sweep_artifacts(config, s_list, threads)
+        records, summary, u_inf = _sweep_artifacts(config, s_list)
     except SweepError as exc:
         (config.out_dir / "sweep.csv").write_text(_csv_rows(exc.records, s_list))
         _json_dump(config.out_dir / "summary.json", {"error": str(exc), "partial_rows": len(exc.records)})
@@ -546,13 +546,13 @@ def _run_report(config: RunConfig, records: list[ConvergenceRecord], summary: di
     return EXIT_REPORT_FAILURE if failed else EXIT_OK
 
 
-def run(config: RunConfig, threads: int = 1) -> int:
+def run(config: RunConfig) -> int:
     """Execute a validated config; writes artifacts under config.out_dir."""
     _prepare_out_dir(config.out_dir)
     if config.command == "solve":
         return _run_solve(config)
     if config.command in ("sweep", "report"):
-        return _run_sweep(config, threads)
+        return _run_sweep(config)
     if config.command == "nondeg":
         return _run_nondeg(config)
     if config.command == "verify-symbols":
@@ -587,13 +587,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep tasks")
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
     args = parser.parse_args(argv)
 
     try:
-        if args.threads < 1:
-            raise ConfigError([f"--threads: must be at least 1, got {args.threads}"])
         doc = {}
         if args.config is not None:
             try:
@@ -608,7 +605,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             _apply_override(doc, "output.directory=" + json.dumps(str(args.out)))
         config = parse_config(json.dumps(doc))
-        return run(config, threads=args.threads)
+        return run(config)
     except ConfigError as exc:
         for line in exc.violations:
             print(line, file=sys.stderr)

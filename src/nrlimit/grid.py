@@ -503,6 +503,16 @@ def _lattice_dot(grid: Grid, a: np.ndarray, b: np.ndarray, work: np.ndarray | No
     return float(np.sum(q))
 
 
+def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> float:
+    """sum(a * b) of real arrays, the products formed in `work` (new if None).
+
+    np.sum, as in every nrlimit reduction, not the BLAS dot behind np.dot and
+    np.linalg.norm: where numpy was imported before nrlimit (package docstring),
+    a 64^3 BLAS dot is threaded, and its spinning worker doubles a solve's CPU time.
+    """
+    return float(np.sum(np.multiply(a, b, out=work)))
+
+
 def _spectral_integral(grid: Grid, mult: np.ndarray, q: np.ndarray) -> float:
     """Continuum value of the mode sum of mult * q, q a product of two `_forward` coefficient arrays."""
     return _lattice_sum(grid, mult * q) * grid.cell_volume**2 / grid.volume

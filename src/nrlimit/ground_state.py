@@ -52,6 +52,7 @@ from .grid import (
     Grid,
     SpectralField,
     _EvenField,
+    _dot,
     _forward,
     _inverse,
     _kernel_coefficients,
@@ -138,10 +139,7 @@ def _octant_gaussian(grid: Grid) -> np.ndarray:
 
 
 def _l2_norm(grid: Grid, u: np.ndarray, work: np.ndarray | None = None) -> float:
-    # np.sum (inside _lattice_dot), not the BLAS dot behind np.linalg.norm.
-    # Importing nrlimit first leaves OpenBLAS one thread (package docstring);
-    # where numpy was imported first, a 64^3 dot is threaded, and its spinning
-    # worker doubles the CPU time of a solve
+    # an np.sum (inside _lattice_dot), not np.linalg.norm: see grid._dot
     return float(np.sqrt(_lattice_dot(grid, u, u, work)))
 
 
@@ -152,11 +150,6 @@ def _residual_value(
     by Parseval: sum |r|^2 = sum |r_hat|^2 / N^n, r_hat formed in `work` (a new array if None)."""
     r = np.subtract(sym_uh, nh, out=work)
     return float(np.sqrt(_lattice_dot(grid, r, r, r) / grid.size) / norm_u)
-
-
-def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray) -> float:
-    # np.sum, as in _l2_norm: the BLAS dot is threaded where numpy was imported before nrlimit
-    return float(np.sum(np.multiply(a, b, out=work)))
 
 
 def _small_solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -284,7 +277,7 @@ def _coarse_grid(grid: Grid) -> Grid | None:
 
 
 def _solve_octant(
-    op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, u: np.ndarray, cfg: SolverConfig
+    op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, u: np.ndarray | None, cfg: SolverConfig
 ) -> GroundStateResult:
     """The solve of `solve` from the start octant u, to cfg's tolerance and iteration cap, on two levels.
 
@@ -300,20 +293,24 @@ def _solve_octant(
     cfg.max_iterations caps each level.  The result is the fine level's,
     with the coarse iteration count (0 when no coarse solve completed) and
     whether the fine loop started from it.  u is never written to, so one
-    start octant can seed several solves at once.
+    start octant can seed several solves; u None is the default Gaussian
+    (`_octant_gaussian`), built where a level starts from it, so that no fine
+    iteration holds it.
     """
     coarse = _coarse_grid(grid)
     low = None
     if coarse is not None:
         try:
-            low = _solve_level(op, nl, coarse, u[(slice(None, None, 2),) * grid.n].copy(), cfg)
+            start = _octant_gaussian(grid) if u is None else u
+            low = _solve_level(op, nl, coarse, start[(slice(None, None, 2),) * grid.n].copy(), cfg)
         except GroundStateError:
             pass  # the fine loop starts from u
+        del start
     if low is not None and low.converged:
         fine = _solve_level(op, nl, grid, _prolonged(low.field, grid), cfg, start_limit=math.sqrt(cfg.tolerance))
         if fine is not None:
             return replace(fine, coarse_iterations=low.iterations, coarse_start=True)
-    fine = _solve_level(op, nl, grid, u.copy(), cfg)
+    fine = _solve_level(op, nl, grid, _octant_gaussian(grid) if u is None else u.copy(), cfg)
     return fine if low is None else replace(fine, coarse_iterations=low.iterations)
 
 
@@ -426,9 +423,8 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     the accepted prolongation, and the result is a few fine iterations from
     it, not the guess itself at 0 iterations.
     """
-    if cfg.initial_guess is None:
-        u = _octant_gaussian(grid)
-    else:
+    u = None
+    if cfg.initial_guess is not None:
         _real_grid((cfg.initial_guess,), grid)
         u = _recentered_octant(grid, _stored(cfg.initial_guess))
     return _solve_octant(op, nl, grid, u, cfg)

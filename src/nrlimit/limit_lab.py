@@ -31,6 +31,7 @@ from .grid import (
     _abs_sq,
     _carried_forward,
     _coefficients,
+    _dot,
     _forward,
     _inverse,
     _is_even,
@@ -163,23 +164,22 @@ def sweep(
     grid: Grid,
     cfg: SolverConfig = SolverConfig(),
     u_inf: GroundStateResult | None = None,
-    threads: int = 1,
 ) -> list[ConvergenceRecord]:
     """Solve the relativistic problem for each c and record convergence data.
 
     The nonrelativistic reference is solved once, from cfg.initial_guess (or
     supplied precomputed on the same grid; it must then be exactly even, as
     every `solve` result is, and a plain one is wrapped once as an even
-    field whose coefficients are taken before any point starts).  An
-    unconverged reference is a SweepError before any point is solved.
-    cfg.initial_guess seeds the reference solve only: every c point starts
-    from the reference's octant, which lies within O(c^-2) of its solution,
-    and no point's start depends on another's.  Each point runs on the
-    octant and is recorded by `convergence_record` of its solved field
-    against the reference, which transforms only their difference; no
-    full-grid field is built.  A non-converged point aborts with SweepError
-    carrying the records of the points that did converge.  c values, orders,
-    the finite-c subcriticality rule (`NonlinearitySpec.validate_dimension`),
+    field).  An unconverged reference is a SweepError before any point is
+    solved.  cfg.initial_guess seeds the reference solve only: every c point
+    starts from the reference's octant, which lies within O(c^-2) of its
+    solution, and no point's start depends on another's.  The points run in
+    ascending c, each on the octant, and each is recorded by
+    `convergence_record` of its solved field against the reference, which
+    transforms only their difference; no full-grid field is built.  Every
+    point is solved; if any did not converge, a SweepError names each such c
+    and carries the records of the points that did.  c values, orders, the
+    finite-c subcriticality rule (`NonlinearitySpec.validate_dimension`),
     which every point must meet, and a supplied reference (grid,
     representation, evenness) are checked before any solve.
     """
@@ -194,26 +194,15 @@ def sweep(
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
     ref = ref if isinstance(ref, _EvenField) else _EvenField(grid, _octant(grid, ref.values))
-    ref.coefficients  # taken here, before the points start
     seed = _recentered_octant(grid, ref.octant)
-
-    def sweep_point(c: float) -> ConvergenceRecord | None:
+    records, failed = [], []
+    for c in c_values:
         point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
-        if not point.converged:
-            return None
-        return convergence_record(point.field, ref, c, s_values, point.action)
-
-    if threads > 1:
-        # imported here: concurrent.futures (and the logging it loads) costs every import otherwise
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sweep_point, c_values))
-    else:
-        results = [sweep_point(c) for c in c_values]
-
-    records = [r for r in results if r is not None]
-    failed = [c for c, r in zip(c_values, results) if r is None]
+        if point.converged:
+            records.append(convergence_record(point.field, ref, c, s_values, point.action))
+        else:
+            failed.append(c)
+        del point  # else its octant and coefficients stay alive through the next solve, raising the peak
     if failed:
         raise SweepError(f"sweep points did not converge at c = {failed}", records)
     return records
@@ -223,17 +212,20 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
     """Least-squares slope of log ||w||_{H^s} against log c, with empirical
     two-sided constants A_hat = min c^2 ||w||, B_hat = max c^2 ||w||.
 
-    Points with ||w||_{H^s} below `floor` are excluded (discretization guard).
+    Points with ||w||_{H^s} below `floor` are excluded (discretization guard);
+    every record must hold the order s.
     The slope is the closed form sum(dx dy) / sum(dx^2) about the means, not
     np.polyfit: its LAPACK least-squares call alone added about 0.4 MB to
     the peak RSS of a 1D report.
     """
-    records = list(records)
+    records, s = list(records), float(s)
     if len(records) < 4:
         raise ValueError("rate fit requires at least 4 records")
     pts = []
     for r in records:
-        norm = r.diff_norms[float(s)]
+        if s not in r.diff_norms:
+            raise ValueError(f"order s={s:g} is not among the recorded orders {sorted(r.diff_norms)}")
+        norm = r.diff_norms[s]
         if norm <= 0.0:
             raise ValueError(f"nonpositive difference norm at c={r.c}")
         if norm >= floor:
@@ -246,7 +238,7 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
     slope = float(np.sum(dx * (logs_n - np.mean(logs_n))) / np.sum(dx * dx))
     scaled = [c * c * n for c, n in pts]
     return RateFit(
-        s=float(s),
+        s=s,
         slope=slope,
         A_hat=float(min(scaled)),
         B_hat=float(max(scaled)),
@@ -298,13 +290,13 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
 
     y = (scale * b_half * _carried_forward(u_inf, u0)).ravel()
     del b_half  # freed for the Lanczos run, during which the reference keeps its coefficients alive
-    y /= np.sqrt(np.sum(y * y))
+    y /= math.sqrt(_dot(y, y))
     pz, a, b, c = (np.empty(grid.octant_shape) for _ in range(4))  # the product's buffers
     flat_a, flat_b = a.ravel(), b.ravel()
 
     def project(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # z - <y, z> y, through a; np.sum, not the BLAS dot, as in `_lanczos_smallest`
-        return np.subtract(z, np.multiply(y, float(np.sum(np.multiply(y, z, out=flat_a))), out=flat_a), out=out)
+        # z - <y, z> y, through a
+        return np.subtract(z, np.multiply(y, _dot(y, z, flat_a), out=flat_a), out=out)
 
     def matvec(z: np.ndarray) -> np.ndarray:
         # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) B^{-1/2} z, in b
@@ -333,13 +325,12 @@ def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
     tridiagonal is accepted once beta_m |s_m| <= tol max(|theta|, eps^(2/3)),
     ARPACK's test for its `tol`; a zero beta_m means an invariant subspace, so
     theta is exact.  theta and |s_m| come from `_smallest_ritz_pair`, warm-started
-    from the previous step's theta, not from LAPACK.  Every dot and norm is an
-    np.sum, not a BLAS call, which is threaded where numpy was imported before
-    nrlimit (package docstring).  The run holds three vectors: q (v0,
-    normalized in place), q_prev (overwritten by the next q) and a scratch;
-    w = matvec(q) may be a buffer that the next call overwrites.
+    from the previous step's theta, not from LAPACK.  Every dot and norm is a
+    `grid._dot`.  The run holds three vectors: q (v0, normalized in place),
+    q_prev (overwritten by the next q) and a scratch; w = matvec(q) may be a
+    buffer that the next call overwrites.
     """
-    q = np.divide(v0, np.sqrt(np.sum(v0 * v0)), out=v0)
+    q = np.divide(v0, math.sqrt(_dot(v0, v0)), out=v0)
     q_prev, scratch = np.zeros_like(q), np.empty_like(q)
     alphas: list[float] = []
     betas: list[float] = []
@@ -347,9 +338,9 @@ def _lanczos_smallest(matvec, v0: np.ndarray, tol: float) -> float:
     floor = np.finfo(float).eps ** (2.0 / 3.0)
     for _ in range(LANCZOS_MAX_STEPS):
         w = matvec(q)
-        alphas.append(float(np.sum(np.multiply(q, w, out=scratch))))
+        alphas.append(_dot(q, w, scratch))
         w -= np.add(np.multiply(q, alphas[-1], out=scratch), np.multiply(q_prev, beta, out=q_prev), out=scratch)
-        beta = float(np.sqrt(np.sum(np.multiply(w, w, out=scratch))))
+        beta = math.sqrt(_dot(w, w, scratch))
         theta, last = _smallest_ritz_pair(alphas, betas, theta)
         estimate = beta * last
         if beta == 0.0 or estimate <= tol * max(abs(theta), floor):

@@ -77,13 +77,9 @@ def test_numpy_imported_first_leaves_the_environment_alone():
 def test_sweep_artifacts_do_not_depend_on_threads(tmp_path):
     # N = 32: every octant axis takes the matrix DCT-I, the BLAS route
     args = ["--override", "problem.n=3", "--override", "problem.nonlinearity=hartree", "--override", "grid.N=32"]
-    runs = {
-        "threads-1": (["--threads", "1"], {}),
-        "threads-2": (["--threads", "2"], {}),
-        "blas-2": (["--threads", "1"], {"OPENBLAS_NUM_THREADS": "2"}),
-    }
-    for name, (flags, thread_vars) in runs.items():
-        cmd = [sys.executable, "-m", "nrlimit", "sweep", "--out", str(tmp_path / name), *flags, *args]
+    runs = {"default": {}, "blas-2": {"OPENBLAS_NUM_THREADS": "2"}}
+    for name, thread_vars in runs.items():
+        cmd = [sys.executable, "-m", "nrlimit", "sweep", "--out", str(tmp_path / name), *args]
         subprocess.run(cmd, env=_env(**thread_vars), check=True, capture_output=True)
     for artifact in ("sweep.csv", "summary.json"):
         contents = {(tmp_path / name / artifact).read_bytes() for name in runs}

@@ -272,18 +272,13 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"{command} aborted: {summary['error']}\n"
         assert sorted(p.name for p in out.iterdir()) == ["summary.json", "sweep.csv"]
 
-    def test_threads_flag_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["sweep", "--out", str(out1), "--threads", "2", *SWEEP_OVERRIDES]) == 0
-        assert main(["sweep", "--out", str(out2), "--threads", "1", *SWEEP_OVERRIDES]) == 0
-        for name in ("sweep.csv", "summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    @pytest.mark.parametrize("threads", ["0", "-2"])
-    def test_threads_below_one_exits_2_and_writes_nothing(self, tmp_path, capsys, threads):
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
+        # the sweep is one serial loop: argparse refuses the option before any config is read
         out = tmp_path / "s"
-        assert main(["sweep", "--out", str(out), "--threads", threads, *SWEEP_OVERRIDES]) == 2
-        assert capsys.readouterr().err == f"--threads: must be at least 1, got {threads}\n"
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--out", str(out), "--threads", "2", *SWEEP_OVERRIDES])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_octant_sweep_reads_the_reference_coefficients(self, monkeypatch, transform_counts):
@@ -897,7 +892,7 @@ class TestConfigProperties:
     def test_valid_config_round_trips_through_overrides(self, doc):
         seen = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "run", lambda config, threads=1: seen.append(config) or 0)
+            mp.setattr(cli, "run", lambda config: seen.append(config) or 0)
             assert main([doc["command"], *_override_args(doc)]) == 0
         assert seen == [parse_config(json.dumps(doc))]
 

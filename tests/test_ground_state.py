@@ -441,6 +441,24 @@ class TestTwoLevel:
         assert (res.coarse_iterations == 0) == (failure == "raises")
         self.assert_identical(res, one_level)
 
+    @pytest.mark.parametrize("coarse", ["accepted", "unconverged"])
+    def test_no_start_is_the_default_gaussian_on_both_paths(self, grid3d, monkeypatch, coarse):
+        # u = None builds the Gaussian for the coarse sample and again for the fallback
+        op, nl = nr.nonrelativistic(), nr.hartree()
+        if coarse == "unconverged":
+            level = nr.ground_state._solve_level
+
+            def failing(op, nl, grid, u, cfg, **kwargs):
+                res = level(op, nl, grid, u, cfg, **kwargs)
+                return res if grid == grid3d else replace(res, converged=False)
+
+            monkeypatch.setattr(nr.ground_state, "_solve_level", failing)
+        given = _solve_octant(op, nl, grid3d, _octant_gaussian(grid3d), self.CFG)
+        res = _solve_octant(op, nl, grid3d, None, self.CFG)
+        assert (res.coarse_start, res.coarse_iterations) == (given.coarse_start, given.coarse_iterations)
+        assert res.coarse_start == (coarse == "accepted")
+        self.assert_identical(res, given)
+
     @pytest.mark.parametrize(
         "grid",
         [nr.make_grid(1, 32.0, 1024), nr.make_grid(2, 32.0, 256), SMALL3],
@@ -680,6 +698,11 @@ class TestMemory:
         _, args = problem
         # 3.82e6 measured; the bound leaves half an octant (0.14 MB) of headroom
         assert traced_peak(lambda: _solve_octant(*args)) <= 3.96e6
+
+    def test_default_start_is_not_held_by_the_fine_level(self, problem):
+        grid, (op, nl, *_) = problem
+        # as low as a solve from a start allocated outside the trace: 4.11e6 when solve kept the Gaussian alive
+        assert traced_peak(lambda: nr.solve(op, nl, grid)) <= 3.96e6
 
     def test_result_keeps_the_unfolded_array(self, problem):
         grid, args = problem

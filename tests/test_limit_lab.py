@@ -114,23 +114,7 @@ class TestSweep:
         assert str(slow) in str(info.value)
         assert str(fast) not in str(info.value)
 
-    def test_threaded_sweep_matches_serial(self, grid1d, u_inf_1d):
-        serial = nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid1d, u_inf=u_inf_1d)
-        threaded = nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid1d, u_inf=u_inf_1d, threads=2)
-        for a, b in zip(serial, threaded):
-            assert a.c == b.c
-            assert a.diff_norms == b.diff_norms
-
-    def test_threaded_sweep_matches_serial_on_the_matrix_route(self):
-        # a 32^3 octant axis has 17 points: concurrent solves share the cached
-        # DCT-I matrix and call BLAS from two threads at once
-        grid = nr.make_grid(3, 16.0, 32)
-        u_inf = nr.solve(nr.nonrelativistic(), nr.hartree(), grid)
-        serial = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf)
-        threaded = nr.sweep([4.0, 8.0], [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf, threads=2)
-        assert threaded == serial
-
-    def test_threaded_sweep_matches_serial_from_coarse_starts(self, grid3d, sweep_3d, monkeypatch):
+    def test_every_point_starts_from_its_coarse_solution(self, grid3d, sweep_3d, monkeypatch):
         # at 64^3 every point starts its fine loop from its own 32^3 solution
         core, points = nr.limit_lab._solve_octant, []
 
@@ -140,11 +124,8 @@ class TestSweep:
             return point
 
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
-        u_inf = sweep_3d["u_inf"]
-        serial = nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), grid3d, u_inf=u_inf)
-        threaded = nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), grid3d, u_inf=u_inf, threads=2)
-        assert threaded == serial
-        assert len(points) == 4 and all(p.coarse_start for p in points)
+        nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), grid3d, u_inf=sweep_3d["u_inf"])
+        assert len(points) == 2 and all(p.coarse_start for p in points)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +181,17 @@ class TestSeededSweep:
         nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32)  # fill the caches
         peak = traced_peak(lambda: nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32))
         assert peak < 4 * u_inf_32.field.values.nbytes
+
+    def test_a_sweep_peaks_as_high_as_one_point(self, u_inf_32):
+        # each point's field dies once it is recorded: held through the next
+        # solve, its octant and coefficients add two octants to the peak
+        grid = u_inf_32.field.grid
+
+        def peak(c_values):
+            return traced_peak(lambda: nr.sweep(c_values, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32))
+
+        peak(self.C_3D)  # fill the caches
+        assert peak(self.C_3D) <= peak(self.C_3D[:1]) + u_inf_32.field.octant.nbytes / 2
 
     def test_reference_that_is_not_exactly_even_rejected_before_any_solve(self, monkeypatch, u_inf_1d):
         def no_solve(*args, **kwargs):
@@ -323,6 +315,11 @@ class TestFitRate:
         assert nr.fit_rate(records, 1.0, floor=1.0 / 70.0).c_range == (4.0, 4.0, 8.0)
         with pytest.raises(ValueError, match="distinct c values"):
             nr.fit_rate(records, 1.0, floor=1.0 / 20.0)  # only the two c = 4 records remain
+
+    def test_order_missing_from_the_records_is_refused(self):
+        records = synthetic_records([2.0, 4.0, 8.0, 16.0], lambda c: 1.0 / c**2)
+        with pytest.raises(ValueError, match=r"order s=2 is not among the recorded orders \[1\.0\]"):
+            nr.fit_rate(records, 2.0)
 
     def test_real_sweep_slope(self, sweep_1d):
         fit = nr.fit_rate(sweep_1d["records"], 1.0, floor=1e-10)
@@ -494,7 +491,7 @@ class TestNondegeneracyGap:
     def test_gap_does_not_load_scipy(self):
         # the import budget of a CLI process: scipy.sparse.linalg alone costs
         # about 0.45 s and 32 MB of start-up, numpy.random about 15 ms, and
-        # concurrent.futures (with logging) about 8 ms; only --threads > 1 needs it
+        # concurrent.futures (with logging) about 8 ms
         src = str(Path(nr.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
