@@ -341,7 +341,7 @@ def _sweep_artifacts(config: RunConfig, s_list):
     grid, nl, cfg = config.grid, config.nonlinearity_spec(), config.solver_config()
     ladder = sobolev_ladder(config.n, nl, LADDER_STEPS)
     u_inf = solve(nonrelativistic(), nl, grid, cfg)
-    records = sweep(config.c_list, s_list, nl, grid, cfg, u_inf=u_inf)
+    records = sweep(config.c_list, s_list, nl, u_inf=u_inf, cfg=cfg)
 
     floor = 100.0 * config.tolerance
     fits = {}

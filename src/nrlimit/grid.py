@@ -51,7 +51,9 @@ one grid), `_kernel_coefficients` (the arrays the kernel works on and their
 coefficients), `_coefficients` (coefficients of real- or frequency-space
 fields on one grid), `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN,
 SOBOLEV_ORDER_MAX]) and `_recentered_octant` (recentre at the peak, take the
-even part, keep the octant).
+even part, keep the octant).  Integer and real parameters, here and in every
+other module, pass `_as_integer` and `_as_real`: a Python or numpy number,
+never a bool, stored as an int or a float.
 """
 
 from __future__ import annotations
@@ -79,6 +81,26 @@ SOBOLEV_ORDER_MAX = 8.0
 _MATRIX_DCT_MAX_POINTS = 64
 
 
+def _as_integer(value, name: str, minimum: int | None = None) -> int:
+    """`value` as an int: a Python or numpy integer, not a bool, and at least `minimum` if one is given;
+    else a ValueError naming `name`."""
+    at_least = "" if minimum is None else f" >= {minimum}"
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (minimum is not None and value < minimum):
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
+def _as_real(value, name: str) -> float:
+    """`value` as a float: a Python or numpy integer or float, not a bool, and within float range;
+    else a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Cubic periodic grid: dimension n, box length L, N points per axis.
@@ -95,19 +117,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         for name in ("n", "points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name))
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if isinstance(self.length, bool) or not isinstance(self.length, (int, float, np.integer, np.floating)):
-            raise ValueError(f"length must be a real number, got {self.length!r}")
         # stored as a float, so that dx and a snapshot header do not depend on the type given
-        try:
-            object.__setattr__(self, "length", float(self.length))
-        except OverflowError:
-            raise ValueError("box length must be positive and finite, got an integer beyond float range") from None
+        object.__setattr__(self, "length", _as_real(self.length, "length"))
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"box length must be positive and finite, got {self.length}")
         if self.points % 2 != 0 or self.points < 16:
@@ -212,15 +226,6 @@ class SpectralField:
             arr = np.array(arr, dtype=np.complex128)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def _owned(cls, grid: Grid, values: np.ndarray) -> SpectralField:
-        """The real-space field on `values` itself, frozen but not copied: `values` must be a fresh float64
-        array of the grid's shape that no one else holds (the constructor copies a caller's array)."""
-        field = object.__new__(cls)
-        values.setflags(write=False)
-        field.__dict__.update(grid=grid, values=values, space="real")
-        return field
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -422,9 +427,9 @@ def _real_grid(fields, grid: Grid | None = None) -> Grid:
     return grid
 
 
-def _real_values(*fields: SpectralField, grid: Grid | None = None) -> tuple[Grid, list[np.ndarray]]:
+def _real_values(*fields: SpectralField) -> tuple[Grid, list[np.ndarray]]:
     """The grid and samples of real-space fields on one grid (`_real_grid`)."""
-    return _real_grid(fields, grid), [f.values for f in fields]
+    return _real_grid(fields), [f.values for f in fields]
 
 
 def _stored(f: SpectralField) -> np.ndarray:

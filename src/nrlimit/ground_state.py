@@ -52,6 +52,8 @@ from .grid import (
     Grid,
     SpectralField,
     _EvenField,
+    _as_integer,
+    _as_real,
     _dot,
     _forward,
     _inverse,
@@ -100,12 +102,10 @@ class SolverConfig:
     initial_guess: SpectralField | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float, np.integer, np.floating)):
-            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", _as_real(self.tolerance, "tolerance"))
         if not 1.0e-14 <= self.tolerance <= 1.0e-4:
             raise ValueError(f"tolerance must lie in [1e-14, 1e-4], got {self.tolerance}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        object.__setattr__(self, "max_iterations", _as_integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not (self.initial_guess is None or isinstance(self.initial_guess, SpectralField)):
@@ -127,7 +127,10 @@ class GroundStateResult:
 
 
 def gaussian_guess(grid: Grid, width: float = 1.0) -> SpectralField:
-    """Centered Gaussian exp(-|x|^2 / (2 width^2))."""
+    """Centered Gaussian exp(-|x|^2 / (2 width^2)); the width must be positive and finite."""
+    width = _as_real(width, "width")
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"width must be positive and finite, got {width}")
     return SpectralField(grid, np.exp(-grid.radius_sq() / (2.0 * width**2)))
 
 

@@ -2,7 +2,7 @@
 residual diagnostics built on top of the solver.
 
 A sweep solves the relativistic problem over an ascending list of c values
-against a single nonrelativistic reference state on the same grid, each
+against a single solved nonrelativistic reference state, on its grid, each
 point started from that state and kept on the octant, and records
 per-order difference norms, the H^{-1} defect residual, the projection
 coefficient of the difference onto the reference state, action values and
@@ -29,6 +29,7 @@ from .grid import (
     SpectralField,
     _EvenField,
     _abs_sq,
+    _as_integer,
     _carried_forward,
     _coefficients,
     _dot,
@@ -47,8 +48,8 @@ from .grid import (
     _stored,
 )
 from .nonlinearity import NonlinearitySpec, _derivative
-from .operators import nonrelativistic, pseudo_relativistic, symbol_defect
-from .ground_state import GroundStateResult, SolverConfig, _solve_octant, solve
+from .operators import pseudo_relativistic, symbol_defect
+from .ground_state import GroundStateResult, SolverConfig, _solve_octant
 
 __all__ = [
     "ConvergenceRecord",
@@ -158,21 +159,16 @@ def _sweep_c_values(c_values) -> list[float]:
 
 
 def sweep(
-    c_values,
-    s_values,
-    nl: NonlinearitySpec,
-    grid: Grid,
-    cfg: SolverConfig = SolverConfig(),
-    u_inf: GroundStateResult | None = None,
+    c_values, s_values, nl: NonlinearitySpec, *, u_inf: GroundStateResult, cfg: SolverConfig = SolverConfig()
 ) -> list[ConvergenceRecord]:
-    """Solve the relativistic problem for each c and record convergence data.
+    """Solve the relativistic problem for each c against the solved nonrelativistic reference `u_inf`.
 
-    The nonrelativistic reference is solved once, from cfg.initial_guess (or
-    supplied precomputed on the same grid; it must then be exactly even, as
-    every `solve` result is, and a plain one is wrapped once as an even
-    field).  An unconverged reference is a SweepError before any point is
-    solved.  cfg.initial_guess seeds the reference solve only: every c point
-    starts from the reference's octant, which lies within O(c^-2) of its
+    The sweep runs on the reference's grid.  The reference must be a
+    real-space field that is exactly even, as every `solve` result is (a
+    plain one is wrapped once as an even field), and converged, else a
+    ValueError or a SweepError before any point is solved.  cfg caps each
+    point's solve; its initial_guess is not read.  Every c point starts
+    from the reference's octant, which lies within O(c^-2) of its
     solution, and no point's start depends on another's.  The points run in
     ascending c, each on the octant, and each is recorded by
     `convergence_record` of its solved field against the reference, which
@@ -180,17 +176,16 @@ def sweep(
     point is solved; if any did not converge, a SweepError names each such c
     and carries the records of the points that did.  c values, orders, the
     finite-c subcriticality rule (`NonlinearitySpec.validate_dimension`),
-    which every point must meet, and a supplied reference (grid,
-    representation, evenness) are checked before any solve.
+    which every point must meet, and the reference are checked before any
+    solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
-    nl.validate_dimension(grid.n, relativistic=True)
-    if u_inf is None:
-        u_inf = solve(nonrelativistic(), nl, grid, cfg)
     ref = u_inf.field
-    if not _is_even(_real_grid((ref,), grid), _stored(ref)):
-        raise ValueError("a supplied reference must be exactly even, as a solved field is")
+    grid = _real_grid((ref,))
+    nl.validate_dimension(grid.n, relativistic=True)
+    if not _is_even(grid, _stored(ref)):
+        raise ValueError("the reference must be exactly even, as a solved field is")
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
     ref = ref if isinstance(ref, _EvenField) else _EvenField(grid, _octant(grid, ref.values))
@@ -493,7 +488,6 @@ def sobolev_ladder(n: int, nl: NonlinearitySpec, count: int) -> list[float]:
     where s_1 = 1 - (q-2)/2 + (q-1)/2 = 3/2 > 1/2 for every q, so the unit
     steps start at 1/2 there too.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = _as_integer(count, "count", 1)
     nl.validate_dimension(n, relativistic=True)
     return [k + 0.5 for k in range(count + 1)]

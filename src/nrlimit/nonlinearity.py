@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _forward, _inverse, _real_values
+from .grid import Grid, SpectralField, _as_integer, _forward, _inverse, _real_values
 
 __all__ = [
     "NonlinearitySpec",
@@ -35,15 +35,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Power-type u^p (integer p >= 3) or 3D Hartree (|x|^-1 * u^2) u."""
+    """Power-type u^p (integer p >= 3, stored as an int) or 3D Hartree (|x|^-1 * u^2) u."""
 
     kind: str
     p: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "power":
-            if not isinstance(self.p, int) or self.p < 3:
-                raise ValueError(f"power-type exponent must be an integer >= 3, got {self.p!r}")
+            object.__setattr__(self, "p", _as_integer(self.p, "power-type exponent", 3))
         elif self.kind == "hartree":
             if self.p is not None:
                 raise ValueError("hartree nonlinearity does not take an exponent")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SpectralField, _EvenField, _coefficients, _inverse
+from .grid import Grid, SpectralField, _EvenField, _as_integer, _as_real, _coefficients, _inverse
 
 __all__ = [
     "OperatorSpec",
@@ -29,13 +29,11 @@ __all__ = [
 
 PSEUDO = "pseudo_relativistic"
 NONREL = "nonrelativistic"
-# samples per block of symbol_gap_scan: 128 KiB per temporary
-_SCAN_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Which kinetic multiplier to use; c is the light-speed parameter (>= 1)."""
+    """Which kinetic multiplier to use; c is the light-speed parameter (a real number >= 1, stored as a float)."""
 
     kind: str
     c: float = float("inf")
@@ -44,12 +42,14 @@ class OperatorSpec:
         if self.kind not in (PSEUDO, NONREL):
             raise ValueError(f"kind must be {PSEUDO!r} or {NONREL!r}, got {self.kind!r}")
         if self.kind == PSEUDO:
-            if not np.isfinite(self.c) or self.c < 1.0:
-                raise ValueError(f"light-speed parameter must be finite and >= 1, got {self.c}")
+            c = _as_real(self.c, "light-speed parameter")
+            if not np.isfinite(c) or c < 1.0:
+                raise ValueError(f"light-speed parameter must be finite and >= 1, got {c}")
+            object.__setattr__(self, "c", c)
 
 
 def pseudo_relativistic(c: float) -> OperatorSpec:
-    return OperatorSpec(PSEUDO, float(c))
+    return OperatorSpec(PSEUDO, c)
 
 
 def nonrelativistic() -> OperatorSpec:
@@ -103,7 +103,7 @@ def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward"
     if f.space == "freq":
         return SpectralField(grid, coeff * grid.cell_volume, space="freq")
     out = _inverse(grid, coeff)
-    return _EvenField(grid, out) if out.shape == grid.octant_shape else SpectralField._owned(grid, out)
+    return _EvenField(grid, out) if out.shape == grid.octant_shape else SpectralField(grid, out)
 
 
 def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:
@@ -118,24 +118,17 @@ def symbol_gap_ratio(spec: OperatorSpec, grid: Grid) -> float:
 def symbol_gap_scan(spec: OperatorSpec, xi_max: float = 1.0e3, samples: int = 200_001) -> float:
     """Dense off-lattice scan of P(xi) / sqrt(1 + |xi|^2) over |xi| in [0, xi_max].
 
-    The samples are those of np.linspace(0, xi_max, samples), bit for bit,
-    taken _SCAN_BLOCK at a time so that no temporary outgrows one block; the
-    minimum is the one the whole array would give (a NaN propagates).
+    The minimum over the samples np.linspace(0, xi_max, samples), taken as one
+    array (a NaN propagates).  No command runs it: the symbol table reads the
+    proven minimum (`_proven_min_ratio`), which this scan witnesses.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _as_integer(samples, "samples", 1)
+    xi_max = _as_real(xi_max, "xi_max")
     if not (np.isfinite(xi_max) and xi_max > 0.0):
         raise ValueError(f"xi_max must be finite and > 0, got {xi_max!r}")
-    # np.linspace's sample k is k * step, and its last sample is xi_max itself
-    step = xi_max / (samples - 1) if samples > 1 else 0.0
-    smallest = np.inf
-    for start in range(0, samples, _SCAN_BLOCK):
-        xi = np.arange(start, min(start + _SCAN_BLOCK, samples), dtype=np.float64) * step
-        if samples > 1 and start + xi.size == samples:
-            xi[-1] = xi_max
-        t = xi * xi
-        smallest = np.min(symbol(spec, t) / np.sqrt(1.0 + t), initial=smallest)
-    return float(smallest)
+    xi = np.linspace(0.0, xi_max, samples)
+    t = xi * xi
+    return float(np.min(symbol(spec, t) / np.sqrt(1.0 + t)))
 
 
 def _proven_min_ratio(spec: OperatorSpec) -> float:

@@ -25,6 +25,12 @@ def random_field(grid, rng, scale=1.0):
     return nr.SpectralField(grid, scale * rng.standard_normal(grid.shape))
 
 
+def stand_in_reference(grid):
+    """A converged `GroundStateResult` holding the Gaussian start on `grid`: a sweep's reference for checks that
+    must fire before any solve."""
+    return nr.GroundStateResult(nr.gaussian_guess(grid), 0.0, 0.0, 1, True)
+
+
 def smooth_random_field(grid, rng, width=2.0, scale=1.0):
     """Band-limited random field: white noise with a Gaussian spectral envelope."""
     noise = rng.standard_normal(grid.shape)
@@ -57,7 +63,7 @@ def sweep_1d(grid1d, u_inf_1d):
     """Canonical 1D cubic sweep: c in {4,...,64}, orders up to 4, timed."""
     start = time.perf_counter()
     u_inf = nr.solve(nr.nonrelativistic(), nr.power(3), grid1d)
-    records = nr.sweep([4.0, 8.0, 16.0, 32.0, 64.0], [0.5, 1.0, 2.0, 3.0, 4.0], nr.power(3), grid1d, u_inf=u_inf)
+    records = nr.sweep([4.0, 8.0, 16.0, 32.0, 64.0], [0.5, 1.0, 2.0, 3.0, 4.0], nr.power(3), u_inf=u_inf)
     elapsed = time.perf_counter() - start
     return {"records": records, "u_inf": u_inf, "elapsed": elapsed}
 
@@ -73,7 +79,7 @@ def sweep_3d(grid3d):
     start = time.perf_counter()
     u_inf = nr.solve(nr.nonrelativistic(), nr.hartree(), grid3d)
     assert u_inf.converged
-    records = nr.sweep([4.0, 8.0, 16.0, 32.0], [0.5, 1.0, 2.0, 3.0, 4.0], nr.hartree(), grid3d, u_inf=u_inf)
+    records = nr.sweep([4.0, 8.0, 16.0, 32.0], [0.5, 1.0, 2.0, 3.0, 4.0], nr.hartree(), u_inf=u_inf)
     elapsed = time.perf_counter() - start
     return {"records": records, "u_inf": u_inf, "elapsed": elapsed}
 

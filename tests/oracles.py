@@ -153,8 +153,8 @@ def multiplier_quadrature_reference(x, c: float, xi_max: float = 60.0, num: int 
 def dense_symbol_gap_scan(spec, xi_max: float = 1.0e3, samples: int = 200_001) -> float:
     """min of P(xi) / sqrt(1 + |xi|^2) over np.linspace(0, xi_max, samples), as one array.
 
-    The reference for the blocked `symbol_gap_scan`, which must agree bit for
-    bit; it evaluates `operators.symbol`, looked up at call time as the scan
+    The reference for `symbol_gap_scan`, which must agree bit for bit; it
+    evaluates `operators.symbol`, looked up at call time as the scan
     does, on all samples at once.
     """
     xi = np.linspace(0.0, xi_max, samples)

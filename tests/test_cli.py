@@ -298,7 +298,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
         before = transform_counts["dct"]
-        records = nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=u_inf)
+        records = nr.sweep(config.c_list, [0.5, 1.0], nl, u_inf=u_inf, cfg=cfg)
         assert len(records) == len(solves) == 3
         assert transform_counts["dct"] - before - sum(solves) == 3
         assert "values" not in vars(u_inf.field)
@@ -308,7 +308,7 @@ class TestSweepCommand:
         plain = dataclasses.replace(u_inf, field=nr.SpectralField(config.grid, u_inf.field.values))
         solves.clear()
         before = transform_counts["dct"]
-        assert nr.sweep(config.c_list, [0.5, 1.0], nl, config.grid, cfg, u_inf=plain) == records
+        assert nr.sweep(config.c_list, [0.5, 1.0], nl, u_inf=plain, cfg=cfg) == records
         assert transform_counts["dct"] - before - sum(solves) == 3 + 1
 
 
@@ -365,6 +365,12 @@ class TestNondegCommand:
         assert err.splitlines() == [err.strip()]
         assert "Lanczos did not converge in 3 steps" in err
         assert "Traceback" not in err
+        assert not (out / "nondeg.json").exists()
+
+    def test_reference_nonconvergence_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "n"
+        assert main(["nondeg", "--out", str(out), "--override", "solver.max_iterations=3"]) == 3
+        assert capsys.readouterr().err == "reference solve did not converge\n"
         assert not (out / "nondeg.json").exists()
 
     def test_3d_hartree_run_peak(self, tmp_path):

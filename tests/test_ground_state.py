@@ -41,6 +41,7 @@ class TestConfigValidation:
     def test_tolerance_takes_numpy_reals(self):
         assert nr.SolverConfig(tolerance=np.float32(1e-6)).tolerance == np.float32(1e-6)
         assert nr.SolverConfig(tolerance=np.float64(1e-8)).tolerance == 1e-8
+        assert type(nr.SolverConfig(tolerance=np.float32(1e-6)).tolerance) is float
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None], ids=["2.5", "3.0", "true", "str", "none"])
     def test_max_iterations_is_an_integer(self, value):
@@ -49,6 +50,7 @@ class TestConfigValidation:
 
     def test_max_iterations_positive(self):
         assert nr.SolverConfig(max_iterations=np.int64(5)).max_iterations == 5
+        assert type(nr.SolverConfig(max_iterations=np.int64(5)).max_iterations) is int
         with pytest.raises(ValueError, match="max_iterations must be positive"):
             nr.SolverConfig(max_iterations=0)
 
@@ -781,6 +783,18 @@ class TestDefaultGuess:
         assert by_default.residual_history == by_field.residual_history
         assert np.array_equal(by_default.field.values, by_field.field.values)
         assert by_default.action == by_field.action
+
+
+class TestGaussianGuess:
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("inf"), float("nan"), True, "1"])
+    def test_width_must_be_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="width must be"):
+            nr.gaussian_guess(nr.make_grid(1, 16.0, 64), width)
+
+    def test_width_sets_the_decay(self):
+        grid = nr.make_grid(1, 16.0, 64)
+        x = grid.coordinates()[0]
+        assert np.array_equal(nr.gaussian_guess(grid, 2).values, np.exp(-x * x / 8.0))
 
 
 class TestInitializationStability:

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import eigh, eigh_tridiagonal, null_space, orth
 
 import nrlimit as nr
-from conftest import traced_peak
+from conftest import stand_in_reference, traced_peak
 from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest, _smallest_ritz_pair
 from oracles import dense_gap_fd, lattice_pairing
 
@@ -76,25 +76,24 @@ class TestSweep:
         assert max(ratios) <= 1.0
         assert max(ratios) / min(ratios) <= 2.0
 
-    def test_validation(self, grid1d):
+    def test_validation(self, u_inf_1d):
         with pytest.raises(ValueError):
-            nr.sweep([8.0, 4.0], [1.0], nr.power(3), grid1d)
+            nr.sweep([8.0, 4.0], [1.0], nr.power(3), u_inf=u_inf_1d)
         with pytest.raises(ValueError):
-            nr.sweep([0.5], [1.0], nr.power(3), grid1d)
+            nr.sweep([0.5], [1.0], nr.power(3), u_inf=u_inf_1d)
         with pytest.raises(ValueError):
-            nr.sweep([], [1.0], nr.power(3), grid1d)
+            nr.sweep([], [1.0], nr.power(3), u_inf=u_inf_1d)
 
     @pytest.mark.parametrize("c_values", [[4.0, 4.0, 4.0, 4.0], [4.0, 8.0, 8.0, 16.0]])
     def test_repeated_c_values_rejected_before_any_solve(self, monkeypatch, c_values):
-        monkeypatch.setattr(nr.limit_lab, "solve", TestSweepReference.no_solve)
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", TestSweepReference.no_solve)
         with pytest.raises(ValueError, match="strictly ascending"):
-            nr.sweep(c_values, [1.0], nr.power(3), SMALL)
+            nr.sweep(c_values, [1.0], nr.power(3), u_inf=stand_in_reference(SMALL))
 
-    def test_nonconvergence_aborts_with_partial_report(self, grid1d, u_inf_1d):
+    def test_nonconvergence_aborts_with_partial_report(self, u_inf_1d):
         starving = nr.SolverConfig(max_iterations=5)
         with pytest.raises(nr.SweepError) as info:
-            nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid1d, starving, u_inf=u_inf_1d)
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=u_inf_1d, cfg=starving)
         assert info.value.records == []
         assert "4.0" in str(info.value)
 
@@ -109,12 +108,12 @@ class TestSweep:
         fast, slow = sorted(counts, key=counts.get)
         cfg = nr.SolverConfig(max_iterations=counts[fast])
         with pytest.raises(nr.SweepError) as info:
-            nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid1d, cfg, u_inf=u_inf_1d)
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=u_inf_1d, cfg=cfg)
         assert [r.c for r in info.value.records] == [fast]
         assert str(slow) in str(info.value)
         assert str(fast) not in str(info.value)
 
-    def test_every_point_starts_from_its_coarse_solution(self, grid3d, sweep_3d, monkeypatch):
+    def test_every_point_starts_from_its_coarse_solution(self, sweep_3d, monkeypatch):
         # at 64^3 every point starts its fine loop from its own 32^3 solution
         core, points = nr.limit_lab._solve_octant, []
 
@@ -124,7 +123,7 @@ class TestSweep:
             return point
 
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
-        nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), grid3d, u_inf=sweep_3d["u_inf"])
+        nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), u_inf=sweep_3d["u_inf"])
         assert len(points) == 2 and all(p.coarse_start for p in points)
 
 
@@ -158,7 +157,7 @@ class TestSeededSweep:
 
     def test_records_match_seeded_public_solves_on_32_cubed_hartree(self, u_inf_32):
         s_values = [0.5, 1.0, 2.0]
-        records = nr.sweep(self.C_3D, s_values, nr.hartree(), u_inf_32.field.grid, u_inf=u_inf_32)
+        records = nr.sweep(self.C_3D, s_values, nr.hartree(), u_inf=u_inf_32)
         self.assert_records_match_seeded_solves(records, u_inf_32, nr.hartree(), self.C_3D, s_values)
 
     def test_seeded_sweep_takes_fewer_than_60_iterations(self, monkeypatch, u_inf_32):
@@ -172,23 +171,20 @@ class TestSeededSweep:
             return point
 
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
-        nr.sweep(self.C_3D, [1.0], nr.hartree(), u_inf_32.field.grid, u_inf=u_inf_32)
+        nr.sweep(self.C_3D, [1.0], nr.hartree(), u_inf=u_inf_32)
         assert len(iterations) == len(self.C_3D)
         assert sum(iterations) < 60
 
     def test_peak_memory_stays_below_four_full_grid_arrays(self, u_inf_32):
-        grid = u_inf_32.field.grid
-        nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32)  # fill the caches
-        peak = traced_peak(lambda: nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32))
+        nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), u_inf=u_inf_32)  # fill the caches
+        peak = traced_peak(lambda: nr.sweep(self.C_3D, [0.5, 1.0], nr.hartree(), u_inf=u_inf_32))
         assert peak < 4 * u_inf_32.field.values.nbytes
 
     def test_a_sweep_peaks_as_high_as_one_point(self, u_inf_32):
         # each point's field dies once it is recorded: held through the next
         # solve, its octant and coefficients add two octants to the peak
-        grid = u_inf_32.field.grid
-
         def peak(c_values):
-            return traced_peak(lambda: nr.sweep(c_values, [0.5, 1.0], nr.hartree(), grid, u_inf=u_inf_32))
+            return traced_peak(lambda: nr.sweep(c_values, [0.5, 1.0], nr.hartree(), u_inf=u_inf_32))
 
         peak(self.C_3D)  # fill the caches
         assert peak(self.C_3D) <= peak(self.C_3D[:1]) + u_inf_32.field.octant.nbytes / 2
@@ -198,28 +194,10 @@ class TestSeededSweep:
             raise AssertionError("sweep solved before checking its reference")
 
         monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
-        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
-        grid = u_inf_1d.field.grid
-        shifted = nr.SpectralField(grid, np.roll(u_inf_1d.field.values, 1))
+        shifted = nr.SpectralField(u_inf_1d.field.grid, np.roll(u_inf_1d.field.values, 1))
         u_inf = nr.GroundStateResult(shifted, u_inf_1d.residual, u_inf_1d.action, u_inf_1d.iterations, True)
         with pytest.raises(ValueError, match="exactly even"):
-            nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid, u_inf=u_inf)
-
-    def test_initial_guess_seeds_the_reference_only(self, monkeypatch, grid1d, u_inf_1d):
-        starts = []
-        core = nr.limit_lab._solve_octant
-
-        def recorded(op, nl, grid, u, cfg):
-            starts.append(u)
-            return core(op, nl, grid, u, cfg)
-
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
-        guess = nr.gaussian_guess(grid1d, 1.3)
-        nr.sweep([4.0, 8.0], [1.0], nr.power(3), grid1d, nr.SolverConfig(initial_guess=guess))
-        reference = nr.solve(nr.nonrelativistic(), nr.power(3), grid1d, nr.SolverConfig(initial_guess=guess))
-        assert len(starts) == 2
-        for u in starts:
-            assert np.array_equal(u, reference.field.values[grid1d.octant_index])
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=u_inf)
 
 
 class TestSobolevOrderRange:
@@ -231,9 +209,9 @@ class TestSobolevOrderRange:
         def no_solve(*args, **kwargs):
             raise AssertionError("sweep solved before checking its orders")
 
-        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
         with pytest.raises(ValueError, match="Sobolev order"):
-            nr.sweep([4.0, 8.0], [1.0, s], nr.power(3), SMALL)
+            nr.sweep([4.0, 8.0], [1.0, s], nr.power(3), u_inf=stand_in_reference(SMALL))
 
     @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5])
     def test_convergence_record_rejects_order(self, s):
@@ -251,27 +229,33 @@ class TestSobolevOrderRange:
 
 
 class TestSweepReference:
-    """A supplied reference is checked against the sweep's grid before any solve."""
+    """The sweep runs on its solved reference's grid, and checks the reference before any solve."""
 
     @staticmethod
     def no_solve(*args, **kwargs):
         raise AssertionError("sweep solved before checking its reference")
 
-    @pytest.mark.parametrize(
-        "other", [nr.make_grid(1, 16.0, 128), nr.make_grid(1, 20.0, 64)], ids=["other-points", "other-length"]
-    )
-    def test_reference_on_another_grid_rejected(self, monkeypatch, other):
-        u_inf = nr.GroundStateResult(nr.SpectralField(other, np.exp(-0.5 * other.radius_sq())), 0.0, 0.0, 1, True)
-        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
-        with pytest.raises(ValueError, match="fields must share one grid"):
-            nr.sweep([4.0, 8.0], [1.0], nr.power(3), SMALL, u_inf=u_inf)
-
     def test_frequency_space_reference_rejected(self, monkeypatch):
         u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
         u_inf = nr.GroundStateResult(nr.transform(u, "forward"), 0.0, 0.0, 1, True)
-        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", self.no_solve)
         with pytest.raises(ValueError, match="real-space"):
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=u_inf)
+
+    @pytest.mark.parametrize("c_values", [["4", "8"], [True, 4.0]], ids=["str", "true"])
+    def test_c_values_that_are_not_real_numbers_rejected(self, monkeypatch, c_values):
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", self.no_solve)
+        with pytest.raises(ValueError, match="light-speed parameter must be a real number"):
+            nr.sweep(c_values, [1.0], nr.power(3), u_inf=stand_in_reference(SMALL))
+
+    def test_takes_no_grid_and_requires_the_reference(self, monkeypatch):
+        # the grid is the reference's: a grid in the fourth position, or no reference, is a call error
+        u_inf = stand_in_reference(SMALL)
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", self.no_solve)
+        with pytest.raises(TypeError):
             nr.sweep([4.0, 8.0], [1.0], nr.power(3), SMALL, u_inf=u_inf)
+        with pytest.raises(TypeError):
+            nr.sweep([4.0, 8.0], [1.0], nr.power(3))
 
 
 class TestFitRate:
@@ -677,18 +661,19 @@ class TestSobolevLadder:
             nr.sobolev_ladder(3, nr.power(3), 3)
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            nr.sobolev_ladder(1, nr.power(3), 0)
+        for count in (0, True, 2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="count must be an integer >= 1"):
+                nr.sobolev_ladder(1, nr.power(3), count)
+        assert nr.sobolev_ladder(1, nr.power(3), np.int64(2)) == [0.5, 1.5, 2.5]
 
 
 def test_sweep_refuses_the_two_dimensional_cubic_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("sweep solved before refusing")
 
-    monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
     monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
     with pytest.raises(ValueError, match="at finite c"):
-        nr.sweep([4.0, 8.0], [1.0], nr.power(3), nr.make_grid(2, 32.0, 64))
+        nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=stand_in_reference(nr.make_grid(2, 32.0, 64)))
 
 
 class TestUniformBoundTable:

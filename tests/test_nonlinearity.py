@@ -9,7 +9,7 @@ from scipy.special import erf
 
 import nrlimit as nr
 from nrlimit.cli import ConfigError, parse_config
-from conftest import random_field, smooth_random_field
+from conftest import random_field, smooth_random_field, stand_in_reference
 from oracles import lp_norm, multilinear_ratio
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -22,10 +22,15 @@ def gaussian3(grid, rate):
 
 class TestSpecValidation:
     def test_power_requires_integer_at_least_three(self):
-        with pytest.raises(ValueError):
-            nr.NonlinearitySpec("power", 2)
-        with pytest.raises(ValueError):
-            nr.NonlinearitySpec("power", 3.5)
+        for p in (2, 3.5, True, 3.0, "3", np.int64(2)):
+            with pytest.raises(ValueError, match="power-type exponent must be an integer >= 3"):
+                nr.NonlinearitySpec("power", p)
+
+    @pytest.mark.parametrize("p", [np.int64(3), np.int32(5)])
+    def test_numpy_integer_exponent_is_stored_as_int(self, p):
+        spec = nr.power(p)
+        assert spec == nr.power(int(p))
+        assert type(spec.p) is int
 
     def test_subcriticality_in_two_dimensions(self):
         nr.power(3).validate_dimension(2)
@@ -64,7 +69,7 @@ RULE_ADMITS = {
 
 
 class _WorkStarted(Exception):
-    """Raised by the first transform of a solve or by a sweep's reference solve."""
+    """Raised by the first transform of a solve or by a sweep's first point solve."""
 
 
 class TestOneSubcriticalityRule:
@@ -95,13 +100,13 @@ class TestOneSubcriticalityRule:
         # that carries no coefficients, and must refuse before that
         monkeypatch.setattr(nr.ground_state, "_forward", work)
         monkeypatch.setattr(nr.grid, "_forward", work)
-        monkeypatch.setattr(nr.limit_lab, "solve", work)
+        monkeypatch.setattr(nr.limit_lab, "_solve_octant", work)
         grid = nr.make_grid(n, 16.0, 16)
         op = nr.pseudo_relativistic(c) if finite else nr.nonrelativistic()
         u = nr.gaussian_guess(grid)
         runs = [lambda: nr.solve(op, nl, grid), lambda: nr.residual(u, op, nl), lambda: nr.action(u, op, nl)]
         if finite:
-            runs += [lambda: nr.sweep([c], [1.0], nl, grid), ladder]
+            runs += [lambda: nr.sweep([c], [1.0], nl, u_inf=stand_in_reference(grid)), ladder]
         for run in runs:
             with pytest.raises(_WorkStarted if message is None else ValueError) as raised:
                 run()

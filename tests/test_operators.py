@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import nrlimit as nr
 from nrlimit import operators
 from nrlimit.cli import SYMBOL_C_GRID
-from nrlimit.operators import _SCAN_BLOCK
 from conftest import random_field
 from oracles import dense_symbol_gap_scan, multiplier_quadrature_reference
 
@@ -23,6 +22,22 @@ class TestSpec:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             nr.OperatorSpec("galilean")
+
+    @pytest.mark.parametrize("c", [True, "2", None, 4.0j], ids=["true", "str", "none", "complex"])
+    def test_light_speed_must_be_a_real_number(self, c):
+        with pytest.raises(ValueError, match="light-speed parameter must be a real number"):
+            nr.OperatorSpec("pseudo_relativistic", c)
+
+    @pytest.mark.parametrize("c", [True, "4", 10**400], ids=["true", "str", "huge"])
+    def test_builder_refuses_what_float_would_take(self, c):
+        with pytest.raises(ValueError, match="light-speed parameter must be"):
+            nr.pseudo_relativistic(c)
+
+    @pytest.mark.parametrize("c", [4, np.int64(4), np.float32(4.0), 4.0])
+    def test_light_speed_is_stored_as_float(self, c):
+        for spec in (nr.OperatorSpec("pseudo_relativistic", c), nr.pseudo_relativistic(c)):
+            assert spec == nr.pseudo_relativistic(4.0)
+            assert type(spec.c) is float
 
 
 class TestSymbol:
@@ -144,14 +159,14 @@ class TestSymbolGapRatio:
 
 
 class TestSymbolGapScan:
-    @pytest.mark.parametrize("samples", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 200_001])
+    @pytest.mark.parametrize("samples", [16_383, 16_384, 16_385, 200_001])
     def test_blocked_scan_is_bit_identical_to_one_array(self, samples, monkeypatch):
         specs = [nr.pseudo_relativistic(c) for c in SYMBOL_C_GRID]
         for spec in specs:
             assert nr.symbol_gap_scan(spec, samples=samples) == dense_symbol_gap_scan(spec, samples=samples)
         # The true ratio is smallest at xi = 0, the first sample.  A stand-in
         # whose smallest ratio sits at an interior sample and moves with every
-        # sample value checks the samples and the running minimum too.
+        # sample value checks the samples and the minimum too.
         monkeypatch.setattr(operators, "symbol", lambda spec, t: np.sqrt(1.0 + t) * np.cos(t / spec.c))
         for spec in specs:
             scanned = nr.symbol_gap_scan(spec, samples=samples)
@@ -168,11 +183,15 @@ class TestSymbolGapScan:
         # |xi| above 1.35e154 squares to infinity and the ratio to NaN: the last tenth of the samples
         spec = nr.pseudo_relativistic(4.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(dense_symbol_gap_scan(spec, xi_max=1.5e154, samples=3 * _SCAN_BLOCK))
-            assert np.isnan(nr.symbol_gap_scan(spec, xi_max=1.5e154, samples=3 * _SCAN_BLOCK))
+            assert np.isnan(dense_symbol_gap_scan(spec, xi_max=1.5e154, samples=49_152))
+            assert np.isnan(nr.symbol_gap_scan(spec, xi_max=1.5e154, samples=49_152))
 
     def test_single_sample_is_the_zero_frequency(self):
         assert nr.symbol_gap_scan(nr.pseudo_relativistic(4.0), samples=1) == 1.0
+
+    def test_takes_numpy_integer_samples(self):
+        spec = nr.pseudo_relativistic(4.0)
+        assert nr.symbol_gap_scan(spec, samples=np.int64(16)) == nr.symbol_gap_scan(spec, samples=16)
 
     @pytest.mark.parametrize("samples", [0, -3, 2.0, True])
     def test_rejects_samples_that_are_not_a_positive_integer(self, samples):
