@@ -477,15 +477,18 @@ def _inverse(
     return _dct(coeff, out, work, divisor=grid.size)
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(conj(a) b) of two real or two complex coefficient arrays."""
+def _weighted_pair(grid: Grid, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Re(conj(a) b) of two real or two complex coefficient arrays, in `out` (a real array, new if None), times each
+    entry's multiplicity, `octant_weight` on the octant and 1 on the full lattice: its plain sum is the pair's
+    `_lattice_sum`, bit for bit, since the multiplicities are powers of two."""
     if np.iscomplexobj(a):
-        return a.real * b.real + a.imag * b.imag
-    return a * b
-
-
-def _abs_sq(coeff: np.ndarray) -> np.ndarray:
-    return _pair(coeff, coeff)
+        q = np.multiply(a.real, b.real, out=out)
+        q += a.imag * b.imag
+        return q
+    q = np.multiply(a, b, out=out)
+    if q.shape == grid.octant_shape:
+        q *= grid.octant_weight
+    return q
 
 
 def _lattice_sum(grid: Grid, q: np.ndarray) -> float:
@@ -499,13 +502,9 @@ def _lattice_sum(grid: Grid, q: np.ndarray) -> float:
 
 
 def _lattice_dot(grid: Grid, a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> float:
-    """`_lattice_sum(grid, _pair(a, b))` bit for bit, real products formed in `work` (new if None; may be a or b)."""
-    if np.iscomplexobj(a):
-        return _lattice_sum(grid, _pair(a, b))
-    q = np.multiply(a, b, out=work)
-    if q.shape == grid.octant_shape:
-        q *= grid.octant_weight
-    return float(np.sum(q))
+    """`_lattice_sum` of Re(conj(a) b), `_weighted_pair` summed, real products formed in `work` (new if None; may be a
+    or b)."""
+    return float(np.sum(_weighted_pair(grid, a, b, None if np.iscomplexobj(a) else work)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> float:
@@ -518,21 +517,25 @@ def _dot(a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> float:
     return float(np.sum(np.multiply(a, b, out=work)))
 
 
-def _spectral_integral(grid: Grid, mult: np.ndarray, q: np.ndarray) -> float:
-    """Continuum value of the mode sum of mult * q, q a product of two `_forward` coefficient arrays."""
-    return _lattice_sum(grid, mult * q) * grid.cell_volume**2 / grid.volume
+def _spectral_integral(
+    grid: Grid, mult: np.ndarray | float, weighted: np.ndarray, work: np.ndarray | None = None
+) -> float:
+    """Continuum value of the mode sum of mult * q, q a product of two `_forward` coefficient arrays given as its
+    `_weighted_pair` `weighted`, the products formed in `work` (new if None)."""
+    return _dot(mult, weighted, work) * grid.cell_volume**2 / grid.volume
 
 
 def _spectral_norm(grid: Grid, mult: np.ndarray, coeff: np.ndarray) -> float:
     """sqrt of `_spectral_integral` of mult |coeff|^2: with mult = (1+|xi|^2)^s the H^s norm."""
-    return float(np.sqrt(_spectral_integral(grid, mult, _abs_sq(coeff))))
+    return float(np.sqrt(_spectral_integral(grid, mult, _weighted_pair(grid, coeff, coeff))))
 
 
-def _sobolev_weight(xi_sq: np.ndarray | float, s: float) -> np.ndarray | float:
-    """The H^s weight (1+|xi|^2)^s; an order outside [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX] (or nan) is a ValueError."""
+def _sobolev_weight(xi_sq: np.ndarray | float, s: float, out: np.ndarray | None = None) -> np.ndarray | float:
+    """The H^s weight (1+|xi|^2)^s, in `out` (new if None); an order outside [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]
+    (or nan) is a ValueError."""
     if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
         raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
-    return (1.0 + xi_sq) ** s
+    return np.power(np.add(1.0, xi_sq, out=out), s, out=out)
 
 
 def _coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
@@ -566,7 +569,7 @@ def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> flo
     if weight not in ("L2", "H1"):
         raise ValueError(f"weight must be 'L2' or 'H1', got {weight!r}")
     grid, (fh, gh), xi_sq = _coefficients(f, g)
-    return _spectral_integral(grid, 1.0 if weight == "L2" else 1.0 + xi_sq, _pair(fh, gh))
+    return _spectral_integral(grid, 1.0 if weight == "L2" else 1.0 + xi_sq, _weighted_pair(grid, fh, gh))
 
 
 def _reflect(values: np.ndarray, ax: int) -> np.ndarray:

@@ -23,7 +23,9 @@ The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
 transforms (N(u) forward, the mixed coefficients back), four with the
 Hartree term's Coulomb pair, and allocates no array: a level holds 13
 octant arrays, the last f = G(u) - u and G(u) waiting in the mixer's ring
-(`_AndersonMixer`).  A level adds the start transform, the final N(u) and
+(`_AndersonMixer`), and a fine level started from the prolongation nine,
+its mixer of depth 1 keeping one difference pair instead of three.  A
+level adds the start transform, the final N(u) and
 one transform per confirm (`_solve_level`), and a two-level solve the
 prolongation's one inverse transform, and, where the rule rejects the
 prolongation, the start transform and N(u) of its one residual.  On grids
@@ -79,6 +81,10 @@ __all__ = [
 
 COLLAPSE_NORM = 1.0e-8
 ANDERSON_DEPTH = 3
+_PROLONGED_DEPTH = 1
+"""The Anderson depth of a fine level started from an accepted prolongation.  On the 3D report's five
+solves (64^3 Hartree) depth 1 takes 3/4/3/3/3 fine iterations, as depth 3 does, and the plain step
+3/5/4/3/3; its ring holds two octant arrays instead of six."""
 
 
 class GroundStateError(RuntimeError):
@@ -184,9 +190,10 @@ def _small_solve(matrix: list[list[float]], rhs: list[float]) -> list[float] | N
 class _AndersonMixer:
     """Type-II Anderson mixing, mixing parameter 1, of a fixed-point map G.
 
-    Keeps the last ANDERSON_DEPTH differences of f = G(u) - u and of G(u) in a
-    preallocated ring buffer and their Gram matrix, one new row per step.  The
-    next iterate is G(u) - dG alpha with alpha minimizing ||f - dF alpha||, in
+    Keeps the last `depth` (ANDERSON_DEPTH, or _PROLONGED_DEPTH) differences of
+    f = G(u) - u and of G(u) in a preallocated ring buffer and their Gram
+    matrix, one new row per step.  The next iterate is G(u) - dG alpha with
+    alpha minimizing ||f - dF alpha||, in
     the dot product weighted by `weight` (the octant multiplicities, so that
     it is the full-grid dot product of the even fields).  The step is bound
     by memory traffic: the projections <dF_j, f> of the older columns are
@@ -195,14 +202,18 @@ class _AndersonMixer:
     f and G(u) then wait in the ring slot whose old column no later step
     reads, where the next step turns them into its difference columns in
     place: the mixer holds no array beyond its ring.  The k x k Gram system
-    (k <= ANDERSON_DEPTH) is solved by `_small_solve`, not LAPACK; an exactly
+    (k <= depth) is solved by `_small_solve`, not LAPACK; an exactly
     zero pivot or a non-finite alpha restarts the history with the plain step.
     """
 
     def __init__(
-        self, shape: tuple[int, ...], weight: np.ndarray | float, scratch: tuple[np.ndarray, np.ndarray, np.ndarray]
+        self,
+        shape: tuple[int, ...],
+        weight: np.ndarray | float,
+        scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+        depth: int = ANDERSON_DEPTH,
     ) -> None:
-        m = ANDERSON_DEPTH
+        self.depth = m = depth
         self.weight = weight
         self.df = np.empty((m, *shape))
         self.dg = np.empty((m, *shape))
@@ -221,8 +232,8 @@ class _AndersonMixer:
         if self.columns >= 0:
             np.subtract(f, self.df[s], out=self.df[s])
             np.subtract(g, self.dg[s], out=self.dg[s])
-            self.slot = (s + 1) % ANDERSON_DEPTH
-            self.columns = k = min(self.columns + 1, ANDERSON_DEPTH)
+            self.slot = (s + 1) % self.depth
+            self.columns = k = min(self.columns + 1, self.depth)
             weighted = np.multiply(self.df[s], self.weight, out=self.weighted)
             for j in range(k):
                 self.gram[s, j] = self.gram[j, s] = _dot(weighted, self.df[j], self.product)
@@ -335,7 +346,9 @@ def _solve_level(
 
     The iterate is held as samples x, which the level owns and writes to, and
     DCT-I coefficients uh; a level holds 13 octant arrays: x, uh, the symbol,
-    the image, three scratch arrays and the mixer's ring of six.  The mixer
+    the image, three scratch arrays and the mixer's ring of six; a level with
+    a finite `start_limit` (an accepted prolongation, a few iterations from
+    its solution) mixes with depth _PROLONGED_DEPTH, a ring of two.  The mixer
     mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
     dot products' alpha unchanged), one inverse gives the next samples, and
     the recentring test reads them.  A mixed uh omits the round-off of x's
@@ -351,7 +364,8 @@ def _solve_level(
     uh = _forward(grid, x)  # the start transform
     synced = True  # uh is the transform of x, bit for bit
     nu, nh, work, image = (np.empty(x.shape) for _ in range(4))
-    mixer = _AndersonMixer(x.shape, grid.octant_weight, (work, nu, nh))  # all free during a mix
+    depth = ANDERSON_DEPTH if start_limit == math.inf else _PROLONGED_DEPTH
+    mixer = _AndersonMixer(x.shape, grid.octant_weight, (work, nu, nh), depth)  # all free during a mix
     history: list[float] = []
 
     for iterations in range(cfg.max_iterations + 1):
@@ -409,7 +423,8 @@ def solve(op: OperatorSpec, nl: NonlinearitySpec, grid: Grid, cfg: SolverConfig 
     to the zero field or on a non-finite iterate or residual, and ValueError
     where nl fails the rule of `NonlinearitySpec.validate_dimension` for op's
     kind, before any iteration.  The stabilized map is Anderson-mixed with
-    depth ANDERSON_DEPTH.  The default Gaussian is sampled on the octant
+    depth ANDERSON_DEPTH (1 on a fine level started from the prolongation
+    below).  The default Gaussian is sampled on the octant
     directly; a solved field enters as the octant it stores, another field
     that is exactly even with its peak at the center as its octant, any other
     is recentered and symmetrized once.  From then on the whole solve runs on

@@ -28,8 +28,8 @@ from .grid import (
     Grid,
     SpectralField,
     _EvenField,
-    _abs_sq,
     _as_integer,
+    _as_real,
     _carried_forward,
     _coefficients,
     _dot,
@@ -39,16 +39,16 @@ from .grid import (
     _kernel_coefficients,
     _lattice_sum,
     _octant,
-    _pair,
     _real_grid,
     _recentered_octant,
     _sobolev_weight,
     _spectral_integral,
     _spectral_norm,
     _stored,
+    _weighted_pair,
 )
 from .nonlinearity import NonlinearitySpec, _derivative
-from .operators import pseudo_relativistic, symbol_defect
+from .operators import _symbol_defect, pseudo_relativistic, symbol_defect
 from .ground_state import GroundStateResult, SolverConfig, _solve_octant
 
 __all__ = [
@@ -118,23 +118,33 @@ def convergence_record(
     On the octant when both fields are exactly even (solved fields are), on
     the full lattice otherwise.  The difference is transformed, and each
     field that does not carry its coefficients (as a solved one does);
-    every norm and pairing is then read off the coefficients.
+    every norm and pairing is then read off the coefficients.  |w_hat|^2 and
+    |u_c_hat|^2 times the multiplicities are formed once, and each order's
+    weight, the defect and every product go to two buffers: five arrays.
     """
     grid, (uc, ref), (uc_hat, ref_hat), xi_sq = _kernel_coefficients(u_c, u_inf)
-    w_hat = _forward(grid, uc - ref)
-    w_sq, uc_sq = _abs_sq(w_hat), _abs_sq(uc_hat)
-    h1 = 1.0 + xi_sq
+    weight, product = np.empty(xi_sq.shape), np.empty(xi_sq.shape)
+    w_hat = _forward(grid, np.subtract(uc, ref, out=weight), work=weight)
+    w_sq, uc_sq = _weighted_pair(grid, w_hat, w_hat), _weighted_pair(grid, uc_hat, uc_hat)
     diff, sup = {}, {}
     for s in map(float, s_values):
-        weight = _sobolev_weight(xi_sq, s)
-        diff[s], sup[s] = (float(np.sqrt(_spectral_integral(grid, weight, q))) for q in (w_sq, uc_sq))
-    lam = _spectral_integral(grid, h1, _pair(w_hat, ref_hat)) / _spectral_integral(grid, h1, _abs_sq(ref_hat))
+        _sobolev_weight(xi_sq, s, out=weight)
+        diff[s], sup[s] = (math.sqrt(_spectral_integral(grid, weight, q, product)) for q in (w_sq, uc_sq))
+    h_minus1 = _defect_residual(grid, xi_sq, uc_sq, c, weight, product)
+    del w_sq, uc_sq
+    h1 = np.add(1.0, xi_sq, out=weight)
+
+    def h1_pairing(a: np.ndarray, b: np.ndarray) -> float:
+        return _spectral_integral(grid, h1, _weighted_pair(grid, a, b, product), product)
+
+    lam = h1_pairing(w_hat, ref_hat) / h1_pairing(ref_hat, ref_hat)
+    w_hat -= lam * ref_hat  # v, the part of w that is H^1-orthogonal to u_inf
     return ConvergenceRecord(
         c=float(c),
         diff_norms=MappingProxyType(diff),
-        h_minus1_residual=_defect_residual(grid, xi_sq, uc_hat, c),
+        h_minus1_residual=h_minus1,
         lam=float(lam),
-        v_norm_h1=_spectral_norm(grid, h1, w_hat - lam * ref_hat),
+        v_norm_h1=math.sqrt(h1_pairing(w_hat, w_hat)),
         action_c=float(action_c),
         sup_norms=MappingProxyType(sup),
     )
@@ -213,7 +223,7 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
     np.polyfit: its LAPACK least-squares call alone added about 0.4 MB to
     the peak RSS of a 1D report.
     """
-    records, s = list(records), float(s)
+    records, s, floor = list(records), float(s), _as_real(floor, "floor")
     if len(records) < 4:
         raise ValueError("rate fit requires at least 4 records")
     pts = []
@@ -244,12 +254,16 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
 def h_minus1_residual(u_c: SpectralField, c: float) -> float:
     """H^{-1} norm of the symbol-defect operator applied to u_c at parameter c."""
     grid, (coeff,), xi_sq = _coefficients(u_c)
-    return _defect_residual(grid, xi_sq, coeff, c)
+    return _defect_residual(grid, xi_sq, _weighted_pair(grid, coeff, coeff), c)
 
 
-def _defect_residual(grid: Grid, xi_sq: np.ndarray, coeff: np.ndarray, c: float) -> float:
-    """`h_minus1_residual` of the field with kernel coefficients `coeff` at frequencies `xi_sq`; no transform."""
-    return _spectral_norm(grid, 1.0 / (1.0 + xi_sq), symbol_defect(pseudo_relativistic(c), xi_sq) * coeff)
+def _defect_residual(grid: Grid, xi_sq: np.ndarray, weighted_sq: np.ndarray, c: float, out=None, work=None) -> float:
+    """`h_minus1_residual` of the field whose coefficients' `_weighted_pair` with themselves is `weighted_sq`, at
+    frequencies `xi_sq`: no transform, the symbol defect formed in `out` and `work` (new arrays if None)."""
+    defect = _symbol_defect(pseudo_relativistic(c).c, xi_sq, out, work)
+    defect *= defect
+    defect *= weighted_sq
+    return math.sqrt(_spectral_integral(grid, np.reciprocal(np.add(1.0, xi_sq, out=work), out=work), defect, defect))
 
 
 def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
@@ -265,11 +279,12 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     full-grid dot product is the plain one and B^{-1/2} is the diagonal
     1/sqrt(1 + |xi|^2).  A product then takes one inverse transform, N'(u0)
     and one forward transform: two whole-field transforms, four with the
-    Hartree term's Coulomb pair, each inverse's 1/N^n riding in its DCT-I.
-    It allocates no array: it works in four octant buffers, the projected z
-    and three that the transforms and N'(u0) take in turn, and returns one.
-    The constraint is deflated by explicit projection inside every
-    matrix-vector product.  A nonpositive return signals a defective
+    Hartree term's Coulomb pair, each one unnormalized DCT-I.  The constraint
+    is deflated in every product: with y the unit z of u_inf, alpha = <y, z>
+    and t = B^{-1/2} N'(u0) B^{-1/2} (z - alpha y), it is z - t + (<y, t> +
+    (DEFLATION_SHIFT - 1) alpha) y.  It allocates no array: it works in three
+    octant buffers, and the run holds nine octants with y, phi0, to_z and
+    Lanczos's three vectors.  A nonpositive return signals a defective
     reference state or projection; it is reported as computed, never
     clipped.  A solved reference enters as its octant and coefficients.
     """
@@ -277,36 +292,36 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     u0 = _recentered_octant(grid, _stored(u_inf))
     nl.validate_dimension(grid.n)
 
-    b_half = np.sqrt(1.0 + grid.octant_xi_sq)
-    scale = np.sqrt(grid.octant_weight / grid.size)
-    to_values = 1.0 / (scale * b_half)  # z -> B^{-1/2} v_hat
-    to_z = scale / b_half  # N'(u0) coefficients -> B^{-1/2} N'(u0) in z
     apply_derivative = _derivative(nl, grid, u0)
-
-    y = (scale * b_half * _carried_forward(u_inf, u0)).ravel()
-    del b_half  # freed for the Lanczos run, during which the reference keeps its coefficients alive
-    y /= math.sqrt(_dot(y, y))
-    pz, a, b, c = (np.empty(grid.octant_shape) for _ in range(4))  # the product's buffers
+    a, b, c = (np.empty(grid.octant_shape) for _ in range(3))  # the product's buffers
     flat_a, flat_b = a.ravel(), b.ravel()
-
-    def project(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # z - <y, z> y, through a
-        return np.subtract(z, np.multiply(y, _dot(y, z, flat_a), out=flat_a), out=out)
-
-    def matvec(z: np.ndarray) -> np.ndarray:
-        # B^{-1/2} L B^{-1/2} z = z - B^{-1/2} N'(u0) B^{-1/2} z, in b
-        flat_pz = project(z, pz.ravel())
-        v = _inverse(grid, np.multiply(to_values, pz, out=a), out=b, work=c)
-        np.multiply(to_z, _forward(grid, apply_derivative(v, out=c, work=a), out=b, work=a), out=b)
-        ps = project(np.subtract(flat_pz, flat_b, out=flat_b), flat_b)
-        return np.add(ps, np.multiply(np.subtract(z, flat_pz, out=flat_a), DEFLATION_SHIFT, out=flat_a), out=ps)
-
+    to_z = np.sqrt(np.add(1.0, grid.octant_xi_sq, out=a))  # B^{1/2}, until to_z takes its place
+    scale = np.sqrt(grid.octant_weight / grid.size)
+    y = (scale * to_z * _carried_forward(u_inf, u0)).ravel()
+    y /= math.sqrt(_dot(y, y, flat_a))
+    np.divide(scale, to_z, out=to_z)  # N'(u0) coefficients -> B^{-1/2} N'(u0) in z
     # deterministic start without structure: the field whose octant holds the
     # Weyl sequence (k phi) mod 1 - 1/2, phi = (sqrt(5) - 1) / 2.  One transform
     # takes it to z; as coefficients it would need 22 Lanczos steps on the 64^3
     # Hartree reference instead of 20
-    v0 = (np.arange(scale.size) * 0.6180339887498949) % 1.0 - 0.5
-    v0 = project((scale * _forward(grid, v0.reshape(grid.octant_shape))).ravel())
+    np.multiply(np.arange(scale.size), 0.6180339887498949, out=flat_a)
+    np.subtract(np.remainder(flat_a, 1.0, out=flat_a), 0.5, out=flat_a)
+    v0 = np.multiply(scale, _forward(grid, a, out=b, work=c)).ravel()
+    del scale
+    v0 -= np.multiply(y, _dot(y, v0, flat_a), out=flat_a)
+
+    def matvec(z: np.ndarray) -> np.ndarray:
+        # the deflated product, in b.  z -> B^{-1/2} v_hat is the factor to_z N^n / W and _inverse
+        # divides by N^n, so B^{-1/2} z goes to samples in one unnormalized DCT-I of to_z z / W
+        alpha = _dot(y, z, flat_a)
+        np.subtract(z, np.multiply(y, alpha, out=flat_a), out=flat_a)
+        np.divide(np.multiply(to_z, a, out=a), grid.octant_weight, out=a)
+        v = _forward(grid, a, out=b, work=a)
+        np.multiply(to_z, _forward(grid, apply_derivative(v, out=c, work=a), out=b, work=a), out=b)
+        shift = _dot(y, flat_b, flat_a) + (DEFLATION_SHIFT - 1.0) * alpha
+        np.subtract(z, flat_b, out=flat_b)
+        return np.add(flat_b, np.multiply(y, shift, out=flat_a), out=flat_b)
+
     return _lanczos_smallest(matvec, v0, LANCZOS_TOL)
 
 
@@ -466,14 +481,14 @@ def optimality_functional(u_inf: SpectralField, c: float) -> float:
 def optimality_forms(u_inf: SpectralField, c_values) -> list[float]:
     """`optimality_functional` at each c of `c_values`, from one transform of u_inf."""
     grid, (coeff,), xi_sq = _coefficients(u_inf)
-    ref_sq = _abs_sq(coeff)
+    ref_sq = _weighted_pair(grid, coeff, coeff)
     return [_spectral_integral(grid, symbol_defect(pseudo_relativistic(c), xi_sq), ref_sq) for c in c_values]
 
 
 def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float], float]:
     """H^s norms of a reference field at each order, and ||Delta u_inf||_{L^2}^2, from one transform."""
     grid, (coeff,), xi_sq = _coefficients(u_inf)
-    ref_sq = _abs_sq(coeff)
+    ref_sq = _weighted_pair(grid, coeff, coeff)
     norms = {float(s): float(np.sqrt(_spectral_integral(grid, _sobolev_weight(xi_sq, s), ref_sq))) for s in s_values}
     return norms, _spectral_integral(grid, xi_sq * xi_sq, ref_sq)
 

@@ -65,8 +65,12 @@ class NonlinearitySpec:
         At c = inf (the default) the action lives on H^1: p < 2n/(n-1).  At
         finite c (`relativistic`, from the operator's kind) it lives on
         H^(1/2), which embeds in L^(2n/(n-1)): p + 1 < 2n/(n-1), so every power
-        in 1D and none in 2D (whose cubic is H^(1/2)-critical) or 3D.
+        in 1D and none in 2D (whose cubic is H^(1/2)-critical) or 3D.  n must
+        be an integer 1, 2 or 3.
         """
+        n = _as_integer(n, "dimension")
+        if n not in (1, 2, 3):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
         if self.kind == "hartree":
             if n != 3:
                 raise ValueError("hartree nonlinearity is only defined in dimension n = 3")

@@ -33,7 +33,8 @@ NONREL = "nonrelativistic"
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Which kinetic multiplier to use; c is the light-speed parameter (a real number >= 1, stored as a float)."""
+    """Which kinetic multiplier to use; c is the light-speed parameter, stored as a float: a real number >= 1 for the
+    pseudo-relativistic kind, and inf, its default, for the nonrelativistic one."""
 
     kind: str
     c: float = float("inf")
@@ -41,11 +42,12 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in (PSEUDO, NONREL):
             raise ValueError(f"kind must be {PSEUDO!r} or {NONREL!r}, got {self.kind!r}")
-        if self.kind == PSEUDO:
-            c = _as_real(self.c, "light-speed parameter")
-            if not np.isfinite(c) or c < 1.0:
-                raise ValueError(f"light-speed parameter must be finite and >= 1, got {c}")
-            object.__setattr__(self, "c", c)
+        c = _as_real(self.c, "light-speed parameter")
+        if self.kind == NONREL and c != np.inf:
+            raise ValueError(f"the {NONREL} kind has light-speed parameter inf, got {self.c!r}")
+        if self.kind == PSEUDO and not (np.isfinite(c) and c >= 1.0):
+            raise ValueError(f"light-speed parameter must be finite and >= 1, got {c}")
+        object.__setattr__(self, "c", c)
 
 
 def pseudo_relativistic(c: float) -> OperatorSpec:
@@ -56,8 +58,9 @@ def nonrelativistic() -> OperatorSpec:
     return OperatorSpec(NONREL)
 
 
-def _sqrt_denominator(c: float, xi_sq):
-    return np.sqrt(c * c * xi_sq + 0.25 * c**4) + 0.5 * c * c
+def _sqrt_denominator(c: float, xi_sq, out: np.ndarray | None = None):
+    d = np.sqrt(np.add(np.multiply(xi_sq, c * c, out=out), 0.25 * c**4, out=out), out=out)
+    return np.add(d, 0.5 * c * c, out=out)
 
 
 def symbol(spec: OperatorSpec, xi_sq):
@@ -83,9 +86,14 @@ def symbol_defect(spec: OperatorSpec, xi_sq):
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     if spec.kind == NONREL:
         return np.zeros_like(xi_sq)
-    c = spec.c
-    d = _sqrt_denominator(c, xi_sq)
-    return c * c * xi_sq * xi_sq / (d * d)
+    return _symbol_defect(spec.c, xi_sq)
+
+
+def _symbol_defect(c: float, xi_sq, out: np.ndarray | None = None, work: np.ndarray | None = None):
+    """`symbol_defect` at light speed c, bit for bit, in `out` with D^2 formed in `work` (new arrays if None)."""
+    d = _sqrt_denominator(c, xi_sq, work)
+    d = np.multiply(d, d, out=work)
+    return np.divide(np.multiply(np.multiply(xi_sq, c * c, out=out), xi_sq, out=out), d, out=out)
 
 
 def apply_multiplier(f: SpectralField, spec: OperatorSpec, mode: str = "forward") -> SpectralField:
@@ -147,6 +155,7 @@ def taylor_residual(spec: OperatorSpec, grid: Grid, cutoff_fraction: float) -> f
     """
     if spec.kind != PSEUDO:
         raise ValueError("taylor_residual is defined for the pseudo_relativistic kind")
+    cutoff_fraction = _as_real(cutoff_fraction, "cutoff_fraction")
     if not 0.0 < cutoff_fraction <= 0.5:
         raise ValueError(f"cutoff_fraction must lie in (0, 1/2], got {cutoff_fraction}")
     t = grid.octant_xi_sq

@@ -423,6 +423,27 @@ class TestTwoLevel:
         assert res.coarse_iterations > 0 and not res.coarse_start
         self.assert_identical(res, _solve_level(op, nl, SMALL3, start.copy(), self.CFG))
 
+    def test_a_rejected_prolongation_falls_back_to_the_depth_3_solve(self, grid3d, monkeypatch):
+        # a prolongation far from the solution fails the rule on its first
+        # residual, before its depth-1 mixer mixes; the fine loop is then the
+        # one-level depth-3 solve from the start, bit for bit
+        op, nl, start = nr.nonrelativistic(), nr.hartree(), _octant_gaussian(grid3d)
+        start.setflags(write=False)
+        one_level = _solve_level(op, nl, grid3d, start.copy(), self.CFG)
+        depths = []
+
+        def recorded(*mixer_args):
+            mixer = _AndersonMixer(*mixer_args)
+            depths.append(mixer.depth)
+            return mixer
+
+        monkeypatch.setattr(nr.ground_state, "_prolonged", lambda coarse, grid: 0.5 * _octant_gaussian(grid))
+        monkeypatch.setattr(nr.ground_state, "_AndersonMixer", recorded)
+        res = _solve_octant(op, nl, grid3d, start, self.CFG)
+        assert res.coarse_iterations > 0 and not res.coarse_start
+        assert depths == [ANDERSON_DEPTH, 1, ANDERSON_DEPTH]
+        self.assert_identical(res, one_level)
+
     @pytest.mark.parametrize("failure", ["raises", "unconverged"])
     def test_a_failed_coarse_solve_falls_back(self, grid3d, monkeypatch, failure):
         op, nl, start = nr.nonrelativistic(), nr.hartree(), _octant_gaussian(grid3d)
@@ -682,12 +703,14 @@ class TestSmallSolve:
 
 class TestMemory:
     """A warm 64^3 Hartree solve iterates in arrays allocated once per level:
-    the fine level holds thirteen 33^3 octants, 3.7 MB, its peak of 3.82 MB
-    (seventeen and 4.97 MB when the mixer kept f_prev and g_prev in arrays of
-    its own and the level copied its start; the per-step temporaries before
-    those peaked at 5.5 MB).  Its result's field keeps the octant: the first
-    read of its values keeps the one full-grid array the unfolding writes
-    (2.1 MB; a copy of it peaked at 4.2 MB)."""
+    the fine level, started from the accepted prolongation, holds nine 33^3
+    octants, 2.6 MB, its peak of 2.67 MB (thirteen and 3.82 MB with a
+    depth-3 mixer's ring of six; seventeen and 4.97 MB when the mixer kept
+    f_prev and g_prev in arrays of its own and the level copied its start;
+    the per-step temporaries before those peaked at 5.5 MB).  Its result's
+    field keeps the octant: the first read of its values keeps the one
+    full-grid array the unfolding writes (2.1 MB; a copy of it peaked at
+    4.2 MB)."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -698,13 +721,27 @@ class TestMemory:
 
     def test_solve_peak(self, problem):
         _, args = problem
-        # 3.82e6 measured; the bound leaves half an octant (0.14 MB) of headroom
-        assert traced_peak(lambda: _solve_octant(*args)) <= 3.96e6
+        # 2.67e6 measured; the bound leaves half an octant (0.14 MB) of headroom
+        assert traced_peak(lambda: _solve_octant(*args)) <= 2.81e6
 
     def test_default_start_is_not_held_by_the_fine_level(self, problem):
         grid, (op, nl, *_) = problem
         # as low as a solve from a start allocated outside the trace: 4.11e6 when solve kept the Gaussian alive
-        assert traced_peak(lambda: nr.solve(op, nl, grid)) <= 3.96e6
+        assert traced_peak(lambda: nr.solve(op, nl, grid)) <= 2.81e6
+
+    def test_accepted_fine_level_keeps_a_two_octant_ring(self, problem, monkeypatch):
+        grid, args = problem
+        mixers = []
+
+        def recorded(*mixer_args):
+            mixers.append(_AndersonMixer(*mixer_args))
+            return mixers[-1]
+
+        monkeypatch.setattr(nr.ground_state, "_AndersonMixer", recorded)
+        assert _solve_octant(*args).coarse_start
+        coarse, fine = mixers
+        assert coarse.df.shape == (ANDERSON_DEPTH, *_coarse_grid(grid).octant_shape)
+        assert fine.df.shape == fine.dg.shape == (1, *grid.octant_shape)  # one difference pair: two octants
 
     def test_result_keeps_the_unfolded_array(self, problem):
         grid, args = problem

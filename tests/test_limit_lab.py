@@ -12,7 +12,9 @@ from scipy.linalg import eigh, eigh_tridiagonal, null_space, orth
 
 import nrlimit as nr
 from conftest import stand_in_reference, traced_peak
+from nrlimit.grid import _forward, _inverse, _unfold
 from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest, _smallest_ritz_pair
+from nrlimit.nonlinearity import _derivative
 from oracles import dense_gap_fd, lattice_pairing
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -189,6 +191,30 @@ class TestSeededSweep:
         peak(self.C_3D)  # fill the caches
         assert peak(self.C_3D) <= peak(self.C_3D[:1]) + u_inf_32.field.octant.nbytes / 2
 
+    def test_record_peak(self, sweep_3d):
+        # 64^3 Hartree: five 33^3 octants, 1.44 MB (the difference's
+        # coefficients, |w_hat|^2 and |u_c_hat|^2 times the multiplicities,
+        # the weight and the product buffers); ten, 2.88 MB, when each order,
+        # the defect and every pairing allocated its own temporaries.  The
+        # bound leaves half an octant of headroom
+        u_inf = sweep_3d["u_inf"].field
+        point = nr.solve(nr.pseudo_relativistic(8.0), nr.hartree(), u_inf.grid, nr.SolverConfig(initial_guess=u_inf))
+        s_values = [0.5, 1.0, 2.0, 3.0, 4.0]
+        assert traced_peak(lambda: nr.convergence_record(point.field, u_inf, 8.0, s_values)) <= 1.58e6
+
+    def test_one_record_path_for_both_representations(self, u_inf_1d):
+        # a common shift takes both fields off the octant to the complex full
+        # lattice; every entry of the record is invariant under it
+        grid, s_values = u_inf_1d.field.grid, [0.5, 1.0, 2.0]
+        u_c = nr.solve(nr.pseudo_relativistic(8.0), nr.power(3), grid).field
+        octant = nr.convergence_record(u_c, u_inf_1d.field, 8.0, s_values)
+        shifted = (nr.SpectralField(grid, np.roll(f.values, 3)) for f in (u_c, u_inf_1d.field))
+        full = nr.convergence_record(*shifted, 8.0, s_values)
+        for name in ("h_minus1_residual", "lam", "v_norm_h1"):
+            assert getattr(full, name) == pytest.approx(getattr(octant, name), rel=1e-12, abs=1e-16)
+        for name in ("diff_norms", "sup_norms"):
+            assert getattr(full, name) == pytest.approx(dict(getattr(octant, name)), rel=1e-12)
+
     def test_reference_that_is_not_exactly_even_rejected_before_any_solve(self, monkeypatch, u_inf_1d):
         def no_solve(*args, **kwargs):
             raise AssertionError("sweep solved before checking its reference")
@@ -291,6 +317,12 @@ class TestFitRate:
         assert fit.c_range == (2.0, 4.0, 8.0)
         with pytest.raises(ValueError):
             nr.fit_rate(records, 1.0, floor=1.0)
+
+    @pytest.mark.parametrize("floor", ["0.01", None, True], ids=["str", "none", "bool"])
+    def test_floor_must_be_a_real_number(self, floor):
+        records = synthetic_records([2.0, 4.0, 8.0, 16.0], lambda c: 1.0 / c**2)
+        with pytest.raises(ValueError, match="floor must be a real number"):
+            nr.fit_rate(records, 1.0, floor=floor)
 
     def test_fewer_than_two_distinct_c_values_do_not_fit(self):
         with pytest.raises(ValueError, match="distinct c values"):
@@ -439,16 +471,75 @@ class TestNondegeneracyGap:
         assert gap > 0.0
 
     def test_gap_peak(self, sweep_3d):
-        # 64^3 Hartree: twelve 33^3 octants, 3.46 MB (the product's four
-        # buffers, Lanczos's three vectors, y, phi0, the two diagonal scalings
-        # and their common factor); 4.32 MB when every product allocated its
+        # 64^3 Hartree: nine 33^3 octants, 2.59 MB (the product's three
+        # buffers, Lanczos's three vectors, y, phi0 and the scaling to_z);
+        # twelve, 3.46 MB, with the projected product's fourth buffer and
+        # the scalings it kept, 4.32 MB when every product allocated its
         # temporaries.  The bound leaves half an octant of headroom
         u_inf = sweep_3d["u_inf"].field
         nr.nondegeneracy_gap(u_inf, nr.hartree())  # caches the DCT-I matrices and the Coulomb symbol
-        assert traced_peak(lambda: nr.nondegeneracy_gap(u_inf, nr.hartree())) <= 3.6e6
+        assert traced_peak(lambda: nr.nondegeneracy_gap(u_inf, nr.hartree())) <= 2.73e6
+
+    def test_product_matches_the_projected_form(self, monkeypatch, u_inf_32):
+        # the projected form the product replaced: with p = z - <y, z> y and
+        # K = B^{-1/2} N'(u0) B^{-1/2}, P(p - K p) + DEFLATION_SHIFT (z - p),
+        # P the projection off y, K through the normalized inverse transform
+        captured, lanczos = [], nr.limit_lab._lanczos_smallest
+
+        def capture(matvec, v0, tol):
+            captured.append((matvec, v0.copy()))
+            return lanczos(matvec, v0, tol)
+
+        monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", capture)
+        field = u_inf_32.field
+        nr.nondegeneracy_gap(field, nr.hartree())
+        [(matvec, v0)] = captured
+        grid = field.grid
+        b_half, scale = np.sqrt(1.0 + grid.octant_xi_sq), np.sqrt(grid.octant_weight / grid.size)
+        y = (scale * b_half * field.coefficients).ravel()
+        y /= np.linalg.norm(y)
+        derivative = _derivative(nr.hartree(), grid, field.octant)
+
+        def projected(z):
+            p = z - (y @ z) * y
+            v = _inverse(grid, (p / (scale * b_half).ravel()).reshape(grid.octant_shape))
+            q = p - (scale / b_half * _forward(grid, derivative(v))).ravel()
+            return q - (y @ q) * y + nr.limit_lab.DEFLATION_SHIFT * (z - p)
+
+        rng = np.random.default_rng(34)
+        for z in (v0 / np.linalg.norm(v0), y, rng.standard_normal(y.size) / np.sqrt(y.size)):
+            expected = projected(z)
+            assert np.max(np.abs(matvec(z) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_gap_matches_dense_constrained_oracle_in_3d(self):
+        # the Hartree ground state on 16^3: the constrained minimum over even
+        # fields, a dense generalized eigenproblem on the 9^3 unfolded octant
+        # unit fields E_k, built from the public apply_multiplier and
+        # linearize.  For even g, E^T g is the octant of g times octant_weight
+        grid = SMALL3
+        u = nr.solve(nr.nonrelativistic(), nr.hartree(), grid).field
+        weight = grid.octant_weight.ravel()
+
+        def folded(field):
+            return weight * field.values[grid.octant_index].ravel()
+
+        columns_b, columns_l = [], []
+        for k in range(weight.size):
+            unit = np.zeros(grid.octant_shape)
+            unit.flat[k] = 1.0
+            e = nr.SpectralField(grid, _unfold(grid, unit))
+            columns_b.append(folded(nr.apply_multiplier(e, nr.nonrelativistic())))
+            columns_l.append(columns_b[-1] - folded(nr.linearize(nr.hartree(), u, e)))
+        rhs, lhs = np.column_stack(columns_b), np.column_stack(columns_l)
+        basis = null_space(folded(nr.apply_multiplier(u, nr.nonrelativistic()))[None, :])
+        lhs, rhs = basis.T @ lhs @ basis, basis.T @ rhs @ basis
+        dense = eigh(0.5 * (lhs + lhs.T), 0.5 * (rhs + rhs.T), eigvals_only=True)[0]
+        gap = nr.nondegeneracy_gap(u, nr.hartree())
+        assert dense > 0.0
+        assert abs(gap - dense) <= 1e-8 * dense
 
     def test_gap_product_allocates_no_array(self, monkeypatch, u_inf_32):
-        # each product works in the gap's four buffers: what it allocates is a
+        # each product works in the gap's three buffers: what it allocates is a
         # few array views, far below one 17^3 octant (39 kB)
         lanczos, growth = nr.limit_lab._lanczos_smallest, []
 

@@ -43,6 +43,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             nr.power(3).validate_dimension(3)
 
+    @pytest.mark.parametrize("n", [0, 4, -1], ids=["0", "4", "-1"])
+    @pytest.mark.parametrize("nl", [nr.power(3), nr.hartree()], ids=["power", "hartree"])
+    def test_dimension_outside_one_to_three_refused(self, nl, n):
+        with pytest.raises(ValueError, match=f"dimension must be 1, 2 or 3, got {n}$"):
+            nl.validate_dimension(n)
+        with pytest.raises(ValueError, match=f"dimension must be 1, 2 or 3, got {n}$"):
+            nr.sobolev_ladder(n, nl, 2)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "bool", "str"])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            nr.hartree().validate_dimension(n)
+
     def test_hartree_requires_three_dimensions(self):
         with pytest.raises(ValueError, match="n = 3"):
             nr.hartree().validate_dimension(1)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,19 @@ class TestSpec:
     def test_builder_refuses_what_float_would_take(self, c):
         with pytest.raises(ValueError, match="light-speed parameter must be"):
             nr.pseudo_relativistic(c)
+
+    @pytest.mark.parametrize(
+        "c", [0.5, 4.0, -np.inf, np.nan, "x", None], ids=["0.5", "4", "-inf", "nan", "str", "none"]
+    )
+    def test_nonrelativistic_kind_refuses_every_finite_or_unreal_c(self, c):
+        with pytest.raises(ValueError, match=r"light-speed parameter .*" + re.escape(repr(c)) + "$"):
+            nr.OperatorSpec("nonrelativistic", c)
+
+    @pytest.mark.parametrize("c", [np.inf, np.float32(np.inf), float("inf")])
+    def test_nonrelativistic_kind_stores_c_inf_as_float(self, c):
+        spec = nr.OperatorSpec("nonrelativistic", c)
+        assert spec == nr.nonrelativistic()
+        assert type(spec.c) is float
 
     @pytest.mark.parametrize("c", [4, np.int64(4), np.float32(4.0), 4.0])
     def test_light_speed_is_stored_as_float(self, c):
@@ -246,6 +261,11 @@ class TestTaylorResidual:
         # smallest nonzero |xi| on L=32 is 2 pi / 32 ~ 0.196 > 0.1 * 1
         with pytest.raises(ValueError):
             nr.taylor_residual(nr.pseudo_relativistic(1.0), grid1d, 0.1)
+
+    @pytest.mark.parametrize("cutoff", ["0.25", None, True], ids=["str", "none", "bool"])
+    def test_cutoff_must_be_a_real_number(self, grid1d, cutoff):
+        with pytest.raises(ValueError, match="cutoff_fraction must be a real number"):
+            nr.taylor_residual(nr.pseudo_relativistic(10.0), grid1d, cutoff)
 
     def test_cutoff_and_kind_validation(self, grid1d):
         with pytest.raises(ValueError):
