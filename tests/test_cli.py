@@ -381,13 +381,6 @@ class TestNondegCommand:
         # bound leaves half an octant (0.14 MB) of headroom
         assert _warm_3d_hartree_peak("nondeg", tmp_path) <= 3.91e6
 
-    def test_3d_hartree_report_peak(self, tmp_path):
-        # the benchmark's 64^3 Hartree report, warm: its peak, 3.86 MB, is in
-        # a sweep point's fine level (nine octants), its gap 0.07 MB lower
-        # (5.01 MB when the fine level held 13 octants, the gap 12 and a
-        # sweep record 10); the bound leaves half an octant of headroom
-        assert _warm_3d_hartree_peak("report", tmp_path) <= 4.0e6
-
 
 def _warm_3d_hartree_peak(command: str, tmp_path: Path) -> int:
     """The traced peak of a 64^3 Hartree CLI run after one run has filled the caches."""
@@ -525,6 +518,13 @@ class TestVerifySymbolsCommand:
 
 
 class TestReportCommand:
+    def test_3d_hartree_report_peak(self, tmp_path):
+        # the benchmark's 64^3 Hartree report, warm: its peak, 3.86 MB, is in
+        # a sweep point's fine level (nine octants), its gap 0.07 MB lower
+        # (5.01 MB when the fine level held 13 octants, the gap 12 and a
+        # sweep record 10); the bound leaves half an octant of headroom
+        assert _warm_3d_hartree_peak("report", tmp_path) <= 4.0e6
+
     def test_report_flags_known_high_order_deviation(self, tmp_path):
         out = tmp_path / "r"
         code = main(["report", "--out", str(out)])
