@@ -115,6 +115,11 @@ class RunConfig:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
 
+    @property
+    def sweep_orders(self) -> tuple[float, ...]:
+        """The orders a sweep records: s_list, for `report` its ascending union with UNIFORM_BOUND_ORDERS."""
+        return tuple(sorted({*self.s_list, *UNIFORM_BOUND_ORDERS})) if self.command == "report" else self.s_list
+
 
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -233,6 +238,15 @@ def _valid(errors: list[str], path: str, build, *args, **kwargs) -> bool:
     return True
 
 
+def _distinct_labels(values) -> None:
+    """A ValueError naming two different values whose `%g` labels, which key summary.json's tables, are equal."""
+    seen = {}
+    for value in values:
+        label = f"{value:g}"
+        if seen.setdefault(label, value) != value:
+            raise ValueError(f"{seen[label]!r} and {value!r} share the summary label {label!r}")
+
+
 def _document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -271,10 +285,10 @@ def parse_config(text: str) -> RunConfig:
         _valid(errors, "operator.c", pseudo_relativistic, config.c)
     elif config.command == "solve" and config.operator_kind == PSEUDO:
         errors.append("operator.c: required for a pseudo_relativistic solve")
-    _valid(errors, "operator.c_list", _sweep_c_values, config.c_list)
+    _valid(errors, "operator.c_list", lambda: _distinct_labels(_sweep_c_values(config.c_list)))
     for key in ("tolerance", "max_iterations"):
         _valid(errors, f"solver.{key}", SolverConfig, **{key: getattr(config, key)})
-    _valid(errors, "analysis.s_list", _sweep_orders, config.s_list)
+    _valid(errors, "analysis.s_list", lambda: _distinct_labels(_sweep_orders(config.sweep_orders)))
     if errors:
         raise ConfigError(errors)
     return config
@@ -391,8 +405,7 @@ def _sweep_artifacts(config: RunConfig, s_list):
 def _run_sweep(config: RunConfig) -> int:
     """`sweep` and `report` (`_run_report`, over s_list and UNIFORM_BOUND_ORDERS), with one failure path:
     on a SweepError, sweep.csv holds the converged points' rows and summary.json the error (exit 3)."""
-    report = config.command == "report"
-    s_list = tuple(sorted(set(config.s_list) | set(UNIFORM_BOUND_ORDERS))) if report else config.s_list
+    report, s_list = config.command == "report", config.sweep_orders
     try:
         records, summary, u_inf = _sweep_artifacts(config, s_list)
     except SweepError as exc:

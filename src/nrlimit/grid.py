@@ -23,9 +23,9 @@ Fields live in one of two representations:
   transform times dx^n, so a frequency-space field's values over dx^n are
   its kernel coefficients.
 
-The kernel (`_forward`, `_inverse`, `_lattice_sum`, `_lattice_dot`) takes an
-octant or a full-grid array and works on the octant or the full lattice
-accordingly (on the octant, optionally in the caller's work arrays).
+The kernel (`_forward`, `_inverse`, `_lattice_dot`) takes an octant or a
+full-grid array and works on the octant or the full lattice accordingly (on
+the octant, optionally in the caller's work arrays).
 `_prolonged` takes an even field's coefficients to the grid with twice the
 points per axis by trigonometric interpolation, in one inverse DCT-I: the
 start of the solver's fine level.  An octant entry stands for all its mirror
@@ -49,11 +49,12 @@ Fields enter the kernel through one gate, which checks each input constraint
 once for every module: `_real_grid` and `_real_values` (real-space fields on
 one grid), `_kernel_coefficients` (the arrays the kernel works on and their
 coefficients), `_coefficients` (coefficients of real- or frequency-space
-fields on one grid), `_sobolev_weight` (an order in [SOBOLEV_ORDER_MIN,
-SOBOLEV_ORDER_MAX]) and `_recentered_octant` (recentre at the peak, take the
-even part, keep the octant).  Integer and real parameters, here and in every
-other module, pass `_as_integer` and `_as_real`: a Python or numpy number,
-never a bool, stored as an int or a float.
+fields on one grid), `_sobolev_order` (a real order in [SOBOLEV_ORDER_MIN,
+SOBOLEV_ORDER_MAX], which `_sobolev_weight` checks) and `_recentered_octant`
+(recentre at the peak, take the even part, keep the octant).  Integer and
+real parameters, here and in every other module, pass `_as_integer` and
+`_as_real`: a Python or numpy number, never a bool, stored as an int or a
+float.
 """
 
 from __future__ import annotations
@@ -480,7 +481,7 @@ def _inverse(
 def _weighted_pair(grid: Grid, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Re(conj(a) b) of two real or two complex coefficient arrays, in `out` (a real array, new if None), times each
     entry's multiplicity, `octant_weight` on the octant and 1 on the full lattice: its plain sum is the pair's
-    `_lattice_sum`, bit for bit, since the multiplicities are powers of two."""
+    full-grid sum, since an octant entry stands for all its mirror images."""
     if np.iscomplexobj(a):
         q = np.multiply(a.real, b.real, out=out)
         q += a.imag * b.imag
@@ -491,19 +492,8 @@ def _weighted_pair(grid: Grid, a: np.ndarray, b: np.ndarray, out: np.ndarray | N
     return q
 
 
-def _lattice_sum(grid: Grid, q: np.ndarray) -> float:
-    """Full-grid sum of a quantity stored on the full grid or the octant.
-
-    An octant entry stands for all its mirror images and carries `octant_weight`.
-    """
-    if q.shape == grid.octant_shape:
-        return float(np.sum(q * grid.octant_weight))
-    return float(np.sum(q))
-
-
 def _lattice_dot(grid: Grid, a: np.ndarray, b: np.ndarray, work: np.ndarray | None = None) -> float:
-    """`_lattice_sum` of Re(conj(a) b), `_weighted_pair` summed, real products formed in `work` (new if None; may be a
-    or b)."""
+    """Full-grid sum of Re(conj(a) b), `_weighted_pair` summed; real products formed in `work` (new if None; a or b)."""
     return float(np.sum(_weighted_pair(grid, a, b, None if np.iscomplexobj(a) else work)))
 
 
@@ -525,17 +515,17 @@ def _spectral_integral(
     return _dot(mult, weighted, work) * grid.cell_volume**2 / grid.volume
 
 
-def _spectral_norm(grid: Grid, mult: np.ndarray, coeff: np.ndarray) -> float:
-    """sqrt of `_spectral_integral` of mult |coeff|^2: with mult = (1+|xi|^2)^s the H^s norm."""
-    return float(np.sqrt(_spectral_integral(grid, mult, _weighted_pair(grid, coeff, coeff))))
+def _sobolev_order(s) -> float:
+    """An order as a float: a real number (`_as_real`) in [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]; else a ValueError."""
+    s = _as_real(s, "Sobolev order")
+    if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
+        raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
+    return s
 
 
 def _sobolev_weight(xi_sq: np.ndarray | float, s: float, out: np.ndarray | None = None) -> np.ndarray | float:
-    """The H^s weight (1+|xi|^2)^s, in `out` (new if None); an order outside [SOBOLEV_ORDER_MIN, SOBOLEV_ORDER_MAX]
-    (or nan) is a ValueError."""
-    if not SOBOLEV_ORDER_MIN <= s <= SOBOLEV_ORDER_MAX:
-        raise ValueError(f"Sobolev order s={s} outside supported range [{SOBOLEV_ORDER_MIN}, {SOBOLEV_ORDER_MAX}]")
-    return np.power(np.add(1.0, xi_sq, out=out), s, out=out)
+    """The H^s weight (1+|xi|^2)^s, s a `_sobolev_order`, in `out` (new if None)."""
+    return np.power(np.add(1.0, xi_sq, out=out), _sobolev_order(s), out=out)
 
 
 def _coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.ndarray]:
@@ -557,7 +547,7 @@ def _coefficients(*fields: SpectralField) -> tuple[Grid, list[np.ndarray], np.nd
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm of f via (1+|xi|^2)^s spectral weights; s = 0 is the L^2 norm."""
     grid, (coeff,), xi_sq = _coefficients(f)
-    return _spectral_norm(grid, _sobolev_weight(xi_sq, s), coeff)
+    return float(np.sqrt(_spectral_integral(grid, _sobolev_weight(xi_sq, s), _weighted_pair(grid, coeff, coeff))))
 
 
 def inner_product(f: SpectralField, g: SpectralField, weight: str = "L2") -> float:

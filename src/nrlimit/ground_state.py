@@ -34,9 +34,10 @@ matrix in 3D (one in 1D), on larger grids one `numpy.fft.rfft` per axis
 (`grid._dct`).  The mixer's small Gram system is solved in Python floats
 (`_small_solve`): no LAPACK call.
 
-The solve is the private core `_solve_octant`, which `solve` and the c-sweep
-call.  Its result is a `GroundStateResult` whose field is the last iterate
-kept as its octant and the coefficients the loop ended with
+The solve is the private core `_solve_octant`, which `solve` calls; the
+c-sweep solves each point through `solve`, so the start from a field is
+decided here alone.  Its result is a `GroundStateResult` whose field is the
+last iterate kept as its octant and the coefficients the loop ended with
 (`grid._EvenField`): it unfolds to the full grid only where a caller reads
 `values`, such as `nrlimit solve`'s field output.  Every diagnostic, and a
 solve started from a solved field, reads those, and transforms nothing.

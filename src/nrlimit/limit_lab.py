@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -34,22 +34,21 @@ from .grid import (
     _coefficients,
     _dot,
     _forward,
-    _inverse,
     _is_even,
     _kernel_coefficients,
-    _lattice_sum,
+    _lattice_dot,
     _octant,
     _real_grid,
     _recentered_octant,
+    _sobolev_order,
     _sobolev_weight,
     _spectral_integral,
-    _spectral_norm,
     _stored,
     _weighted_pair,
 )
 from .nonlinearity import NonlinearitySpec, _derivative
 from .operators import _symbol_defect, pseudo_relativistic, symbol_defect
-from .ground_state import GroundStateResult, SolverConfig, _solve_octant
+from .ground_state import GroundStateResult, SolverConfig, solve
 
 __all__ = [
     "ConvergenceRecord",
@@ -127,7 +126,7 @@ def convergence_record(
     w_hat = _forward(grid, np.subtract(uc, ref, out=weight), work=weight)
     w_sq, uc_sq = _weighted_pair(grid, w_hat, w_hat), _weighted_pair(grid, uc_hat, uc_hat)
     diff, sup = {}, {}
-    for s in map(float, s_values):
+    for s in _sweep_orders(s_values):
         _sobolev_weight(xi_sq, s, out=weight)
         diff[s], sup[s] = (math.sqrt(_spectral_integral(grid, weight, q, product)) for q in (w_sq, uc_sq))
     h_minus1 = _defect_residual(grid, xi_sq, uc_sq, c, weight, product)
@@ -151,11 +150,8 @@ def convergence_record(
 
 
 def _sweep_orders(s_values) -> list[float]:
-    """A sweep's Sobolev orders as floats, each in the range `_sobolev_weight` accepts."""
-    s_values = [float(s) for s in s_values]
-    for s in s_values:
-        _sobolev_weight(0.0, s)  # the weight at xi = 0: the range check alone
-    return s_values
+    """A sweep's Sobolev orders, each a `grid._sobolev_order` (a float)."""
+    return [_sobolev_order(s) for s in s_values]
 
 
 def _sweep_c_values(c_values) -> list[float]:
@@ -176,18 +172,18 @@ def sweep(
     The sweep runs on the reference's grid.  The reference must be a
     real-space field that is exactly even, as every `solve` result is (a
     plain one is wrapped once as an even field), and converged, else a
-    ValueError or a SweepError before any point is solved.  cfg caps each
-    point's solve; its initial_guess is not read.  Every c point starts
-    from the reference's octant, which lies within O(c^-2) of its
-    solution, and no point's start depends on another's.  The points run in
-    ascending c, each on the octant, and each is recorded by
-    `convergence_record` of its solved field against the reference, which
-    transforms only their difference; no full-grid field is built.  Every
-    point is solved; if any did not converge, a SweepError names each such c
-    and carries the records of the points that did.  c values, orders, the
-    finite-c subcriticality rule (`NonlinearitySpec.validate_dimension`),
-    which every point must meet, and the reference are checked before any
-    solve.
+    ValueError or a SweepError before any point is solved.  Each point is
+    one `solve` call with cfg, whose initial_guess is replaced by the
+    reference, so `solve` takes its stored octant as the start: every c
+    point starts within O(c^-2) of its solution, and no point's start
+    depends on another's.  The points run in ascending c, each on the
+    octant, and each is recorded by `convergence_record` of its solved field
+    against the reference, which transforms only their difference; no
+    full-grid field is built.  Every point is solved; if any did not
+    converge, a SweepError names each such c and carries the records of the
+    points that did.  c values, orders, the finite-c subcriticality rule
+    (`NonlinearitySpec.validate_dimension`), which every point must meet, and
+    the reference are checked before any solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
@@ -199,10 +195,10 @@ def sweep(
     if not u_inf.converged:
         raise SweepError("nonrelativistic reference solve did not converge", [])
     ref = ref if isinstance(ref, _EvenField) else _EvenField(grid, _octant(grid, ref.values))
-    seed = _recentered_octant(grid, ref.octant)
+    cfg = replace(cfg, initial_guess=ref)
     records, failed = [], []
     for c in c_values:
-        point = _solve_octant(pseudo_relativistic(c), nl, grid, seed, cfg)
+        point = solve(pseudo_relativistic(c), nl, grid, cfg)
         if point.converged:
             records.append(convergence_record(point.field, ref, c, s_values, point.action))
         else:
@@ -218,12 +214,12 @@ def fit_rate(records, s: float, floor: float = 0.0) -> RateFit:
     two-sided constants A_hat = min c^2 ||w||, B_hat = max c^2 ||w||.
 
     Points with ||w||_{H^s} below `floor` are excluded (discretization guard);
-    every record must hold the order s.
+    s is a `grid._sobolev_order`, and every record must hold it.
     The slope is the closed form sum(dx dy) / sum(dx^2) about the means, not
     np.polyfit: its LAPACK least-squares call alone added about 0.4 MB to
     the peak RSS of a 1D report.
     """
-    records, s, floor = list(records), float(s), _as_real(floor, "floor")
+    records, s, floor = list(records), _sobolev_order(s), _as_real(floor, "floor")
     if len(records) < 4:
         raise ValueError("rate fit requires at least 4 records")
     pts = []
@@ -448,23 +444,22 @@ def _smallest_ritz_pair(alphas: list[float], betas: list[float], previous: float
 
 
 def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
-    """Relative residual of L u_inf = -(p-2)(-Delta+1) u_inf at the reference state.
+    """Relative residual ||L u + (q-2) B u||_{L^2} / ||u||_{H^2} of the identity L u = -(q-2) B u, u = u_inf.
 
-    p is the variational exponent; the identity is exact at any solution of
-    the nonrelativistic equation.  Returned value is normalized by the H^2
-    norm of the reference state.  An exactly even field (a solved one) is
-    evaluated on its octant, any other on the full lattice; three whole-field
-    transforms for Hartree, one for powers, and one more for a field that
-    carries no coefficients.
+    q is the variational exponent, B = -Delta + 1 and L = B - N'(u); the
+    identity is exact at any solution of the nonrelativistic equation.  By
+    Parseval the value is sqrt(<r, r> / <b, b>) (`grid._lattice_dot`) over
+    the coefficients b = (1+|xi|^2) u_hat and r = F[N'(u) u] - (q-1) b: on
+    the octant for an exactly even field (a solved one), else on the full
+    lattice.  Three whole-field transforms for Hartree (phi0's Coulomb pair,
+    F[N'(u) u]), one for powers, one more for a field without coefficients.
     """
     grid, (u,), (uh,), xi_sq = _kernel_coefficients(u_inf)
     nl.validate_dimension(grid.n)
-    h1 = 1.0 + xi_sq
-    bu = _inverse(grid, h1 * uh)
-    lu = bu - _derivative(nl, grid, u)(u)
-    target = -(nl.variational_exponent - 2) * bu
-    err = np.sqrt(_lattice_sum(grid, (lu - target) ** 2) * grid.cell_volume)
-    return float(err / _spectral_norm(grid, h1**2, uh))
+    bu = uh * (1.0 + xi_sq)
+    r = _forward(grid, _derivative(nl, grid, u)(u))
+    r -= (nl.variational_exponent - 1) * bu
+    return math.sqrt(_lattice_dot(grid, r, r) / _lattice_dot(grid, bu, bu))
 
 
 def optimality_functional(u_inf: SpectralField, c: float) -> float:

@@ -11,7 +11,9 @@ full-lattice spectral reference: numpy.fft of the samples, no nrlimit kernel.
 The last section holds lab diagnostics that only tests call (`lp_norm`,
 `multilinear_ratio`, `initialization_stability`).  They left the package's
 public surface, since no command, acceptance criterion or benchmark uses them;
-unlike the oracles they run on the package's own code.
+unlike the oracles they run on the package's own code, as does
+`real_space_identity_residual`, the former sample-space formula of
+`linearization_identity_residual`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from scipy.integrate import solve_ivp
 
 import nrlimit as nr
 from nrlimit import operators
-from nrlimit.grid import _real_values
-from nrlimit.nonlinearity import _coulomb_values
+from nrlimit.grid import _inverse, _kernel_coefficients, _real_values
+from nrlimit.nonlinearity import _coulomb_values, _derivative
 
 
 def dense_gap_fd(length: float, num: int, profile, degree: int, shift: float = 10.0) -> float:
@@ -280,3 +282,15 @@ def initialization_stability(op, nl, grid, cfg=nr.SolverConfig()) -> float:
         diff = nr.SpectralField(grid, a.values - b.values)
         worst = max(worst, nr.sobolev_norm(diff, 1.0))
     return worst
+
+
+def real_space_identity_residual(u_inf, nl) -> float:
+    """`linearization_identity_residual` by its former formula in samples: B u = (1 - Delta) u transformed back,
+    L u = B u - N'(u) u, and the cell-volume sum of (L u + (q-2) B u)^2 over the grid (octant entries weighted by
+    their multiplicities), over the H^2 norm of u."""
+    grid, (u,), (uh,), xi_sq = _kernel_coefficients(u_inf)
+    bu = _inverse(grid, (1.0 + xi_sq) * uh)
+    lu = bu - _derivative(nl, grid, u)(u)
+    err_sq = (lu + (nl.variational_exponent - 2) * bu) ** 2
+    multiplicity = grid.octant_weight if u.shape == grid.octant_shape else 1.0
+    return float(np.sqrt(np.sum(err_sq * multiplicity) * grid.cell_volume) / nr.sobolev_norm(u_inf, 2.0))

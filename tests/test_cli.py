@@ -260,6 +260,37 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("operator.c_list: c values must be strictly ascending")
         assert not out.exists()
 
+    def test_c_values_that_share_a_summary_label_rejected_before_solving(self, tmp_path, monkeypatch, capsys):
+        # summary.json keys each c by its %g label: 32.000001 would overwrite 32's entries
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved a colliding c_list"))
+        out = tmp_path / "c"
+        assert main(["sweep", "--out", str(out), "--override", "operator.c_list=[4,8,16,32,32.000001]"]) == 2
+        assert capsys.readouterr().err == "operator.c_list: 32.0 and 32.000001 share the summary label '32'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, s_list, message",
+        [
+            ("sweep", "[1,1.0000001]", "1.0 and 1.0000001 share the summary label '1'"),
+            # report adds the uniform-bound orders, and the user's 1.0000001 would overwrite the norm of order 1
+            ("report", "[1.0000001]", "1.0 and 1.0000001 share the summary label '1'"),
+        ],
+    )
+    def test_orders_that_share_a_summary_label_rejected_before_solving(
+        self, tmp_path, monkeypatch, capsys, command, s_list, message
+    ):
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved a colliding s_list"))
+        out = tmp_path / command
+        assert main([command, "--out", str(out), "--override", f"analysis.s_list={s_list}"]) == 2
+        assert capsys.readouterr().err == f"analysis.s_list: {message}\n"
+        assert not out.exists()
+
+    def test_equal_orders_and_the_uniform_bound_orders_are_no_collision(self):
+        for command in ("sweep", "report"):
+            config = parse_config(json.dumps({"command": command, "analysis": {"s_list": [1, 1.0, 0.5]}}))
+            assert config.s_list == (1.0, 1.0, 0.5)
+        assert config.sweep_orders == (0.5, 1.0, 2.0, 3.0, 4.0)
+
     @pytest.mark.parametrize("command", ["sweep", "report"])
     def test_partial_output_on_nonconvergence(self, tmp_path, capsys, command):
         # sweep and report fail one way: the converged rows, the error in summary.json, exit 3
@@ -288,15 +319,15 @@ class TestSweepCommand:
         nl, cfg = config.nonlinearity_spec(), config.solver_config()
         u_inf = nr.solve(nr.nonrelativistic(), nl, config.grid, cfg)
         solves = []
-        solve_octant = nr.limit_lab._solve_octant
+        core = nr.limit_lab.solve
 
         def counted(*args):
             before = transform_counts["dct"]
-            point = solve_octant(*args)
+            point = core(*args)
             solves.append(transform_counts["dct"] - before)
             return point
 
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
+        monkeypatch.setattr(nr.limit_lab, "solve", counted)
         before = transform_counts["dct"]
         records = nr.sweep(config.c_list, [0.5, 1.0], nl, u_inf=u_inf, cfg=cfg)
         assert len(records) == len(solves) == 3
@@ -339,6 +370,22 @@ class TestPublicPath:
         assert {"solve", "sweep", "nondegeneracy_gap", "linearization_identity_residual"} <= (
             names[self.SOLVER] | names[self.LAB]
         )
+
+    def test_lab_imports_no_private_solver_name(self):
+        # every sweep point is a public solve: the sweep cannot drift back to the octant core
+        tree = ast.parse(Path(nr.limit_lab.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not {a.name.rsplit(".", 1)[-1] for a in node.names} & {self.SOLVER}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {a.name for a in node.names}
+                assert self.SOLVER not in imported, "import names from the module instead"
+                if (node.module or "").rsplit(".", 1)[-1] == self.SOLVER:
+                    names |= imported
+        assert "solve" in names
+        assert [name for name in names if name.startswith("_")] == []
+        assert not hasattr(nr.limit_lab, "_solve_octant")
 
     def test_the_folded_kernels_and_the_second_result_type_are_gone(self):
         assert self.FOLDED & set(vars(nr.limit_lab)) == set()
@@ -796,6 +843,19 @@ def _fields(draw, **strategies) -> dict:
     return {key: value for key, value in drawn.items() if value is not ABSENT}
 
 
+def _label(value: float) -> str:
+    """The %g label that keys a c value or an order in summary.json."""
+    return f"{value:g}"
+
+
+UNIFORM_BOUND_LABELS = {_label(s) for s in cli.UNIFORM_BOUND_ORDERS}
+
+
+def _colliding(values):
+    """A pair of different values in the range of `values` that share one %g label."""
+    return values.map(lambda v: float(_label(v))).map(lambda v: [v, v * (1.0 + 1e-9)])
+
+
 @st.composite
 def valid_configs(draw):
     """Config documents parse_config accepts."""
@@ -811,12 +871,17 @@ def valid_configs(draw):
     operator = _fields(
         draw,
         kind=st.just("nonrelativistic") if (n, command) == (2, "solve") else st.sampled_from(KINDS),
-        c_list=st.lists(c, min_size=1, max_size=5, unique=True).map(sorted),
+        # summary.json keys c values and orders by their %g labels, which must differ
+        c_list=st.lists(c, min_size=1, max_size=5, unique_by=_label).map(sorted),
     )
     if command == "solve" and operator.get("kind") == "pseudo_relativistic":
         operator["c"] = draw(c)
     else:
         operator.update(_fields(draw, c=st.one_of(st.none(), c)))
+    orders = st.floats(-4.0, 8.0)
+    if command == "report":
+        # nor may a label equal that of a different uniform-bound order, which the report adds
+        orders = orders.filter(lambda s: s in cli.UNIFORM_BOUND_ORDERS or _label(s) not in UNIFORM_BOUND_LABELS)
     max_points = {1: 2048, 2: 128, 3: 32}[n]
     lengths = st.one_of(st.integers(1, 1000), st.floats(0.5, 1000.0))
     if command in ("verify-symbols", "report"):
@@ -832,7 +897,7 @@ def valid_configs(draw):
         ),
         "operator": operator,
         "solver": _fields(draw, tolerance=st.floats(1.0e-14, 1.0e-4), max_iterations=st.integers(1, 10**6)),
-        "analysis": _fields(draw, s_list=st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=5)),
+        "analysis": _fields(draw, s_list=st.lists(orders, min_size=1, max_size=5, unique_by=_label)),
         "output": _fields(
             draw,
             directory=st.text(string.ascii_letters + "/_-", min_size=1, max_size=12),
@@ -872,6 +937,7 @@ INVALID = {
         # ascending but not strictly: a repeated c would fit a NaN slope, which strict JSON rejects
         st.lists(st.floats(1.0, 1.0e3), min_size=1, max_size=3).map(lambda v: sorted([*v, v[0]])),
         st.lists(st.one_of(NON_FINITE, st.booleans()), min_size=1, max_size=2),
+        _colliding(st.floats(1.0, 1.0e3)),
         NOT_LISTS,
     ),
     "solver.tolerance": st.one_of(
@@ -890,6 +956,7 @@ INVALID = {
             max_size=3,
         ),
         st.lists(st.one_of(NON_FINITE, st.booleans()), min_size=1, max_size=2),
+        _colliding(st.floats(0.5, 4.0)),
         NOT_LISTS,
     ),
     "output.directory": st.one_of(
@@ -994,7 +1061,6 @@ class TestBenchmarkArtifacts:
             return result
 
         monkeypatch.setattr(nr.ground_state, "_solve_octant", recorded)
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
         assert main([*wl.cli_args, "--out", str(tmp_path / "report")]) == wl.expected_exit
         reference, *points = solves
         assert len(points) == 4

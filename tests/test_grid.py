@@ -23,12 +23,11 @@ from nrlimit.grid import (
     _forward,
     _inverse,
     _kernel_coefficients,
-    _lattice_sum,
+    _lattice_dot,
     _octant,
     _prolonged,
     _recentered,
     _recentered_octant,
-    _spectral_norm,
     _unfold,
 )
 from nrlimit.nonlinearity import _coulomb_symbol
@@ -269,6 +268,16 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             nr.sobolev_norm(f, -4.5)
 
+    @pytest.mark.parametrize("s", ["1", True, None, [1.0]], ids=["str", "true", "none", "list"])
+    def test_order_that_is_not_a_real_number_rejected(self, s):
+        f = nr.SpectralField(SMALL, np.ones(SMALL.shape))
+        with pytest.raises(ValueError, match="Sobolev order must be a real number"):
+            nr.sobolev_norm(f, s)
+
+    def test_integer_orders_are_real_numbers(self):
+        f = nr.gaussian_guess(SMALL)
+        assert nr.sobolev_norm(f, np.int64(2)) == nr.sobolev_norm(f, 2) == nr.sobolev_norm(f, 2.0)
+
 
 class TestInnerProduct:
     def test_h1_matches_norm(self):
@@ -410,16 +419,18 @@ class TestOctantKernel:
     def test_weighted_sums_match_full_grid_sums(self, grid):
         full = _even_nyquist_field(grid, np.random.default_rng(80 + grid.n))
         octant = _octant(grid, full)
-        assert abs(_lattice_sum(grid, octant) - np.sum(full)) <= 1e-13 * np.sum(np.abs(full))
-        assert np.isclose(_lattice_sum(grid, octant * octant), np.sum(full * full), rtol=1e-13, atol=0.0)
+        ones = np.ones(grid.octant_shape)
+        assert abs(_lattice_dot(grid, octant, ones) - np.sum(full)) <= 1e-13 * np.sum(np.abs(full))
+        assert np.isclose(_lattice_dot(grid, octant, octant), np.sum(full * full), rtol=1e-13, atol=0.0)
         # Parseval on the octant against the complex full lattice
         coeff = _dct(octant)
         power = np.abs(np.fft.fftn(full)) ** 2
-        assert np.isclose(_lattice_sum(grid, coeff * coeff), np.sum(power), rtol=1e-13, atol=0.0)
+        assert np.isclose(_lattice_dot(grid, coeff, coeff), np.sum(power), rtol=1e-13, atol=0.0)
         full_hat = nr.transform(nr.SpectralField(grid, full), "forward")
+        even = nr.SpectralField(grid, full)
+        assert _kernel_coefficients(even)[3] is grid.octant_xi_sq  # its norms are read off the octant
         for s in (-1.0, 1.0, 4.0):
-            octant_norm = _spectral_norm(grid, (1.0 + grid.octant_xi_sq) ** s, coeff)
-            assert np.isclose(octant_norm, nr.sobolev_norm(full_hat, s), rtol=1e-13, atol=0.0)
+            assert np.isclose(nr.sobolev_norm(even, s), nr.sobolev_norm(full_hat, s), rtol=1e-13, atol=0.0)
 
     def test_unfold_allocates_only_its_result(self):
         grid = nr.make_grid(3, 16.0, 64)

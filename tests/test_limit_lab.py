@@ -12,10 +12,10 @@ from scipy.linalg import eigh, eigh_tridiagonal, null_space, orth
 
 import nrlimit as nr
 from conftest import stand_in_reference, traced_peak
-from nrlimit.grid import _forward, _inverse, _unfold
+from nrlimit.grid import _forward, _inverse, _kernel_coefficients, _unfold
 from nrlimit.limit_lab import ConvergenceRecord, _lanczos_smallest, _smallest_ritz_pair
 from nrlimit.nonlinearity import _derivative
-from oracles import dense_gap_fd, lattice_pairing
+from oracles import dense_gap_fd, lattice_pairing, real_space_identity_residual
 
 SMALL = nr.make_grid(1, 16.0, 64)
 SMALL3 = nr.make_grid(3, 8.0, 16)
@@ -88,7 +88,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("c_values", [[4.0, 4.0, 4.0, 4.0], [4.0, 8.0, 8.0, 16.0]])
     def test_repeated_c_values_rejected_before_any_solve(self, monkeypatch, c_values):
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", TestSweepReference.no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", TestSweepReference.no_solve)
         with pytest.raises(ValueError, match="strictly ascending"):
             nr.sweep(c_values, [1.0], nr.power(3), u_inf=stand_in_reference(SMALL))
 
@@ -117,14 +117,14 @@ class TestSweep:
 
     def test_every_point_starts_from_its_coarse_solution(self, sweep_3d, monkeypatch):
         # at 64^3 every point starts its fine loop from its own 32^3 solution
-        core, points = nr.limit_lab._solve_octant, []
+        core, points = nr.limit_lab.solve, []
 
         def recorded(*args):
             point = core(*args)
             points.append(point)
             return point
 
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", recorded)
+        monkeypatch.setattr(nr.limit_lab, "solve", recorded)
         nr.sweep([16.0, 32.0], [1.0, 2.0], nr.hartree(), u_inf=sweep_3d["u_inf"])
         assert len(points) == 2 and all(p.coarse_start for p in points)
 
@@ -162,17 +162,34 @@ class TestSeededSweep:
         records = nr.sweep(self.C_3D, s_values, nr.hartree(), u_inf=u_inf_32)
         self.assert_records_match_seeded_solves(records, u_inf_32, nr.hartree(), self.C_3D, s_values)
 
+    def test_each_point_is_one_solve_from_the_reference(self, monkeypatch, u_inf_32):
+        # the start from a field is solve's alone: the sweep hands it the reference as initial_guess
+        core, calls = nr.limit_lab.solve, []
+
+        def recorded(op, nl, grid, cfg):
+            calls.append((op, nl, grid, cfg))
+            return core(op, nl, grid, cfg)
+
+        monkeypatch.setattr(nr.limit_lab, "solve", recorded)
+        cfg = nr.SolverConfig(tolerance=1e-11, max_iterations=500)
+        nr.sweep(self.C_3D, [1.0], nr.hartree(), u_inf=u_inf_32, cfg=cfg)
+        assert [op for op, *_ in calls] == [nr.pseudo_relativistic(c) for c in self.C_3D]
+        for _, nl, grid, point_cfg in calls:
+            assert (nl, grid) == (nr.hartree(), u_inf_32.field.grid)
+            assert point_cfg.initial_guess is u_inf_32.field
+            assert (point_cfg.tolerance, point_cfg.max_iterations) == (1e-11, 500)
+
     def test_seeded_sweep_takes_fewer_than_60_iterations(self, monkeypatch, u_inf_32):
         # cold starts from the Gaussian take 20 + 20 + 19 + 18 = 77
         iterations = []
-        core = nr.limit_lab._solve_octant
+        core = nr.limit_lab.solve
 
         def counted(*args, **kwargs):
             point = core(*args, **kwargs)
             iterations.append(point.iterations)
             return point
 
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", counted)
+        monkeypatch.setattr(nr.limit_lab, "solve", counted)
         nr.sweep(self.C_3D, [1.0], nr.hartree(), u_inf=u_inf_32)
         assert len(iterations) == len(self.C_3D)
         assert sum(iterations) < 60
@@ -219,7 +236,7 @@ class TestSeededSweep:
         def no_solve(*args, **kwargs):
             raise AssertionError("sweep solved before checking its reference")
 
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
         shifted = nr.SpectralField(u_inf_1d.field.grid, np.roll(u_inf_1d.field.values, 1))
         u_inf = nr.GroundStateResult(shifted, u_inf_1d.residual, u_inf_1d.action, u_inf_1d.iterations, True)
         with pytest.raises(ValueError, match="exactly even"):
@@ -235,9 +252,30 @@ class TestSobolevOrderRange:
         def no_solve(*args, **kwargs):
             raise AssertionError("sweep solved before checking its orders")
 
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
         with pytest.raises(ValueError, match="Sobolev order"):
             nr.sweep([4.0, 8.0], [1.0, s], nr.power(3), u_inf=stand_in_reference(SMALL))
+
+    @pytest.mark.parametrize("s_values", [["0.5", "1"], [True], [1.0, None]], ids=["str", "true", "none"])
+    def test_sweep_rejects_orders_that_are_not_real_numbers_before_any_solve(self, monkeypatch, s_values):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep solved before checking its orders")
+
+        monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
+        with pytest.raises(ValueError, match="Sobolev order must be a real number"):
+            nr.sweep([4.0, 8.0], s_values, nr.power(3), u_inf=stand_in_reference(SMALL))
+
+    @pytest.mark.parametrize("s", ["2", True])
+    def test_convergence_record_rejects_order_that_is_not_a_real_number(self, s):
+        u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
+        with pytest.raises(ValueError, match="Sobolev order must be a real number"):
+            nr.convergence_record(u, u, 4.0, [1.0, s])
+
+    @pytest.mark.parametrize("s", ["1", True, 100.0])
+    def test_fit_rate_rejects_order(self, s):
+        records = synthetic_records([2.0, 4.0, 8.0, 16.0], lambda c: 7.0 / c**2)
+        with pytest.raises(ValueError, match="Sobolev order"):
+            nr.fit_rate(records, s)
 
     @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5])
     def test_convergence_record_rejects_order(self, s):
@@ -264,20 +302,20 @@ class TestSweepReference:
     def test_frequency_space_reference_rejected(self, monkeypatch):
         u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
         u_inf = nr.GroundStateResult(nr.transform(u, "forward"), 0.0, 0.0, 1, True)
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", self.no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
         with pytest.raises(ValueError, match="real-space"):
             nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=u_inf)
 
     @pytest.mark.parametrize("c_values", [["4", "8"], [True, 4.0]], ids=["str", "true"])
     def test_c_values_that_are_not_real_numbers_rejected(self, monkeypatch, c_values):
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", self.no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
         with pytest.raises(ValueError, match="light-speed parameter must be a real number"):
             nr.sweep(c_values, [1.0], nr.power(3), u_inf=stand_in_reference(SMALL))
 
     def test_takes_no_grid_and_requires_the_reference(self, monkeypatch):
         # the grid is the reference's: a grid in the fourth position, or no reference, is a call error
         u_inf = stand_in_reference(SMALL)
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", self.no_solve)
+        monkeypatch.setattr(nr.limit_lab, "solve", self.no_solve)
         with pytest.raises(TypeError):
             nr.sweep([4.0, 8.0], [1.0], nr.power(3), SMALL, u_inf=u_inf)
         with pytest.raises(TypeError):
@@ -381,8 +419,8 @@ class TestNondegeneracyGap:
         assert nr.linearization_identity_residual(u_inf_1d.field, nr.power(3)) <= 1e-8
 
     def test_identity_convolves_the_hartree_density_once(self, transform_counts):
-        # on the octant: (1 + |xi|^2) u forward and back, one Coulomb
-        # convolution of u^2; the H^2 norm reuses the forward coefficients
+        # on the octant: u forward (it carries no coefficients), one Coulomb
+        # convolution of u^2 and N'(u) u forward; the H^2 norm reuses u's coefficients
         u = nr.SpectralField(SMALL3, np.exp(-0.5 * SMALL3.radius_sq()))
         nr.linearization_identity_residual(u, nr.hartree())
         assert transform_counts["complex"] == transform_counts["rfftn"] == transform_counts["irfftn"] == 0
@@ -581,6 +619,60 @@ class TestNondegeneracyGap:
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+IDENTITY_CASES = [
+    pytest.param(nr.make_grid(1, 16.0, 64), nr.power(3), id="1d-cubic"),
+    pytest.param(nr.make_grid(1, 16.0, 64), nr.power(5), id="1d-quintic"),
+    pytest.param(nr.make_grid(2, 16.0, 32), nr.power(3), id="2d-cubic"),
+    pytest.param(nr.make_grid(3, 8.0, 16), nr.hartree(), id="3d-hartree"),
+]
+
+
+class TestIdentityResidual:
+    """The identity residual is read off coefficients (Parseval) and equals the
+    former sample-space formula (`oracles.real_space_identity_residual`)."""
+
+    @pytest.mark.parametrize("grid, nl", IDENTITY_CASES)
+    @pytest.mark.parametrize("shift", [0, 1], ids=["octant", "full-lattice"])
+    def test_matches_the_sample_space_formula(self, grid, nl, shift):
+        # a Gaussian is far from a solution, so the residual is of order one
+        # and the two formulas agree to round-off relative to it (at most 1e-15 measured)
+        u = nr.gaussian_guess(grid)
+        u = nr.SpectralField(grid, np.roll(u.values, shift, axis=0))
+        assert (_kernel_coefficients(u)[3] is grid.octant_xi_sq) == (shift == 0)
+        value = nr.linearization_identity_residual(u, nl)
+        assert value > 0.1
+        assert value == pytest.approx(real_space_identity_residual(u, nl), rel=1e-13)
+
+    @pytest.mark.parametrize("shift", [0, 2], ids=["octant", "full-lattice"])
+    def test_matches_the_sample_space_formula_at_solved_states(self, u_inf_1d, u_inf_32, shift):
+        # at a solution both sit on the round-off floor (about 1e-12) and differ by
+        # round-off of that floor: at most 3.4e-13 measured, on the shifted 1D state
+        for result, nl in ((u_inf_1d, nr.power(3)), (u_inf_32, nr.hartree())):
+            grid = result.field.grid
+            u = result.field if shift == 0 else nr.SpectralField(grid, np.roll(result.field.values, shift, axis=0))
+            value = nr.linearization_identity_residual(u, nl)
+            assert value <= 1e-11
+            assert abs(value - real_space_identity_residual(u, nl)) <= 1e-12
+
+    @pytest.mark.parametrize("nl, transforms", [(nr.power(3), 1), (nr.hartree(), 3)], ids=["power", "hartree"])
+    def test_transforms_of_a_solved_field(self, transform_counts, u_inf_1d, u_inf_32, nl, transforms):
+        # N'(u) u forward, after the Coulomb pair of phi0 on Hartree; u's coefficients are carried
+        field = (u_inf_1d if nl.kind == "power" else u_inf_32).field
+        nr.linearization_identity_residual(field, nl)
+        assert transform_counts["dct"] == transforms
+        assert transform_counts["complex"] == 0  # nothing on the full lattice
+
+    def test_peak(self, sweep_3d):
+        # 64^3 Hartree: four 33^3 octants, 1.15 MB (N'(u) u and its transform's
+        # work, phi0 and (1 + |xi|^2) u_hat); eight, 2.01 MB, when B u went back
+        # to samples for L u, the target and the squared error.  The bound
+        # leaves half an octant of headroom
+        field = sweep_3d["u_inf"].field
+        nr.linearization_identity_residual(field, nr.hartree())  # fill the caches
+        peak = traced_peak(lambda: nr.linearization_identity_residual(field, nr.hartree()))
+        assert peak <= 1.152e6 + field.octant.nbytes / 2
+
+
 class TestLanczosSmallest:
     def test_diagonal_spectrum_with_negative_minimum(self):
         spectrum = np.concatenate([[-0.37], np.linspace(0.1, 4.0, 500)])
@@ -762,7 +854,7 @@ def test_sweep_refuses_the_two_dimensional_cubic_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("sweep solved before refusing")
 
-    monkeypatch.setattr(nr.limit_lab, "_solve_octant", no_solve)
+    monkeypatch.setattr(nr.limit_lab, "solve", no_solve)
     with pytest.raises(ValueError, match="at finite c"):
         nr.sweep([4.0, 8.0], [1.0], nr.power(3), u_inf=stand_in_reference(nr.make_grid(2, 32.0, 64)))
 

@@ -113,7 +113,7 @@ class TestOneSubcriticalityRule:
         # that carries no coefficients, and must refuse before that
         monkeypatch.setattr(nr.ground_state, "_forward", work)
         monkeypatch.setattr(nr.grid, "_forward", work)
-        monkeypatch.setattr(nr.limit_lab, "_solve_octant", work)
+        monkeypatch.setattr(nr.limit_lab, "solve", work)
         grid = nr.make_grid(n, 16.0, 16)
         op = nr.pseudo_relativistic(c) if finite else nr.nonrelativistic()
         u = nr.gaussian_guess(grid)
