@@ -31,60 +31,17 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 if "numpy" not in _sys.modules and not any(name in _os.environ for name in _BLAS_THREAD_VARS):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .grid import (
-    Grid,
-    SpectralField,
-    inner_product,
-    make_grid,
-    recenter,
-    sobolev_norm,
-    symmetrize,
-    transform,
-)
-from .snapshots import load_field, save_field
-from .operators import (
-    OperatorSpec,
-    apply_multiplier,
-    nonrelativistic,
-    pseudo_relativistic,
-    symbol,
-    symbol_defect,
-    symbol_gap_ratio,
-    symbol_gap_scan,
-    taylor_residual,
-)
-from .nonlinearity import (
-    NonlinearitySpec,
-    evaluate,
-    hartree,
-    hartree_potential,
-    linearize,
-    power,
-    taylor_remainder,
-)
-from .ground_state import (
-    GroundStateError,
-    GroundStateResult,
-    SolverConfig,
-    action,
-    gaussian_guess,
-    residual,
-    solve,
-)
-from .limit_lab import (
-    ConvergenceRecord,
-    GapEigensolveError,
-    RateFit,
-    SweepError,
-    convergence_record,
-    fit_rate,
-    h_minus1_residual,
-    linearization_identity_residual,
-    nondegeneracy_gap,
-    optimality_forms,
-    optimality_functional,
-    sobolev_ladder,
-    sweep,
-)
+# the public API is the union of the modules' __all__ lists, in import order
+from .grid import *
+from .snapshots import *
+from .operators import *
+from .nonlinearity import *
+from .ground_state import *
+from .limit_lab import *
+from . import grid, ground_state, limit_lab, nonlinearity, operators, snapshots
+
+__all__ = [
+    name for module in (grid, snapshots, operators, nonlinearity, ground_state, limit_lab) for name in module.__all__
+]
 
 __version__ = "0.1.0"

@@ -25,11 +25,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .grid import Grid, make_grid
+from .grid import Grid, _as_integer, _as_real, make_grid
 from .snapshots import save_field
 from .operators import (
-    NONREL,
-    PSEUDO,
     OperatorSpec,
     _proven_min_ratio,
     nonrelativistic,
@@ -90,7 +88,6 @@ class RunConfig:
     p: int | None
     L: float
     N: int
-    operator_kind: str
     c: float | None
     c_list: tuple[float, ...]
     tolerance: float
@@ -108,9 +105,8 @@ class RunConfig:
         return NonlinearitySpec(self.nonlinearity, self.p)
 
     def operator_spec(self) -> OperatorSpec:
-        if self.operator_kind == NONREL:
-            return nonrelativistic()
-        return pseudo_relativistic(self.c)
+        """The operator `solve` solves: pseudo_relativistic(c) if operator.c is set, else the c = inf limit."""
+        return nonrelativistic() if self.c is None else pseudo_relativistic(self.c)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tolerance=self.tolerance, max_iterations=self.max_iterations)
@@ -121,80 +117,64 @@ class RunConfig:
         return tuple(sorted({*self.s_list, *UNIFORM_BOUND_ORDERS})) if self.command == "report" else self.s_list
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError("an integer")
-    return value
-
-
-def _number(value) -> float:
-    """A JSON number as a float; neither a boolean nor an integer beyond float range is one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise TypeError("a number in floating-point range") from None
-
-
-def _path(value) -> Path:
+def _path(value, name: str) -> Path:
     if not isinstance(value, str):
-        raise TypeError("a string")
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return Path(value)
 
 
 def _one_of(*choices):
-    def convert(value):
+    def convert(value, name: str):
         # compared with their types, so that neither true nor 1.0 is the dimension 1
         if not any(type(value) is type(choice) and value == choice for choice in choices):
-            raise TypeError("one of " + ", ".join(map(json.dumps, choices)))
+            raise ValueError(f"{name} must be one of {', '.join(map(json.dumps, choices))}, got {value!r}")
         return value
 
     return convert
 
 
 def _or_null(convert):
-    return lambda value: None if value is None else convert(value)
+    return lambda value, name: None if value is None else convert(value, name)
 
 
-def _list_of(convert, name: str, nonempty: bool = True):
-    def convert_list(value) -> tuple:
+def _list_of(convert, kind: str, nonempty: bool = True):
+    def convert_list(value, name: str) -> tuple:
         try:
             if isinstance(value, list) and (value or not nonempty):
-                return tuple(map(convert, value))
-        except TypeError:
+                return tuple(convert(item, name) for item in value)
+        except ValueError:
             pass
-        raise TypeError(name)
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
     return convert_list
 
 
-NUMBERS = _list_of(_number, "a nonempty list of numbers")
+NUMBERS = _list_of(_as_real, "a nonempty list of numbers")
 
-# section -> key -> (JSON type, default).  A JSON type converts a value to its
-# RunConfig field, whose order is this table's.  A callable default is computed
-# from the values, by path, of the keys above it.  Value constraints are not
-# here: parse_config takes them from the library objects the values build.
+# section -> key -> (converter, default).  A converter takes a JSON value and its
+# key to its RunConfig field, whose order is this table's, or raises a ValueError;
+# numbers go through the library's `_as_integer` and `_as_real`.  A callable
+# default is computed from the values, by path, of the keys above it.  Value
+# constraints are not here: parse_config takes them from the objects the values build.
 SCHEMA = {
     "command": (_one_of(*COMMANDS), "solve"),
     "problem": {
         # the one value checked here: it selects the grid and c_list defaults
         "n": (_one_of(*GRID_DEFAULTS), 1),
         "nonlinearity": (_one_of("power", "hartree"), "power"),
-        "p": (_or_null(_integer), lambda v: 3 if v["problem.nonlinearity"] == "power" else None),
+        "p": (_or_null(_as_integer), lambda v: 3 if v["problem.nonlinearity"] == "power" else None),
     },
     "grid": {
-        "L": (_number, lambda v: GRID_DEFAULTS[v["problem.n"]][0]),
-        "N": (_integer, lambda v: GRID_DEFAULTS[v["problem.n"]][1]),
+        "L": (_as_real, lambda v: GRID_DEFAULTS[v["problem.n"]][0]),
+        "N": (_as_integer, lambda v: GRID_DEFAULTS[v["problem.n"]][1]),
     },
     "operator": {
-        "kind": (_one_of(PSEUDO, NONREL), lambda v: NONREL if v["command"] == "solve" else PSEUDO),
-        "c": (_or_null(_number), None),
+        "c": (_or_null(_as_real), None),
         "c_list": (NUMBERS, lambda v: C_LIST_DEFAULT[:4] if v["problem.n"] == 3 else C_LIST_DEFAULT),
     },
     "solver": {
-        "tolerance": (_number, SolverConfig.tolerance),
-        "max_iterations": (_integer, SolverConfig.max_iterations),
+        "tolerance": (_as_real, SolverConfig.tolerance),
+        "max_iterations": (_as_integer, SolverConfig.max_iterations),
     },
     "analysis": {"s_list": (NUMBERS, S_LIST_DEFAULT)},
     "output": {
@@ -205,9 +185,9 @@ SCHEMA = {
 
 
 def _read(schema: dict, doc: dict, prefix: str, values: dict, errors: list[str]) -> None:
-    """Fill `values` by path in SCHEMA order: each given value converted to its
-    JSON type, each other one defaulted.  Unknown keys, sections that are not
-    objects and values of another type are violations."""
+    """Fill `values` by path in SCHEMA order: each given value converted by its
+    key's converter, each other one defaulted.  Unknown keys, sections that are
+    not objects and values a converter refuses are violations."""
     errors.extend(f"{prefix}{key}: unknown key (allowed: {', '.join(schema)})" for key in doc if key not in schema)
     for key, entry in schema.items():
         path = prefix + key
@@ -221,10 +201,10 @@ def _read(schema: dict, doc: dict, prefix: str, values: dict, errors: list[str])
         convert, default = entry
         if key in doc:
             try:
-                values[path] = convert(doc[key])
+                values[path] = convert(doc[key], key)
                 continue
-            except TypeError as exc:
-                errors.append(f"{path}: must be {exc}, got {doc[key]!r}")
+            except ValueError as exc:
+                errors.append(f"{path}: {exc}")
         values[path] = default(values) if callable(default) else default
 
 
@@ -238,11 +218,16 @@ def _valid(errors: list[str], path: str, build, *args, **kwargs) -> bool:
     return True
 
 
+def _label(value: float) -> str:
+    """The `%g` label that keys a c value or an order in summary.json's tables."""
+    return f"{value:g}"
+
+
 def _distinct_labels(values) -> None:
-    """A ValueError naming two different values whose `%g` labels, which key summary.json's tables, are equal."""
+    """A ValueError naming two different values whose `_label`s are equal."""
     seen = {}
     for value in values:
-        label = f"{value:g}"
+        label = _label(value)
         if seen.setdefault(label, value) != value:
             raise ValueError(f"{seen[label]!r} and {value!r} share the summary label {label!r}")
 
@@ -273,7 +258,7 @@ def parse_config(text: str) -> RunConfig:
         nl = config.nonlinearity_spec()
         # n constrains the Hartree term itself, and a power through its exponent (finite c where the run solves at it)
         at = "problem.nonlinearity" if nl.kind == "hartree" else "problem.p"
-        finite_c = config.command in ("sweep", "report") or (config.command, config.operator_kind) == ("solve", PSEUDO)
+        finite_c = config.command in ("sweep", "report") or (config.command == "solve" and config.c is not None)
         _valid(errors, at, nl.validate_dimension, config.n, finite_c)
     if not _valid([], "grid", lambda: config.grid):
         # Grid checks L before N, so the fault is N's if the smallest grid of length L is valid
@@ -283,8 +268,6 @@ def parse_config(text: str) -> RunConfig:
         _valid(errors, "grid.L", _taylor_column, config.grid)
     if config.c is not None:
         _valid(errors, "operator.c", pseudo_relativistic, config.c)
-    elif config.command == "solve" and config.operator_kind == PSEUDO:
-        errors.append("operator.c: required for a pseudo_relativistic solve")
     _valid(errors, "operator.c_list", lambda: _distinct_labels(_sweep_c_values(config.c_list)))
     for key in ("tolerance", "max_iterations"):
         _valid(errors, f"solver.{key}", SolverConfig, **{key: getattr(config, key)})
@@ -319,9 +302,9 @@ def _prepare_out_dir(out_dir: Path) -> None:
         raise ConfigError([f"output.directory: not writable: {out_dir} ({exc})"])
 
 
-def _solve_record(config: RunConfig, result: GroundStateResult) -> dict:
+def _solve_record(config: RunConfig, op: OperatorSpec, result: GroundStateResult) -> dict:
     return {
-        "operator": config.operator_kind,
+        "operator": op.kind,
         "c": config.c,
         "nonlinearity": config.nonlinearity,
         "p": config.p,
@@ -339,8 +322,9 @@ def _solve_record(config: RunConfig, result: GroundStateResult) -> dict:
 
 
 def _run_solve(config: RunConfig) -> int:
-    result = solve(config.operator_spec(), config.nonlinearity_spec(), config.grid, config.solver_config())
-    _json_dump(config.out_dir / "ground_state.json", _solve_record(config, result))
+    op = config.operator_spec()
+    result = solve(op, config.nonlinearity_spec(), config.grid, config.solver_config())
+    _json_dump(config.out_dir / "ground_state.json", _solve_record(config, op, result))
     for fmt in config.formats:
         save_field(result.field, config.out_dir / "ground_state_field", fmt=fmt)
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
@@ -364,7 +348,7 @@ def _sweep_artifacts(config: RunConfig, s_list):
             fit = fit_rate(records, s, floor=floor)
         except ValueError:
             continue
-        fits[f"{float(s):g}"] = {
+        fits[_label(s)] = {
             "slope": fit.slope,
             "A_hat": fit.A_hat,
             "B_hat": fit.B_hat,
@@ -374,7 +358,7 @@ def _sweep_artifacts(config: RunConfig, s_list):
     gap = nondegeneracy_gap(u_inf.field, nl)
     identity = linearization_identity_residual(u_inf.field, nl)
     forms = optimality_forms(u_inf.field, config.c_list)
-    c2a = {f"{c:g}": c * c * form for c, form in zip(config.c_list, forms)}
+    c2a = {_label(c): c * c * form for c, form in zip(config.c_list, forms)}
     norms, laplacian_norm_sq = _reference_norms(u_inf.field, s_list)
     summary = {
         "problem": {"n": config.n, "nonlinearity": config.nonlinearity, "p": config.p},
@@ -387,7 +371,7 @@ def _sweep_artifacts(config: RunConfig, s_list):
         "linearization_identity_residual": identity,
         "optimality": {
             "c2_times_form": c2a,
-            "limit_estimate": c2a[f"{records[-1].c:g}"],
+            "limit_estimate": c2a[_label(records[-1].c)],
             "laplacian_norm_sq": laplacian_norm_sq,
         },
         "ladder": ladder,
@@ -395,7 +379,7 @@ def _sweep_artifacts(config: RunConfig, s_list):
             "action": u_inf.action,
             "residual": u_inf.residual,
             "iterations": u_inf.iterations,
-            "norms": {f"{s:g}": norm for s, norm in norms.items()},
+            "norms": {_label(s): norm for s, norm in norms.items()},
         },
         "action_convention": "mass term included",
     }
@@ -488,7 +472,7 @@ def _checks(
     (name, format, bound, applies, value), its value read from the run's records, summary, symbols or reference."""
     fits, norms, opt = summary["rate_fits"], summary["reference_state"]["norms"], summary["optimality"]
     # a requested order without a fit (too few c values, or too few above the floor) keeps its rows, as n/a
-    orders = [k for k in ("0.5", "1", "2", "3") if k in {f"{float(s):g}" for s in config.s_list}]
+    orders = [k for k in ("0.5", "1", "2", "3") if k in set(map(_label, config.s_list))]
     slope = {k: fit["slope"] for k, fit in fits.items()}
     spread = {k: fit["B_hat"] / fit["A_hat"] for k, fit in fits.items()}
     power, hartree, grid = config.nonlinearity == "power", config.nonlinearity == "hartree", config.grid
@@ -518,8 +502,8 @@ def _checks(
         ("optimality limit vs reference", ".4%", "<= 2%", True, abs(opt["limit_estimate"] - ref) / ref),
         ("nondegeneracy gap", ".6f", "> 0", True, summary["nondegeneracy_gap"]),
         ("linearization identity residual", ".3e", "<= 1e-8", True, summary["linearization_identity_residual"]),
-        *[(f"uniform bound at s={s:g}", ".4f", "<= 1.5", True, max(r.sup_norms[s] for r in records) / norms[f"{s:g}"])
-          for s in UNIFORM_BOUND_ORDERS],
+        *[(f"uniform bound at s={_label(s)}", ".4f", "<= 1.5", True,
+           max(r.sup_norms[s] for r in records) / norms[_label(s)]) for s in UNIFORM_BOUND_ORDERS],
         ("bootstrap ratio spread (1/2 -> 3)", ".3f", "<= 3", True, max(ratios) / min(ratios)),
         ("projection decomposition identity", ".3e", "<= 1e-8", True, max(0.0, *decomp)),
     ]

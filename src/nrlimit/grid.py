@@ -199,14 +199,16 @@ class Grid:
         return sum(a * a for a in self.coordinates())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Samples of a real field on a Grid, in real or frequency representation.
 
     Real-space values are real float64; frequency-space values are the
     continuum-normalized complex coefficients of a real field (conjugate
-    symmetric).  Instances are value objects: the stored array is copied and
-    frozen at construction.
+    symmetric).  Instances are immutable: the stored array is copied and
+    frozen at construction.  Fields compare and hash by identity, so that
+    `==` and `hash` never compare arrays; the objects that hold one
+    (`GroundStateResult`, `SolverConfig`) compare and hash without raising.
     """
 
     grid: Grid

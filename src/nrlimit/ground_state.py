@@ -12,8 +12,8 @@ Ni, SIAM J. Numer. Anal. 49, 2011), with the octant-weighted dot product, which
 takes a one-level 3D Hartree solve from about 85 iterations to about 20 with
 no extra transform.
 
-On 3D grids with N >= 64 a solve is nested iteration (Brandt, Math.
-Comp. 31, 1977) on two levels (`_solve_octant`).  The ground state is
+On 3D grids with N/2 even and at least 32 a solve is nested iteration
+(Brandt, Math. Comp. 31, 1977) on two levels (`_solve_octant`).  The ground state is
 smooth, so on 64^3 the prolonged 32^3 solution has a residual of about 7e-9
 and the fine loop takes 3-4 iterations instead of 13-18, after a coarse
 solve whose iterations cost about an eighth as much.  1D, 2D and smaller 3D

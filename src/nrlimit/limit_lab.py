@@ -285,8 +285,8 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     clipped.  A solved reference enters as its octant and coefficients.
     """
     grid = _real_grid((u_inf,))
-    u0 = _recentered_octant(grid, _stored(u_inf))
     nl.validate_dimension(grid.n)
+    u0 = _recentered_octant(grid, _stored(u_inf))
 
     apply_derivative = _derivative(nl, grid, u0)
     a, b, c = (np.empty(grid.octant_shape) for _ in range(3))  # the product's buffers
@@ -454,8 +454,8 @@ def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) 
     lattice.  Three whole-field transforms for Hartree (phi0's Coulomb pair,
     F[N'(u) u]), one for powers, one more for a field without coefficients.
     """
+    nl.validate_dimension(_real_grid((u_inf,)).n)
     grid, (u,), (uh,), xi_sq = _kernel_coefficients(u_inf)
-    nl.validate_dimension(grid.n)
     bu = uh * (1.0 + xi_sq)
     r = _forward(grid, _derivative(nl, grid, u)(u))
     r -= (nl.variational_exponent - 1) * bu
@@ -489,14 +489,11 @@ def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float]
 
 
 def sobolev_ladder(n: int, nl: NonlinearitySpec, count: int) -> list[float]:
-    """Increasing Sobolev orders s_k = k + 1/2, k = 0..count, along which product estimates iterate.
+    """The Sobolev orders s_k = k + 1/2, k = 0..count, along which product estimates iterate.
 
-    `nl` must pass the finite-c rule of `NonlinearitySpec.validate_dimension`.
-    Hartree steps by one from 1/2.  A power with variational exponent q
-    iterates s_{k+1} = 1 - n(q-2)/2 + (q-1) s_k from 1/2 until the first
-    order above n/2, then steps by one; the rule admits powers only in 1D,
-    where s_1 = 1 - (q-2)/2 + (q-1)/2 = 3/2 > 1/2 for every q, so the unit
-    steps start at 1/2 there too.
+    The ladder does not depend on n or nl: the function applies the finite-c
+    rule, `nl.validate_dimension(n, relativistic=True)`, whose ValueError it
+    passes on, and takes count as an integer >= 1.
     """
     count = _as_integer(count, "count", 1)
     nl.validate_dimension(n, relativistic=True)

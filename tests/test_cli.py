@@ -70,9 +70,30 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert len(info.value.violations) == 3
 
-    def test_pseudo_solve_requires_c(self):
-        with pytest.raises(ConfigError, match="operator.c"):
-            parse_config(json.dumps({"command": "solve", "operator": {"kind": "pseudo_relativistic"}}))
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("kind", ["pseudo_relativistic", "nonrelativistic"])
+    def test_operator_kind_is_an_unknown_key(self, tmp_path, capsys, command, kind):
+        # operator.c alone picks solve's operator: no second key can drop it
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), "--override", f"operator.kind={kind}"]) == 2
+        assert capsys.readouterr().err == "operator.kind: unknown key (allowed: c, c_list)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, line",
+        [
+            ("grid.L=true", "grid.L: L must be a real number, got True"),
+            ("grid.N=256.0", "grid.N: N must be an integer, got 256.0"),
+            ("operator.c=1" + "0" * 400, "operator.c: c must be finite, got an integer beyond float range"),
+            ("operator.c_list=[4,true]", "operator.c_list: c_list must be a nonempty list of numbers, got [4, True]"),
+            ("problem.n=4", "problem.n: n must be one of 1, 2, 3, got 4"),
+        ],
+    )
+    def test_a_refused_value_is_one_line_at_its_path(self, tmp_path, capsys, override, line):
+        # numbers are refused by the library's _as_integer and _as_real, every value at its config path
+        assert main(["solve", "--out", str(tmp_path / "o"), "--override", override]) == 2
+        assert capsys.readouterr().err == line + "\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestSolveCommand:
@@ -112,6 +133,17 @@ class TestSolveCommand:
         assert record["coarse_start"] is True
         assert record["coarse_iterations"] > 0
         assert record["iterations"] <= 5
+
+    def test_operator_c_picks_the_pseudo_relativistic_solve(self, tmp_path):
+        args = ["--override", "grid.N=256", "--override", "output.formats=[]"]
+        assert main(["solve", "--out", str(tmp_path / "finite"), *args, "--override", "operator.c=8"]) == 0
+        assert main(["solve", "--out", str(tmp_path / "limit"), *args]) == 0
+        finite, limit = (json.loads((tmp_path / run / "ground_state.json").read_text()) for run in ("finite", "limit"))
+        assert (finite["operator"], finite["c"]) == ("pseudo_relativistic", 8.0)
+        assert (limit["operator"], limit["c"]) == ("nonrelativistic", None)
+        grid = nr.make_grid(1, 32.0, 256)
+        for record, op in ((finite, nr.pseudo_relativistic(8.0)), (limit, nr.nonrelativistic())):
+            assert record["action"] == nr.solve(op, nr.power(3), grid).action
 
     def test_nonconvergence_exit_code(self, tmp_path):
         out = tmp_path / "run"
@@ -215,7 +247,7 @@ class TestSweepCommand:
 
     def test_finite_c_two_dimensional_solve_rejected_writing_nothing(self, tmp_path, capsys):
         out = tmp_path / "solve"
-        finite_c = ["--override", "operator.kind=pseudo_relativistic", "--override", "operator.c=8"]
+        finite_c = ["--override", "operator.c=8"]
         assert main(["solve", "--out", str(out), "--override", "problem.n=2", *finite_c]) == 2
         err = capsys.readouterr().err
         assert err.startswith("problem.p: ") and "at finite c" in err and "Traceback" not in err
@@ -246,7 +278,7 @@ class TestSweepCommand:
     )
     def test_non_finite_input_rejected_before_solving(self, tmp_path, capsys, command, override, field):
         out = tmp_path / "nf"
-        base = ["--override", "operator.kind=pseudo_relativistic"] if command == "solve" else SWEEP_OVERRIDES
+        base = [] if command == "solve" else SWEEP_OVERRIDES
         assert main([command, "--out", str(out), *base, "--override", override]) == 2
         assert f"{field}:" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
@@ -386,6 +418,15 @@ class TestPublicPath:
         assert "solve" in names
         assert [name for name in names if name.startswith("_")] == []
         assert not hasattr(nr.limit_lab, "_solve_octant")
+
+    def test_cli_leaves_refusing_booleans_to_the_library(self):
+        # a JSON boolean is refused by grid._as_integer and grid._as_real alone, not by a CLI copy of them
+        tree = ast.parse(Path(cli.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                types = node.args[1]
+                names = types.elts if isinstance(types, ast.Tuple) else [types]
+                assert not any(isinstance(t, ast.Name) and t.id == "bool" for t in names), ast.unparse(node)
 
     def test_the_folded_kernels_and_the_second_result_type_are_gone(self):
         assert self.FOLDED & set(vars(nr.limit_lab)) == set()
@@ -834,7 +875,6 @@ def _override_args(doc: dict) -> list[str]:
 
 
 ABSENT = object()
-KINDS = ("pseudo_relativistic", "nonrelativistic")
 
 
 def _fields(draw, **strategies) -> dict:
@@ -870,14 +910,11 @@ def valid_configs(draw):
     c = st.floats(1.0, 1.0e3)
     operator = _fields(
         draw,
-        kind=st.just("nonrelativistic") if (n, command) == (2, "solve") else st.sampled_from(KINDS),
+        # a 2D solve at finite c is refused: 2D solves only at c = inf (c null)
+        c=st.none() if (n, command) == (2, "solve") else st.one_of(st.none(), c),
         # summary.json keys c values and orders by their %g labels, which must differ
         c_list=st.lists(c, min_size=1, max_size=5, unique_by=_label).map(sorted),
     )
-    if command == "solve" and operator.get("kind") == "pseudo_relativistic":
-        operator["c"] = draw(c)
-    else:
-        operator.update(_fields(draw, c=st.one_of(st.none(), c)))
     orders = st.floats(-4.0, 8.0)
     if command == "report":
         # nor may a label equal that of a different uniform-bound order, which the report adds
@@ -926,7 +963,6 @@ INVALID = {
         st.none(),
     ),
     "grid.N": st.one_of(st.integers().filter(lambda v: v % 2 == 1 or v < 16), st.floats(), NOT_NUMBERS, st.none()),
-    "operator.kind": st.one_of(st.text(max_size=8).filter(lambda v: v not in KINDS), st.integers()),
     "operator.c": st.one_of(
         st.floats(max_value=1.0, exclude_max=True), st.integers(max_value=0), NON_FINITE, NOT_NUMBERS
     ),
@@ -1019,6 +1055,32 @@ class TestConfigProperties:
             written = list(Path(tmp).iterdir())
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith("grid.L: ") and err.getvalue().count("\n") == 1
+        assert written == []
+
+    # the property above draws a colliding list in few examples; this one draws only
+    # c values or orders that share a %g label, for report also with a uniform-bound order
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), command=st.sampled_from(["sweep", "report"]))
+    def test_colliding_labels_exit_2_naming_the_list(self, data, command):
+        lists = [
+            ("operator.c_list", _colliding(st.floats(1.0, 1.0e3))),
+            ("analysis.s_list", _colliding(st.one_of(st.floats(-3.5, -0.5), st.floats(0.5, 7.5)))),
+        ]
+        if command == "report":
+            uniform = st.sampled_from(cli.UNIFORM_BOUND_ORDERS).map(lambda s: [s * (1.0 + 1e-9)])
+            lists.append(("analysis.s_list", uniform))
+        path, values = data.draw(st.one_of(*(v.map(lambda v, path=path: (path, v)) for path, v in lists)))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("NRLIMIT_OUTPUT_ROOT", tmp)
+            mp.chdir(tmp)
+            mp.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved a colliding list"))
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--override", f"{path}={json.dumps(values)}"])
+            written = list(Path(tmp).iterdir())
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"{path}: ") and err.getvalue().count("\n") == 1
+        assert "share the summary label" in err.getvalue()
         assert written == []
 
 

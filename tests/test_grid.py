@@ -140,6 +140,15 @@ class TestReadOnlyArrays:
                 sym *= 2.0
 
 
+class TestFieldIdentity:
+    def test_fields_compare_and_hash_by_identity(self):
+        # a field equal to another by its samples is still another field: == never compares arrays
+        samples = np.exp(-SMALL.radius_sq())
+        a, b = nr.SpectralField(SMALL, samples), nr.SpectralField(SMALL, samples)
+        assert a == a and a != b and hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+
 class TestTransform:
     def test_constant_field(self):
         g = SMALL

@@ -59,6 +59,21 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="initial_guess must be a SpectralField or None"):
             nr.SolverConfig(initial_guess=guess)
 
+    def test_configs_compare_and_hash_with_their_guess_by_identity(self):
+        guess = nr.gaussian_guess(SMALL)
+        cfg = nr.SolverConfig(initial_guess=guess)
+        assert cfg == nr.SolverConfig(initial_guess=guess) and hash(cfg) == hash(nr.SolverConfig(initial_guess=guess))
+        assert cfg != nr.SolverConfig(initial_guess=nr.gaussian_guess(SMALL))
+
+
+class TestResultIdentity:
+    def test_results_compare_and_hash_without_raising(self):
+        # two identical solves hold two fields, so they differ; a copy that keeps the field is equal
+        first, second = (nr.solve(nr.nonrelativistic(), nr.power(3), SMALL) for _ in range(2))
+        assert first.residual_history == second.residual_history
+        assert first != second
+        assert first == replace(first) and hash(first) == hash(replace(first))
+
 
 class TestSoliton1D:
     def test_profile_and_residual(self, u_inf_1d, sech_exact):

@@ -426,6 +426,16 @@ class TestNondegeneracyGap:
         assert transform_counts["complex"] == transform_counts["rfftn"] == transform_counts["irfftn"] == 0
         assert transform_counts["dct"] <= 5
 
+    @pytest.mark.parametrize("diagnostic", [nr.linearization_identity_residual, nr.nondegeneracy_gap])
+    def test_refused_before_any_work(self, monkeypatch, transform_counts, diagnostic):
+        # the rule refuses Hartree in 2D before the field is transformed or recentred
+        recentred = []
+        monkeypatch.setattr(nr.limit_lab, "_recentered_octant", lambda *args, **kwargs: recentred.append(args))
+        grid = nr.make_grid(2, 16.0, 32)
+        with pytest.raises(ValueError, match="n = 3"):
+            diagnostic(nr.SpectralField(grid, np.exp(-0.5 * grid.radius_sq())), nr.hartree())
+        assert recentred == [] and sum(transform_counts.values()) == 0
+
     def test_translation_zero_mode(self):
         # sech tanh is annihilated by the linearized operator (odd class).
         # The box is 64 wide (same dx as grid1d) so that the odd mode is

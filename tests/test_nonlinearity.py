@@ -126,7 +126,7 @@ class TestOneSubcriticalityRule:
             if message is not None:
                 assert str(raised.value) == message
 
-        operator = {"kind": "pseudo_relativistic", "c": c} if finite else {"kind": "nonrelativistic"}
+        operator = {"c": c} if finite else {}
         at = "problem.p" if nl.kind == "power" else "problem.nonlinearity"
         for command in ("solve", "sweep", "report") if finite else ("solve", "nondeg"):
             doc = {"command": command, "problem": {"n": n, "nonlinearity": nl.kind, "p": nl.p}, "operator": operator}
