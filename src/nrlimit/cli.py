@@ -248,6 +248,8 @@ def parse_config(text: str) -> RunConfig:
 
     SCHEMA checks keys and JSON types; every value constraint is the library's,
     met by building the objects the run uses, whose grid the config keeps.
+    A number at operator.c is refused for every command but solve, its only
+    reader.
     """
     errors: list[str] = []
     values: dict = {}
@@ -266,7 +268,10 @@ def parse_config(text: str) -> RunConfig:
             _valid(errors, "grid.N", lambda: config.grid)
     elif config.command in ("verify-symbols", "report"):
         _valid(errors, "grid.L", _taylor_column, config.grid)
-    if config.c is not None:
+    if config.c is not None and config.command != "solve":
+        # sweep and report solve at each c of operator.c_list, nondeg at c = inf
+        errors.append(f"operator.c: only solve reads operator.c, {config.command} does not")
+    elif config.c is not None:
         _valid(errors, "operator.c", pseudo_relativistic, config.c)
     _valid(errors, "operator.c_list", lambda: _distinct_labels(_sweep_c_values(config.c_list)))
     for key in ("tolerance", "max_iterations"):

@@ -79,6 +79,16 @@ class TestParseConfig:
         assert capsys.readouterr().err == "operator.kind: unknown key (allowed: c, c_list)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "solve"])
+    def test_operator_c_is_read_by_solve_alone(self, tmp_path, monkeypatch, capsys, command):
+        # nondeg solves at c = inf, sweep and report at each c of operator.c_list:
+        # a c given to them was checked and then ignored
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail(f"{command} solved"))
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), "--override", "grid.N=256", "--override", "operator.c=5"]) == 2
+        assert capsys.readouterr().err == f"operator.c: only solve reads operator.c, {command} does not\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "override, line",
         [
@@ -462,12 +472,13 @@ class TestNondegCommand:
         assert not (out / "nondeg.json").exists()
 
     def test_3d_hartree_run_peak(self, tmp_path):
-        # the benchmark's 64^3 Hartree nondeg, warm: its peak, 3.77 MB, is in
-        # the gap, nine 33^3 octants beside the grid's two and the
-        # reference's two (4.64 MB when the fine level held 13 octants and
-        # the gap 12; 5.87 MB before the level's 13-octant working set); the
-        # bound leaves half an octant (0.14 MB) of headroom
-        assert _warm_3d_hartree_peak("nondeg", tmp_path) <= 3.91e6
+        # the benchmark's 64^3 Hartree nondeg, warm: its peak, 3.28 MB, is in
+        # the solve's fine level, the gap's seven 33^3 octants peaking 0.08 MB
+        # lower (3.77 MB in the gap while it held nine, 4.64 MB when the fine
+        # level held 13 octants and the gap 12; 5.87 MB before the level's
+        # 13-octant working set); the bound leaves half an octant (0.14 MB) of
+        # headroom
+        assert _warm_3d_hartree_peak("nondeg", tmp_path) <= 3.42e6
 
 
 def _warm_3d_hartree_peak(command: str, tmp_path: Path) -> int:
@@ -908,10 +919,11 @@ def valid_configs(draw):
         p = st.integers(3, 9) if n == 1 else st.just(3)
         problem = {"n": n, **_fields(draw, nonlinearity=st.just("power"), p=p)}
     c = st.floats(1.0, 1.0e3)
+    # only solve reads c, and a 2D solve at finite c is refused: 2D solves only at c = inf (c null)
+    solve_c = {"c": st.none() if n == 2 else st.one_of(st.none(), c)} if command == "solve" else {}
     operator = _fields(
         draw,
-        # a 2D solve at finite c is refused: 2D solves only at c = inf (c null)
-        c=st.none() if (n, command) == (2, "solve") else st.one_of(st.none(), c),
+        **solve_c,
         # summary.json keys c values and orders by their %g labels, which must differ
         c_list=st.lists(c, min_size=1, max_size=5, unique_by=_label).map(sorted),
     )
@@ -1130,10 +1142,11 @@ class TestBenchmarkArtifacts:
         assert reference.iterations <= 5
         assert sum(p.iterations for p in points) <= 20
 
-    # whole-field DCT-I transforms per run; 199, 523 and 184 while each diagnostic transformed the solved
-    # reference itself and each sweep record its solved point
+    # whole-field DCT-I transforms per run, on either level; 199, 523 and 184 while each diagnostic
+    # transformed the solved reference itself and each sweep record its solved point, and 189, 509 and
+    # 181 while the 3D gap took 83 fine transforms, where it now takes 14 fine and 172 coarse (17^3) ones
     @pytest.mark.parametrize(
-        "workload, transforms", [("report-1d-cubic", 189), ("report-3d-hartree", 509), ("nondeg-3d-hartree", 181)]
+        "workload, transforms", [("report-1d-cubic", 189), ("report-3d-hartree", 612), ("nondeg-3d-hartree", 284)]
     )
     def test_whole_field_transforms_per_run(self, tmp_path, monkeypatch, transform_counts, workload, transforms):
         self.load(monkeypatch, "compare")  # run.py imports it

@@ -126,9 +126,10 @@ class TestOneSubcriticalityRule:
             if message is not None:
                 assert str(raised.value) == message
 
-        operator = {"c": c} if finite else {}
         at = "problem.p" if nl.kind == "power" else "problem.nonlinearity"
         for command in ("solve", "sweep", "report") if finite else ("solve", "nondeg"):
+            # solve takes its finite c from operator.c, which only it reads; sweep and report solve at finite c always
+            operator = {"c": c} if finite and command == "solve" else {}
             doc = {"command": command, "problem": {"n": n, "nonlinearity": nl.kind, "p": nl.p}, "operator": operator}
             if message is None:
                 parse_config(json.dumps(doc))
