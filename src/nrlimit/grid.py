@@ -26,20 +26,16 @@ Fields live in one of two representations:
 The kernel (`_forward`, `_inverse`, `_lattice_dot`) takes an octant or a
 full-grid array and works on the octant or the full lattice accordingly (on
 the octant, optionally in the caller's work arrays).
-`_coarse_grid` is the one level rule: it names the N/2 grid on which both the
-solver and the gap eigensolve take a coarse level, and on which grids
-neither does.  `_padded` takes an even field's coefficients to the grid with
-twice the points per axis by trigonometric interpolation (zero padding); one
-inverse DCT-I of them is `_prolonged`, the start of the solver's fine level,
-and the gap's fine Lanczos start is taken from them with no transform.  An
-octant entry stands for all its mirror images, so octant sums carry the
-multiplicity weights `octant_weight`; the same weights serve real-space and
-Parseval sums.  The solver, the Coulomb convolution inside it, the sweep
-records and the gap eigensolve run on the octant; `_kernel_coefficients`
-sends an exactly even field there and any other real field to the full
-lattice.  The full-lattice |xi|^2 array `Grid.xi_sq` is built on first use
-only.  On the octant with N <= 126 nothing calls numpy.fft, so a 3D run at
-the default N = 64 never loads it.
+`_prolonged` takes an even field's coefficients to the grid with twice the
+points per axis by trigonometric interpolation, in one inverse DCT-I: the
+start of the solver's fine level.  An octant entry stands for all its mirror
+images, so octant sums carry the multiplicity weights `octant_weight`; the
+same weights serve real-space and Parseval sums.  The solver, the Coulomb
+convolution inside it, the sweep records and the gap eigensolve run on the
+octant; `_kernel_coefficients` sends an exactly even field there and any
+other real field to the full lattice.  The full-lattice |xi|^2 array
+`Grid.xi_sq` is built on first use only.  On the octant with N <= 126
+nothing calls numpy.fft, so a 3D run at the default N = 64 never loads it.
 
 A field the library computes as exactly even (a solved ground state, an
 octant multiplier's output) is an `_EvenField`: a `SpectralField` that stores
@@ -361,50 +357,21 @@ def _dct(
     return out
 
 
-@lru_cache(maxsize=16)
-def _coarse_grid(grid: Grid) -> Grid | None:
-    """The N/2 grid on which a solve or a gap eigensolve on `grid` takes its coarse level, or None where there is none.
-
-    There is one for n = 3 when N/2 is even (so coarse index j is fine index
-    2j on the octant, and both end at x = 0) and at least 32, the only case
-    measured to pay off.  On 32^3 the N/2 = 16 grid under-resolves the state:
-    the solve's start rule rejects its prolongation, and the coarse solve
-    would only add its iterations to the one-level solve's.  1D takes none: a
-    513-point octant iteration is bound by per-call overhead, so a coarse
-    iteration costs about as much as a fine one, and 1D stops ride the
-    round-off floor, which a prolonged start can take longer to meet.  2D
-    takes none either: a 2D solve runs only at c = inf, since the finite-c
-    rule admits no 2D nonlinearity, and none was measured to gain from one.
-    """
-    half = grid.points // 2
-    if grid.n != 3 or half % 2 or half < 32:
-        return None
-    return Grid(grid.n, grid.length, half)
-
-
-def _padded(grid: Grid, coarse: np.ndarray) -> np.ndarray:
-    """The octant DCT-I coefficients on `grid` of the trigonometric interpolant of the even field whose octant
-    coefficients on the N/2 grid (`_coarse_grid`) are `coarse`, in a new array.
+def _prolonged(coarse: _EvenField, grid: Grid) -> np.ndarray:
+    """The octant on `grid` of the trigonometric interpolant of `coarse`, an even field on the grid with N/2 points.
 
     Coarse index j is fine index 2j, so both octants end at x = 0.  The
-    coarse coefficients, times 2^n (the two inverses divide by N^n and
-    (N/2)^n), fill the low corner of a zero fine octant; the coarse Nyquist
-    index N/4 is halved once per axis, since on the fine lattice it stands
-    for the pair +-N/4.
+    coarse field's `coefficients`, times 2^n (the two inverses divide by N^n
+    and (N/2)^n), fill the low corner of a zero fine octant; the coarse
+    Nyquist index N/4 is halved once per axis, since on the fine lattice it
+    stands for the pair +-N/4.  One inverse DCT-I then gives the samples.
     """
-    h = coarse.shape[0]
+    h = coarse.grid.octant_shape[0]
     coeff = np.zeros(grid.octant_shape)
     low = coeff[(slice(0, h),) * grid.n]
-    np.multiply(coarse, 2.0**grid.n, out=low)
+    np.multiply(coarse.coefficients, 2.0**grid.n, out=low)
     for ax in grid.axes:
         low[(slice(None),) * ax + (h - 1,)] *= 0.5
-    return coeff
-
-
-def _prolonged(coarse: _EvenField, grid: Grid) -> np.ndarray:
-    """The octant on `grid` of the trigonometric interpolant of `coarse`, an even field on the grid with N/2 points:
-    its `coefficients` padded (`_padded`), then one inverse DCT-I."""
-    coeff = _padded(grid, coarse.coefficients)
     return _inverse(grid, coeff, work=coeff)
 
 

@@ -17,8 +17,7 @@ On 3D grids with N/2 even and at least 32 a solve is nested iteration
 smooth, so on 64^3 the prolonged 32^3 solution has a residual of about 7e-9
 and the fine loop takes 3-4 iterations instead of 13-18, after a coarse
 solve whose iterations cost about an eighth as much.  1D, 2D and smaller 3D
-grids take one level.  The level rule is `grid._coarse_grid`, which the gap
-eigensolve (`limit_lab.nondegeneracy_gap`) reads too.
+grids take one level (`_coarse_grid`).
 
 The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
 transforms (N(u) forward, the mixed coefficients back), four with the
@@ -48,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .grid import (
     _EvenField,
     _as_integer,
     _as_real,
-    _coarse_grid,
     _dot,
     _forward,
     _inverse,
@@ -269,6 +268,27 @@ def _action_value(
     quad = _lattice_dot(grid, np.multiply(sym, uh, out=work), uh, work) * grid.cell_volume**2 / grid.volume
     pairing = _lattice_dot(grid, nu, u, work) * grid.cell_volume
     return 0.5 * quad - pairing / nl.variational_exponent
+
+
+@lru_cache(maxsize=16)
+def _coarse_grid(grid: Grid) -> Grid | None:
+    """The N/2 grid of a two-level solve on `grid`, or None where there is none.
+
+    There is one for n = 3 when N/2 is even (so coarse index j is fine index
+    2j on the octant, and both end at x = 0) and at least 32, the only case
+    measured to pay off.  On 32^3 the N/2 = 16 grid under-resolves the state:
+    the start rule rejects its prolongation, and the coarse solve would only
+    add its iterations to the one-level solve's.  1D takes none: a 513-point
+    octant iteration is bound by per-call overhead, so a coarse iteration
+    costs about as much as a fine one, and 1D stops ride the round-off
+    floor, which a prolonged start can take longer to meet.  2D takes none
+    either: a 2D solve runs only at c = inf, since the finite-c rule admits
+    no 2D nonlinearity, and none was measured to gain from one.
+    """
+    half = grid.points // 2
+    if grid.n != 3 or half % 2 or half < 32:
+        return None
+    return Grid(grid.n, grid.length, half)
 
 
 def _solve_octant(

@@ -31,7 +31,6 @@ from .grid import (
     _as_integer,
     _as_real,
     _carried_forward,
-    _coarse_grid,
     _coefficients,
     _dot,
     _forward,
@@ -39,7 +38,6 @@ from .grid import (
     _kernel_coefficients,
     _lattice_dot,
     _octant,
-    _padded,
     _real_grid,
     _recentered_octant,
     _sobolev_order,
@@ -71,11 +69,6 @@ __all__ = [
 DEFLATION_SHIFT = 10.0  # pushes the removed directions above the sought eigenvalue
 LANCZOS_MAX_STEPS = 200  # the gap converges in about 20; each step finds the smallest Ritz pair anew
 LANCZOS_TOL = 1.0e-10  # relative Ritz residual at which the gap is accepted
-# relative agreement of the fine and coarse gaps that accepts a two-level gap.  A fine run that stopped on a
-# Ritz value other than the smallest would sit near another eigenvalue, 29-52% above the gap on the 64^3
-# Hartree boxes L = 12..32; the coarse gap is off by 4e-13 at L = 16 and 1.8e-4 at L = 32, and by 4.6% and
-# 39% at L = 48 and 64, where the N/2 grid under-resolves the state and the gap falls back
-GAP_LEVEL_TOL = 1.0e-3
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,8 @@ class RateFit:
 
 
 class GapEigensolveError(RuntimeError):
-    """Raised when a Lanczos run of the gap reaches LANCZOS_MAX_STEPS unconverged; the message names its stage and
-    grid (N)."""
+    """Raised when the gap's Lanczos iteration reaches LANCZOS_MAX_STEPS unconverged; the message names the grid's
+    N."""
 
 
 class SweepError(RuntimeError):
@@ -278,119 +271,47 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     reference enters recentred at its peak and through its even part; a ground
     state is centred and even), so odd modes cannot occur.  The quotient is
     computed through the symmetric similarity B^{-1/2} L B^{-1/2}
-    (B = -Delta + 1) in the coordinates z = sqrt(W / N^n) sqrt(1 + |xi|^2) v_hat
-    of the octant DCT-I coefficients v_hat (W the octant multiplicities), in
-    which the full-grid dot product is the plain one and the constraint is
-    orthogonality to y, the unit z of u_inf.  The operator is deflated
-    (`_gap_operator`): a product takes two whole-field transforms, four with
-    the Hartree term's Coulomb pair, and allocates no array.
-
-    Where `grid._coarse_grid` gives an N/2 grid, the level rule of the solve,
-    the gap takes two levels (the two-grid eigenvalue scheme of Xu & Zhou,
-    Math. Comp. 70, 2001; `_coarse_stage`).  The coarse operator is built at
-    the restriction u0[::2, ::2, ::2] of the recentred reference octant, whose
-    coefficients take one coarse transform; Lanczos runs on it from the Weyl
-    start (`_weyl_start`) to LANCZOS_TOL, and its Ritz vector, mapped back to
-    coefficients and zero-padded onto the fine octant (`grid._padded`), is the
-    fine start, scaled into z and projected off y with no fine transform.  The
-    fine value is returned when it agrees with the coarse one within
-    GAP_LEVEL_TOL relative.  Otherwise, or when a level's Lanczos raises
-    GapEigensolveError, the gap is the fine Weyl-start Lanczos, bit for bit
-    the one-level gap that 1D, 2D and 32^3 grids take.  On the 64^3 Hartree
-    reference the two levels take 21 + 21 coarse products (run and replay) and
-    3 fine ones, against 20 fine ones on one level, and agree with it to
-    round-off.  Every coarse array is freed before the fine operator is
-    built, and a fine run holds seven octants: y, N'(u0)'s phi0 or power
-    weight, the product's three buffers, and Lanczos's q and q_prev.
-
-    A nonpositive return signals a defective reference state or projection;
-    it is reported as computed, never clipped.  A solved reference enters as
-    its octant and coefficients.
+    (B = -Delta + 1) in the coordinates z = sqrt(W / N^n) v_hat of the octant
+    DCT-I coefficients v_hat (W the octant multiplicities), in which the
+    full-grid dot product is the plain one and B^{-1/2} is the diagonal
+    1/sqrt(1 + |xi|^2).  A product then takes one inverse transform, N'(u0)
+    and one forward transform: two whole-field transforms, four with the
+    Hartree term's Coulomb pair, each one unnormalized DCT-I.  The constraint
+    is deflated in every product: with y the unit z of u_inf, alpha = <y, z>
+    and t = B^{-1/2} N'(u0) B^{-1/2} (z - alpha y), it is z - t + (<y, t> +
+    (DEFLATION_SHIFT - 1) alpha) y.  It allocates no array: it works in three
+    octant buffers, forms its scaling to_z (`_to_z`) at each of its two uses
+    in the two buffers free there, and leaves the first buffer free for
+    Lanczos's scratch.  The run holds seven octants: y, N'(u0)'s phi0 or power
+    weight, the three buffers, and Lanczos's q and q_prev.  A nonpositive
+    return signals a defective reference state or projection; it is reported
+    as computed, never clipped.  A solved reference enters as its octant and
+    coefficients.
     """
     grid = _real_grid((u_inf,))
     nl.validate_dimension(grid.n)
     u0 = _recentered_octant(grid, _stored(u_inf))
-    coarse, v0 = _coarse_grid(grid), None
-    if coarse is not None:
-        try:
-            coarse_gap, v0 = _coarse_stage(grid, coarse, nl, u0)
-        except GapEigensolveError:
-            pass  # the fine Weyl-start gap below
-    matvec, y, (a, b, c) = _gap_operator(grid, nl, u0, _carried_forward(u_inf, u0))
-    scratch = a.ravel()  # free between products
-    if v0 is not None:
-        v0 *= _z_scale(grid, a)
-        v0 *= _b_half(grid, b)
-        v0 = v0.ravel()
-        v0 -= np.multiply(y, _dot(y, v0, scratch), out=scratch)
-        try:
-            gap = _lanczos_smallest(matvec, v0, LANCZOS_TOL, scratch, f"fine stage, N = {grid.points}")
-        except GapEigensolveError:
-            gap = math.nan
-        del v0
-        if abs(gap - coarse_gap) <= GAP_LEVEL_TOL * abs(coarse_gap):
-            return gap
-    stage = f"{'one level' if coarse is None else 'fallback'}, N = {grid.points}"
-    return _lanczos_smallest(matvec, _weyl_start(grid, y, a, b, c), LANCZOS_TOL, scratch, stage)
 
-
-def _coarse_stage(grid: Grid, coarse: Grid, nl: NonlinearitySpec, u0: np.ndarray) -> tuple[float, np.ndarray]:
-    """The coarse gap on `coarse` at the restriction of the fine octant u0, and the fine start's coefficients.
-
-    The operator is `_gap_operator` at u0[::2, ::2, ::2] (coarse index j is
-    fine index 2j), whose coefficients take one coarse transform, and Lanczos
-    runs from `_weyl_start` to LANCZOS_TOL with its Ritz vector replayed.
-    That vector's coefficients, z / (sqrt(W / N^n) sqrt(1 + |xi|^2)), are
-    padded onto the fine octant (`grid._padded`), the one array returned on
-    `grid`; every coarse array dies with the call.
-    """
-    u0 = u0[(slice(None, None, 2),) * grid.n].copy()
-    matvec, y, (a, b, c) = _gap_operator(coarse, nl, u0, _forward(coarse, u0))
-    ritz = np.empty(y.size)
-    stage = f"coarse stage, N = {coarse.points}"
-    gap = _lanczos_smallest(matvec, _weyl_start(coarse, y, a, b, c), LANCZOS_TOL, a.ravel(), stage, ritz)
-    ritz /= np.multiply(_z_scale(coarse, a), _b_half(coarse, b), out=a).ravel()
-    return gap, _padded(grid, ritz.reshape(coarse.octant_shape))
-
-
-def _z_scale(grid: Grid, out: np.ndarray) -> np.ndarray:
-    """sqrt(W / N^n) on the octant, W the multiplicities, in `out`: the gap's z is it times B^{1/2} v_hat."""
-    return np.sqrt(np.divide(grid.octant_weight, grid.size, out=out), out=out)
-
-
-def _b_half(grid: Grid, out: np.ndarray) -> np.ndarray:
-    """B^{1/2} = sqrt(1 + |xi|^2) on the octant, in `out`."""
-    return np.sqrt(np.add(1.0, grid.octant_xi_sq, out=out), out=out)
-
-
-def _to_z(grid: Grid, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """to_z = sqrt(W / N^n) / sqrt(1 + |xi|^2), which takes N'(u0)'s coefficients to B^{-1/2} N'(u0) in z, in `out`
-    through `work`: recomputed where it is used, so that no octant holds it."""
-    return np.divide(_z_scale(grid, out), _b_half(grid, work), out=out)
-
-
-def _gap_operator(grid: Grid, nl: NonlinearitySpec, u0: np.ndarray, coefficients: np.ndarray):
-    """(matvec, y, (a, b, c)): the gap's deflated product on `grid` at the point with octant u0 and octant DCT-I
-    `coefficients`, the unit deflation vector y (the point's z) and the product's three buffers.
-
-    With alpha = <y, z> and t = B^{-1/2} N'(u0) B^{-1/2} (z - alpha y), the
-    product is z - t + (<y, t> + (DEFLATION_SHIFT - 1) alpha) y, returned in
-    b.  z -> B^{-1/2} v_hat is the factor to_z N^n / W (`_to_z`) and _inverse
-    divides by N^n, so B^{-1/2} z goes to samples in one unnormalized DCT-I of
-    to_z z / W; N'(u0) of them goes back in one more.  to_z is formed at each
-    of its two uses in the two buffers free there, so a product allocates no
-    array; a and c are free between products.  Both gap levels build their
-    operator here.
-    """
     apply_derivative = _derivative(nl, grid, u0)
-    a, b, c = (np.empty(grid.octant_shape) for _ in range(3))
+    a, b, c = (np.empty(grid.octant_shape) for _ in range(3))  # the product's buffers
     flat_a, flat_b = a.ravel(), b.ravel()
-    y = np.multiply(_z_scale(grid, a), _b_half(grid, b))
-    y *= coefficients
+    y = np.multiply(_z_scale(grid, b), np.sqrt(np.add(1.0, grid.octant_xi_sq, out=a), out=a))  # times B^{1/2}
+    y *= _carried_forward(u_inf, u0)
     y = y.ravel()
     y /= math.sqrt(_dot(y, y, flat_a))
+    # deterministic start without structure: the field whose octant holds the
+    # Weyl sequence (k phi) mod 1 - 1/2, phi = (sqrt(5) - 1) / 2.  One transform
+    # takes it to z; as coefficients it would need 22 Lanczos steps on the 64^3
+    # Hartree reference instead of 20
+    np.multiply(np.arange(flat_a.size), 0.6180339887498949, out=flat_a)
+    np.subtract(np.remainder(flat_a, 1.0, out=flat_a), 0.5, out=flat_a)
+    coefficients = _forward(grid, a, out=b, work=c)
+    v0 = np.multiply(_z_scale(grid, a), coefficients).ravel()
+    v0 -= np.multiply(y, _dot(y, v0, flat_a), out=flat_a)
 
     def matvec(z: np.ndarray) -> np.ndarray:
+        # the deflated product, in b.  z -> B^{-1/2} v_hat is the factor to_z N^n / W and _inverse
+        # divides by N^n, so B^{-1/2} z goes to samples in one unnormalized DCT-I of to_z z / W
         alpha = _dot(y, z, flat_a)
         np.subtract(z, np.multiply(y, alpha, out=flat_a), out=flat_a)
         np.divide(np.multiply(_to_z(grid, b, c), a, out=a), grid.octant_weight, out=a)
@@ -401,55 +322,24 @@ def _gap_operator(grid: Grid, nl: NonlinearitySpec, u0: np.ndarray, coefficients
         np.subtract(z, flat_b, out=flat_b)
         return np.add(flat_b, np.multiply(y, shift, out=flat_a), out=flat_b)
 
-    return matvec, y, (a, b, c)
+    return _lanczos_smallest(matvec, v0, LANCZOS_TOL, flat_a, f"gap eigensolve (N = {grid.points})")
 
 
-def _weyl_start(grid: Grid, y: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Lanczos's deterministic start without structure on `grid`, projected off y, in a new array (a, b, c are
-    overwritten): sqrt(W / N^n) times the coefficients of the field whose octant holds the Weyl sequence
-    (k phi) mod 1 - 1/2, phi = (sqrt(5) - 1) / 2.  Its one transform is worth it: as coefficients it would need
-    22 Lanczos steps on the 64^3 Hartree reference instead of 20."""
-    flat_a = a.ravel()
-    np.multiply(np.arange(flat_a.size), 0.6180339887498949, out=flat_a)
-    np.subtract(np.remainder(flat_a, 1.0, out=flat_a), 0.5, out=flat_a)
-    coefficients = _forward(grid, a, out=b, work=c)
-    v0 = np.multiply(_z_scale(grid, a), coefficients).ravel()
-    v0 -= np.multiply(y, _dot(y, v0, flat_a), out=flat_a)
-    return v0
+def _z_scale(grid: Grid, out: np.ndarray) -> np.ndarray:
+    """sqrt(W / N^n) on the octant, W the multiplicities, in `out`."""
+    return np.sqrt(np.divide(grid.octant_weight, grid.size, out=out), out=out)
 
 
-def _lanczos(matvec, q: np.ndarray, scratch: np.ndarray):
-    """The plain three-term Lanczos recurrence from q, normalized in place: yields (q_j, alpha_j, beta_j) for
-    j = 1, 2, ..., at most LANCZOS_MAX_STEPS times, and stops after a zero beta.
-
-    The run holds q and q_prev, the next q overwriting q_prev; w = matvec(q)
-    may be a buffer that the next call overwrites, and `scratch` takes the
-    products.  q_j is valid until the generator resumes; between steps
-    scratch is free.
-    """
-    np.divide(q, math.sqrt(_dot(q, q, scratch)), out=q)
-    q_prev = np.zeros_like(q)
-    beta = 0.0
-    for _ in range(LANCZOS_MAX_STEPS):
-        w = matvec(q)
-        alpha = _dot(q, w, scratch)
-        w -= np.add(np.multiply(q, alpha, out=scratch), np.multiply(q_prev, beta, out=q_prev), out=scratch)
-        beta = math.sqrt(_dot(w, w, scratch))
-        yield q, alpha, beta
-        if beta == 0.0:
-            return
-        q_prev, q = q, np.divide(w, beta, out=q_prev)
+def _to_z(grid: Grid, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """to_z = sqrt(W / N^n) / sqrt(1 + |xi|^2), which takes N'(u0)'s coefficients to B^{-1/2} N'(u0) in z, in
+    `out` through `work`: the gap's product forms it where it is used, so that no octant holds it."""
+    return np.divide(_z_scale(grid, out), np.sqrt(np.add(1.0, grid.octant_xi_sq, out=work), out=work), out=out)
 
 
 def _lanczos_smallest(
-    matvec,
-    v0: np.ndarray,
-    tol: float,
-    scratch: np.ndarray | None = None,
-    stage: str = "one level",
-    ritz: np.ndarray | None = None,
+    matvec, v0: np.ndarray, tol: float, scratch: np.ndarray | None = None, name: str = "gap eigensolve"
 ) -> float:
-    """Smallest eigenvalue of a symmetric operator by plain three-term Lanczos (`_lanczos`) from v0.
+    """Smallest eigenvalue of a symmetric operator by plain three-term Lanczos.
 
     Only the current and previous Lanczos vectors and the tridiagonal
     coefficients are kept; without reorthogonalization, lost orthogonality only
@@ -459,37 +349,34 @@ def _lanczos_smallest(
     ARPACK's test for its `tol`; a zero beta_m means an invariant subspace, so
     theta is exact.  theta and |s_m| come from `_smallest_ritz_pair`, warm-started
     from the previous step's theta, not from LAPACK.  Every dot and norm is a
-    `grid._dot`.  The run holds q (v0, normalized in place), q_prev and
-    `scratch` (new if None; the gap passes a product buffer that is free
-    between products).  If `ritz` is given, it receives the unit Ritz vector
-    sum_j s_j q_j with no stored basis: the recurrence is replayed for the same
-    m steps from a copy of v0 kept for it, s from `_ritz_vector`.  Reaching
-    LANCZOS_MAX_STEPS raises GapEigensolveError naming `stage` (its level and
-    grid); a replay takes exactly the steps of the run it replays.
+    `grid._dot`.  The run holds q (v0, normalized in place), q_prev
+    (overwritten by the next q) and `scratch` (new if None; the gap passes a
+    product buffer that is free between products); w = matvec(q) may be a
+    buffer that the next call overwrites.  Reaching LANCZOS_MAX_STEPS raises
+    GapEigensolveError, its message led by `name` (the gap's names its N).
     """
     scratch = np.empty_like(v0) if scratch is None else scratch
-    start = None if ritz is None else v0.copy()
+    q = np.divide(v0, math.sqrt(_dot(v0, v0, scratch)), out=v0)
+    q_prev = np.zeros_like(q)
     alphas: list[float] = []
     betas: list[float] = []
-    estimate = theta = 0.0
+    beta = estimate = theta = 0.0
     floor = np.finfo(float).eps ** (2.0 / 3.0)
-    for _, alpha, beta in _lanczos(matvec, v0, scratch):
-        alphas.append(alpha)
+    for _ in range(LANCZOS_MAX_STEPS):
+        w = matvec(q)
+        alphas.append(_dot(q, w, scratch))
+        w -= np.add(np.multiply(q, alphas[-1], out=scratch), np.multiply(q_prev, beta, out=q_prev), out=scratch)
+        beta = math.sqrt(_dot(w, w, scratch))
         theta, last = _smallest_ritz_pair(alphas, betas, theta)
         estimate = beta * last
         if beta == 0.0 or estimate <= tol * max(abs(theta), floor):
-            break
+            return theta
         betas.append(beta)
-    else:
-        raise GapEigensolveError(
-            f"gap eigensolve ({stage}): Lanczos did not converge in {LANCZOS_MAX_STEPS} steps"
-            f" (residual estimate {estimate:.3e}, tolerance {tol:g})"
-        )
-    if ritz is not None:
-        ritz.fill(0.0)
-        for s, (q, _, _) in zip(_ritz_vector(alphas, betas, theta), _lanczos(matvec, start, scratch)):
-            ritz += np.multiply(q, s, out=scratch)
-    return theta
+        q_prev, q = q, np.divide(w, beta, out=q_prev)
+    raise GapEigensolveError(
+        f"{name}: Lanczos did not converge in {LANCZOS_MAX_STEPS} steps"
+        f" (residual estimate {estimate:.3e}, tolerance {tol:g})"
+    )
 
 
 def _newton_step(alphas: list[float], betas: list[float], x: float) -> float | None:
@@ -515,16 +402,15 @@ def _newton_step(alphas: list[float], betas: list[float], x: float) -> float | N
     return -d / (total * d + slope) if d > 0.0 else 0.0
 
 
-def _ritz_vector(alphas: list[float], betas: list[float], x: float) -> list[float]:
-    """The unit y = (T - x)^{-1} (1, ..., 1) / ||.||: one step of inverse iteration, formed one entry at a time.
+def _last_component(alphas: list[float], betas: list[float], x: float) -> float:
+    """|y_m| / ||y|| for y = (T - x)^{-1} (1, ..., 1): one step of inverse iteration.
 
     T - x is factored as in `_newton_step`, whose pivots but the last are
     positive at x.  For x within round-off of the smallest eigenvalue theta,
-    y is theta's eigenvector s to about round-off over the gap to the next
-    eigenvalue, so its last entry is |s_m| to that absolute accuracy however
-    small s_m is; a determinant quotient would give s_m^2 to that accuracy
-    instead.  y is scaled by the last pivot d_m, which may be zero or just
-    below it, before it is normalized.
+    y is theta's eigenvector to about round-off over the gap to the next
+    eigenvalue, so this is |s_m| to that absolute accuracy however small s_m
+    is; a determinant quotient would give s_m^2 to that accuracy instead.  y
+    is scaled by the last pivot d_m, which may be zero or just below it.
     """
     pivots, multipliers, w = [alphas[0] - x], [], [1.0]
     for a, b in zip(alphas[1:], betas):
@@ -533,13 +419,12 @@ def _ritz_vector(alphas: list[float], betas: list[float], x: float) -> list[floa
         w.append(1.0 - multipliers[-1] * w[-1])
         pivots.append(a - x - b * b / d)
     last_pivot = pivots[-1]
-    y = [w[-1]]
-    norm_sq = y[0] * y[0]
+    y = w[-1]
+    norm_sq = y * y
     for wi, di, li in zip(reversed(w[:-1]), reversed(pivots[:-1]), reversed(multipliers)):
-        y.append(last_pivot * wi / di - li * y[-1])
-        norm_sq += y[-1] * y[-1]
-    norm = math.sqrt(norm_sq)
-    return [entry / norm for entry in reversed(y)]
+        y = last_pivot * wi / di - li * y
+        norm_sq += y * y
+    return abs(w[-1]) / math.sqrt(norm_sq)
 
 
 def _smallest_ritz_pair(alphas: list[float], betas: list[float], previous: float) -> tuple[float, float]:
@@ -555,7 +440,7 @@ def _smallest_ritz_pair(alphas: list[float], betas: list[float], previous: float
     gives each step and tells whether x is still below theta.  It stops when a
     step no longer moves x or round-off carries x onto or just past theta; a
     step that round-off carries past an eigenvalue of the leading block is
-    halved.  |s_m| then comes from `_ritz_vector`.
+    halved.  |s_m| then comes from `_last_component`.
     """
     if len(alphas) == 1:
         return alphas[0], 1.0
@@ -575,7 +460,7 @@ def _smallest_ritz_pair(alphas: list[float], betas: list[float], previous: float
             step *= 0.5
         else:
             x, step = nxt, nxt_step
-    return x, abs(_ritz_vector(alphas, betas, x)[-1])
+    return x, _last_component(alphas, betas, x)
 
 
 def linearization_identity_residual(u_inf: SpectralField, nl: NonlinearitySpec) -> float:

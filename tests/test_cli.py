@@ -1142,11 +1142,10 @@ class TestBenchmarkArtifacts:
         assert reference.iterations <= 5
         assert sum(p.iterations for p in points) <= 20
 
-    # whole-field DCT-I transforms per run, on either level; 199, 523 and 184 while each diagnostic
-    # transformed the solved reference itself and each sweep record its solved point, and 189, 509 and
-    # 181 while the 3D gap took 83 fine transforms, where it now takes 14 fine and 172 coarse (17^3) ones
+    # whole-field DCT-I transforms per run; 199, 523 and 184 while each diagnostic transformed the solved
+    # reference itself and each sweep record its solved point
     @pytest.mark.parametrize(
-        "workload, transforms", [("report-1d-cubic", 189), ("report-3d-hartree", 612), ("nondeg-3d-hartree", 284)]
+        "workload, transforms", [("report-1d-cubic", 189), ("report-3d-hartree", 509), ("nondeg-3d-hartree", 181)]
     )
     def test_whole_field_transforms_per_run(self, tmp_path, monkeypatch, transform_counts, workload, transforms):
         self.load(monkeypatch, "compare")  # run.py imports it

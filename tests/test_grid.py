@@ -25,7 +25,6 @@ from nrlimit.grid import (
     _kernel_coefficients,
     _lattice_dot,
     _octant,
-    _padded,
     _prolonged,
     _recentered,
     _recentered_octant,
@@ -526,18 +525,6 @@ class TestProlongation:
         assert np.max(np.abs(prolonged - reference)) <= 1e-13 * np.max(np.abs(octant))
         # coarse index j is fine index 2j: the coarse samples are kept
         assert np.max(np.abs(prolonged[(slice(None, None, 2),) * n] - octant)) <= 1e-13 * np.max(np.abs(octant))
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_padding_gives_the_prolonged_fields_coefficients(self, n):
-        # the gap's fine start reads `_padded` without the inverse: it is the
-        # prolonged field's own DCT-I, to round-off
-        coarse, fine = nr.make_grid(n, 8.0, 16), nr.make_grid(n, 8.0, 32)
-        octant = np.random.default_rng(n).standard_normal(coarse.octant_shape)
-        field = _EvenField(coarse, octant)
-        padded = _padded(fine, field.coefficients)
-        assert padded.shape == fine.octant_shape
-        scale = np.max(np.abs(padded))
-        assert np.max(np.abs(_forward(fine, _prolonged(field, fine)) - padded)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("modes", [(0, 0, 0), (3, 1, 5), (8, 0, 2), (8, 8, 8)], ids=str)
     def test_even_modes_up_to_the_coarse_nyquist_are_exact(self, modes):

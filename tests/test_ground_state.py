@@ -8,10 +8,11 @@ import pytest
 
 import nrlimit as nr
 from conftest import random_field, traced_peak
-from nrlimit.grid import _coarse_grid, _octant
+from nrlimit.grid import _octant
 from nrlimit.ground_state import (
     ANDERSON_DEPTH,
     _AndersonMixer,
+    _coarse_grid,
     _dot,
     _octant_gaussian,
     _small_solve,
@@ -539,11 +540,6 @@ class TestTwoLevel:
         grid = nr.make_grid(n, 16.0, points)
         expected = None if coarse is None else nr.make_grid(n, 16.0, coarse)
         assert _coarse_grid(grid) == expected
-
-    def test_solve_and_gap_read_one_level_rule(self):
-        # the rule lives in grid; the solver and the gap eigensolve import it
-        assert nr.ground_state._coarse_grid is nr.limit_lab._coarse_grid is _coarse_grid
-        assert _coarse_grid.__module__ == "nrlimit.grid"
 
 
 class TestAndersonAcceleration:

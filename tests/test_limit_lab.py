@@ -518,20 +518,35 @@ class TestNondegeneracyGap:
         gap = nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
         assert gap > 0.0
 
-    def test_gap_peak(self, monkeypatch, sweep_3d):
-        # 64^3 Hartree: seven 33^3 octants, 2.02 MB, on the two-level path and
-        # on the fallback alike (y, phi0, the product's three buffers,
-        # Lanczos's q and q_prev; the coarse level's 17^3 arrays are gone
-        # before the fine ones are built); nine, 2.59 MB, while the product's
-        # scaling to_z and Lanczos's scratch held an octant each, twelve, 3.46
-        # MB, with the projected product's fourth buffer and the scalings it
-        # kept, 4.32 MB when every product allocated its temporaries.  The
-        # bound leaves half an octant of headroom
+    def test_gap_peak(self, sweep_3d):
+        # 64^3 Hartree: seven 33^3 octants, 2.02 MB (y, phi0, the product's
+        # three buffers, Lanczos's q and q_prev); nine, 2.59 MB, while the
+        # scaling to_z and Lanczos's scratch held an octant each; twelve,
+        # 3.46 MB, with the projected product's fourth buffer and the
+        # scalings it kept, 4.32 MB when every product allocated its
+        # temporaries.  The bound leaves half an octant of headroom
         u_inf = sweep_3d["u_inf"].field
         nr.nondegeneracy_gap(u_inf, nr.hartree())  # caches the DCT-I matrices and the Coulomb symbol
         assert traced_peak(lambda: nr.nondegeneracy_gap(u_inf, nr.hartree())) <= 7.5 * u_inf.octant.nbytes
-        monkeypatch.setattr(nr.limit_lab, "GAP_LEVEL_TOL", 0.0)  # the levels never agree: the fallback runs
-        assert traced_peak(lambda: nr.nondegeneracy_gap(u_inf, nr.hartree())) <= 7.5 * u_inf.octant.nbytes
+
+    @pytest.mark.parametrize("case, gap, products", [("1d", 0.4999999999997781, 11), ("3d", 0.2695246668456396, 20)])
+    def test_default_gaps_bit_for_bit(self, monkeypatch, u_inf_1d, sweep_3d, case, gap, products):
+        # the 1D cubic and 64^3 Hartree defaults, as they were before the
+        # product recomputed to_z in free buffers: it keeps the operation
+        # order, so every product is the same to the last bit
+        lanczos, counted = nr.limit_lab._lanczos_smallest, []
+
+        def counting(matvec, v0, tol, *args):
+            def product(z):
+                counted.append(z.size)
+                return matvec(z)
+
+            return lanczos(product, v0, tol, *args)
+
+        monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", counting)
+        field, nl = (u_inf_1d.field, nr.power(3)) if case == "1d" else (sweep_3d["u_inf"].field, nr.hartree())
+        assert nr.nondegeneracy_gap(field, nl) == gap
+        assert len(counted) == products
 
     def test_product_matches_the_projected_form(self, monkeypatch, u_inf_32):
         # the projected form the product replaced: with p = z - <y, z> y and
@@ -591,65 +606,33 @@ class TestNondegeneracyGap:
         assert dense > 0.0
         assert abs(gap - dense) <= 1e-8 * dense
 
-    def test_gap_product_allocates_no_array(self, monkeypatch, sweep_3d):
-        # on both levels of the 64^3 gap each product works in its level's
-        # three buffers: what it allocates is a few array views, far below
-        # one coarse 17^3 octant (39 kB)
-        lanczos, growth = nr.limit_lab._lanczos_smallest, {}
+    def test_gap_product_allocates_no_array(self, monkeypatch, u_inf_32):
+        # each product works in the gap's three buffers: what it allocates is a
+        # few array views, far below one 17^3 octant (39 kB)
+        lanczos, growth = nr.limit_lab._lanczos_smallest, []
 
         def traced(matvec, v0, tol, *args):
             def product(z):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 w = matvec(z)
-                growth.setdefault(z.size, []).append(tracemalloc.get_traced_memory()[1] - before)
+                growth.append(tracemalloc.get_traced_memory()[1] - before)
                 return w
 
             return lanczos(product, v0, tol, *args)
 
         monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", traced)
-        traced_peak(lambda: nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree()))
-        assert sorted(growth) == [17**3, 33**3]
-        assert max(max(g) for g in growth.values()) < 0.1 * 17**3 * 8
-
-    def test_step_cap_names_stage_and_grid(self, monkeypatch, sweep_3d, sech_exact):
-        # each Lanczos run that reaches the cap names its stage and N; the
-        # gap's own error is the last one's
-        monkeypatch.setattr(nr.limit_lab, "LANCZOS_MAX_STEPS", 3)
-        lanczos, raised = nr.limit_lab._lanczos_smallest, []
-
-        def recorded(*args):
-            try:
-                return lanczos(*args)
-            except nr.GapEigensolveError as exc:
-                raised.append(str(exc))
-                raise
-
-        monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", recorded)
-        with pytest.raises(nr.GapEigensolveError, match=r"^gap eigensolve \(one level, N = 1024\): "):
-            nr.nondegeneracy_gap(sech_exact, nr.power(3))
-        raised.clear()
-        with pytest.raises(nr.GapEigensolveError, match=r"^gap eigensolve \(fallback, N = 64\): "):
-            nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
-        assert [m.split(":")[0] for m in raised] == [
-            "gap eigensolve (coarse stage, N = 32)",
-            "gap eigensolve (fallback, N = 64)",
-        ]
-        # a fine start without structure takes the fine stage past the cap too
-        raised.clear()
-        grid = sweep_3d["u_inf"].field.grid
-        start = np.ones(grid.octant_shape)
-        monkeypatch.setattr(nr.limit_lab, "_coarse_stage", lambda *args: (0.27, start))
-        with pytest.raises(nr.GapEigensolveError):
-            nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
-        assert [m.split(":")[0] for m in raised] == [
-            "gap eigensolve (fine stage, N = 64)",
-            "gap eigensolve (fallback, N = 64)",
-        ]
+        traced_peak(lambda: nr.nondegeneracy_gap(u_inf_32.field, nr.hartree()))
+        assert len(growth) > 5
+        assert max(growth) < 0.1 * u_inf_32.field.octant.nbytes
 
     def test_step_cap_raises_naming_steps_and_residual(self, monkeypatch, sech_exact):
         monkeypatch.setattr(nr.limit_lab, "LANCZOS_MAX_STEPS", 3)
-        with pytest.raises(nr.GapEigensolveError, match=r"in 3 steps \(residual estimate \d\.\d{3}e[-+]\d+"):
+        with pytest.raises(
+            nr.GapEigensolveError,
+            match=rf"^gap eigensolve \(N = {sech_exact.grid.points}\): Lanczos did not converge"
+            r" in 3 steps \(residual estimate \d\.\d{3}e[-+]\d+",
+        ):
             nr.nondegeneracy_gap(sech_exact, nr.power(3))
 
     def test_gap_does_not_load_scipy(self):
@@ -668,107 +651,6 @@ class TestNondegeneracyGap:
             "assert not loaded, loaded\n"
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
-def _products_per_level(monkeypatch) -> dict[int, int]:
-    """Count the gap's operator products by vector size, through a wrapped matvec."""
-    lanczos, counts = nr.limit_lab._lanczos_smallest, {}
-
-    def counted(matvec, v0, tol, *args):
-        def product(z):
-            counts[z.size] = counts.get(z.size, 0) + 1
-            return matvec(z)
-
-        return lanczos(product, v0, tol, *args)
-
-    monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", counted)
-    return counts
-
-
-class TestTwoLevelGap:
-    """The 64^3 gap on the solve's two levels (`grid._coarse_grid`): coarse
-    Lanczos and its replayed Ritz vector, then fine Lanczos from it, with the
-    one-level gap as the fallback."""
-
-    ONE_LEVEL = 0.2695246668456396  # the 64^3 Hartree default's one-level gap since the three-buffer product
-
-    def one_level(self, monkeypatch, field) -> float:
-        with monkeypatch.context() as m:
-            m.setattr(nr.limit_lab, "_coarse_grid", lambda grid: None)
-            return nr.nondegeneracy_gap(field, nr.hartree())
-
-    def test_equals_the_one_level_gap_to_round_off(self, monkeypatch, sweep_3d):
-        # measured 1.5e-16 apart (6e-16 relative); the coarse gap itself is 4e-13 off
-        field = sweep_3d["u_inf"].field
-        assert self.one_level(monkeypatch, field) == self.ONE_LEVEL
-        assert abs(nr.nondegeneracy_gap(field, nr.hartree()) - self.ONE_LEVEL) <= 2e-15 * self.ONE_LEVEL
-
-    def test_products_per_level(self, monkeypatch, sweep_3d):
-        # 21 coarse products, 21 more to replay them for the Ritz vector, 3 fine
-        # products against the one-level gap's 20
-        counts = _products_per_level(monkeypatch)
-        nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
-        assert counts == {17**3: 42, 33**3: 3}
-        counts.clear()
-        self.one_level(monkeypatch, sweep_3d["u_inf"].field)
-        assert counts == {33**3: 20}
-
-    def test_fine_stage_takes_no_fine_start_transform(self, monkeypatch, sweep_3d):
-        # the fine level transforms only phi0's Coulomb pair and 4 per product:
-        # its start comes from the padded coarse coefficients
-        shapes, dct = [], nr.grid._dct
-
-        def recorded(values, *args, **kwargs):
-            shapes.append(values.shape)
-            return dct(values, *args, **kwargs)
-
-        monkeypatch.setattr(nr.grid, "_dct", recorded)
-        nr.nondegeneracy_gap(sweep_3d["u_inf"].field, nr.hartree())
-        assert shapes.count((33, 33, 33)) == 2 + 4 * 3
-        # the restriction's coefficients, the Weyl start, phi0's pair and 4 per product
-        assert shapes.count((17, 17, 17)) == 1 + 1 + 2 + 4 * 42
-
-    @pytest.mark.parametrize("failure", ["coarse stage raises", "levels disagree", "fine stage raises"])
-    def test_fallback_is_the_one_level_gap_bit_for_bit(self, monkeypatch, sweep_3d, failure):
-        field = sweep_3d["u_inf"].field
-        coarse_stage, lanczos = nr.limit_lab._coarse_stage, nr.limit_lab._lanczos_smallest
-
-        def failing_coarse_stage(*args):
-            gap, start = coarse_stage(*args)
-            if failure == "coarse stage raises":
-                raise nr.GapEigensolveError("coarse stage failed")
-            return (2.0 * gap if failure == "levels disagree" else gap), start
-
-        def failing_fine_stage(*args):
-            if args[4].startswith("fine stage"):
-                raise nr.GapEigensolveError("fine stage failed")
-            return lanczos(*args)
-
-        monkeypatch.setattr(nr.limit_lab, "_coarse_stage", failing_coarse_stage)
-        if failure == "fine stage raises":
-            monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", failing_fine_stage)
-        assert nr.nondegeneracy_gap(field, nr.hartree()) == self.ONE_LEVEL
-
-    def test_one_level_grids_take_one_level(self, monkeypatch, u_inf_1d, u_inf_32):
-        # the 1D default: bit for bit the gap before the two-level scheme, in 11 products
-        counts = _products_per_level(monkeypatch)
-        assert nr.nondegeneracy_gap(u_inf_1d.field, nr.power(3)) == 0.4999999999997781
-        assert counts == {513: 11}
-        counts.clear()
-        assert nr.nondegeneracy_gap(u_inf_32.field, nr.hartree()) > 0.0
-        assert list(counts) == [17**3]
-
-    def test_coarse_stage_start_is_the_padded_ritz_vector(self, sweep_3d):
-        # the coarse gap is the fine one to the coarse level's accuracy, and the
-        # fine start is the coarse Ritz vector's coefficients padded onto the fine octant
-        field = sweep_3d["u_inf"].field
-        grid = field.grid
-        coarse = nr.grid._coarse_grid(grid)
-        gap, start = nr.limit_lab._coarse_stage(grid, coarse, nr.hartree(), field.octant)
-        assert start.shape == grid.octant_shape
-        assert abs(gap - self.ONE_LEVEL) <= 1e-11 * self.ONE_LEVEL
-        h = coarse.octant_shape[0]
-        assert not np.any(start[h:]) and not np.any(start[:, h:]) and not np.any(start[:, :, h:])
 
 
 IDENTITY_CASES = [
