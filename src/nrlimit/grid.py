@@ -30,7 +30,9 @@ the octant, optionally in the caller's work arrays).
 points per axis by trigonometric interpolation, in one inverse DCT-I: the
 start of the solver's fine level.  An octant entry stands for all its mirror
 images, so octant sums carry the multiplicity weights `octant_weight`; the
-same weights serve real-space and Parseval sums.  The solver, the Coulomb
+same weights serve real-space and Parseval sums.  They are powers of two, so
+a product or quotient by one is exact: (a W) b and (a b) W give the same bits,
+and a sum may weight its products wherever it is cheapest.  The solver, the Coulomb
 convolution inside it, the sweep records and the gap eigensolve run on the
 octant; `_kernel_coefficients` sends an exactly even field there and any
 other real field to the full lattice.  The full-lattice |xi|^2 array
@@ -110,6 +112,14 @@ class Grid:
     (frequencies and multiplicities) are built once and read-only; the
     full-lattice |xi|^2 is built on first use.  Instances are immutable and
     cheap to share.
+
+    `octant_weight` holds the multiplicities 1, 2, 4 or 8 (2 to the number of
+    axes whose index is neither 0 nor N/2) as uint8, an eighth of a float64
+    octant.  Every use in the package is a multiply, a divide or a copy into
+    a float64 array: uint8 arithmetic such as `1 - W` wraps around.  A
+    float64 ufunc with it casts through a buffer of up to 8192 elements, so
+    a loop that must allocate nothing copies it into a free float64 array
+    first (`np.copyto` allocates nothing).
     """
 
     n: int
@@ -146,11 +156,11 @@ class Grid:
         half = self.points // 2 + 1
         octant_freqs = freq_axis[:half]
         octant_xi_sq = sum(a * a for a in np.meshgrid(*([octant_freqs] * self.n), indexing="ij", sparse=True))
-        multiplicity = np.full(half, 2.0)
-        multiplicity[[0, -1]] = 1.0
-        octant_weight = np.ones((half,) * self.n)
+        multiplicity = np.full(half, 2, dtype=np.uint8)
+        multiplicity[[0, -1]] = 1
+        octant_weight = np.ones((half,) * self.n, dtype=np.uint8)
         for w in np.meshgrid(*([multiplicity] * self.n), indexing="ij", sparse=True):
-            octant_weight = octant_weight * w
+            octant_weight *= w
 
         derived = {
             "axis": axis,

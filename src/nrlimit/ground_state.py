@@ -21,10 +21,12 @@ grids take one level (`_coarse_grid`).
 
 The mixer mixes DCT-I coefficients, so an iteration takes two whole-field
 transforms (N(u) forward, the mixed coefficients back), four with the
-Hartree term's Coulomb pair, and allocates no array: a level holds 13
+Hartree term's Coulomb pair, and allocates no array: a level holds 12
 octant arrays, the last f = G(u) - u and G(u) waiting in the mixer's ring
-(`_AndersonMixer`), and a fine level started from the prolongation nine,
-its mixer of depth 1 keeping one difference pair instead of three.  A
+(`_AndersonMixer`), and a fine level started from the prolongation eight,
+its mixer of depth 1 keeping one difference pair instead of three.  The
+image G(u) takes N(u)'s transform's buffer after its last read, so a level
+keeps no image buffer.  A
 level adds the start transform, the final N(u) and
 one transform per confirm (`_solve_level`), and a two-level solve the
 prolongation's one inverse transform, and, where the rule rejects the
@@ -57,7 +59,6 @@ from .grid import (
     _EvenField,
     _as_integer,
     _as_real,
-    _dot,
     _forward,
     _inverse,
     _kernel_coefficients,
@@ -194,13 +195,15 @@ class _AndersonMixer:
     Keeps the last `depth` (ANDERSON_DEPTH, or _PROLONGED_DEPTH) differences of
     f = G(u) - u and of G(u) in a preallocated ring buffer and their Gram
     matrix, one new row per step.  The next iterate is G(u) - dG alpha with
-    alpha minimizing ||f - dF alpha||, in
-    the dot product weighted by `weight` (the octant multiplicities, so that
-    it is the full-grid dot product of the even fields).  The step is bound
-    by memory traffic: the projections <dF_j, f> of the older columns are
-    updated from the new Gram row instead of recomputed, f is formed in the
-    first of the caller's three scratch arrays, products in the other two.
-    f and G(u) then wait in the ring slot whose old column no later step
+    alpha minimizing ||f - dF alpha||, in `grid._lattice_dot` on `grid` (the
+    octant multiplicities weight an octant's products, so that it is the
+    full-grid dot product of the even fields; any other shape is unweighted).
+    The multiplicities are powers of two, so weighting each product gives the
+    bits that weighting dF_s once would, with no array to hold it.  The step
+    is bound by memory traffic: the projections <dF_j, f> of the older
+    columns are updated from the new Gram row instead of recomputed, f is
+    formed in the first of the caller's two scratch arrays, products in the
+    other.  f and G(u) then wait in the ring slot whose old column no later step
     reads, where the next step turns them into its difference columns in
     place: the mixer holds no array beyond its ring.  The k x k Gram system
     (k <= depth) is solved by `_small_solve`, not LAPACK; an exactly
@@ -210,17 +213,17 @@ class _AndersonMixer:
     def __init__(
         self,
         shape: tuple[int, ...],
-        weight: np.ndarray | float,
-        scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+        grid: Grid,
+        scratch: tuple[np.ndarray, np.ndarray],
         depth: int = ANDERSON_DEPTH,
     ) -> None:
         self.depth = m = depth
-        self.weight = weight
+        self.grid = grid
         self.df = np.empty((m, *shape))
         self.dg = np.empty((m, *shape))
         self.gram = np.empty((m, m))
         self.proj = np.zeros(m)
-        self.f, self.weighted, self.product = scratch
+        self.f, self.product = scratch
         self.restart()
 
     def restart(self) -> None:
@@ -235,12 +238,11 @@ class _AndersonMixer:
             np.subtract(g, self.dg[s], out=self.dg[s])
             self.slot = (s + 1) % self.depth
             self.columns = k = min(self.columns + 1, self.depth)
-            weighted = np.multiply(self.df[s], self.weight, out=self.weighted)
             for j in range(k):
-                self.gram[s, j] = self.gram[j, s] = _dot(weighted, self.df[j], self.product)
+                self.gram[s, j] = self.gram[j, s] = _lattice_dot(self.grid, self.df[s], self.df[j], self.product)
             # <dF_j, f> = <dF_j, f_prev> + <dF_j, dF_s>; only the new column needs a dot
             self.proj[:k] += self.gram[:k, s]
-            self.proj[s] = _dot(weighted, f, self.product)
+            self.proj[s] = _lattice_dot(self.grid, self.df[s], f, self.product)
             alpha = _small_solve(self.gram[:k, :k].tolist(), self.proj[:k].tolist())
         if alpha is None or not all(map(math.isfinite, alpha)):
             # a first step, or a singular or overflowing system: take the plain step, restart the history
@@ -346,27 +348,29 @@ def _solve_level(
     one evaluation.
 
     The iterate is held as samples x, which the level owns and writes to, and
-    DCT-I coefficients uh; a level holds 13 octant arrays: x, uh, the symbol,
-    the image, three scratch arrays and the mixer's ring of six; a level with
-    a finite `start_limit` (an accepted prolongation, a few iterations from
-    its solution) mixes with depth _PROLONGED_DEPTH, a ring of two.  The mixer
-    mixes uh with the image's M^gamma N_hat/P (Parseval leaves its weighted
-    dot products' alpha unchanged), one inverse gives the next samples, and
-    the recentring test reads them.  A mixed uh omits the round-off of x's
+    DCT-I coefficients uh; a level holds 12 octant arrays: x, uh, the symbol,
+    N(u), its transform N_hat, a work array and the mixer's ring of six; a
+    level with a finite `start_limit` (an accepted prolongation, a few
+    iterations from its solution) mixes with depth _PROLONGED_DEPTH, a ring
+    of two, eight arrays in all.  The mixer mixes uh with the image
+    M^gamma N_hat/P, formed in N_hat's buffer after its last read (Parseval
+    leaves its weighted dot products' alpha unchanged), in the work array
+    and N(u)'s buffer, which the next pass rewrites; one inverse gives the
+    next samples, and the recentring test reads them.  A mixed uh omits the round-off of x's
     own transform (up to eps max P), so a mixed residual that would stop the
     loop is confirmed on the transform of x, which is recorded and, if it
     fails, continued from: at exit uh is the transform of x bit for bit.
-    P_hat uh is formed once per pass, in the image buffer, and serves both
-    the residual and the Rayleigh numerator.
+    P_hat uh is formed in the work array for the residual and again for the
+    Rayleigh numerator, so that N(u) stays intact for the action at exit.
     """
     nl.validate_dimension(grid.n, op.kind == PSEUDO)
     sym = symbol(op, grid.octant_xi_sq)
     gamma = nl.degree / (nl.degree - 1.0)
     uh = _forward(grid, x)  # the start transform
     synced = True  # uh is the transform of x, bit for bit
-    nu, nh, work, image = (np.empty(x.shape) for _ in range(4))
+    nu, nh, work = (np.empty(x.shape) for _ in range(3))
     depth = ANDERSON_DEPTH if start_limit == math.inf else _PROLONGED_DEPTH
-    mixer = _AndersonMixer(x.shape, grid.octant_weight, (work, nu, nh), depth)  # all free during a mix
+    mixer = _AndersonMixer(x.shape, grid, (work, nu), depth)  # both free during a mix
     history: list[float] = []
 
     for iterations in range(cfg.max_iterations + 1):
@@ -377,14 +381,12 @@ def _solve_level(
             raise GroundStateError("iterate collapsed to the zero field; bad initial guess")
         _term_values(nl, grid, x, out=nu, work=work)
         _forward(grid, nu, out=nh, work=work)
-        sym_uh = np.multiply(sym, uh, out=image)
-        res = _residual_value(grid, sym_uh, nh, norm_u, work)
+        res = _residual_value(grid, np.multiply(sym, uh, out=work), nh, norm_u, work)
         stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
         if stop and not synced:
             _forward(grid, x, out=uh, work=work)
             synced = True
-            sym_uh = np.multiply(sym, uh, out=image)
-            res = _residual_value(grid, sym_uh, nh, norm_u, work)
+            res = _residual_value(grid, np.multiply(sym, uh, out=work), nh, norm_u, work)
             stop = res <= cfg.tolerance or iterations >= cfg.max_iterations
         if not np.isfinite(res):
             raise GroundStateError(f"non-finite residual at iteration {iterations}")
@@ -394,11 +396,11 @@ def _solve_level(
         if stop:
             break
 
-        num = _lattice_dot(grid, sym_uh, uh, work)
+        num = _lattice_dot(grid, np.multiply(sym, uh, out=work), uh, work)
         den = _lattice_dot(grid, nh, uh, work)
         if den <= 0.0:
             raise GroundStateError("nonlinear pairing lost positivity during iteration")
-        np.multiply(nh, (num / den) ** gamma, out=image)
+        image = np.multiply(nh, (num / den) ** gamma, out=nh)  # N_hat's last read
         image /= sym
         mixer.mix(uh, image, out=uh)
         _inverse(grid, uh, out=x, work=work)

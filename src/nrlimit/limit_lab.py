@@ -48,7 +48,7 @@ from .grid import (
 )
 from .nonlinearity import NonlinearitySpec, _derivative
 from .operators import _symbol_defect, pseudo_relativistic, symbol_defect
-from .ground_state import GroundStateResult, SolverConfig, solve
+from .ground_state import GroundStateError, GroundStateResult, SolverConfig, solve
 
 __all__ = [
     "ConvergenceRecord",
@@ -99,7 +99,8 @@ class GapEigensolveError(RuntimeError):
 
 
 class SweepError(RuntimeError):
-    """A sweep point failed to converge; carries the records built so far."""
+    """A sweep point failed to converge or raised GroundStateError; carries the records of the points that did
+    converge."""
 
     def __init__(self, message: str, records: list[ConvergenceRecord]):
         super().__init__(message)
@@ -181,8 +182,9 @@ def sweep(
     octant, and each is recorded by `convergence_record` of its solved field
     against the reference, which transforms only their difference; no
     full-grid field is built.  Every point is solved; if any did not
-    converge, a SweepError names each such c and carries the records of the
-    points that did.  c values, orders, the finite-c subcriticality rule
+    converge or raised GroundStateError (collapse, a non-finite iterate), a
+    SweepError names each such c with its reason and carries the records of
+    the points that did converge.  c values, orders, the finite-c subcriticality rule
     (`NonlinearitySpec.validate_dimension`), which every point must meet, and
     the reference are checked before any solve.
     """
@@ -199,14 +201,18 @@ def sweep(
     cfg = replace(cfg, initial_guess=ref)
     records, failed = [], []
     for c in c_values:
-        point = solve(pseudo_relativistic(c), nl, grid, cfg)
+        try:
+            point = solve(pseudo_relativistic(c), nl, grid, cfg)
+        except GroundStateError as exc:
+            failed.append(f"c = {c}: {exc}")
+            continue
         if point.converged:
             records.append(convergence_record(point.field, ref, c, s_values, point.action))
         else:
-            failed.append(c)
+            failed.append(f"c = {c}: did not converge in {point.iterations} iterations")
         del point  # else its octant and coefficients stay alive through the next solve, raising the peak
     if failed:
-        raise SweepError(f"sweep points did not converge at c = {failed}", records)
+        raise SweepError(f"sweep points failed: {'; '.join(failed)}", records)
     return records
 
 
@@ -281,8 +287,10 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     and t = B^{-1/2} N'(u0) B^{-1/2} (z - alpha y), it is z - t + (<y, t> +
     (DEFLATION_SHIFT - 1) alpha) y.  It allocates no array: it works in three
     octant buffers, forms its scaling to_z (`_to_z`) at each of its two uses
-    in the two buffers free there, and leaves the first buffer free for
-    Lanczos's scratch.  The run holds seven octants: y, N'(u0)'s phi0 or power
+    in the two buffers free there, divides by W through a float64 copy of the
+    uint8 weights in a buffer free at that point (`_weights`; a mixed-dtype
+    divide would allocate a cast buffer), and leaves the first buffer free
+    for Lanczos's scratch.  The run holds seven octants: y, N'(u0)'s phi0 or power
     weight, the three buffers, and Lanczos's q and q_prev.  A nonpositive
     return signals a defective reference state or projection; it is reported
     as computed, never clipped.  A solved reference enters as its octant and
@@ -314,7 +322,7 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
         # divides by N^n, so B^{-1/2} z goes to samples in one unnormalized DCT-I of to_z z / W
         alpha = _dot(y, z, flat_a)
         np.subtract(z, np.multiply(y, alpha, out=flat_a), out=flat_a)
-        np.divide(np.multiply(_to_z(grid, b, c), a, out=a), grid.octant_weight, out=a)
+        np.divide(np.multiply(_to_z(grid, b, c), a, out=a), _weights(grid, b), out=a)
         v = _forward(grid, a, out=b, work=a)
         t = _forward(grid, apply_derivative(v, out=c, work=a), out=b, work=a)
         np.multiply(_to_z(grid, a, c), t, out=b)
@@ -325,9 +333,16 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     return _lanczos_smallest(matvec, v0, LANCZOS_TOL, flat_a, f"gap eigensolve (N = {grid.points})")
 
 
+def _weights(grid: Grid, out: np.ndarray) -> np.ndarray:
+    """The multiplicities W as float64, in `out`: a ufunc with the uint8 `octant_weight` would allocate a cast
+    buffer."""
+    np.copyto(out, grid.octant_weight)
+    return out
+
+
 def _z_scale(grid: Grid, out: np.ndarray) -> np.ndarray:
     """sqrt(W / N^n) on the octant, W the multiplicities, in `out`."""
-    return np.sqrt(np.divide(grid.octant_weight, grid.size, out=out), out=out)
+    return np.sqrt(np.divide(_weights(grid, out), grid.size, out=out), out=out)
 
 
 def _to_z(grid: Grid, out: np.ndarray, work: np.ndarray) -> np.ndarray:

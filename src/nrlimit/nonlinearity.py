@@ -95,13 +95,23 @@ def hartree() -> NonlinearitySpec:
 
 @lru_cache(maxsize=16)
 def _coulomb_symbol(grid: Grid, octant: bool = False) -> np.ndarray:
-    """Truncated-kernel symbol on the full lattice, or on the octant (read-only)."""
+    """Truncated-kernel symbol on the full lattice, or on the octant (read-only).
+
+    4 pi (1 - cos(R |xi|)) / |xi|^2 is built in the output array, one step at a
+    time in the order of that expression, with the divide taken where
+    |xi|^2 > 0 and the zero mode 2 pi R^2 written last: the array and its
+    mask are all it allocates.
+    """
     radius = 0.5 * grid.length
     t = grid.octant_xi_sq if octant else grid.xi_sq
-    out = np.empty_like(t)
-    nz = t > 0
-    out[nz] = 4.0 * np.pi * (1.0 - np.cos(radius * np.sqrt(t[nz]))) / t[nz]
-    out[~nz] = 2.0 * np.pi * radius**2
+    out = np.sqrt(t)
+    out *= radius
+    np.cos(out, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= 4.0 * np.pi
+    nz = np.greater(t, 0.0)
+    np.divide(out, t, out=out, where=nz)
+    out[np.logical_not(nz, out=nz)] = 2.0 * np.pi * radius**2
     out.setflags(write=False)
     return out
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +98,9 @@ class TestMakeGrid:
 
 
 class TestDenseConstructionOracle:
-    """`freq_axis`, `octant_xi_sq` and `octant_weight` equal, bit for bit, the
-    dense construction from numpy.fft.fftfreq and a full meshgrid."""
+    """`freq_axis` and `octant_xi_sq` equal, bit for bit, the dense
+    construction from numpy.fft.fftfreq and a full meshgrid, and the uint8
+    `octant_weight` equals its float64 multiplicities value for value."""
 
     # a 3D grid of 1024 points would hold two octant arrays of 1.1 GB each
     CASES = [(n, points) for points in (16, 18, 64, 126, 128, 1024) for n in (1, 2, 3) if n < 3 or points <= 128]
@@ -115,8 +117,10 @@ class TestDenseConstructionOracle:
         weight = np.ones((half,) * n)
         for w in np.meshgrid(*([multiplicity] * n), indexing="ij"):
             weight = weight * w
-        for got, expected in ((grid.freq_axis, freq_axis), (grid.octant_xi_sq, xi_sq), (grid.octant_weight, weight)):
+        for got, expected in ((grid.freq_axis, freq_axis), (grid.octant_xi_sq, xi_sq)):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert grid.octant_weight.dtype == np.uint8
+        assert grid.octant_weight.shape == weight.shape and np.array_equal(grid.octant_weight, weight)
 
 
 class TestReadOnlyArrays:
@@ -138,6 +142,23 @@ class TestReadOnlyArrays:
                 sym[0, 0, 0] = 1.0
             with pytest.raises(ValueError):
                 sym *= 2.0
+
+
+class TestStandingFootprint:
+    def test_a_grid_holds_one_float_octant(self):
+        # what a 64^3 grid keeps: |xi|^2 on the octant, the one-byte
+        # multiplicities and the two axes.  A dense float64 weight array, or
+        # any other static float64 octant, would add 287 kB; a few kB cover
+        # the objects
+        nr.Grid(3, 16.0, 64)
+        tracemalloc.start()
+        try:
+            grid = nr.Grid(3, 16.0, 64)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        octant = np.empty(grid.octant_shape)
+        assert held <= octant.nbytes + octant.size + grid.axis.nbytes + grid.freq_axis.nbytes + 4096
 
 
 class TestFieldIdentity:

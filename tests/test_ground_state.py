@@ -8,12 +8,11 @@ import pytest
 
 import nrlimit as nr
 from conftest import random_field, traced_peak
-from nrlimit.grid import _octant
+from nrlimit.grid import _dot, _octant
 from nrlimit.ground_state import (
     ANDERSON_DEPTH,
     _AndersonMixer,
     _coarse_grid,
-    _dot,
     _octant_gaussian,
     _small_solve,
     _solve_level,
@@ -566,14 +565,14 @@ class TestAndersonAcceleration:
         a = 0.4 * rng.standard_normal((3, 3))
         b = rng.standard_normal(3)
         fixed = np.linalg.solve(np.eye(3) - a, b)
-        mixer = _AndersonMixer((3,), 1.0, (np.empty(3), np.empty(3), np.empty(3)))
+        mixer = _AndersonMixer((3,), SMALL, (np.empty(3), np.empty(3)))  # off the octant: the plain dot product
         u = np.zeros(3)
         for _ in range(4):
             mixer.mix(u, a @ u + b, out=u)
         assert np.allclose(u, fixed, rtol=0.0, atol=1e-12)
 
     def test_singular_system_takes_the_plain_step_and_drops_history(self):
-        mixer = _AndersonMixer((3,), 1.0, (np.empty(3), np.empty(3), np.empty(3)))
+        mixer = _AndersonMixer((3,), SMALL, (np.empty(3), np.empty(3)))
         u, g = np.zeros(3), np.ones(3)
         mixer.mix(u, g.copy(), out=np.empty(3))
         assert np.array_equal(mixer.mix(u, g.copy(), out=np.empty(3)), g)
@@ -584,16 +583,18 @@ class TestAndersonAcceleration:
         # 8 repeats step 7's u and G(u), a zero difference column, so the Gram
         # system is singular and both restart; step 10 restarts them as a
         # recentring does.  Images alternate between two buffers, as
-        # _TwoBufferMixer needs and the solver gave it
+        # _TwoBufferMixer needs and the solver gave it.  The reference weights
+        # each new difference column once, the mixer each product: the
+        # multiplicities are powers of two, so the bits agree
         rng = np.random.default_rng(17)
-        shape = (4, 5)
-        weight = rng.uniform(1.0, 8.0, shape)
-        a, b = 0.3 * rng.standard_normal((20, 20)), rng.standard_normal(20)
+        grid = nr.make_grid(2, 16.0, 16)
+        shape, weight = grid.octant_shape, grid.octant_weight
+        a, b = 0.3 * rng.standard_normal((weight.size, weight.size)) / 2.0, rng.standard_normal(weight.size)
 
         def image_of(u):
             return (np.tanh(a @ u.ravel()) + b).reshape(shape)
 
-        mixer = _AndersonMixer(shape, weight, tuple(np.empty(shape) for _ in range(3)))
+        mixer = _AndersonMixer(shape, grid, (np.empty(shape), np.empty(shape)))
         reference = _TwoBufferMixer(shape, weight, (np.empty(shape), np.empty(shape)))
         u, u_ref, images = np.zeros(shape), np.zeros(shape), (np.empty(shape), np.empty(shape))
         columns = [0, 1, 2, 3, 3, 3, 3, 3, 0, 1, 0, 1]
@@ -718,9 +719,11 @@ class TestSmallSolve:
 
 class TestMemory:
     """A warm 64^3 Hartree solve iterates in arrays allocated once per level:
-    the fine level, started from the accepted prolongation, holds nine 33^3
-    octants, 2.6 MB, its peak of 2.67 MB (thirteen and 3.82 MB with a
-    depth-3 mixer's ring of six; seventeen and 4.97 MB when the mixer kept
+    the fine level, started from the accepted prolongation, holds eight 33^3
+    octants, 2.3 MB, and a dot's 67 kB cast buffer for the one-byte
+    multiplicities: its peak of 2.45 MB (nine and 2.67 MB with a separate
+    image buffer; thirteen and 3.82 MB with a depth-3 mixer's ring of six
+    besides; seventeen and 4.97 MB when the mixer kept
     f_prev and g_prev in arrays of its own and the level copied its start;
     the per-step temporaries before those peaked at 5.5 MB).  Its result's
     field keeps the octant: the first read of its values keeps the one
@@ -736,13 +739,13 @@ class TestMemory:
 
     def test_solve_peak(self, problem):
         _, args = problem
-        # 2.67e6 measured; the bound leaves half an octant (0.14 MB) of headroom
-        assert traced_peak(lambda: _solve_octant(*args)) <= 2.81e6
+        # 2.45e6 measured (2.67e6 with the image buffer); the bound leaves half an octant (0.14 MB) of headroom
+        assert traced_peak(lambda: _solve_octant(*args)) <= 2.59e6
 
     def test_default_start_is_not_held_by_the_fine_level(self, problem):
         grid, (op, nl, *_) = problem
         # as low as a solve from a start allocated outside the trace: 4.11e6 when solve kept the Gaussian alive
-        assert traced_peak(lambda: nr.solve(op, nl, grid)) <= 2.81e6
+        assert traced_peak(lambda: nr.solve(op, nl, grid)) <= 2.59e6
 
     def test_accepted_fine_level_keeps_a_two_octant_ring(self, problem, monkeypatch):
         grid, args = problem

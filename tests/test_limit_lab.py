@@ -115,6 +115,22 @@ class TestSweep:
         assert str(slow) in str(info.value)
         assert str(fast) not in str(info.value)
 
+    def test_a_point_that_raises_is_recorded_as_failed(self, monkeypatch, u_inf_1d):
+        # a GroundStateError at one c costs that point alone: the error names it and its reason, and
+        # carries the records of the points that converged, before and after it
+        core = nr.limit_lab.solve
+
+        def failing(op, *args):
+            if op.c == 8.0:
+                raise nr.GroundStateError("non-finite residual at iteration 2")
+            return core(op, *args)
+
+        monkeypatch.setattr(nr.limit_lab, "solve", failing)
+        with pytest.raises(nr.SweepError) as info:
+            nr.sweep([4.0, 8.0, 16.0], [1.0], nr.power(3), u_inf=u_inf_1d)
+        assert [r.c for r in info.value.records] == [4.0, 16.0]
+        assert str(info.value) == "sweep points failed: c = 8.0: non-finite residual at iteration 2"
+
     def test_every_point_starts_from_its_coarse_solution(self, sweep_3d, monkeypatch):
         # at 64^3 every point starts its fine loop from its own 32^3 solution
         core, points = nr.limit_lab.solve, []

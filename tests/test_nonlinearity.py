@@ -9,7 +9,8 @@ from scipy.special import erf
 
 import nrlimit as nr
 from nrlimit.cli import ConfigError, parse_config
-from conftest import random_field, smooth_random_field, stand_in_reference
+from nrlimit.nonlinearity import _coulomb_symbol
+from conftest import random_field, smooth_random_field, stand_in_reference, traced_peak
 from oracles import lp_norm, multilinear_ratio
 
 SMALL = nr.make_grid(1, 16.0, 64)
@@ -221,6 +222,37 @@ class TestHartreePotential:
         trusted = np.sqrt(g1.radius_sq()) <= 0.25 * g1.length
         diff = np.max(np.abs((phi2[core, core, core] - phi1)[trusted]))
         assert diff < 1e-8
+
+
+class TestCoulombSymbol:
+    """The truncated-kernel symbol, built in its output array, against the masked formula it replaced."""
+
+    @staticmethod
+    def masked(grid, octant):
+        radius = 0.5 * grid.length
+        t = grid.octant_xi_sq if octant else grid.xi_sq
+        out = np.empty_like(t)
+        nz = t > 0
+        out[nz] = 4.0 * np.pi * (1.0 - np.cos(radius * np.sqrt(t[nz]))) / t[nz]
+        out[~nz] = 2.0 * np.pi * radius**2
+        return out
+
+    @pytest.mark.parametrize("octant", [False, True], ids=["full", "octant"])
+    @pytest.mark.parametrize("length", [16.0, 100.0 / 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_equal_to_the_masked_formula(self, n, length, octant):
+        grid = nr.make_grid(n, length, 32)
+        sym = _coulomb_symbol.__wrapped__(grid, octant)
+        assert sym.tobytes() == self.masked(grid, octant).tobytes()
+        assert not sym.flags.writeable
+
+    @pytest.mark.parametrize("octant", [False, True], ids=["full", "octant"])
+    def test_peak_is_one_array_and_its_mask(self, octant):
+        # the masked formula peaked near three arrays: the masked copies of
+        # |xi|^2 and their temporaries.  A few kB cover the array objects
+        grid = nr.make_grid(3, 16.0, 32)
+        t = grid.octant_xi_sq if octant else grid.xi_sq
+        assert traced_peak(lambda: _coulomb_symbol.__wrapped__(grid, octant)) <= t.nbytes + t.size + 4096
 
 
 class TestLinearize:
