@@ -31,13 +31,13 @@ points per axis by trigonometric interpolation, in one inverse DCT-I: the
 start of the solver's fine level.  An octant entry stands for all its mirror
 images, so octant sums carry the multiplicity weights `octant_weight`; the
 same weights serve real-space and Parseval sums.  They are powers of two, so
-a product or quotient by one is exact: (a W) b and (a b) W give the same bits,
-and a sum may weight its products wherever it is cheapest.  The solver, the Coulomb
-convolution inside it, the sweep records and the gap eigensolve run on the
-octant; `_kernel_coefficients` sends an exactly even field there and any
-other real field to the full lattice.  The full-lattice |xi|^2 array
-`Grid.xi_sq` is built on first use only.  On the octant with N <= 126
-nothing calls numpy.fft, so a 3D run at the default N = 64 never loads it.
+a product or quotient by one is exact: (a W) b and (a b) W give the same
+bits.  The solver, the Coulomb convolution inside it, the sweep records and
+the gap eigensolve run on the octant; `_kernel_coefficients` sends an
+exactly even field there and any other real field to the full lattice.  The
+full-lattice |xi|^2 array `Grid.xi_sq` is built on first use only.  On the
+octant with N <= 126 nothing calls numpy.fft, so a 3D run at the default
+N = 64 never loads it.
 
 A field the library computes as exactly even (a solved ground state, an
 octant multiplier's output) is an `_EvenField`: a `SpectralField` that stores

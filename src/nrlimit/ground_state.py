@@ -24,12 +24,11 @@ transforms (N(u) forward, the mixed coefficients back), four with the
 Hartree term's Coulomb pair, and allocates no array: a level holds 12
 octant arrays, the last f = G(u) - u and G(u) waiting in the mixer's ring
 (`_AndersonMixer`), and a fine level started from the prolongation eight,
-its mixer of depth 1 keeping one difference pair instead of three.  The
-image G(u) takes N(u)'s transform's buffer after its last read, so a level
-keeps no image buffer.  A
-level adds the start transform, the final N(u) and
-one transform per confirm (`_solve_level`), and a two-level solve the
-prolongation's one inverse transform, and, where the rule rejects the
+its mixer of depth 1 keeping one difference pair instead of three.  No
+level keeps an image buffer: G(u) is formed in the buffer of N(u)'s
+transform after its last read.  A level adds the start transform, the final
+N(u) and one transform per confirm (`_solve_level`), and a two-level solve
+the prolongation's one inverse transform, and, where the rule rejects the
 prolongation, the start transform and N(u) of its one residual.  On grids
 up to N = 126 an octant transform is three products with the cached DCT-I
 matrix in 3D (one in 1D), on larger grids one `numpy.fft.rfft` per axis
@@ -203,8 +202,8 @@ class _AndersonMixer:
     is bound by memory traffic: the projections <dF_j, f> of the older
     columns are updated from the new Gram row instead of recomputed, f is
     formed in the first of the caller's two scratch arrays, products in the
-    other.  f and G(u) then wait in the ring slot whose old column no later step
-    reads, where the next step turns them into its difference columns in
+    other.  f and G(u) then wait in the ring slot whose old column no later
+    step reads, where the next step turns them into its difference columns in
     place: the mixer holds no array beyond its ring.  The k x k Gram system
     (k <= depth) is solved by `_small_solve`, not LAPACK; an exactly
     zero pivot or a non-finite alpha restarts the history with the plain step.
@@ -356,10 +355,11 @@ def _solve_level(
     M^gamma N_hat/P, formed in N_hat's buffer after its last read (Parseval
     leaves its weighted dot products' alpha unchanged), in the work array
     and N(u)'s buffer, which the next pass rewrites; one inverse gives the
-    next samples, and the recentring test reads them.  A mixed uh omits the round-off of x's
-    own transform (up to eps max P), so a mixed residual that would stop the
-    loop is confirmed on the transform of x, which is recorded and, if it
-    fails, continued from: at exit uh is the transform of x bit for bit.
+    next samples, and the recentring test reads them.  A mixed uh omits the
+    round-off of x's own transform (up to eps max P), so a mixed residual
+    that would stop the loop is confirmed on the transform of x, which is
+    recorded and, if it fails, continued from: at exit uh is the transform
+    of x bit for bit.
     P_hat uh is formed in the work array for the residual and again for the
     Rayleigh numerator, so that N(u) stays intact for the action at exit.
     """

@@ -184,9 +184,9 @@ def sweep(
     full-grid field is built.  Every point is solved; if any did not
     converge or raised GroundStateError (collapse, a non-finite iterate), a
     SweepError names each such c with its reason and carries the records of
-    the points that did converge.  c values, orders, the finite-c subcriticality rule
-    (`NonlinearitySpec.validate_dimension`), which every point must meet, and
-    the reference are checked before any solve.
+    the points that did converge.  c values, orders, the finite-c
+    subcriticality rule (`NonlinearitySpec.validate_dimension`), which every
+    point must meet, and the reference are checked before any solve.
     """
     c_values = _sweep_c_values(c_values)
     s_values = _sweep_orders(s_values)
@@ -290,11 +290,11 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     in the two buffers free there, divides by W through a float64 copy of the
     uint8 weights in a buffer free at that point (`_weights`; a mixed-dtype
     divide would allocate a cast buffer), and leaves the first buffer free
-    for Lanczos's scratch.  The run holds seven octants: y, N'(u0)'s phi0 or power
-    weight, the three buffers, and Lanczos's q and q_prev.  A nonpositive
-    return signals a defective reference state or projection; it is reported
-    as computed, never clipped.  A solved reference enters as its octant and
-    coefficients.
+    for Lanczos's scratch.  The run holds seven octants: y, N'(u0)'s phi0 or
+    power weight, the three buffers, and Lanczos's q and q_prev.  A
+    nonpositive return signals a defective reference state or projection; it
+    is reported as computed, never clipped.  A solved reference enters as its
+    octant and coefficients.
     """
     grid = _real_grid((u_inf,))
     nl.validate_dimension(grid.n)

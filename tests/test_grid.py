@@ -157,8 +157,8 @@ class TestStandingFootprint:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        octant = np.empty(grid.octant_shape)
-        assert held <= octant.nbytes + octant.size + grid.axis.nbytes + grid.freq_axis.nbytes + 4096
+        cells = grid.octant_xi_sq.size  # 8 bytes each in float64, 1 in uint8
+        assert held <= 9 * cells + grid.axis.nbytes + grid.freq_axis.nbytes + 4096
 
 
 class TestFieldIdentity:

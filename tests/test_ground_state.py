@@ -589,7 +589,7 @@ class TestAndersonAcceleration:
         rng = np.random.default_rng(17)
         grid = nr.make_grid(2, 16.0, 16)
         shape, weight = grid.octant_shape, grid.octant_weight
-        a, b = 0.3 * rng.standard_normal((weight.size, weight.size)) / 2.0, rng.standard_normal(weight.size)
+        a, b = 0.15 * rng.standard_normal((weight.size, weight.size)), rng.standard_normal(weight.size)
 
         def image_of(u):
             return (np.tanh(a @ u.ravel()) + b).reshape(shape)
