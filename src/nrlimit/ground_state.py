@@ -308,20 +308,19 @@ def _solve_octant(
     prolongation replaces even a start that already meets the tolerance.
     cfg.max_iterations caps each level.  The result is the fine level's,
     with the coarse iteration count (0 when no coarse solve completed) and
-    whether the fine loop started from it.  u is never written to, so one
-    start octant can seed several solves; u None is the default Gaussian
-    (`_octant_gaussian`), built where a level starts from it, so that no fine
-    iteration holds it.
+    whether the fine loop started from it.  u is never written to: each
+    level starts from a copy.  u None is the default Gaussian, which a level
+    builds on its own grid (`_octant_gaussian`); the coarse dx is exactly
+    twice the fine one, so the coarse start is the fine one's every-other
+    sample bit for bit, and the fine Gaussian is built only for the fallback.
     """
     coarse = _coarse_grid(grid)
     low = None
     if coarse is not None:
         try:
-            start = _octant_gaussian(grid) if u is None else u
-            low = _solve_level(op, nl, coarse, start[(slice(None, None, 2),) * grid.n].copy(), cfg)
+            low = _solve_level(op, nl, coarse, _octant_gaussian(coarse) if u is None else u[::2, ::2, ::2].copy(), cfg)
         except GroundStateError:
             pass  # the fine loop starts from u
-        del start
     if low is not None and low.converged:
         fine = _solve_level(op, nl, grid, _prolonged(low.field, grid), cfg, start_limit=math.sqrt(cfg.tolerance))
         if fine is not None:

@@ -28,7 +28,6 @@ from .grid import (
     Grid,
     SpectralField,
     _EvenField,
-    _as_integer,
     _as_real,
     _carried_forward,
     _coefficients,
@@ -63,7 +62,6 @@ __all__ = [
     "linearization_identity_residual",
     "optimality_functional",
     "optimality_forms",
-    "sobolev_ladder",
 ]
 
 DEFLATION_SHIFT = 10.0  # pushes the removed directions above the sought eigenvalue
@@ -152,8 +150,12 @@ def convergence_record(
 
 
 def _sweep_orders(s_values) -> list[float]:
-    """A sweep's Sobolev orders, each a `grid._sobolev_order` (a float)."""
-    return [_sobolev_order(s) for s in s_values]
+    """A sweep's Sobolev orders, each a `grid._sobolev_order` (a float), none repeated."""
+    orders = [_sobolev_order(s) for s in s_values]
+    repeated = [s for i, s in enumerate(orders) if s in orders[:i]]
+    if repeated:
+        raise ValueError(f"Sobolev order s={repeated[0]} is repeated in {orders}")
+    return orders
 
 
 def _sweep_c_values(c_values) -> list[float]:
@@ -286,11 +288,12 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     is deflated in every product: with y the unit z of u_inf, alpha = <y, z>
     and t = B^{-1/2} N'(u0) B^{-1/2} (z - alpha y), it is z - t + (<y, t> +
     (DEFLATION_SHIFT - 1) alpha) y.  It allocates no array: it works in three
-    octant buffers, forms its scaling to_z (`_to_z`) at each of its two uses
-    in the two buffers free there, divides by W through a float64 copy of the
-    uint8 weights in a buffer free at that point (`_weights`; a mixed-dtype
-    divide would allocate a cast buffer), and leaves the first buffer free
-    for Lanczos's scratch.  The run holds seven octants: y, N'(u0)'s phi0 or
+    octant buffers and leaves the first free for Lanczos's scratch.  W is
+    uint8 (a mixed-dtype ufunc would allocate a cast buffer), so a product
+    copies it into a free float64 buffer twice (`_weights`): the first copy
+    divides by W and then becomes the scaling to_z in place (`_to_z`; W is a
+    power of two, so (z / W) to_z has the bits of (to_z z) / W), the second
+    becomes to_z for N'(u0).  The run holds seven octants: y, N'(u0)'s phi0 or
     power weight, the three buffers, and Lanczos's q and q_prev.  A
     nonpositive return signals a defective reference state or projection; it
     is reported as computed, never clipped.  A solved reference enters as its
@@ -303,7 +306,8 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     apply_derivative = _derivative(nl, grid, u0)
     a, b, c = (np.empty(grid.octant_shape) for _ in range(3))  # the product's buffers
     flat_a, flat_b = a.ravel(), b.ravel()
-    y = np.multiply(_z_scale(grid, b), np.sqrt(np.add(1.0, grid.octant_xi_sq, out=a), out=a))  # times B^{1/2}
+    b_half = np.sqrt(np.add(1.0, grid.octant_xi_sq, out=a), out=a)
+    y = np.multiply(_z_scale(grid, _weights(grid, b)), b_half)  # times B^{1/2}
     y *= _carried_forward(u_inf, u0)
     y = y.ravel()
     y /= math.sqrt(_dot(y, y, flat_a))
@@ -314,18 +318,19 @@ def nondegeneracy_gap(u_inf: SpectralField, nl: NonlinearitySpec) -> float:
     np.multiply(np.arange(flat_a.size), 0.6180339887498949, out=flat_a)
     np.subtract(np.remainder(flat_a, 1.0, out=flat_a), 0.5, out=flat_a)
     coefficients = _forward(grid, a, out=b, work=c)
-    v0 = np.multiply(_z_scale(grid, a), coefficients).ravel()
+    v0 = np.multiply(_z_scale(grid, _weights(grid, a)), coefficients).ravel()
     v0 -= np.multiply(y, _dot(y, v0, flat_a), out=flat_a)
 
     def matvec(z: np.ndarray) -> np.ndarray:
         # the deflated product, in b.  z -> B^{-1/2} v_hat is the factor to_z N^n / W and _inverse
-        # divides by N^n, so B^{-1/2} z goes to samples in one unnormalized DCT-I of to_z z / W
+        # divides by N^n, so B^{-1/2} z goes to samples in one unnormalized DCT-I of (z / W) to_z
         alpha = _dot(y, z, flat_a)
         np.subtract(z, np.multiply(y, alpha, out=flat_a), out=flat_a)
-        np.divide(np.multiply(_to_z(grid, b, c), a, out=a), _weights(grid, b), out=a)
+        weights = _weights(grid, b)
+        np.multiply(np.divide(a, weights, out=a), _to_z(grid, weights, c), out=a)  # divides before W becomes to_z
         v = _forward(grid, a, out=b, work=a)
         t = _forward(grid, apply_derivative(v, out=c, work=a), out=b, work=a)
-        np.multiply(_to_z(grid, a, c), t, out=b)
+        np.multiply(_to_z(grid, _weights(grid, a), c), t, out=b)
         shift = _dot(y, flat_b, flat_a) + (DEFLATION_SHIFT - 1.0) * alpha
         np.subtract(z, flat_b, out=flat_b)
         return np.add(flat_b, np.multiply(y, shift, out=flat_a), out=flat_b)
@@ -340,15 +345,15 @@ def _weights(grid: Grid, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _z_scale(grid: Grid, out: np.ndarray) -> np.ndarray:
-    """sqrt(W / N^n) on the octant, W the multiplicities, in `out`."""
-    return np.sqrt(np.divide(_weights(grid, out), grid.size, out=out), out=out)
+def _z_scale(grid: Grid, weights: np.ndarray) -> np.ndarray:
+    """sqrt(W / N^n) on the octant, formed in place in `weights`, which holds `_weights`."""
+    return np.sqrt(np.divide(weights, grid.size, out=weights), out=weights)
 
 
-def _to_z(grid: Grid, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """to_z = sqrt(W / N^n) / sqrt(1 + |xi|^2), which takes N'(u0)'s coefficients to B^{-1/2} N'(u0) in z, in
-    `out` through `work`: the gap's product forms it where it is used, so that no octant holds it."""
-    return np.divide(_z_scale(grid, out), np.sqrt(np.add(1.0, grid.octant_xi_sq, out=work), out=work), out=out)
+def _to_z(grid: Grid, weights: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """to_z = sqrt(W / N^n) / sqrt(1 + |xi|^2), which takes N'(u0)'s coefficients to B^{-1/2} N'(u0) in z, in place
+    in `weights` (`_weights`) through `work`: the gap's product forms it where it is used, so no octant holds it."""
+    return np.divide(_z_scale(grid, weights), np.sqrt(np.add(1.0, grid.octant_xi_sq, out=work), out=work), out=weights)
 
 
 def _lanczos_smallest(
@@ -521,15 +526,3 @@ def _reference_norms(u_inf: SpectralField, s_values) -> tuple[dict[float, float]
     ref_sq = _weighted_pair(grid, coeff, coeff)
     norms = {float(s): float(np.sqrt(_spectral_integral(grid, _sobolev_weight(xi_sq, s), ref_sq))) for s in s_values}
     return norms, _spectral_integral(grid, xi_sq * xi_sq, ref_sq)
-
-
-def sobolev_ladder(n: int, nl: NonlinearitySpec, count: int) -> list[float]:
-    """The Sobolev orders s_k = k + 1/2, k = 0..count, along which product estimates iterate.
-
-    The ladder does not depend on n or nl: the function applies the finite-c
-    rule, `nl.validate_dimension(n, relativistic=True)`, whose ValueError it
-    passes on, and takes count as an integer >= 1.
-    """
-    count = _as_integer(count, "count", 1)
-    nl.validate_dimension(n, relativistic=True)
-    return [k + 0.5 for k in range(count + 1)]

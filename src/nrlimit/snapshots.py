@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import SpectralField, _real_values, make_grid
+from .grid import SpectralField, _as_integer, _real_values, make_grid
 
 __all__ = ["save_field", "load_field"]
 
@@ -46,7 +46,7 @@ def load_field(stem: str | Path) -> SpectralField:
         raise ValueError(f"{header_path}: header is not valid JSON ({exc})") from None
     if not (isinstance(header, dict) and {"n", "L", "N"} <= header.keys()):
         raise ValueError(f"{header_path}: header must be a JSON object with keys n, L and N")
-    grid = make_grid(header["n"], header["L"], header["N"])
+    n, points = _as_integer(header["n"], "n"), _as_integer(header["N"], "points")
     if bin_path.exists():
         data_path, values = bin_path, np.fromfile(bin_path, dtype="<f8")
         if bin_path.stat().st_size != values.nbytes:
@@ -58,6 +58,8 @@ def load_field(stem: str | Path) -> SpectralField:
             raise ValueError(f"{csv_path}: {exc}") from None
     else:
         raise FileNotFoundError(f"no snapshot data found for stem {stem}")
-    if values.size != grid.points**grid.n:
+    # before make_grid builds the octant arrays (8.6 GB for N = 2048 in 3D), which refuses n outside 1..3
+    if n in (1, 2, 3) and values.size != points**n:
         raise ValueError(f"{data_path}: snapshot sample count does not match header")
+    grid = make_grid(n, header["L"], points)
     return SpectralField(grid, values.reshape(grid.shape))

@@ -244,7 +244,16 @@ class TestSweepCommand:
         summary = json.loads((out1 / "summary.json").read_text())
         assert set(summary["rate_fits"]) == {"0.5", "1"}
         assert summary["nondegeneracy_gap"] > 0.0
-        assert summary["ladder"][0] == 0.5
+        assert summary["ladder"] == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5]
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_repeated_order_rejected_writing_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # report's union with UNIFORM_BOUND_ORDERS would drop the repeat: s_list is checked as given
+        monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved a repeated order"))
+        out = tmp_path / command
+        assert main([command, "--out", str(out), "--override", "analysis.s_list=[0.5,0.5]"]) == 2
+        assert capsys.readouterr().err == "analysis.s_list: Sobolev order s=0.5 is repeated in [0.5, 0.5]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     def test_config_without_ladder_rejected_before_solving(self, tmp_path, capsys, command):
@@ -328,10 +337,14 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_equal_orders_and_the_uniform_bound_orders_are_no_collision(self):
+        # the integer 1 in s_list and the uniform-bound order 1.0 are one order; 1 and 1.0 both in s_list are a
+        # repeat (test_repeated_order_rejected_writing_nothing)
         for command in ("sweep", "report"):
-            config = parse_config(json.dumps({"command": command, "analysis": {"s_list": [1, 1.0, 0.5]}}))
-            assert config.s_list == (1.0, 1.0, 0.5)
+            config = parse_config(json.dumps({"command": command, "analysis": {"s_list": [1, 0.5]}}))
+            assert config.s_list == (1.0, 0.5)
         assert config.sweep_orders == (0.5, 1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(ConfigError, match=r"^analysis.s_list: Sobolev order s=1.0 is repeated in"):
+            parse_config(json.dumps({"command": "report", "analysis": {"s_list": [1, 1.0, 0.5]}}))
 
     @pytest.mark.parametrize("command", ["sweep", "report"])
     def test_partial_output_on_nonconvergence(self, tmp_path, capsys, command):
@@ -453,6 +466,25 @@ class TestPublicPath:
         assert [name for name in names if name.startswith("_")] == []
         assert not hasattr(nr.limit_lab, "_solve_octant")
 
+    def test_cli_imports_exactly_these_private_library_names(self):
+        # a new private read from the library is a visible change to this set
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = {
+            a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1  # from .grid import ...
+            for a in node.names
+            if a.name.startswith("_")
+        }
+        assert private == {
+            "_as_integer",
+            "_as_real",
+            "_proven_min_ratio",
+            "_reference_norms",
+            "_sweep_c_values",
+            "_sweep_orders",
+        }
+
     def test_cli_leaves_refusing_booleans_to_the_library(self):
         # a JSON boolean is refused by grid._as_integer and grid._as_real alone, not by a CLI copy of them
         tree = ast.parse(Path(cli.__file__).read_text())
@@ -468,6 +500,9 @@ class TestPublicPath:
         assert not hasattr(nr.limit_lab, "_Reference") and not hasattr(nr.limit_lab, "_record")
         assert not hasattr(nr.ground_state, "_OctantSolve") and not hasattr(nr.GroundStateResult, "result")
         assert not hasattr(cli, "_reference_solve")
+        # the ladder is a constant, not a function of the problem
+        assert not hasattr(nr, "sobolev_ladder") and not hasattr(nr.limit_lab, "sobolev_ladder")
+        assert not hasattr(cli, "LADDER_STEPS")
 
 
 class TestNondegCommand:
@@ -1118,6 +1153,30 @@ class TestConfigProperties:
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith(f"{path}: ") and err.getvalue().count("\n") == 1
         assert "share the summary label" in err.getvalue()
+        assert written == []
+
+    # a repeated c is refused as not strictly ascending; this one draws order lists with a repeat
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        orders=st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=4).flatmap(
+            lambda v: st.tuples(st.sampled_from(v), st.integers(0, len(v))).map(
+                lambda t: [*v[: t[1]], t[0], *v[t[1] :]]  # one of the orders again, at any place
+            )
+        ),
+        command=st.sampled_from(["sweep", "report"]),
+    )
+    def test_repeated_order_exits_2_naming_s_list(self, orders, command):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setenv("NRLIMIT_OUTPUT_ROOT", tmp)
+            mp.chdir(tmp)
+            mp.setattr(cli, "solve", lambda *args, **kwargs: pytest.fail("solved a repeated order"))
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--override", f"analysis.s_list={json.dumps(orders)}"])
+            written = list(Path(tmp).iterdir())
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("analysis.s_list: Sobolev order s=") and err.getvalue().count("\n") == 1
+        assert " is repeated in " in err.getvalue()
         assert written == []
 
 

@@ -806,6 +806,17 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="snap.bin: size is not a whole number of float64 samples"):
             nr.load_field(tmp_path / "snap")
 
+    def test_sample_count_checked_before_the_grid_is_built(self, tmp_path):
+        # a 256^3 grid holds about 19 MB of octant arrays, a 2048^3 one 8.6 GB: the count is checked first
+        (tmp_path / "snap.json").write_text(json.dumps({"n": 3, "L": 16.0, "N": 256}))
+        (tmp_path / "snap.bin").write_bytes(b"")
+
+        def load():
+            with pytest.raises(ValueError, match=r"snap\.bin: snapshot sample count does not match header"):
+                nr.load_field(tmp_path / "snap")
+
+        assert traced_peak(load) < 1_000_000
+
     @pytest.mark.parametrize("header", [[1, 16.0, 64], "n", 3, None])
     def test_header_that_is_not_an_object_rejected(self, tmp_path, header):
         header_path, _ = nr.save_field(random_field(SMALL, np.random.default_rng(9)), tmp_path / "snap")

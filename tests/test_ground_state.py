@@ -480,7 +480,7 @@ class TestTwoLevel:
 
     @pytest.mark.parametrize("coarse", ["accepted", "unconverged"])
     def test_no_start_is_the_default_gaussian_on_both_paths(self, grid3d, monkeypatch, coarse):
-        # u = None builds the Gaussian for the coarse sample and again for the fallback
+        # u = None builds the coarse level's Gaussian on the coarse grid, and the fine one for the fallback
         op, nl = nr.nonrelativistic(), nr.hartree()
         if coarse == "unconverged":
             level = nr.ground_state._solve_level
@@ -495,6 +495,20 @@ class TestTwoLevel:
         assert (res.coarse_start, res.coarse_iterations) == (given.coarse_start, given.coarse_iterations)
         assert res.coarse_start == (coarse == "accepted")
         self.assert_identical(res, given)
+
+    def test_no_start_builds_one_gaussian_on_the_coarse_grid(self, grid3d, monkeypatch):
+        # with the prolongation accepted no fine Gaussian is built; the coarse one is the fine one's every-other sample
+        gaussian, grids = nr.ground_state._octant_gaussian, []
+
+        def recorded(grid):
+            grids.append(grid)
+            return gaussian(grid)
+
+        monkeypatch.setattr(nr.ground_state, "_octant_gaussian", recorded)
+        res = _solve_octant(nr.nonrelativistic(), nr.hartree(), grid3d, None, self.CFG)
+        assert res.coarse_start
+        assert grids == [_coarse_grid(grid3d)] and grids[0].points == 32
+        assert np.array_equal(gaussian(grids[0]), gaussian(grid3d)[::2, ::2, ::2])
 
     @pytest.mark.parametrize(
         "grid",

@@ -261,9 +261,9 @@ class TestSeededSweep:
 
 class TestSobolevOrderRange:
     """The orders a sweep records lie in [-4, 8], both ends included, as in
-    `sobolev_norm` and the CLI's analysis.s_list."""
+    `sobolev_norm` and the CLI's analysis.s_list, and none is repeated (1.0 below)."""
 
-    @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5])
+    @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5, 1.0])
     def test_sweep_rejects_order_before_any_solve(self, monkeypatch, s):
         def no_solve(*args, **kwargs):
             raise AssertionError("sweep solved before checking its orders")
@@ -293,7 +293,7 @@ class TestSobolevOrderRange:
         with pytest.raises(ValueError, match="Sobolev order"):
             nr.fit_rate(records, s)
 
-    @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5])
+    @pytest.mark.parametrize("s", [100.0, float("nan"), -4.5, 1.0])
     def test_convergence_record_rejects_order(self, s):
         u = nr.SpectralField(SMALL, np.exp(-0.5 * SMALL.radius_sq()))
         with pytest.raises(ValueError, match="Sobolev order"):
@@ -642,6 +642,29 @@ class TestNondegeneracyGap:
         assert len(growth) > 5
         assert max(growth) < 0.1 * u_inf_32.field.octant.nbytes
 
+    def test_gap_product_copies_the_weights_twice(self, monkeypatch, u_inf_32):
+        # the uint8 weights reach a float64 ufunc through a copy: one serves the divide by W and then
+        # becomes to_z, the other the scaling of N'(u0)'s coefficients
+        lanczos, weights, copies = nr.limit_lab._lanczos_smallest, nr.limit_lab._weights, []
+
+        def counted(grid, out):
+            copies[-1] += 1
+            return weights(grid, out)
+
+        def traced(matvec, v0, tol, *args):
+            def product(z):
+                copies.append(0)
+                return matvec(z)
+
+            return lanczos(product, v0, tol, *args)
+
+        monkeypatch.setattr(nr.limit_lab, "_weights", counted)
+        monkeypatch.setattr(nr.limit_lab, "_lanczos_smallest", traced)
+        copies.append(0)  # the copies made before the first product: y's and the start's scaling
+        nr.nondegeneracy_gap(u_inf_32.field, nr.hartree())
+        assert len(copies) > 5
+        assert set(copies) == {2}
+
     def test_step_cap_raises_naming_steps_and_residual(self, monkeypatch, sech_exact):
         monkeypatch.setattr(nr.limit_lab, "LANCZOS_MAX_STEPS", 3)
         with pytest.raises(
@@ -864,40 +887,6 @@ class TestBootstrapRatio:
     def test_bounded_across_sweep(self, sweep_1d):
         ratios = [r.diff_norms[3.0] / (r.diff_norms[0.5] + 1.0 / r.c**2) for r in sweep_1d["records"]]
         assert max(ratios) / min(ratios) <= 3.0
-
-
-class TestSobolevLadder:
-    def test_hartree_sequence(self):
-        assert nr.sobolev_ladder(3, nr.hartree(), 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_hartree_dimension_rule_is_the_nonlinearity_s(self, n):
-        with pytest.raises(ValueError) as ladder:
-            nr.sobolev_ladder(n, nr.hartree(), 4)
-        with pytest.raises(ValueError) as spec:
-            nr.hartree().validate_dimension(n)
-        assert str(ladder.value) == str(spec.value)
-
-    def test_cubic_one_dimensional(self):
-        # variational exponent 4: recursion jumps to 3/2, then unit steps
-        assert nr.sobolev_ladder(1, nr.power(3), 4) == [0.5, 1.5, 2.5, 3.5, 4.5]
-
-    @pytest.mark.parametrize("p", range(3, 10))
-    def test_one_dimensional_closed_form(self, p):
-        # the recursion s_1 = 1 - n(q-2)/2 + (q-1)/2 with n = 1 is 3/2 for every q = p + 1, above n/2 = 1/2
-        assert nr.sobolev_ladder(1, nr.power(p), 6) == [k + 0.5 for k in range(7)]
-
-    def test_supercritical_rejected(self):
-        with pytest.raises(ValueError):
-            nr.sobolev_ladder(2, nr.power(3), 3)
-        with pytest.raises(ValueError):
-            nr.sobolev_ladder(3, nr.power(3), 3)
-
-    def test_count_validation(self):
-        for count in (0, True, 2.5, 2.0, "2"):
-            with pytest.raises(ValueError, match="count must be an integer >= 1"):
-                nr.sobolev_ladder(1, nr.power(3), count)
-        assert nr.sobolev_ladder(1, nr.power(3), np.int64(2)) == [0.5, 1.5, 2.5]
 
 
 def test_sweep_refuses_the_two_dimensional_cubic_before_solving(monkeypatch):

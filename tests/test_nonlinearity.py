@@ -49,8 +49,6 @@ class TestSpecValidation:
     def test_dimension_outside_one_to_three_refused(self, nl, n):
         with pytest.raises(ValueError, match=f"dimension must be 1, 2 or 3, got {n}$"):
             nl.validate_dimension(n)
-        with pytest.raises(ValueError, match=f"dimension must be 1, 2 or 3, got {n}$"):
-            nr.sobolev_ladder(n, nl, 2)
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"], ids=["2.5", "3.0", "bool", "str"])
     def test_dimension_must_be_an_integer(self, n):
@@ -106,10 +104,6 @@ class TestOneSubcriticalityRule:
         def work(*args, **kwargs):
             raise _WorkStarted
 
-        def ladder():
-            nr.sobolev_ladder(n, nl, 6)
-            raise _WorkStarted  # admitted: the ladder starts no work of its own
-
         # the grid's own _forward too: residual and action transform a field
         # that carries no coefficients, and must refuse before that
         monkeypatch.setattr(nr.ground_state, "_forward", work)
@@ -120,7 +114,7 @@ class TestOneSubcriticalityRule:
         u = nr.gaussian_guess(grid)
         runs = [lambda: nr.solve(op, nl, grid), lambda: nr.residual(u, op, nl), lambda: nr.action(u, op, nl)]
         if finite:
-            runs += [lambda: nr.sweep([c], [1.0], nl, u_inf=stand_in_reference(grid)), ladder]
+            runs += [lambda: nr.sweep([c], [1.0], nl, u_inf=stand_in_reference(grid))]
         for run in runs:
             with pytest.raises(_WorkStarted if message is None else ValueError) as raised:
                 run()
